@@ -9,11 +9,20 @@ so that reruns and nearby inputs produce nearby bases.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .space import GramPair
 
-__all__ = ["orthonormal_columns", "complete_basis", "canonical_phase"]
+__all__ = [
+    "orthonormal_columns",
+    "complete_basis",
+    "canonical_phase",
+    "orthonormality_defect",
+    "require_orthonormal",
+    "require_weak_projection",
+]
 
 DROP_TOL = 1e-12
 
@@ -85,3 +94,31 @@ def orthonormal_columns(M, g: GramPair, *, drop_tol=DROP_TOL, phase_fix=False):
     """Orthonormal basis of the column span of M under the weak product."""
     empty = np.zeros((g.n, 0), dtype=np.complex128)
     return complete_basis(empty, M, g, drop_tol=drop_tol, phase_fix=phase_fix)
+
+
+def orthonormality_defect(F, g: GramPair) -> float:
+    """Frobenius norm of F^H gl2 F - I; zero iff the columns are weakly orthonormal."""
+    F = np.asarray(F, dtype=np.complex128)
+    return float(np.linalg.norm(F.conj().T @ g.gl2 @ F - np.eye(F.shape[1])))
+
+
+def require_orthonormal(F, g: GramPair, tol: float, message: str) -> None:
+    """Raise ValueError(message) unless the defect is within tol * max(1, sqrt(N))."""
+    defect = orthonormality_defect(F, g)
+    if defect > tol * max(1.0, math.sqrt(np.shape(F)[1])):
+        raise ValueError(f"{message} (defect {defect:.3e})")
+
+
+def require_weak_projection(P, g: GramPair, tol: float, name: str) -> float:
+    """Raise ValueError unless P is idempotent and weakly self-adjoint.
+
+    Both defects are measured in the Frobenius norm against tol times the
+    returned scale max(1, ||P||).
+    """
+    scale = max(1.0, float(np.linalg.norm(P)))
+    if np.linalg.norm(P @ P - P) > tol * scale:
+        raise ValueError(f"{name} is not idempotent")
+    M = g.to_l2_frame(P)
+    if np.linalg.norm(M - M.conj().T) > tol * scale:
+        raise ValueError(f"{name} is not self-adjoint for the weak product")
+    return scale

@@ -6,8 +6,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from .basis import require_orthonormal
 from .geometry import NormSpec
 from .serialize import matrix_from_json
 from .space import SpaceSpec, build_space
@@ -72,6 +71,14 @@ class RunConfig:
         return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))
 
 
+def _integer(obj, key: str) -> int:
+    """The value under key, which must be a JSON integer (not a float or a boolean)."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _space_from_mapping(obj) -> SpaceSpec:
     if not isinstance(obj, dict):
         raise ValueError("space must be a mapping")
@@ -79,10 +86,9 @@ def _space_from_mapping(obj) -> SpaceSpec:
     if unknown:
         raise ValueError(f"unknown space keys: {sorted(unknown)}")
     kwargs = {}
-    if "domain_dim" in obj:
-        kwargs["domain_dim"] = int(obj["domain_dim"])
-    if "grid_points" in obj:
-        kwargs["grid_points"] = int(obj["grid_points"])
+    for key in ("domain_dim", "grid_points"):
+        if key in obj:
+            kwargs[key] = _integer(obj, key)
     if "spacing" in obj:
         kwargs["spacing"] = float(obj["spacing"])
     if "boundary" in obj:
@@ -122,14 +128,11 @@ def config_from_mapping(obj) -> RunConfig:
     if unknown:
         raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
     kwargs = {}
-    if "seed" in obj:
-        kwargs["seed"] = int(obj["seed"])
+    for key in ("seed", "subspace_dim", "trials"):
+        if key in obj:
+            kwargs[key] = _integer(obj, key)
     if "space" in obj:
         kwargs["space"] = _space_from_mapping(obj["space"])
-    if "subspace_dim" in obj:
-        kwargs["subspace_dim"] = int(obj["subspace_dim"])
-    if "trials" in obj:
-        kwargs["trials"] = int(obj["trials"])
     if "tolerances" in obj:
         tol = obj["tolerances"]
         if not isinstance(tol, dict):
@@ -178,9 +181,5 @@ def load_frame_matrix(cfg: RunConfig):
             f"frame file has shape {M.shape}, expected ({cfg.space.n}, {cfg.subspace_dim})"
         )
     g = build_space(cfg.space)
-    defect = float(np.linalg.norm(M.conj().T @ g.gl2 @ M - np.eye(cfg.subspace_dim)))
-    if defect > 1e-10 * max(1.0, cfg.subspace_dim**0.5):
-        raise ValueError(
-            f"frame file columns are not orthonormal for the weak product (defect {defect:.3e})"
-        )
+    require_orthonormal(M, g, 1e-10, "frame file columns are not orthonormal for the weak product")
     return M

@@ -12,10 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import svdvals
+from scipy.linalg import schur, svdvals
 
 from .errors import ConvergenceFailure, LogUnavailable
-from .group import SkewOperator, exp_skew, frame_unitary, is_lie_algebra_member
+from .group import OneParameterGroup, SkewOperator, frame_unitary, is_lie_algebra_member
 from .space import GramPair, adjoint_h1, as_operator, h1_operator_norm
 from .stiefel import StiefelOperator, operator_to_frame
 
@@ -179,13 +179,10 @@ def exp_curve(V0: StiefelOperator, X: SkewOperator, steps: int) -> CurveSamples:
     if steps < 2:
         raise ValueError("steps must be at least 2")
     ts = np.linspace(0.0, 1.0, steps)
-    points = []
-    velocities = []
-    for t in ts:
-        Ut = exp_skew(SkewOperator(t * X.data, X.g)).data
-        points.append(Ut @ V0.V)
-        velocities.append(X.data @ Ut @ V0.V)
-    return CurveSamples(ts=tuple(ts), points=tuple(points), velocities=tuple(velocities))
+    exp_tX = OneParameterGroup(X)
+    points = tuple(exp_tX(t).data @ V0.V for t in ts)
+    velocities = tuple(X.data @ p for p in points)
+    return CurveSamples(ts=tuple(ts), points=points, velocities=velocities)
 
 
 def curve_length(c: CurveSamples, spec: NormSpec, g: GramPair) -> float:
@@ -197,50 +194,19 @@ def curve_length(c: CurveSamples, spec: NormSpec, g: GramPair) -> float:
     return float(total)
 
 
-def _sqrt_denman_beavers(A, *, max_iter=60, tol=1e-15):
-    """Square root of a well-conditioned matrix by coupled Newton iteration."""
-    Y = A.copy()
-    Z = np.eye(A.shape[0], dtype=np.complex128)
-    for _ in range(max_iter):
-        Y_next = 0.5 * (Y + np.linalg.inv(Z))
-        Z_next = 0.5 * (Z + np.linalg.inv(Y))
-        delta = np.linalg.norm(Y_next - Y)
-        Y, Z = Y_next, Z_next
-        if delta <= tol * max(1.0, np.linalg.norm(Y)):
-            return Y
-    raise ConvergenceFailure("matrix square root iteration stalled")
-
-
 def group_log(U, g: GramPair, *, tol: float = 1e-8) -> np.ndarray:
     """Principal logarithm of a group element near the identity.
 
-    Inverse scaling and squaring: repeated square roots bring the element
-    close to the identity, a short alternating series computes the small
-    logarithm, and doubling undoes the roots.  Requires the strong-norm
-    distance to the identity to sit below one; the result is checked to lie
-    in the Lie algebra.
+    In the weak frame the element is unitary, so its complex Schur form is
+    diagonal and the logarithm is the log of that diagonal.  Requires the
+    strong-norm distance to the identity to sit below one; the result is
+    checked to lie in the Lie algebra.
     """
     U = as_operator(U, g.n, "U")
-    eye = np.eye(g.n, dtype=np.complex128)
-    if h1_operator_norm(U - eye, g) >= 1.0:
+    if h1_operator_norm(U - np.eye(g.n), g) >= 1.0:
         raise LogUnavailable("element is too far from the identity for the principal logarithm")
-    Y = U.copy()
-    doublings = 0
-    while np.linalg.norm(Y - eye) > 0.25:
-        if doublings >= 40:
-            raise ConvergenceFailure("square-root scaling did not contract to the identity")
-        Y = _sqrt_denman_beavers(Y)
-        doublings += 1
-    E = Y - eye
-    term = E.copy()
-    total = E.copy()
-    for k in range(2, 60):
-        term = term @ E
-        piece = ((-1.0) ** (k + 1)) * term / k
-        total = total + piece
-        if np.linalg.norm(piece) <= 1e-17 * max(1.0, np.linalg.norm(total)):
-            break
-    X = (2.0**doublings) * total
+    T, Z = schur(g.to_l2_frame(U), output="complex", check_finite=False)
+    X = g.from_l2_frame((Z * np.log(np.diag(T))) @ Z.conj().T)
     if not is_lie_algebra_member(X, g, tol):
         raise ConvergenceFailure("computed logarithm is not skew at tolerance")
     return X
@@ -259,9 +225,7 @@ def distance_upper(
     g = V0.g
     U = frame_unitary(operator_to_frame(V0).Phi, operator_to_frame(V1).Phi, g)
     X = group_log(U.data, g)
-    Xs = SkewOperator(X, g, tol=1e-6)
-    end = exp_skew(Xs).data @ V0.V
-    if np.linalg.norm(end - V1.V) > 1e-8 * max(1.0, np.linalg.norm(V1.V)):
+    curve = exp_curve(V0, SkewOperator(X, g, tol=1e-6), steps)
+    if np.linalg.norm(curve.points[-1] - V1.V) > 1e-8 * max(1.0, np.linalg.norm(V1.V)):
         raise ConvergenceFailure("connecting curve does not reach the target point")
-    curve = exp_curve(V0, Xs, steps)
     return curve_length(curve, spec, g)

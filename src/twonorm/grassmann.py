@@ -10,12 +10,11 @@ map delta_P.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import orthonormal_columns
+from .basis import orthonormal_columns, require_orthonormal, require_weak_projection
 from .errors import NeighborhoodViolation
 from .group import GroupElement, SkewOperator, frame_unitary
 from .space import GramPair, as_operator, h1_operator_norm
@@ -59,12 +58,7 @@ class ProjectionOperator:
 
     def __post_init__(self):
         P = as_operator(self.P, self.g.n, "P")
-        scale = max(1.0, float(np.linalg.norm(P)))
-        if np.linalg.norm(P @ P - P) > PROJECTION_TOL * scale:
-            raise ValueError("operator is not idempotent")
-        M = self.g.to_l2_frame(P)
-        if np.linalg.norm(M - M.conj().T) > PROJECTION_TOL * scale:
-            raise ValueError("operator is not self-adjoint for the weak product")
+        require_weak_projection(P, self.g, PROJECTION_TOL, "operator")
         tr = float(np.trace(P).real)
         if abs(tr - self.N) > TRACE_TOL * max(1.0, self.N):
             raise ValueError(f"trace {tr:.6f} does not match declared rank {self.N}")
@@ -81,11 +75,8 @@ def projection_from_frame(H, g: GramPair) -> ProjectionOperator:
     H = np.asarray(H, dtype=np.complex128)
     if H.ndim != 2 or H.shape[0] != g.n or H.shape[1] < 1:
         raise ValueError(f"frame must be n-by-N, got {H.shape}")
-    N = H.shape[1]
-    defect = np.linalg.norm(H.conj().T @ g.gl2 @ H - np.eye(N))
-    if defect > 1e-8 * max(1.0, math.sqrt(N)):
-        raise ValueError(f"frame is not orthonormal (defect {defect:.3e})")
-    return ProjectionOperator(H @ H.conj().T @ g.gl2, N, g)
+    require_orthonormal(H, g, 1e-8, "frame is not orthonormal")
+    return ProjectionOperator(H @ H.conj().T @ g.gl2, H.shape[1], g)
 
 
 def range_frame(P: ProjectionOperator) -> np.ndarray:

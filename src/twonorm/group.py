@@ -12,8 +12,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import eigh
 
-from .basis import complete_basis
+from .basis import complete_basis, require_orthonormal
 from .errors import ConvergenceFailure
 from .space import GramPair, as_operator
 
@@ -24,6 +25,7 @@ __all__ = [
     "skew_residual",
     "is_group_member",
     "is_lie_algebra_member",
+    "OneParameterGroup",
     "exp_skew",
     "bracket",
     "frame_unitary",
@@ -110,32 +112,32 @@ def bracket(X: SkewOperator, Y: SkewOperator) -> SkewOperator:
     return SkewOperator(X.data @ Y.data - Y.data @ X.data, X.g)
 
 
-def exp_skew(X: SkewOperator, *, max_terms: int = 80) -> GroupElement:
-    """Exponential by scaling and squaring of the Taylor series.
+class OneParameterGroup:
+    """The curve t -> exp(tX) from one eigendecomposition of the generator.
 
-    The argument is scaled so the series converges rapidly, summed until
-    terms fall below machine tolerance, then repeatedly squared.
+    In the weak frame M = gl2^{1/2} X gl2^{-1/2} is skew-Hermitian, so
+    iM = W diag(lam) W^H with real lam and unitary W.  With Wl = gl2^{-1/2} W
+    and Wr = W^H gl2^{1/2}, exp(tX) = I + Wl diag(expm1(-i t lam)) Wr for
+    every t: exact at t = 0 and free of cancellation for small t.
     """
-    A = X.data
-    g = X.g
-    nrm = np.linalg.norm(A)
-    squarings = 0
-    if nrm > 0.5:
-        squarings = int(np.ceil(np.log2(nrm / 0.5)))
-        A = A / (2.0**squarings)
-    n = g.n
-    total = np.eye(n, dtype=np.complex128)
-    term = np.eye(n, dtype=np.complex128)
-    for k in range(1, max_terms + 1):
-        term = term @ A / k
-        total = total + term
-        if np.linalg.norm(term) <= 1e-17 * np.linalg.norm(total):
-            break
-    else:
-        raise ConvergenceFailure("exponential series did not reach machine tolerance")
-    for _ in range(squarings):
-        total = total @ total
-    return GroupElement(total, g)
+
+    def __init__(self, X: SkewOperator):
+        g = X.g
+        M = 1j * g.to_l2_frame(X.data)
+        lam, W = eigh(0.5 * (M + M.conj().T), check_finite=False)
+        self.g = g
+        self.lam = lam
+        self.left = g.isqrt_l2 @ W
+        self.right = W.conj().T @ g.sqrt_l2
+
+    def __call__(self, t: float) -> GroupElement:
+        step = (self.left * np.expm1(-1j * t * self.lam)) @ self.right
+        return GroupElement(np.eye(self.g.n, dtype=np.complex128) + step, self.g)
+
+
+def exp_skew(X: SkewOperator) -> GroupElement:
+    """Exponential of an algebra element, via its weak-frame eigendecomposition."""
+    return OneParameterGroup(X)(1.0)
 
 
 def frame_unitary(F0, F1, g: GramPair, *, tol: float = 1e-8) -> GroupElement:
@@ -151,12 +153,8 @@ def frame_unitary(F0, F1, g: GramPair, *, tol: float = 1e-8) -> GroupElement:
     F1 = np.asarray(F1, dtype=np.complex128)
     if F0.shape != F1.shape or F0.ndim != 2 or F0.shape[0] != g.n:
         raise ValueError(f"frames must share shape ({g.n}, N), got {F0.shape} and {F1.shape}")
-    N = F0.shape[1]
-    eye = np.eye(N)
     for name, F in (("first", F0), ("second", F1)):
-        defect = np.linalg.norm(F.conj().T @ g.gl2 @ F - eye)
-        if defect > tol * max(1.0, np.sqrt(N)):
-            raise ValueError(f"{name} frame is not orthonormal (defect {defect:.3e})")
+        require_orthonormal(F, g, tol, f"{name} frame is not orthonormal")
     if np.linalg.norm(F1 - F0) <= 1e-14:
         return GroupElement(np.eye(g.n, dtype=np.complex128), g)
     alpha = complete_basis(F0, F1, g)

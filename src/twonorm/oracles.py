@@ -8,13 +8,13 @@ in tests is evidence rather than tautology.  Nothing here is tuned for speed.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, expm, logm
 
 from .basis import orthonormal_columns
 from .errors import RankDeficiency
 from .space import GramPair, as_operator
 
-__all__ = ["sqrt_eig", "adjoint_by_definition", "pinv_on_range"]
+__all__ = ["sqrt_eig", "adjoint_by_definition", "pinv_on_range", "exp_pade", "log_pade"]
 
 SQRT_CLAMP = 1e-14
 
@@ -76,3 +76,19 @@ def pinv_on_range(P, A, g: GramPair, *, cutoff=1e-12) -> np.ndarray:
         )
     inv_small = np.linalg.solve(small, np.eye(k, dtype=np.complex128))
     return H @ inv_small @ H.conj().T @ g.gl2
+
+
+def exp_pade(X, g: GramPair) -> np.ndarray:
+    """Matrix exponential by Pade scaling and squaring (``scipy.linalg.expm``).
+
+    Treats X as a general matrix: no weak frame and no skew structure.
+    """
+    return expm(as_operator(X, g.n, "X"))
+
+
+def log_pade(U, g: GramPair) -> np.ndarray:
+    """Principal logarithm by inverse scaling and squaring (``scipy.linalg.logm``).
+
+    Treats U as a general matrix: no weak frame and no unitary structure.
+    """
+    return np.asarray(logm(as_operator(U, g.n, "U")), dtype=np.complex128)

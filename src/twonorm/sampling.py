@@ -10,7 +10,7 @@ import numpy as np
 
 from .basis import orthonormal_columns
 from .grassmann import ProjectionOperator, act_grassmann, projection_from_frame
-from .group import GroupElement, SkewOperator, exp_skew
+from .group import GroupElement, OneParameterGroup, SkewOperator, exp_skew
 from .space import GramPair, h1_operator_norm
 from .stiefel import ReferenceFrame, StiefelOperator
 
@@ -116,15 +116,13 @@ def stiefel_near(
     if target <= 0:
         raise ValueError("target distance must be positive")
     g = V.g
-    X = random_skew(rng, g, 1.0)
+    exp_sX = OneParameterGroup(random_skew(rng, g, 1.0))
 
     def distance_at(s: float) -> float:
-        U = exp_skew(SkewOperator(s * X.data, g))
-        return h1_operator_norm(U.data @ V.V - V.V, g)
+        return h1_operator_norm(exp_sX(s).data @ V.V - V.V, g)
 
     s = _calibrated_scale(distance_at, target, tol=tol)
-    U = exp_skew(SkewOperator(s * X.data, g))
-    moved = StiefelOperator(U.data @ V.V, V.ref)
+    moved = StiefelOperator(exp_sX(s).data @ V.V, V.ref)
     return moved, h1_operator_norm(moved.V - V.V, g)
 
 
@@ -135,14 +133,12 @@ def projection_near(
     if target <= 0:
         raise ValueError("target distance must be positive")
     g = P.g
-    X = random_skew(rng, g, 1.0)
+    exp_sX = OneParameterGroup(random_skew(rng, g, 1.0))
 
     def distance_at(s: float) -> float:
-        U = exp_skew(SkewOperator(s * X.data, g))
-        moved = U.data @ P.P @ np.linalg.inv(U.data)
-        return h1_operator_norm(moved - P.P, g)
+        U = exp_sX(s)
+        return h1_operator_norm(U.data @ P.P @ U.inv - P.P, g)
 
     s = _calibrated_scale(distance_at, target, tol=tol)
-    U = exp_skew(SkewOperator(s * X.data, g))
-    moved = act_grassmann(U, P)
+    moved = act_grassmann(exp_sX(s), P)
     return moved, h1_operator_norm(moved.P - P.P, g)

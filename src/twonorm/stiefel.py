@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import eigh
 
+from .basis import orthonormality_defect, require_orthonormal, require_weak_projection
 from .errors import ConvergenceFailure, NeighborhoodViolation, RankDeficiency
 from .group import GroupElement, SkewOperator, frame_unitary
 from .space import GramPair, adjoint_l2, as_operator, h1_operator_norm, norm_h1
@@ -72,13 +73,10 @@ class ReferenceFrame:
         Xi = np.asarray(self.Xi, dtype=np.complex128)
         if Xi.ndim != 2 or Xi.shape[0] != self.g.n or Xi.shape[1] < 1:
             raise ValueError(f"reference frame must be n-by-N with N >= 1, got {Xi.shape}")
-        N = Xi.shape[1]
-        defect = np.linalg.norm(Xi.conj().T @ self.g.gl2 @ Xi - np.eye(N))
-        if defect > FRAME_TOL * max(1.0, math.sqrt(N)):
-            raise ValueError(f"reference frame is not orthonormal (defect {defect:.3e})")
+        require_orthonormal(Xi, self.g, FRAME_TOL, "reference frame is not orthonormal")
         Xi.setflags(write=False)
         object.__setattr__(self, "Xi", Xi)
-        object.__setattr__(self, "C", max(norm_h1(Xi[:, i], self.g) for i in range(N)))
+        object.__setattr__(self, "C", max(norm_h1(Xi[:, i], self.g) for i in range(Xi.shape[1])))
 
     C: float = 0.0  # filled in __post_init__
 
@@ -108,10 +106,7 @@ class StiefelFrame:
         Phi = np.asarray(self.Phi, dtype=np.complex128)
         if Phi.ndim != 2 or Phi.shape[0] != self.g.n or Phi.shape[1] < 1:
             raise ValueError(f"frame must be n-by-N with N >= 1, got {Phi.shape}")
-        N = Phi.shape[1]
-        defect = np.linalg.norm(Phi.conj().T @ self.g.gl2 @ Phi - np.eye(N))
-        if defect > self.tol * max(1.0, math.sqrt(N)):
-            raise ValueError(f"frame is not orthonormal (defect {defect:.3e})")
+        require_orthonormal(Phi, self.g, self.tol, "frame is not orthonormal")
         Phi.setflags(write=False)
         object.__setattr__(self, "Phi", Phi)
 
@@ -132,9 +127,8 @@ class StiefelOperator:
         V = as_operator(self.V, self.ref.n, "V")
         g = self.ref.g
         Phi = V @ self.ref.Xi
-        N = self.ref.N
         scale = max(1.0, float(np.linalg.norm(V)))
-        iso_defect = np.linalg.norm(Phi.conj().T @ g.gl2 @ Phi - np.eye(N))
+        iso_defect = orthonormality_defect(Phi, g)
         rebuilt = Phi @ self.ref.Xi.conj().T @ g.gl2
         kernel_defect = np.linalg.norm(rebuilt - V)
         if iso_defect > self.tol * scale or kernel_defect > self.tol * scale:
@@ -286,18 +280,33 @@ def _validated_series_argument(B, g: GramPair):
 
 def _check_kernel_projector(B, K0, g: GramPair):
     K0 = as_operator(K0, g.n, "kernel projector")
-    scale = max(1.0, float(np.linalg.norm(K0)))
-    if np.linalg.norm(K0 @ K0 - K0) > 1e-8 * scale:
-        raise ValueError("kernel projector is not idempotent")
-    M = g.to_l2_frame(K0)
-    if np.linalg.norm(M - M.conj().T) > 1e-8 * scale:
-        raise ValueError("kernel projector is not self-adjoint for the weak product")
+    scale = require_weak_projection(K0, g, 1e-8, "kernel projector")
     if (
         np.linalg.norm(B @ K0 + K0) > 1e-8 * scale
         or np.linalg.norm(K0 @ B + K0) > 1e-8 * scale
     ):
         raise ValueError("kernel projector does not match the -1 eigenspace of B")
     return K0
+
+
+def _deflated(B, g: GramPair, kernel_projector):
+    """Series argument with its known -1 eigenspace lifted to 0, and that projector."""
+    if kernel_projector is None:
+        return B, None
+    K0 = _check_kernel_projector(B, kernel_projector, g)
+    return B + K0, K0
+
+
+def _partial_sums(Bw, terms: int):
+    """Yield c_k and the partial sum I + sum_(j<=k) c_j Bw^j for k = 1..terms."""
+    total = np.eye(Bw.shape[0], dtype=np.complex128)
+    power = np.eye(Bw.shape[0], dtype=np.complex128)
+    c = 0.5
+    for k in range(1, terms + 1):
+        power = power @ Bw
+        total = total + c * power
+        yield c, total
+        c = c * (0.5 - k) / (k + 1)
 
 
 def binomial_sqrt(
@@ -323,11 +332,8 @@ def binomial_sqrt(
     B, lam = _validated_series_argument(B, g)
     if not (tol > 0):
         raise ValueError("tol must be positive")
-    Bw = B
-    K0 = None
-    if kernel_projector is not None:
-        K0 = _check_kernel_projector(B, kernel_projector, g)
-        Bw = B + K0
+    Bw, K0 = _deflated(B, g, kernel_projector)
+    if K0 is not None:
         _, lam = _validated_series_argument(Bw, g)
     rho = min(1.0, float(np.max(np.abs(lam))))
     amp = max(1.0, g.pencil_factor)
@@ -341,23 +347,14 @@ def binomial_sqrt(
                 "the argument has weak spectral radius 1 (pass kernel_projector "
                 "if the -1 eigenspace is known)"
             )
-    n = g.n
-    total = np.eye(n, dtype=np.complex128)
-    power = np.eye(n, dtype=np.complex128)
-    c = 0.5
     rho_pow = 1.0
-    converged = False
-    for k in range(1, kmax + 1):
-        power = power @ Bw
-        total = total + c * power
+    for c, total in _partial_sums(Bw, kmax):
         rho_pow *= rho
         tail -= abs(c) * rho_pow
-        c = c * (0.5 - k) / (k + 1)
-        # tail now equals sum_(j>k) |c_j| rho^j.
+        # tail now equals the weighted coefficient tail beyond this term.
         if tail * amp <= tol:
-            converged = True
             break
-    if not converged:
+    else:
         raise ConvergenceFailure(
             f"series truncation bound did not reach tol={tol:.1e} within {kmax} terms"
         )
@@ -371,18 +368,9 @@ def binomial_sqrt_truncated(B, g: GramPair, terms: int, *, kernel_projector=None
     B, _ = _validated_series_argument(B, g)
     if terms < 1:
         raise ValueError("terms must be positive")
-    Bw = B
-    K0 = None
-    if kernel_projector is not None:
-        K0 = _check_kernel_projector(B, kernel_projector, g)
-        Bw = B + K0
-    total = np.eye(g.n, dtype=np.complex128)
-    power = np.eye(g.n, dtype=np.complex128)
-    c = 0.5
-    for k in range(1, terms + 1):
-        power = power @ Bw
-        total = total + c * power
-        c = c * (0.5 - k) / (k + 1)
+    Bw, K0 = _deflated(B, g, kernel_projector)
+    for _, total in _partial_sums(Bw, terms):
+        pass
     if K0 is not None:
         total = total - K0
     return total
@@ -590,5 +578,4 @@ def mcscf_validate(c, Phi: StiefelFrame, K: int, N: int, tol: float = 1e-10) -> 
         return False
     if abs(float(np.linalg.norm(c.real)) - 1.0) > tol:
         return False
-    defect = np.linalg.norm(Phi.Phi.conj().T @ Phi.g.gl2 @ Phi.Phi - np.eye(K))
-    return bool(defect <= tol * max(1.0, math.sqrt(K)))
+    return orthonormality_defect(Phi.Phi, Phi.g) <= tol * max(1.0, math.sqrt(K))

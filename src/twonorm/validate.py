@@ -8,6 +8,7 @@ mathematically meaningful violation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,7 +99,8 @@ class _Recorder:
     def residual(self, value: float, limit: float):
         value = float(value)
         self.checks += 1
-        if value > self.max_residual:
+        # NaN > x is false, so a NaN is recorded explicitly and then sticks.
+        if value > self.max_residual or math.isnan(value):
             self.max_residual = value
         if not (value <= limit):
             self.passed = False

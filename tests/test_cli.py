@@ -101,6 +101,20 @@ def test_load_config_round_trip(tmp_path):
     assert cfg.tolerance("section") == DEFAULT_TOLERANCES["section"]
 
 
+@pytest.mark.parametrize("value", [1.7, 2.0, True, "3"], ids=["float", "integral-float", "bool", "string"])
+@pytest.mark.parametrize("key", ["seed", "subspace_dim", "trials", "domain_dim", "grid_points"])
+def test_integer_fields_reject_non_integers(tmp_path, capsys, key, value):
+    # A small space and one trial keep the run short should the value be accepted.
+    entries = {"space": {"grid_points": 4}, "trials": 1}
+    if key in ("domain_dim", "grid_points"):
+        entries["space"][key] = value
+    else:
+        entries[key] = value
+    cfg = write_config(tmp_path, **entries)
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert f"{key} must be an integer" in capsys.readouterr().err
+
+
 def test_load_config_bad_files(tmp_path):
     with pytest.raises(ValueError):
         load_config(str(tmp_path / "absent.json"))

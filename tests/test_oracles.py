@@ -1,9 +1,33 @@
 import numpy as np
 import pytest
 
-from twonorm import RankDeficiency, adjoint_l2
-from twonorm.oracles import adjoint_by_definition, pinv_on_range, sqrt_eig
-from twonorm.sampling import random_complex, random_projection, rng_for_trial
+from twonorm import (
+    RankDeficiency,
+    SkewOperator,
+    SpaceSpec,
+    adjoint_l2,
+    build_space,
+    exp_curve,
+    exp_skew,
+    group_log,
+    h1_operator_norm,
+)
+from twonorm.oracles import (
+    adjoint_by_definition,
+    exp_pade,
+    log_pade,
+    pinv_on_range,
+    sqrt_eig,
+)
+from twonorm.sampling import (
+    SETUP_TRIAL,
+    random_complex,
+    random_projection,
+    random_reference,
+    random_skew,
+    random_stiefel,
+    rng_for_trial,
+)
 
 
 def rank_one_projection(g):
@@ -93,3 +117,33 @@ def test_pinv_on_range_zero_rank(g):
     Z = np.zeros((g.n, g.n))
     out = pinv_on_range(Z, np.eye(g.n), g)
     assert np.linalg.norm(out) == 0.0
+
+
+@pytest.fixture(scope="module", params=[16, 128])
+def g_n(request):
+    return build_space(SpaceSpec(domain_dim=1, grid_points=request.param, spacing=0.25))
+
+
+def test_exp_skew_agrees_with_pade(g_n, rng):
+    X = random_skew(rng, g_n, scale=1.0)
+    E = exp_pade(X.data, g_n)
+    assert np.linalg.norm(exp_skew(X).data - E) <= 1e-12 * np.linalg.norm(E)
+
+
+def test_exp_curve_points_agree_with_pade(g_n, rng):
+    ref = random_reference(rng_for_trial(42, SETUP_TRIAL), g_n, 2)
+    V0 = random_stiefel(rng, ref, scale=0.4)
+    X = random_skew(rng, g_n, scale=1.0)
+    c = exp_curve(V0, X, steps=9)
+    for t, point in zip(c.ts, c.points):
+        expected = exp_pade(t * X.data, g_n) @ V0.V
+        assert np.linalg.norm(point - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_group_log_agrees_with_pade(g_n, rng):
+    X = random_skew(rng, g_n, scale=1.0)
+    # Strong norm 0.3 keeps exp(X) inside the domain of the principal logarithm.
+    X = SkewOperator(X.data * (0.3 / h1_operator_norm(X.data, g_n)), g_n)
+    U = exp_skew(X).data
+    L = log_pade(U, g_n)
+    assert np.linalg.norm(group_log(U, g_n) - L) <= 1e-10 * np.linalg.norm(L)
