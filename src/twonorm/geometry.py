@@ -4,6 +4,8 @@ Singular values are always taken in the strong frame, so the Schatten family
 interpolates between the strong operator norm (p = inf) and the trace norm
 (p = 1).  Differences of two embeddings have rank at most 2N, which sandwiches
 every unitarily invariant norm between the operator norm and 2N times it.
+Such operands, and tangent vectors, are passed as thin
+:class:`~twonorm.space.LowRank` factors.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from scipy.linalg import schur, svdvals
 
 from .errors import ConvergenceFailure, LogUnavailable
 from .group import OneParameterGroup, SkewOperator, frame_unitary, is_lie_algebra_member
-from .space import GramPair, adjoint_h1, as_operator, h1_operator_norm
-from .stiefel import StiefelOperator, operator_to_frame
+from .space import GramPair, LowRank, adjoint_h1, as_operator, h1_operator_norm
+from .stiefel import StiefelOperator, operator_to_frame, point_difference
 
 __all__ = [
     "NormSpec",
@@ -76,7 +78,13 @@ class NormSpec:
 
 
 def h1_singular_values(A, g: GramPair) -> np.ndarray:
-    """Singular values of A as a map of the strong space, descending."""
+    """Singular values of A as a map of the strong space, descending.
+
+    A dense operand gives n values; a :class:`LowRank` operand of width k
+    gives min(n, k), the remaining ones being zero.
+    """
+    if isinstance(A, LowRank):
+        return A.h1_singular_values(g)
     A = as_operator(A, g.n, "A")
     return np.asarray(svdvals(g.to_h1_frame(A), check_finite=False))
 
@@ -105,7 +113,7 @@ def norm_sandwich_check(
 ) -> SandwichReport:
     """Evaluate the rank-2N sandwich for the difference of two embeddings."""
     g = V1.g
-    diff = V1.V - V2.V
+    diff = point_difference(V1, V2)
     sv = h1_singular_values(diff, g)
     opn = float(sv[0])
     chosen = schatten_norm(diff, spec, g)
@@ -122,14 +130,18 @@ def norm_sandwich_check(
 
 
 def finsler_norm_stiefel(X: SkewOperator, V: StiefelOperator, spec: NormSpec) -> float:
-    """Length of the tangent vector X V in the chosen norm."""
-    return schatten_norm(X.data @ V.V, spec, V.g)
+    """Length of the tangent vector X V = (X Phi)(gl2 Xi)^H in the chosen norm."""
+    return schatten_norm(LowRank(X.data @ V.Phi, V.ref.dual), spec, V.g)
 
 
 def finsler_norm_grassmann(X: SkewOperator, P, spec: NormSpec) -> float:
-    """Length of the tangent vector [X, P] in the chosen norm."""
-    Pm = P.P
-    return schatten_norm(X.data @ Pm - Pm @ X.data, spec, P.g)
+    """Length of the tangent vector [X, P] in the chosen norm.
+
+    With P = L R^H, X P - P X = [X L, L][R, -X^H R]^H.
+    """
+    L, R = P.factors.L, P.factors.R
+    tangent = LowRank(X.data @ L, R) - LowRank(L, X.data.conj().T @ R)
+    return schatten_norm(tangent, spec, P.g)
 
 
 def riemannian_inner_stiefel(X: SkewOperator, Y: SkewOperator, V: StiefelOperator) -> float:

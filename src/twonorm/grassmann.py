@@ -11,18 +11,21 @@ map delta_P.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .basis import orthonormal_columns, require_orthonormal, require_weak_projection
 from .errors import NeighborhoodViolation
 from .group import GroupElement, SkewOperator, frame_unitary
-from .space import GramPair, as_operator, h1_operator_norm
+from .space import GramPair, LowRank, as_operator, h1_operator_norm
 from .stiefel import (
     ReferenceFrame,
     StiefelOperator,
+    _compressions,
     _inv_sqrt_on_range,
     cross_section_sigma,
+    point_difference,
     projection_of,
     radius_r,
 )
@@ -69,6 +72,20 @@ class ProjectionOperator:
     def n(self) -> int:
         return self.g.n
 
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """Deterministic orthonormal basis H of the range, see :func:`range_frame`."""
+        return range_frame(self)
+
+    @cached_property
+    def factors(self) -> LowRank:
+        """P = H (P^H gl2 H)^H as thin factors.
+
+        H H^H gl2 is the weak orthogonal projection onto range(P) and fixes
+        that range, so H H^H gl2 P = P holds for P as stored.
+        """
+        return LowRank(self.frame, self.P.conj().T @ (self.g.gl2 @ self.frame))
+
 
 def projection_from_frame(H, g: GramPair) -> ProjectionOperator:
     """Projection H H^H gl2 onto the span of an orthonormal frame H."""
@@ -96,19 +113,20 @@ def phi(V: StiefelOperator) -> ProjectionOperator:
 
 def _psi_factors(P: ProjectionOperator, P1: ProjectionOperator, ref: ReferenceFrame):
     g = P.g
-    dist = h1_operator_norm(P1.P - P.P, g)
-    rad = 1.0 / (h1_operator_norm(P.P, g) + 1.0) ** 2
+    dist = h1_operator_norm(P1.factors - P.factors, g)
+    rad = 1.0 / (h1_operator_norm(P.factors, g) + 1.0) ** 2
     if not dist < rad:
         raise NeighborhoodViolation(
             f"projection distance {dist:.6e} is not inside the section radius {rad:.6e}"
         )
-    b1 = h1_operator_norm(P.P - P.P @ P1.P @ P.P, g)
-    b2 = h1_operator_norm(P1.P - P1.P @ P.P @ P1.P, g)
+    # P - P P1 P = P (I - P1) P, and likewise with P and P1 swapped.
+    b1 = h1_operator_norm(_compressions(P.factors, P1.factors)[0], g)
+    b2 = h1_operator_norm(_compressions(P1.factors, P.factors)[0], g)
     if max(b1, b2) >= 1.0:
         raise NeighborhoodViolation(
             f"contraction bounds ({b1:.6f}, {b2:.6f}) must stay below 1"
         )
-    U = frame_unitary(ref.Xi, range_frame(P), g)
+    U = frame_unitary(ref.Xi, P.frame, g)
     t1 = P1.P @ _inv_sqrt_on_range(P.P @ P1.P @ P.P, g, P.N)
     return U, t1
 
@@ -146,7 +164,7 @@ def grassmann_equivalence(
     V1 U = V up to the reported residual.
     """
     g = V.g
-    dist = h1_operator_norm(V.projection - V1.projection, g)
+    dist = h1_operator_norm(V.projection_factors - V1.projection_factors, g)
     if dist > tol:
         return EquivalenceResult(equivalent=False, projection_distance=dist)
     eye = np.eye(g.n, dtype=np.complex128)
@@ -170,7 +188,7 @@ def connecting_unitary(P: ProjectionOperator, P1: ProjectionOperator) -> GroupEl
     """Explicit group element conjugating P onto P1; the action is transitive."""
     if P.N != P1.N:
         raise ValueError("projections must have equal rank")
-    return frame_unitary(range_frame(P), range_frame(P1), P.g)
+    return frame_unitary(P.frame, P1.frame, P.g)
 
 
 def section_pi_p(P: ProjectionOperator, P1: ProjectionOperator, ref: ReferenceFrame) -> GroupElement:
@@ -185,10 +203,10 @@ def section_pi_p(P: ProjectionOperator, P1: ProjectionOperator, ref: ReferenceFr
     """
     V = psi_section(P, P, ref)
     r_v = radius_r(V)
-    dist = h1_operator_norm(P1.P - P.P, P.g)
-    r_star = min(1.0 / (h1_operator_norm(P.P, P.g) + 1.0) ** 2, r_v)
+    dist = h1_operator_norm(P1.factors - P.factors, P.g)
+    r_star = min(1.0 / (h1_operator_norm(P.factors, P.g) + 1.0) ** 2, r_v)
     V1 = psi_section(P, P1, ref)
-    lifted_dist = h1_operator_norm(V1.V - V.V, P.g)
+    lifted_dist = h1_operator_norm(point_difference(V1, V), P.g)
     for _ in range(21):
         if not dist < r_star:
             raise NeighborhoodViolation(

@@ -169,30 +169,18 @@ def frame_unitary(F0, F1, g: GramPair, *, tol: float = 1e-8) -> GroupElement:
     return GroupElement(U, g)
 
 
-def algebraic_membership_residual(
-    U, g: GramPair, probes: int = 16, *, rng=None
-) -> float:
-    """Largest defect of the quadratic membership identity on random probes.
+def algebraic_membership_residual(U, g: GramPair) -> float:
+    """Largest defect of the quadratic membership identity over all unit vectors.
 
-    For each weakly normalized probe phi the residual |<U*2 U phi, phi> - 1|
-    is evaluated, where U*2 is the weak adjoint; for members the adjoint
-    equals the inverse, so the value vanishes up to rounding.
+    The value is sup |<U*2 U phi, phi> - 1| over weakly normalized phi, where
+    U*2 is the weak adjoint; for members the adjoint equals the inverse, so
+    it vanishes up to rounding.  The supremum is exactly the largest
+    |eigenvalue| of the Hermitian gl2^{-1/2} (U^H gl2 U - gl2) gl2^{-1/2}.
     """
     U = as_operator(U, g.n, "U")
     sv = np.linalg.svd(U, compute_uv=False)
     if sv[-1] <= RCOND_FLOOR * max(sv[0], 1.0):
         raise ValueError("element is numerically singular")
-    if probes < 1:
-        raise ValueError("probes must be positive")
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox(key=0))
-    # Degree-two polynomial coefficient: the weak Gram matrix of U.
-    quad = U.conj().T @ g.gl2 @ U
-    worst = 0.0
-    for _ in range(probes):
-        v = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
-        nrm = np.sqrt((v.conj() @ (g.gl2 @ v)).real)
-        v = v / nrm
-        val = (v.conj() @ (quad @ v)).real - 1.0
-        worst = max(worst, abs(float(val)))
-    return worst
+    D = g.isqrt_l2 @ (U.conj().T @ g.gl2 @ U - g.gl2) @ g.isqrt_l2
+    lam = eigh(0.5 * (D + D.conj().T), eigvals_only=True, check_finite=False)
+    return float(np.max(np.abs(lam)))

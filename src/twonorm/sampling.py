@@ -11,8 +11,8 @@ import numpy as np
 from .basis import orthonormal_columns
 from .grassmann import ProjectionOperator, act_grassmann, projection_from_frame
 from .group import GroupElement, OneParameterGroup, SkewOperator, exp_skew
-from .space import GramPair, h1_operator_norm
-from .stiefel import ReferenceFrame, StiefelOperator
+from .space import GramPair, LowRank, h1_operator_norm
+from .stiefel import ReferenceFrame, StiefelOperator, point_difference
 
 __all__ = [
     "rng_for_trial",
@@ -119,11 +119,12 @@ def stiefel_near(
     exp_sX = OneParameterGroup(random_skew(rng, g, 1.0))
 
     def distance_at(s: float) -> float:
-        return h1_operator_norm(exp_sX(s).data @ V.V - V.V, g)
+        # U V - V = (U Phi - Phi)(gl2 Xi)^H.
+        return h1_operator_norm(LowRank(exp_sX(s).data @ V.Phi - V.Phi, V.ref.dual), g)
 
     s = _calibrated_scale(distance_at, target, tol=tol)
     moved = StiefelOperator(exp_sX(s).data @ V.V, V.ref)
-    return moved, h1_operator_norm(moved.V - V.V, g)
+    return moved, h1_operator_norm(point_difference(moved, V), g)
 
 
 def projection_near(
@@ -134,11 +135,13 @@ def projection_near(
         raise ValueError("target distance must be positive")
     g = P.g
     exp_sX = OneParameterGroup(random_skew(rng, g, 1.0))
+    L, R = P.factors.L, P.factors.R
 
-    def distance_at(s: float) -> float:
-        U = exp_sX(s)
-        return h1_operator_norm(U.data @ P.P @ U.inv - P.P, g)
+    def distance(U: GroupElement) -> float:
+        # With P = L R^H, U P U^-1 - P = [U L, L][U^-H R, -R]^H.
+        moved = LowRank(U.data @ L, np.linalg.solve(U.data.conj().T, R))
+        return h1_operator_norm(moved - P.factors, g)
 
-    s = _calibrated_scale(distance_at, target, tol=tol)
-    moved = act_grassmann(exp_sX(s), P)
-    return moved, h1_operator_norm(moved.P - P.P, g)
+    s = _calibrated_scale(lambda s: distance(exp_sX(s)), target, tol=tol)
+    U = exp_sX(s)
+    return act_grassmann(U, P), distance(U)

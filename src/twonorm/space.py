@@ -8,7 +8,9 @@ quadrature weight h^d times the identity and the strong form adds
 forward-difference derivative energy, so domination holds by construction.
 
 Vectors are plain length-n complex ndarrays and operators are n-by-n complex
-ndarrays acting on coefficients; no wrapper classes are used for either.
+ndarrays acting on coefficients.  Operators of small rank k, such as
+differences of embeddings, may instead be given as a :class:`LowRank` pair of
+n-by-k factors; strong norms then cost O(n^2 k) instead of an n-by-n SVD.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from scipy.linalg import cho_factor, cho_solve, eigh, svdvals
 __all__ = [
     "SpaceSpec",
     "GramPair",
+    "LowRank",
     "build_space",
     "gram_pair_from_matrices",
     "inner_l2",
@@ -191,6 +194,46 @@ class GramPair:
         return float(np.sqrt(mu[-1] / mu[0]))
 
 
+@dataclass(frozen=True)
+class LowRank:
+    """Operator A = L R^H given by its n-by-k factors, for small k.
+
+    Points, differences of points, tangent vectors and projections of the
+    embedding manifolds all have rank at most 2N, so their strong singular
+    values come from two thin factors instead of the n-by-n operator.
+    """
+
+    L: np.ndarray
+    R: np.ndarray
+
+    def __post_init__(self):
+        L = np.asarray(self.L, dtype=np.complex128)
+        R = np.asarray(self.R, dtype=np.complex128)
+        if L.ndim != 2 or L.shape != R.shape or L.shape[1] < 1:
+            raise ValueError(
+                f"factors must share an (n, k) shape with k >= 1, got {L.shape} and {R.shape}"
+            )
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "R", R)
+
+    def __sub__(self, other: "LowRank") -> "LowRank":
+        """A - B with the factors stacked side by side."""
+        return LowRank(np.hstack([self.L, other.L]), np.hstack([self.R, -other.R]))
+
+    def h1_singular_values(self, g: "GramPair") -> np.ndarray:
+        """Strong singular values, descending; min(n, k) of them instead of n.
+
+        In the strong frame A is (gh1^{1/2} L)(gh1^{-1/2} R)^H.  With thin QRs
+        gh1^{1/2} L = Q1 T1 and gh1^{-1/2} R = Q2 T2 it is Q1 (T1 T2^H) Q2^H,
+        whose singular values are those of the k-by-k core T1 T2^H.
+        """
+        if self.L.shape[0] != g.n:
+            raise ValueError(f"factors must have {g.n} rows, got {self.L.shape[0]}")
+        t1 = np.linalg.qr(g.sqrt_h1 @ self.L, mode="r")
+        t2 = np.linalg.qr(g.isqrt_h1 @ self.R, mode="r")
+        return np.asarray(svdvals(t1 @ t2.conj().T, check_finite=False))
+
+
 def _hermitian_sqrt_pair(G):
     lam, W = eigh(G, check_finite=False)
     root = np.sqrt(lam)
@@ -278,7 +321,10 @@ def l2_operator_norm(A, g: GramPair) -> float:
 def h1_operator_norm(A, g: GramPair) -> float:
     """Operator norm of A as a map of the strong space.
 
-    Computed as the largest singular value of gh1^{1/2} A gh1^{-1/2}.
+    Computed as the largest singular value of gh1^{1/2} A gh1^{-1/2}; a
+    :class:`LowRank` operand takes the factored route instead.
     """
+    if isinstance(A, LowRank):
+        return float(A.h1_singular_values(g)[0])
     A = as_operator(A, g.n, "A")
     return float(svdvals(g.to_h1_frame(A), check_finite=False)[0])

@@ -21,7 +21,7 @@ from scipy.linalg import eigh
 from .basis import orthonormality_defect, require_orthonormal, require_weak_projection
 from .errors import ConvergenceFailure, NeighborhoodViolation, RankDeficiency
 from .group import GroupElement, SkewOperator, frame_unitary
-from .space import GramPair, adjoint_l2, as_operator, h1_operator_norm, norm_h1
+from .space import GramPair, LowRank, adjoint_l2, as_operator, h1_operator_norm, norm_h1
 
 __all__ = [
     "ReferenceFrame",
@@ -29,6 +29,7 @@ __all__ = [
     "StiefelOperator",
     "frame_to_operator",
     "operator_to_frame",
+    "point_difference",
     "tuple_metric",
     "MetricEquivalenceReport",
     "metric_equivalence_report",
@@ -92,6 +93,11 @@ class ReferenceFrame:
     def span_projection(self) -> np.ndarray:
         """Weak orthogonal projection onto the reference subspace."""
         return self.Xi @ self.Xi.conj().T @ self.g.gl2
+
+    @cached_property
+    def dual(self) -> np.ndarray:
+        """gl2 Xi, the right factor of every point: V = Phi dual^H."""
+        return self.g.gl2 @ self.Xi
 
 
 @dataclass(frozen=True)
@@ -161,6 +167,21 @@ class StiefelOperator:
         """Weak orthogonal projection V V*2 onto the image subspace."""
         return self.V @ self.v_adj
 
+    @cached_property
+    def Phi(self) -> np.ndarray:
+        """Image frame V Xi."""
+        return self.V @ self.ref.Xi
+
+    @property
+    def factors(self) -> LowRank:
+        """V = Phi (gl2 Xi)^H as thin factors."""
+        return LowRank(self.Phi, self.ref.dual)
+
+    @cached_property
+    def projection_factors(self) -> LowRank:
+        """The image projection Phi (gl2 Phi)^H as thin factors."""
+        return LowRank(self.Phi, self.g.gl2 @ self.Phi)
+
 
 def frame_to_operator(Phi: StiefelFrame, ref: ReferenceFrame) -> StiefelOperator:
     """Operator sending each reference vector xi_i to the frame vector phi_i."""
@@ -173,6 +194,11 @@ def frame_to_operator(Phi: StiefelFrame, ref: ReferenceFrame) -> StiefelOperator
 def operator_to_frame(V: StiefelOperator) -> StiefelFrame:
     """Image frame phi_i = V xi_i."""
     return StiefelFrame(V.V @ V.ref.Xi, V.g, tol=OPERATOR_TOL)
+
+
+def point_difference(V1: StiefelOperator, V0: StiefelOperator) -> LowRank:
+    """V1 - V0 = (Phi1 - Phi0)(gl2 Xi)^H for two points over one reference frame."""
+    return LowRank(V1.Phi - V0.Phi, V0.ref.dual)
 
 
 def tuple_metric(Phi: StiefelFrame, Psi: StiefelFrame) -> float:
@@ -205,9 +231,10 @@ def metric_equivalence_report(
 ) -> MetricEquivalenceReport:
     """Check d <= sqrt(N) C ||V_Phi - V_Psi|| and ||V_Phi - V_Psi|| <= sqrt(N) d."""
     d = tuple_metric(Phi, Psi)
-    V1 = frame_to_operator(Phi, ref)
-    V2 = frame_to_operator(Psi, ref)
-    opdist = h1_operator_norm(V1.V - V2.V, ref.g)
+    # Both operators are validated; their difference is (Phi - Psi)(gl2 Xi)^H.
+    frame_to_operator(Phi, ref)
+    frame_to_operator(Psi, ref)
+    opdist = h1_operator_norm(LowRank(Phi.Phi - Psi.Phi, ref.dual), ref.g)
     root_n = math.sqrt(ref.N)
     return MetricEquivalenceReport(
         tuple_distance=d,
@@ -242,10 +269,10 @@ class LipschitzReport:
 def projection_lipschitz_report(V1: StiefelOperator, V2: StiefelOperator) -> LipschitzReport:
     """Verify ||P1 - P2|| <= N C (C ||V1|| + 1) ||V1 - V2|| in the strong norm."""
     g = V1.g
-    lhs = h1_operator_norm(V1.projection - V2.projection, g)
+    lhs = h1_operator_norm(V1.projection_factors - V2.projection_factors, g)
     C = V1.ref.C
-    factor = V1.N * C * (C * h1_operator_norm(V1.V, g) + 1.0)
-    return LipschitzReport(lhs=lhs, bound=factor * h1_operator_norm(V1.V - V2.V, g))
+    factor = V1.N * C * (C * h1_operator_norm(V1.factors, g) + 1.0)
+    return LipschitzReport(lhs=lhs, bound=factor * h1_operator_norm(point_difference(V1, V2), g))
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +446,7 @@ def radius_formula(C: float, N: int, vnorm: float) -> float:
 
 def radius_r(V: StiefelOperator) -> float:
     """Safe section radius at the point V."""
-    return radius_formula(V.ref.C, V.N, h1_operator_norm(V.V, V.g))
+    return radius_formula(V.ref.C, V.N, h1_operator_norm(V.factors, V.g))
 
 
 def _inv_sqrt_on_range(M, g: GramPair, rank: int, cutoff: float = RANGE_CUTOFF) -> np.ndarray:
@@ -445,6 +472,20 @@ def _inv_sqrt_on_range(M, g: GramPair, rank: int, cutoff: float = RANGE_CUTOFF) 
     return g.from_l2_frame(R)
 
 
+def _compressions(P: LowRank, P1: LowRank) -> tuple[LowRank, LowRank]:
+    """P (I - P1) P and (I - P) P1 (I - P) for projections given as thin factors.
+
+    With P = L R^H and P1 = L1 R1^H, the first is L (I - (R^H L1)(R1^H L)) R^H
+    exactly, and the second is G ((I - P)^H R1)^H with G = (I - P) L1; both
+    keep the width of the factors.  Their strong norms are the contraction
+    bounds of the cross sections.
+    """
+    A = P.R.conj().T @ P1.L
+    inner = LowRank(P.L @ (np.eye(A.shape[0]) - A @ (P1.R.conj().T @ P.L)), P.R)
+    outer = LowRank(P1.L - P.L @ A, P1.R - P.R @ (P.L.conj().T @ P1.R))
+    return inner, outer
+
+
 @dataclass(frozen=True)
 class SectionFactors:
     """Intermediate operators of the cross-section construction."""
@@ -468,7 +509,7 @@ def section_factors(V: StiefelOperator, V1: StiefelOperator) -> SectionFactors:
     g = V.g
     if V1.ref is not V.ref and not np.allclose(V1.ref.Xi, V.ref.Xi, atol=1e-12):
         raise ValueError("points use different reference frames")
-    dist = h1_operator_norm(V1.V - V.V, g)
+    dist = h1_operator_norm(point_difference(V1, V), g)
     r = radius_r(V)
     if not dist < r:
         raise NeighborhoodViolation(
@@ -479,12 +520,11 @@ def section_factors(V: StiefelOperator, V1: StiefelOperator) -> SectionFactors:
     P1 = V1.projection
     ip = eye - P
     ip1 = eye - P1
-    bounds = (
-        h1_operator_norm(P - P @ P1 @ P, g),
-        h1_operator_norm(P1 - P1 @ P @ P1, g),
-        h1_operator_norm(ip - ip @ ip1 @ ip, g),
-        h1_operator_norm(ip1 - ip1 @ ip @ ip1, g),
-    )
+    # P - P P1 P = P (I - P1) P, and (I - P) - (I - P)(I - P1)(I - P) =
+    # (I - P) P1 (I - P) because P is idempotent; likewise with P, P1 swapped.
+    inner, outer = _compressions(V.projection_factors, V1.projection_factors)
+    inner1, outer1 = _compressions(V1.projection_factors, V.projection_factors)
+    bounds = tuple(h1_operator_norm(op, g) for op in (inner, inner1, outer, outer1))
     if max(bounds) >= 1.0:
         raise NeighborhoodViolation(
             f"contraction bounds {tuple(round(b, 6) for b in bounds)} must stay below 1"
@@ -514,7 +554,7 @@ def translated_section(
     U = frame_unitary(operator_to_frame(V).Phi, operator_to_frame(V0).Phi, g)
     u_inv = U.inv
     shrink = h1_operator_norm(u_inv, g)
-    dist = h1_operator_norm(V1.V - V0.V, g)
+    dist = h1_operator_norm(point_difference(V1, V0), g)
     allowed = radius_r(V) / shrink
     if not dist < allowed:
         raise NeighborhoodViolation(

@@ -3,9 +3,11 @@ import pytest
 
 from twonorm import (
     GroupElement,
+    SpaceSpec,
     SkewOperator,
     algebraic_membership_residual,
     bracket,
+    build_space,
     exp_skew,
     frame_unitary,
     is_group_member,
@@ -100,16 +102,37 @@ def test_frame_unitary_transitive_on_frames(g, rng):
 
 def test_algebraic_membership_detects_stretch(g, rng):
     U = random_group_member(rng, g, scale=0.8)
-    assert algebraic_membership_residual(U.data, g, rng=rng) <= 1e-8
+    assert algebraic_membership_residual(U.data, g) <= 1e-8
     stretch = np.eye(g.n, dtype=np.complex128)
     stretch[0, 0] = 2.0
-    assert algebraic_membership_residual(stretch, g, rng=rng) > 0.1
+    assert algebraic_membership_residual(stretch, g) > 0.1
     with pytest.raises(ValueError):
-        algebraic_membership_residual(np.zeros((g.n, g.n)), g, rng=rng)
+        algebraic_membership_residual(np.zeros((g.n, g.n)), g)
 
 
-def test_algebraic_membership_default_probes_deterministic(g, rng):
+def test_algebraic_membership_is_deterministic(g, rng):
     U = random_group_member(rng, g, scale=0.5)
     r1 = algebraic_membership_residual(U.data, g)
     r2 = algebraic_membership_residual(U.data, g)
     assert r1 == r2
+
+
+def test_algebraic_membership_is_exact_at_n128():
+    # A stretch of one coordinate is off the group by |2^2 - 1| = 3 in one
+    # direction only, of which a random unit vector sees about 1/n.
+    g = build_space(SpaceSpec(domain_dim=1, grid_points=128, spacing=0.25))
+    drift = np.eye(g.n, dtype=np.complex128)
+    drift[0, 0] = 2.0
+    assert algebraic_membership_residual(drift, g) == pytest.approx(3.0, rel=1e-12)
+    U = random_group_member(rng_for_trial(1, 0), g, scale=0.7)
+    value = algebraic_membership_residual(U.data, g)
+    assert value <= 1e-12
+    # The value is a supremum: no weakly normalized vector exceeds it.
+    rng = rng_for_trial(1, 1)
+    for M in (U.data, drift):
+        sup = algebraic_membership_residual(M, g)
+        for _ in range(8):
+            v = random_complex(rng, g.n, 1)[:, 0]
+            v = v / np.sqrt((v.conj() @ (g.gl2 @ v)).real)
+            defect = abs((v.conj() @ (M.conj().T @ g.gl2 @ M @ v)).real - 1.0)
+            assert defect <= sup + 1e-12
