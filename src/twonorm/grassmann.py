@@ -23,9 +23,8 @@ from .stiefel import (
     ReferenceFrame,
     StiefelOperator,
     _compressions,
-    _inv_sqrt_on_range,
+    _direct_rotation,
     cross_section_sigma,
-    point_difference,
     projection_of,
     radius_r,
 )
@@ -127,7 +126,7 @@ def _psi_factors(P: ProjectionOperator, P1: ProjectionOperator, ref: ReferenceFr
             f"contraction bounds ({b1:.6f}, {b2:.6f}) must stay below 1"
         )
     U = frame_unitary(ref.Xi, P.frame, g)
-    t1 = P1.P @ _inv_sqrt_on_range(P.P @ P1.P @ P.P, g, P.N)
+    t1, _ = _direct_rotation(P.frame, P1.frame, g)
     return U, t1
 
 
@@ -195,31 +194,19 @@ def section_pi_p(P: ProjectionOperator, P1: ProjectionOperator, ref: ReferenceFr
     """Section of the conjugation action: a group element with U P U^-1 = P1.
 
     Built by lifting both projections through the quotient section and
-    applying the cross section on the embedding side.  The working radius
-    starts at the smaller of the quotient-section radius and the safe radius
-    of the lifted base point, and is halved (at most twenty times) until the
-    lifted pair falls inside the embedding-side neighborhood; pairs that
-    never do are rejected.
+    applying the cross section on the embedding side.  P1 must lie inside the
+    working radius, the smaller of the quotient-section radius and the safe
+    radius of the lifted base point; the cross section rejects a lifted pair
+    outside its own neighborhood.
     """
     V = psi_section(P, P, ref)
-    r_v = radius_r(V)
     dist = h1_operator_norm(P1.factors - P.factors, P.g)
-    r_star = min(1.0 / (h1_operator_norm(P.factors, P.g) + 1.0) ** 2, r_v)
-    V1 = psi_section(P, P1, ref)
-    lifted_dist = h1_operator_norm(point_difference(V1, V), P.g)
-    for _ in range(21):
-        if not dist < r_star:
-            raise NeighborhoodViolation(
-                f"projection distance {dist:.6e} is outside the working radius {r_star:.6e}"
-            )
-        if lifted_dist < r_v:
-            break
-        r_star /= 2.0
-    else:
+    r_star = min(1.0 / (h1_operator_norm(P.factors, P.g) + 1.0) ** 2, radius_r(V))
+    if not dist < r_star:
         raise NeighborhoodViolation(
-            f"lifted distance {lifted_dist:.6e} never entered the safe radius {r_v:.6e}"
+            f"projection distance {dist:.6e} is outside the working radius {r_star:.6e}"
         )
-    return cross_section_sigma(V, V1)
+    return cross_section_sigma(V, psi_section(P, P1, ref))
 
 
 def delta_p(Y, P: ProjectionOperator) -> np.ndarray:

@@ -14,8 +14,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import eigh
 
-from .basis import complete_basis, require_orthonormal
-from .errors import ConvergenceFailure
+from .basis import canonical_phase, complete_basis, require_orthonormal
 from .space import GramPair, as_operator
 
 __all__ = [
@@ -143,11 +142,12 @@ def exp_skew(X: SkewOperator) -> GroupElement:
 def frame_unitary(F0, F1, g: GramPair, *, tol: float = 1e-8) -> GroupElement:
     """Group element mapping one orthonormal N-frame onto another.
 
-    Both frames are completed to orthonormal bases of their joint span by
-    pivoted Gram-Schmidt; the element maps the first basis to the second and
-    fixes the weak orthocomplement of the span.  Appended completion vectors
-    carry a canonical phase, so two nearby frames produce an element close to
-    the identity.
+    F0 is completed by pivoted Gram-Schmidt to an orthonormal basis
+    Q = [F0, C] of the joint span, in which F1 has coordinates b = Q^H gl2 F1.
+    The last k - N columns of the QR factor of [b, e_(N+1..k)] complete b to a
+    unitary u, each with a canonical phase, so nearby frames produce an
+    element close to the identity.  The element I + Q (u - I) Q^H gl2 maps F0
+    to F1 and fixes the weak orthocomplement of the span.
     """
     F0 = np.asarray(F0, dtype=np.complex128)
     F1 = np.asarray(F1, dtype=np.complex128)
@@ -157,15 +157,13 @@ def frame_unitary(F0, F1, g: GramPair, *, tol: float = 1e-8) -> GroupElement:
         require_orthonormal(F, g, tol, f"{name} frame is not orthonormal")
     if np.linalg.norm(F1 - F0) <= 1e-14:
         return GroupElement(np.eye(g.n, dtype=np.complex128), g)
-    alpha = complete_basis(F0, F1, g)
-    beta = complete_basis(F1, F0, g)
-    if alpha.shape[1] != beta.shape[1]:
-        raise ConvergenceFailure(
-            "joint-span completions disagree on dimension; frames are near a rank decision boundary"
-        )
-    A = np.hstack([F0, alpha])
-    B = np.hstack([F1, beta])
-    U = np.eye(g.n, dtype=np.complex128) + (B - A) @ A.conj().T @ g.gl2
+    Q = np.hstack([F0, complete_basis(F0, F1, g)])
+    N, k = F0.shape[1], Q.shape[1]
+    b = Q.conj().T @ (g.gl2 @ F1)
+    eye_k = np.eye(k, dtype=np.complex128)
+    rest = np.linalg.qr(np.hstack([b, eye_k[:, N:]]))[0][:, N:]
+    u = np.hstack([b] + [canonical_phase(c)[:, None] for c in rest.T])
+    U = np.eye(g.n, dtype=np.complex128) + (Q @ (u - eye_k)) @ (g.gl2 @ Q).conj().T
     return GroupElement(U, g)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import orthonormal_columns
+from .errors import ConvergenceFailure
 from .grassmann import ProjectionOperator, act_grassmann, projection_from_frame
 from .group import GroupElement, OneParameterGroup, SkewOperator, exp_skew
 from .space import GramPair, LowRank, h1_operator_norm
@@ -99,10 +100,10 @@ def _calibrated_scale(distance_at, target: float, *, tol: float) -> float:
         else:
             s *= min(4.0, max(0.25, target / d))
         if s > 64.0:
-            raise ValueError("perturbation cannot reach the requested distance")
+            raise ConvergenceFailure("perturbation cannot reach the requested distance")
     if best_gap <= 1e-6 * target:
         return best_s
-    raise ValueError("perturbation scale calibration stalled")
+    raise ConvergenceFailure("perturbation scale calibration stalled")
 
 
 def stiefel_near(

@@ -449,27 +449,39 @@ def radius_r(V: StiefelOperator) -> float:
     return radius_formula(V.ref.C, V.N, h1_operator_norm(V.factors, V.g))
 
 
-def _inv_sqrt_on_range(M, g: GramPair, rank: int, cutoff: float = RANGE_CUTOFF) -> np.ndarray:
-    """Inverse square root of a weakly self-adjoint PSD operator on its range.
+def _direct_rotation(Phi, Phi1, g: GramPair, cutoff: float = RANGE_CUTOFF):
+    """T1 = P1 (P P1 P)^(-1/2) and T2 = (I - P1)((I - P)(I - P1)(I - P))^(-1/2).
 
-    The top ``rank`` eigenvalues are inverted; everything else is sent to
-    zero.  An eigenvalue below the cutoff inside the declared range signals a
-    breakdown of the neighborhood assumptions.
+    P and P1 are the weak projections onto the spans of the orthonormal frames
+    Phi and Phi1, and each inverse square root is taken on the range of its
+    projection.  Both factors depend on the frames only through the N-by-N
+    overlap M = Phi^H gl2 Phi1 = Y diag(s) Z^H, whose singular values are the
+    cosines of the principal angles:
+
+        T1 = Phi1 Z Y^H (gl2 Phi)^H,
+        T2 = (I - P1) [(I - P) + G Z diag(1/(s + s^2)) Z^H (gl2 G)^H],
+
+    with G = Phi1 - Phi M, because (I - P)(I - P1)(I - P) = (I - P) - G (gl2 G)^H
+    and G^H gl2 G = I - M^H M.  On range(P) the eigenvalues of P P1 P are s^2;
+    one below the cutoff signals a breakdown of the neighborhood assumptions.
     """
-    if rank == 0:
-        return np.zeros((g.n, g.n), dtype=np.complex128)
-    Ms = g.to_l2_frame(M)
-    lam, Wv = eigh(0.5 * (Ms + Ms.conj().T), check_finite=False)
-    lam = lam[::-1]
-    Wv = Wv[:, ::-1]
-    if lam[rank - 1] < cutoff:
+    dual, dual1 = g.gl2 @ Phi, g.gl2 @ Phi1
+    M = Phi.conj().T @ dual1
+    Y, s, Zh = np.linalg.svd(M)
+    if s[-1] ** 2 < cutoff:
         raise RankDeficiency(
-            f"restricted operator eigenvalue {lam[rank - 1]:.3e} below cutoff {cutoff:.1e}"
+            f"restricted operator eigenvalue {s[-1] ** 2:.3e} below cutoff {cutoff:.1e}"
         )
-    f = np.zeros(g.n)
-    f[:rank] = 1.0 / np.sqrt(lam[:rank])
-    R = (Wv * f) @ Wv.conj().T
-    return g.from_l2_frame(R)
+    Z = Zh.conj().T
+    t1 = Phi1 @ (Z @ Y.conj().T) @ dual.conj().T
+    GZ = (Phi1 - Phi @ M) @ Z
+    inv_root = (
+        np.eye(g.n, dtype=np.complex128)
+        - Phi @ dual.conj().T
+        + (GZ / (s + s * s)) @ (g.gl2 @ GZ).conj().T
+    )
+    t2 = inv_root - Phi1 @ (dual1.conj().T @ inv_root)
+    return t1, t2
 
 
 def _compressions(P: LowRank, P1: LowRank) -> tuple[LowRank, LowRank]:
@@ -515,11 +527,6 @@ def section_factors(V: StiefelOperator, V1: StiefelOperator) -> SectionFactors:
         raise NeighborhoodViolation(
             f"distance {dist:.6e} is not inside the safe radius {r:.6e}"
         )
-    eye = np.eye(g.n, dtype=np.complex128)
-    P = V.projection
-    P1 = V1.projection
-    ip = eye - P
-    ip1 = eye - P1
     # P - P P1 P = P (I - P1) P, and (I - P) - (I - P)(I - P1)(I - P) =
     # (I - P) P1 (I - P) because P is idempotent; likewise with P, P1 swapped.
     inner, outer = _compressions(V.projection_factors, V1.projection_factors)
@@ -529,10 +536,9 @@ def section_factors(V: StiefelOperator, V1: StiefelOperator) -> SectionFactors:
         raise NeighborhoodViolation(
             f"contraction bounds {tuple(round(b, 6) for b in bounds)} must stay below 1"
         )
-    t1 = P1 @ _inv_sqrt_on_range(P @ P1 @ P, g, V.N)
-    t2 = ip1 @ _inv_sqrt_on_range(ip @ ip1 @ ip, g, g.n - V.N)
+    t1, t2 = _direct_rotation(V.Phi, V1.Phi, g)
     t = t1 + t2
-    w = V1.V @ V.v_adj @ adjoint_l2(t, g) + ip1
+    w = V1.V @ V.v_adj @ adjoint_l2(t, g) + (np.eye(g.n) - V1.projection)
     sigma = GroupElement(w @ t, g)
     return SectionFactors(sigma=sigma, t1=t1, t2=t2, t=t, w=w, bounds=bounds)
 

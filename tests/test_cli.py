@@ -217,6 +217,30 @@ def test_unattainable_tolerance_exits_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_calibration_stall_exits_one(tmp_path, capsys):
+    # With N = 15 of n = 16 the perturbation scale never settles on its
+    # target distance: a numerical failure, named, not a configuration error.
+    cfg = write_config(tmp_path, subspace_dim=15, trials=2)
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "ConvergenceFailure" in err
+    assert "configuration error" not in err
+
+
+def test_validate_records_unavailable_log_and_writes_report(tmp_path, capsys):
+    # On a two-point grid the geometry suite's round trip leaves the domain of
+    # the principal logarithm; that is one failed check, not an abort.
+    cfg = write_config(tmp_path, subspace_dim=1, space={"grid_points": 2}, trials=10)
+    out = tmp_path / "run"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 1
+    capsys.readouterr()
+    report = json.loads((out / "validate.json").read_text())
+    suites = {s["suite"]: s for s in report["suites"]}
+    assert report["all_passed"] is False
+    assert suites["geometry"]["passed"] is False
+    assert set(suites) == {"space", "group", "section", "sqrt", "grassmann", "geometry"}
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "run"
     proc = subprocess.run(

@@ -82,12 +82,15 @@ def test_frame_unitary_maps_frame_to_frame(g, rng):
     assert membership_residual(U.data, g) <= 1e-9
 
 
+def _symmetric_orthonormalization(M, g):
+    w, Q = np.linalg.eigh(M.conj().T @ g.gl2 @ M)
+    return M @ (Q * (1.0 / np.sqrt(w))) @ Q.conj().T
+
+
 def test_frame_unitary_near_identity_for_nearby_frames(g, rng):
     F0 = orthonormal_columns(random_complex(rng, g.n, 2), g)
     # Symmetric orthonormalization keeps the perturbed frame columnwise close.
-    M = F0 + 1e-6 * random_complex(rng, g.n, 2)
-    w, Q = np.linalg.eigh(M.conj().T @ g.gl2 @ M)
-    F1 = M @ (Q * (1.0 / np.sqrt(w))) @ Q.conj().T
+    F1 = _symmetric_orthonormalization(F0 + 1e-6 * random_complex(rng, g.n, 2), g)
     assert np.linalg.norm(F1 - F0) <= 1e-4
     U = frame_unitary(F0, F1, g)
     assert np.linalg.norm(U.data - np.eye(g.n)) <= 1e-4
@@ -98,6 +101,25 @@ def test_frame_unitary_transitive_on_frames(g, rng):
     U01 = frame_unitary(frames[0], frames[1], g)
     U12 = frame_unitary(frames[1], frames[2], g)
     assert np.linalg.norm(U12.data @ (U01.data @ frames[0]) - frames[2]) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [16, 128])
+def test_frame_unitary_is_well_conditioned_near_coincidence(n):
+    # Completion vectors normalize residuals of size d; the element must still
+    # be a group member and move no more than the frames do.
+    g = build_space(SpaceSpec(domain_dim=1, grid_points=n, spacing=0.25))
+    for trial, d in enumerate(np.logspace(-14, 0, 15)):
+        for pair in range(3):
+            rng = rng_for_trial(5 + pair, trial)
+            F0 = orthonormal_columns(random_complex(rng, n, 2), g)
+            E = random_complex(rng, n, 2)
+            E /= np.sqrt(np.trace(E.conj().T @ g.gl2 @ E).real)
+            F1 = _symmetric_orthonormalization(F0 + d * E, g)
+            U = frame_unitary(F0, F1, g)
+            assert membership_residual(U.data, g) <= 1e-12, (d, pair)
+            step = np.linalg.norm(F1 - F0)
+            assert np.linalg.norm(U.data - np.eye(n)) <= 2.0 * step, (d, pair)
+            assert np.linalg.norm(U.data @ F0 - F1) <= 1e-9
 
 
 def test_algebraic_membership_detects_stretch(g, rng):

@@ -35,16 +35,19 @@ from twonorm import (
     translated_section,
     tuple_metric,
 )
-from twonorm.oracles import sqrt_eig
+from twonorm.oracles import pinv_on_range, sqrt_eig
 from twonorm.stiefel import binomial_coefficients
 from twonorm.sampling import (
+    SETUP_TRIAL,
     base_point,
     random_complex,
+    random_reference,
     random_skew,
     random_stiefel,
     rng_for_trial,
     stiefel_near,
 )
+from twonorm.space import SpaceSpec, build_space
 
 
 def test_reference_frame_reports_column_bound(ref):
@@ -241,6 +244,26 @@ def test_section_partial_isometries(g, V, rng):
     assert np.linalg.norm(adjoint_l2(fac.t1, g) @ fac.t1 - P) <= 1e-8
     assert np.linalg.norm(fac.t1 @ adjoint_l2(fac.t1, g) - P1) <= 1e-8
     assert np.linalg.norm(adjoint_l2(fac.t2, g) @ fac.t2 - ip) <= 1e-8
+
+
+@pytest.mark.parametrize("frac", [0.9, 1e-4])
+@pytest.mark.parametrize("n", [16, 128])
+def test_section_factors_match_restricted_inverse_roots(n, frac):
+    # The closed forms from the N-by-N overlap against the definitions
+    # T1 = P1 (P P1 P)^(-1/2) and T2 = (I - P1)((I - P)(I - P1)(I - P))^(-1/2),
+    # inverted on the ranges by an independent eigendecomposition and solve.
+    g = build_space(SpaceSpec(domain_dim=1, grid_points=n, spacing=0.25))
+    setup = rng_for_trial(42, SETUP_TRIAL)
+    V = random_stiefel(setup, random_reference(setup, g, 2), scale=0.4)
+    V1, _ = stiefel_near(V, frac * radius_r(V), rng_for_trial(42, 1))
+    fac = section_factors(V, V1)
+    eye = np.eye(n)
+    P, P1 = V.projection, V1.projection
+    ip, ip1 = eye - P, eye - P1
+    t1 = P1 @ pinv_on_range(P, sqrt_eig(P @ P1 @ P, g), g)
+    t2 = ip1 @ pinv_on_range(ip, sqrt_eig(ip @ ip1 @ ip, g), g)
+    assert np.linalg.norm(fac.t1 - t1) <= 1e-12 * np.linalg.norm(t1)
+    assert np.linalg.norm(fac.t2 - t2) <= 1e-12 * np.linalg.norm(t2)
 
 
 def test_section_rejects_far_point(g, ref, rng):
