@@ -3,7 +3,7 @@
 All routines orthonormalize with respect to the gl2 form of a
 :class:`~twonorm.space.GramPair`.  Completion is deterministic: candidates are
 processed by largest residual norm (ties broken by lowest index), residuals
-below ``drop_tol`` are discarded, and appended vectors get a canonical phase
+below ``DROP_TOL`` are discarded, and appended vectors get a canonical phase
 so that reruns and nearby inputs produce nearby bases.
 """
 
@@ -52,7 +52,7 @@ def canonical_phase(v: np.ndarray) -> np.ndarray:
     return v * (z.conj() / np.abs(z))
 
 
-def complete_basis(B, candidates, g: GramPair, *, drop_tol=DROP_TOL, phase_fix=True):
+def complete_basis(B, candidates, g: GramPair, *, phase_fix=True):
     """Extend the orthonormal block B by vectors drawn from ``candidates``.
 
     Returns only the appended block (possibly zero columns).  Pivoting on the
@@ -71,14 +71,14 @@ def complete_basis(B, candidates, g: GramPair, *, drop_tol=DROP_TOL, phase_fix=T
     while W.shape[1] > 0:
         norms = _col_norms(W, g)
         j = int(np.argmax(norms))
-        if norms[j] < drop_tol:
+        if norms[j] < DROP_TOL:
             break
         v = W[:, j] / norms[j]
         # One reorthogonalization pass against everything accepted so far.
         full = np.hstack([B, appended])
         v = _project_out(full, v[:, None], g)[:, 0]
         nv = _col_norms(v[:, None], g)[0]
-        if nv < drop_tol:
+        if nv < DROP_TOL:
             W = np.delete(W, j, axis=1)
             continue
         v = v / nv
@@ -90,10 +90,10 @@ def complete_basis(B, candidates, g: GramPair, *, drop_tol=DROP_TOL, phase_fix=T
     return appended
 
 
-def orthonormal_columns(M, g: GramPair, *, drop_tol=DROP_TOL, phase_fix=False):
+def orthonormal_columns(M, g: GramPair, *, phase_fix=False):
     """Orthonormal basis of the column span of M under the weak product."""
     empty = np.zeros((g.n, 0), dtype=np.complex128)
-    return complete_basis(empty, M, g, drop_tol=drop_tol, phase_fix=phase_fix)
+    return complete_basis(empty, M, g, phase_fix=phase_fix)
 
 
 def orthonormality_defect(F, g: GramPair) -> float:

@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from .config import RunConfig, load_frame_matrix
+from .config import RunConfig
 from .errors import LogUnavailable
 from .geometry import (
     curve_length,
@@ -24,7 +24,6 @@ from .oracles import sqrt_eig
 from .sampling import (
     SETUP_TRIAL,
     random_complex,
-    random_reference,
     random_skew,
     random_stiefel,
     rng_for_trial,
@@ -32,7 +31,6 @@ from .sampling import (
 )
 from .space import build_space, h1_operator_norm
 from .stiefel import (
-    ReferenceFrame,
     StiefelOperator,
     binomial_sqrt_truncated,
     radius_r,
@@ -40,7 +38,7 @@ from .stiefel import (
     series_tail_bound,
 )
 from .serialize import csv_line, json_dumps, write_text
-from .validate import run_suites
+from .validate import _reference_for, run_suites
 
 __all__ = [
     "run_validate",
@@ -59,14 +57,6 @@ BENCH_RHO = 0.8
 def _ensure_outdir(cfg: RunConfig) -> str:
     os.makedirs(cfg.output_dir, exist_ok=True)
     return cfg.output_dir
-
-
-def _reference_for(cfg: RunConfig, g) -> ReferenceFrame:
-    frame = load_frame_matrix(cfg)
-    if frame is not None:
-        return ReferenceFrame(Xi=frame, g=g)
-    setup = rng_for_trial(cfg.seed, SETUP_TRIAL)
-    return random_reference(setup, g, cfg.subspace_dim)
 
 
 def run_validate(cfg: RunConfig) -> int:
@@ -103,7 +93,8 @@ def run_validate(cfg: RunConfig) -> int:
 def run_section_demo(cfg: RunConfig) -> int:
     outdir = _ensure_outdir(cfg)
     g = build_space(cfg.space)
-    ref = _reference_for(cfg, g)
+    # The reference and the base point each start their own setup stream.
+    ref = _reference_for(cfg, g, rng_for_trial(cfg.seed, SETUP_TRIAL))
     setup = rng_for_trial(cfg.seed, SETUP_TRIAL)
     V = random_stiefel(setup, ref, scale=0.4)
     r = radius_r(V)
@@ -167,7 +158,8 @@ def run_sqrt_bench(cfg: RunConfig) -> int:
 def run_geometry(cfg: RunConfig) -> int:
     outdir = _ensure_outdir(cfg)
     g = build_space(cfg.space)
-    ref = _reference_for(cfg, g)
+    # The reference and the base point each start their own setup stream.
+    ref = _reference_for(cfg, g, rng_for_trial(cfg.seed, SETUP_TRIAL))
     setup = rng_for_trial(cfg.seed, SETUP_TRIAL)
     V0 = random_stiefel(setup, ref, scale=0.3)
     spec = cfg.norm

@@ -14,12 +14,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur, svdvals
+from scipy.linalg import schur
 
 from .errors import ConvergenceFailure, LogUnavailable
 from .group import OneParameterGroup, SkewOperator, frame_unitary, is_lie_algebra_member
-from .space import GramPair, LowRank, adjoint_h1, as_operator, h1_operator_norm
-from .stiefel import StiefelOperator, operator_to_frame, point_difference
+from .space import GramPair, LowRank, adjoint_h1, as_operator, h1_operator_norm, h1_singular_values
+from .stiefel import StiefelOperator, point_difference
 
 __all__ = [
     "NormSpec",
@@ -37,6 +37,8 @@ __all__ = [
     "group_log",
     "distance_upper",
 ]
+
+LOG_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -75,18 +77,6 @@ class NormSpec:
     @staticmethod
     def schatten(p: float) -> "NormSpec":
         return NormSpec(kind="schatten_p", p=float(p))
-
-
-def h1_singular_values(A, g: GramPair) -> np.ndarray:
-    """Singular values of A as a map of the strong space, descending.
-
-    A dense operand gives n values; a :class:`LowRank` operand of width k
-    gives min(n, k), the remaining ones being zero.
-    """
-    if isinstance(A, LowRank):
-        return A.h1_singular_values(g)
-    A = as_operator(A, g.n, "A")
-    return np.asarray(svdvals(g.to_h1_frame(A), check_finite=False))
 
 
 def schatten_norm(A, spec: NormSpec, g: GramPair) -> float:
@@ -164,7 +154,8 @@ class CurveSamples:
     """Sampled curve on the manifold: parameters, points and velocities.
 
     Parameters must increase strictly from 0 to 1; points and velocities are
-    operator-valued samples of the curve and its derivative.
+    operator-valued samples of the curve and its derivative.  A velocity may
+    be dense or, since it has rank at most N, a :class:`LowRank` pair.
     """
 
     ts: tuple
@@ -183,17 +174,22 @@ class CurveSamples:
             raise ValueError("curve parameters must run from 0 to 1")
         object.__setattr__(self, "ts", ts)
         object.__setattr__(self, "points", tuple(np.asarray(p, dtype=np.complex128) for p in self.points))
-        object.__setattr__(self, "velocities", tuple(np.asarray(v, dtype=np.complex128) for v in self.velocities))
+        velocities = tuple(v if isinstance(v, LowRank) else np.asarray(v, dtype=np.complex128) for v in self.velocities)
+        object.__setattr__(self, "velocities", velocities)
 
 
 def exp_curve(V0: StiefelOperator, X: SkewOperator, steps: int) -> CurveSamples:
-    """One-parameter curve t -> exp(tX) V0 with its exact velocities."""
+    """One-parameter curve t -> exp(tX) V0 with its exact velocities.
+
+    Each point p vanishes off the reference subspace, so its velocity
+    X p = (X p Xi)(gl2 Xi)^H is kept as rank-N factors.
+    """
     if steps < 2:
         raise ValueError("steps must be at least 2")
     ts = np.linspace(0.0, 1.0, steps)
     exp_tX = OneParameterGroup(X)
     points = tuple(exp_tX(t).data @ V0.V for t in ts)
-    velocities = tuple(X.data @ p for p in points)
+    velocities = tuple(LowRank(X.data @ (p @ V0.ref.Xi), V0.ref.dual) for p in points)
     return CurveSamples(ts=tuple(ts), points=points, velocities=velocities)
 
 
@@ -206,7 +202,7 @@ def curve_length(c: CurveSamples, spec: NormSpec, g: GramPair) -> float:
     return float(total)
 
 
-def group_log(U, g: GramPair, *, tol: float = 1e-8) -> np.ndarray:
+def group_log(U, g: GramPair) -> np.ndarray:
     """Principal logarithm of a group element near the identity.
 
     In the weak frame the element is unitary, so its complex Schur form is
@@ -219,7 +215,7 @@ def group_log(U, g: GramPair, *, tol: float = 1e-8) -> np.ndarray:
         raise LogUnavailable("element is too far from the identity for the principal logarithm")
     T, Z = schur(g.to_l2_frame(U), output="complex", check_finite=False)
     X = g.from_l2_frame((Z * np.log(np.diag(T))) @ Z.conj().T)
-    if not is_lie_algebra_member(X, g, tol):
+    if not is_lie_algebra_member(X, g, LOG_TOL):
         raise ConvergenceFailure("computed logarithm is not skew at tolerance")
     return X
 
@@ -235,7 +231,7 @@ def distance_upper(
     connecting element is too far from the identity.
     """
     g = V0.g
-    U = frame_unitary(operator_to_frame(V0).Phi, operator_to_frame(V1).Phi, g)
+    U = frame_unitary(V0.Phi, V1.Phi, g)
     X = group_log(U.data, g)
     curve = exp_curve(V0, SkewOperator(X, g, tol=1e-6), steps)
     if np.linalg.norm(curve.points[-1] - V1.V) > 1e-8 * max(1.0, np.linalg.norm(V1.V)):

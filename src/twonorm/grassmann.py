@@ -23,7 +23,7 @@ from .stiefel import (
     ReferenceFrame,
     StiefelOperator,
     _compressions,
-    _direct_rotation,
+    _overlap_rotation,
     cross_section_sigma,
     projection_of,
     radius_r,
@@ -110,7 +110,17 @@ def phi(V: StiefelOperator) -> ProjectionOperator:
     return projection_of(V)
 
 
-def _psi_factors(P: ProjectionOperator, P1: ProjectionOperator, ref: ReferenceFrame):
+def psi_section(P: ProjectionOperator, P1: ProjectionOperator, ref: ReferenceFrame) -> StiefelOperator:
+    """Local section of the quotient map around P.
+
+    A fixed group element U carries the reference subspace onto range(P)
+    with U Xi = H; the partial isometry T1 then tilts range(P) onto range(P1).
+    The composition is the isometric embedding with image frame
+    T1 H = H1 Z Y^H, for the range frames H, H1 and the SVD of their
+    overlap, and its projection recovers P1.
+    """
+    if P.N != ref.N:
+        raise ValueError("projection rank and reference width differ")
     g = P.g
     dist = h1_operator_norm(P1.factors - P.factors, g)
     rad = 1.0 / (h1_operator_norm(P.factors, g) + 1.0) ** 2
@@ -125,22 +135,8 @@ def _psi_factors(P: ProjectionOperator, P1: ProjectionOperator, ref: ReferenceFr
         raise NeighborhoodViolation(
             f"contraction bounds ({b1:.6f}, {b2:.6f}) must stay below 1"
         )
-    U = frame_unitary(ref.Xi, P.frame, g)
-    t1, _ = _direct_rotation(P.frame, P1.frame, g)
-    return U, t1
-
-
-def psi_section(P: ProjectionOperator, P1: ProjectionOperator, ref: ReferenceFrame) -> StiefelOperator:
-    """Local section of the quotient map around P.
-
-    A fixed group element carries the reference subspace onto range(P); the
-    partial isometry T1 then tilts range(P) onto range(P1).  The composition
-    is an isometric embedding whose projection recovers P1.
-    """
-    if P.N != ref.N:
-        raise ValueError("projection rank and reference width differ")
-    U, t1 = _psi_factors(P, P1, ref)
-    return StiefelOperator(t1 @ U.data, ref)
+    rot = _overlap_rotation(P.frame, P1.frame, g)[3]
+    return StiefelOperator((P1.frame @ rot) @ ref.dual.conj().T, ref)
 
 
 @dataclass(frozen=True)
@@ -158,16 +154,17 @@ def grassmann_equivalence(
 ) -> EquivalenceResult:
     """Decide V ~ V1 and, on success, return the witnessing block unitary.
 
-    The witness U = V1*2 V + (I - Pi_S) acts as a weak unitary of the
-    reference subspace and as the identity on its complement, and satisfies
-    V1 U = V up to the reported residual.
+    The witness U = V1*2 V + (I - Pi_S) = I + Xi (Phi1^H gl2 Phi - I)(gl2 Xi)^H
+    acts as a weak unitary of the reference subspace and as the identity on
+    its complement, and satisfies V1 U = V up to the reported residual.
     """
     g = V.g
     dist = h1_operator_norm(V.projection_factors - V1.projection_factors, g)
     if dist > tol:
         return EquivalenceResult(equivalent=False, projection_distance=dist)
-    eye = np.eye(g.n, dtype=np.complex128)
-    U = V1.v_adj @ V.V + (eye - V.ref.span_projection)
+    ref = V.ref
+    overlap = V1.projection_factors.R.conj().T @ V.Phi
+    U = np.eye(g.n) + (ref.Xi @ (overlap - np.eye(ref.N))) @ ref.dual.conj().T
     residual = float(np.linalg.norm(V1.V @ U - V.V))
     element = GroupElement(U, g, tol=max(1e-6, 10 * tol))
     return EquivalenceResult(

@@ -139,7 +139,7 @@ def exp_skew(X: SkewOperator) -> GroupElement:
     return OneParameterGroup(X)(1.0)
 
 
-def frame_unitary(F0, F1, g: GramPair, *, tol: float = 1e-8) -> GroupElement:
+def frame_unitary(F0, F1, g: GramPair) -> GroupElement:
     """Group element mapping one orthonormal N-frame onto another.
 
     F0 is completed by pivoted Gram-Schmidt to an orthonormal basis
@@ -154,7 +154,7 @@ def frame_unitary(F0, F1, g: GramPair, *, tol: float = 1e-8) -> GroupElement:
     if F0.shape != F1.shape or F0.ndim != 2 or F0.shape[0] != g.n:
         raise ValueError(f"frames must share shape ({g.n}, N), got {F0.shape} and {F1.shape}")
     for name, F in (("first", F0), ("second", F1)):
-        require_orthonormal(F, g, tol, f"{name} frame is not orthonormal")
+        require_orthonormal(F, g, CONSTRUCT_TOL, f"{name} frame is not orthonormal")
     if np.linalg.norm(F1 - F0) <= 1e-14:
         return GroupElement(np.eye(g.n, dtype=np.complex128), g)
     Q = np.hstack([F0, complete_basis(F0, F1, g)])

@@ -17,6 +17,7 @@ from .space import GramPair, as_operator
 __all__ = ["sqrt_eig", "adjoint_by_definition", "pinv_on_range", "exp_pade", "log_pade"]
 
 SQRT_CLAMP = 1e-14
+RANGE_CUTOFF = 1e-12
 
 
 def sqrt_eig(A, g: GramPair) -> np.ndarray:
@@ -51,7 +52,7 @@ def adjoint_by_definition(A, g: GramPair) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def pinv_on_range(P, A, g: GramPair, *, cutoff=1e-12) -> np.ndarray:
+def pinv_on_range(P, A, g: GramPair) -> np.ndarray:
     """Inverse of A restricted to range(P), zero on the weak complement.
 
     P must be a weak orthogonal projection and A must map range(P) into
@@ -70,7 +71,7 @@ def pinv_on_range(P, A, g: GramPair, *, cutoff=1e-12) -> np.ndarray:
     if leak > 1e-10 * max(1.0, np.linalg.norm(AH)):
         raise ValueError("A does not keep range(P) invariant")
     sv = np.linalg.svd(small, compute_uv=False)
-    if sv[-1] < cutoff:
+    if sv[-1] < RANGE_CUTOFF:
         raise RankDeficiency(
             f"restricted operator has singular value {sv[-1]:.3e} below cutoff"
         )

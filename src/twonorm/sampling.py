@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 SETUP_TRIAL = 2**64 - 1
+CALIBRATION_TOL = 1e-9
 
 
 def rng_for_trial(seed: int, trial: int) -> np.random.Generator:
@@ -83,7 +84,7 @@ def random_projection(rng, g: GramPair, N: int) -> ProjectionOperator:
     return projection_from_frame(H, g)
 
 
-def _calibrated_scale(distance_at, target: float, *, tol: float) -> float:
+def _calibrated_scale(distance_at, target: float) -> float:
     # distance_at(s) vanishes at s = 0 and is nearly linear for small s, so
     # proportional updates converge in a handful of evaluations.
     s = min(target, 0.25)
@@ -93,7 +94,7 @@ def _calibrated_scale(distance_at, target: float, *, tol: float) -> float:
         gap = abs(d - target)
         if gap < best_gap:
             best_s, best_gap = s, gap
-        if gap <= tol * target:
+        if gap <= CALIBRATION_TOL * target:
             return s
         if d <= 0:
             s *= 2.0
@@ -106,9 +107,7 @@ def _calibrated_scale(distance_at, target: float, *, tol: float) -> float:
     raise ConvergenceFailure("perturbation scale calibration stalled")
 
 
-def stiefel_near(
-    V: StiefelOperator, target: float, rng, *, tol: float = 1e-9
-) -> tuple[StiefelOperator, float]:
+def stiefel_near(V: StiefelOperator, target: float, rng) -> tuple[StiefelOperator, float]:
     """Perturb V along the group to a prescribed strong-norm distance.
 
     Returns the perturbed point and the achieved distance
@@ -123,26 +122,25 @@ def stiefel_near(
         # U V - V = (U Phi - Phi)(gl2 Xi)^H.
         return h1_operator_norm(LowRank(exp_sX(s).data @ V.Phi - V.Phi, V.ref.dual), g)
 
-    s = _calibrated_scale(distance_at, target, tol=tol)
+    s = _calibrated_scale(distance_at, target)
     moved = StiefelOperator(exp_sX(s).data @ V.V, V.ref)
     return moved, h1_operator_norm(point_difference(moved, V), g)
 
 
-def projection_near(
-    P: ProjectionOperator, target: float, rng, *, tol: float = 1e-9
-) -> tuple[ProjectionOperator, float]:
+def projection_near(P: ProjectionOperator, target: float, rng) -> tuple[ProjectionOperator, float]:
     """Conjugate P by a group element to a prescribed strong-norm distance."""
     if target <= 0:
         raise ValueError("target distance must be positive")
     g = P.g
     exp_sX = OneParameterGroup(random_skew(rng, g, 1.0))
-    L, R = P.factors.L, P.factors.R
+    H = P.frame
+    base = LowRank(H, g.gl2 @ H)
 
     def distance(U: GroupElement) -> float:
-        # With P = L R^H, U P U^-1 - P = [U L, L][U^-H R, -R]^H.
-        moved = LowRank(U.data @ L, np.linalg.solve(U.data.conj().T, R))
-        return h1_operator_norm(moved - P.factors, g)
+        # P = H (gl2 H)^H and U^-H gl2 = gl2 U, so U P U^-1 = (U H)(gl2 U H)^H.
+        UH = U.data @ H
+        return h1_operator_norm(LowRank(UH, g.gl2 @ UH) - base, g)
 
-    s = _calibrated_scale(lambda s: distance(exp_sX(s)), target, tol=tol)
+    s = _calibrated_scale(lambda s: distance(exp_sX(s)), target)
     U = exp_sX(s)
     return act_grassmann(U, P), distance(U)

@@ -34,6 +34,7 @@ __all__ = [
     "adjoint_l2",
     "adjoint_h1",
     "l2_operator_norm",
+    "h1_singular_values",
     "h1_operator_norm",
 ]
 
@@ -318,13 +319,19 @@ def l2_operator_norm(A, g: GramPair) -> float:
     return float(svdvals(g.to_l2_frame(A), check_finite=False)[0])
 
 
-def h1_operator_norm(A, g: GramPair) -> float:
-    """Operator norm of A as a map of the strong space.
+def h1_singular_values(A, g: GramPair) -> np.ndarray:
+    """Singular values of A as a map of the strong space, descending.
 
-    Computed as the largest singular value of gh1^{1/2} A gh1^{-1/2}; a
-    :class:`LowRank` operand takes the factored route instead.
+    A dense operand gives the n singular values of gh1^{1/2} A gh1^{-1/2}; a
+    :class:`LowRank` operand of width k takes the factored route and gives
+    min(n, k), the remaining ones being zero.
     """
     if isinstance(A, LowRank):
-        return float(A.h1_singular_values(g)[0])
+        return A.h1_singular_values(g)
     A = as_operator(A, g.n, "A")
-    return float(svdvals(g.to_h1_frame(A), check_finite=False)[0])
+    return np.asarray(svdvals(g.to_h1_frame(A), check_finite=False))
+
+
+def h1_operator_norm(A, g: GramPair) -> float:
+    """Operator norm of A as a map of the strong space: its top singular value."""
+    return float(h1_singular_values(A, g)[0])

@@ -21,7 +21,7 @@ from scipy.linalg import eigh
 from .basis import orthonormality_defect, require_orthonormal, require_weak_projection
 from .errors import ConvergenceFailure, NeighborhoodViolation, RankDeficiency
 from .group import GroupElement, SkewOperator, frame_unitary
-from .space import GramPair, LowRank, adjoint_l2, as_operator, h1_operator_norm, norm_h1
+from .space import GramPair, LowRank, as_operator, h1_operator_norm, norm_h1
 
 __all__ = [
     "ReferenceFrame",
@@ -158,14 +158,10 @@ class StiefelOperator:
         return self.ref.N
 
     @cached_property
-    def v_adj(self) -> np.ndarray:
-        """Weak adjoint of V; maps the image frame back onto the reference."""
-        return adjoint_l2(self.V, self.g)
-
-    @cached_property
     def projection(self) -> np.ndarray:
-        """Weak orthogonal projection V V*2 onto the image subspace."""
-        return self.V @ self.v_adj
+        """Weak orthogonal projection V V*2 = Phi (gl2 Phi)^H onto the image subspace."""
+        P = self.projection_factors
+        return P.L @ P.R.conj().T
 
     @cached_property
     def Phi(self) -> np.ndarray:
@@ -419,7 +415,7 @@ def series_tail_bound(terms: int, rho: float, amp: float = 1.0) -> float:
     return abs(float(coeffs[-1])) * rho ** (terms + 1) / (1.0 - rho) * max(1.0, amp)
 
 
-def sqrt_F(V: StiefelOperator, W: StiefelOperator, tol: float = 1e-10, kmax: int = 200_000) -> np.ndarray:
+def sqrt_F(V: StiefelOperator, W: StiefelOperator) -> np.ndarray:
     """((I-P)(I-Q)(I-P))^(1/2) for the image projections P of V and Q of W.
 
     The argument annihilates range(P), so that projection is handed to the
@@ -431,7 +427,7 @@ def sqrt_F(V: StiefelOperator, W: StiefelOperator, tol: float = 1e-10, kmax: int
     Q = W.projection
     ip = eye - P
     A = ip @ (eye - Q) @ ip
-    return binomial_sqrt(A - eye, g, tol, kmax, kernel_projector=P)
+    return binomial_sqrt(A - eye, g, kernel_projector=P)
 
 
 # ---------------------------------------------------------------------------
@@ -449,39 +445,21 @@ def radius_r(V: StiefelOperator) -> float:
     return radius_formula(V.ref.C, V.N, h1_operator_norm(V.factors, V.g))
 
 
-def _direct_rotation(Phi, Phi1, g: GramPair, cutoff: float = RANGE_CUTOFF):
-    """T1 = P1 (P P1 P)^(-1/2) and T2 = (I - P1)((I - P)(I - P1)(I - P))^(-1/2).
+def _overlap_rotation(Phi, Phi1, g: GramPair):
+    """M = Phi^H gl2 Phi1 = Y diag(s) Z^H for orthonormal frames; returns M, s, Z, Z Y^H.
 
-    P and P1 are the weak projections onto the spans of the orthonormal frames
-    Phi and Phi1, and each inverse square root is taken on the range of its
-    projection.  Both factors depend on the frames only through the N-by-N
-    overlap M = Phi^H gl2 Phi1 = Y diag(s) Z^H, whose singular values are the
-    cosines of the principal angles:
-
-        T1 = Phi1 Z Y^H (gl2 Phi)^H,
-        T2 = (I - P1) [(I - P) + G Z diag(1/(s + s^2)) Z^H (gl2 G)^H],
-
-    with G = Phi1 - Phi M, because (I - P)(I - P1)(I - P) = (I - P) - G (gl2 G)^H
-    and G^H gl2 G = I - M^H M.  On range(P) the eigenvalues of P P1 P are s^2;
-    one below the cutoff signals a breakdown of the neighborhood assumptions.
+    s are the cosines of the principal angles between the spans, and on
+    range(P) the eigenvalues of P P1 P are s^2; one below the cutoff signals
+    a breakdown of the neighborhood assumptions.
     """
-    dual, dual1 = g.gl2 @ Phi, g.gl2 @ Phi1
-    M = Phi.conj().T @ dual1
+    M = Phi.conj().T @ (g.gl2 @ Phi1)
     Y, s, Zh = np.linalg.svd(M)
-    if s[-1] ** 2 < cutoff:
+    if s[-1] ** 2 < RANGE_CUTOFF:
         raise RankDeficiency(
-            f"restricted operator eigenvalue {s[-1] ** 2:.3e} below cutoff {cutoff:.1e}"
+            f"restricted operator eigenvalue {s[-1] ** 2:.3e} below cutoff {RANGE_CUTOFF:.1e}"
         )
     Z = Zh.conj().T
-    t1 = Phi1 @ (Z @ Y.conj().T) @ dual.conj().T
-    GZ = (Phi1 - Phi @ M) @ Z
-    inv_root = (
-        np.eye(g.n, dtype=np.complex128)
-        - Phi @ dual.conj().T
-        + (GZ / (s + s * s)) @ (g.gl2 @ GZ).conj().T
-    )
-    t2 = inv_root - Phi1 @ (dual1.conj().T @ inv_root)
-    return t1, t2
+    return M, s, Z, Z @ Y.conj().T
 
 
 def _compressions(P: LowRank, P1: LowRank) -> tuple[LowRank, LowRank]:
@@ -513,10 +491,21 @@ class SectionFactors:
 def section_factors(V: StiefelOperator, V1: StiefelOperator) -> SectionFactors:
     """Cross-section data for a point V1 inside the safe radius around V.
 
-    T1 carries range(P) isometrically onto range(P1), T2 does the same for
-    the complements, and sigma = W T is the group element with sigma V = V1.
-    Four contraction bounds must sit strictly below one for the restricted
-    inverse square roots to exist; any failure raises NeighborhoodViolation.
+    T1 = P1 (P P1 P)^(-1/2) carries range(P) isometrically onto range(P1),
+    T2 = (I - P1)((I - P)(I - P1)(I - P))^(-1/2) does the same for the
+    complements, each inverse square root taken on the range of its
+    projection, and sigma = W T is the group element with sigma V = V1.  All
+    three depend on the frames only through their N-by-N overlap
+    M = Phi^H gl2 Phi1 = Y diag(s) Z^H:
+
+        T1 = Phi1 Z Y^H (gl2 Phi)^H,
+        T2 = (I - P1) [(I - P) + G Z diag(1/(s + s^2)) Z^H (gl2 G)^H],
+        W = V1 V*2 T*2 + (I - P1) = I + Phi1 (Y Z^H - I)(gl2 Phi1)^H,
+
+    with G = Phi1 - Phi M, because (I - P)(I - P1)(I - P) = (I - P) - G (gl2 G)^H,
+    G^H gl2 G = I - M^H M and T Phi = Phi1 Z Y^H.  Four contraction bounds
+    must sit strictly below one for the restricted inverse square roots to
+    exist; any failure raises NeighborhoodViolation.
     """
     g = V.g
     if V1.ref is not V.ref and not np.allclose(V1.ref.Xi, V.ref.Xi, atol=1e-12):
@@ -527,18 +516,25 @@ def section_factors(V: StiefelOperator, V1: StiefelOperator) -> SectionFactors:
         raise NeighborhoodViolation(
             f"distance {dist:.6e} is not inside the safe radius {r:.6e}"
         )
+    # The factors of P and P1 are the frames Phi, Phi1 and their duals gl2 Phi, gl2 Phi1.
+    P, P1 = V.projection_factors, V1.projection_factors
     # P - P P1 P = P (I - P1) P, and (I - P) - (I - P)(I - P1)(I - P) =
     # (I - P) P1 (I - P) because P is idempotent; likewise with P, P1 swapped.
-    inner, outer = _compressions(V.projection_factors, V1.projection_factors)
-    inner1, outer1 = _compressions(V1.projection_factors, V.projection_factors)
+    inner, outer = _compressions(P, P1)
+    inner1, outer1 = _compressions(P1, P)
     bounds = tuple(h1_operator_norm(op, g) for op in (inner, inner1, outer, outer1))
     if max(bounds) >= 1.0:
         raise NeighborhoodViolation(
             f"contraction bounds {tuple(round(b, 6) for b in bounds)} must stay below 1"
         )
-    t1, t2 = _direct_rotation(V.Phi, V1.Phi, g)
+    M, s, Z, rot = _overlap_rotation(P.L, P1.L, g)
+    t1 = P1.L @ rot @ P.R.conj().T
+    GZ = (P1.L - P.L @ M) @ Z
+    inv_root = np.eye(g.n, dtype=np.complex128) - P.L @ P.R.conj().T
+    inv_root = inv_root + (GZ / (s + s * s)) @ (g.gl2 @ GZ).conj().T
+    t2 = inv_root - P1.L @ (P1.R.conj().T @ inv_root)
     t = t1 + t2
-    w = V1.V @ V.v_adj @ adjoint_l2(t, g) + (np.eye(g.n) - V1.projection)
+    w = np.eye(g.n) + (P1.L @ (rot.conj().T - np.eye(V.N))) @ P1.R.conj().T
     sigma = GroupElement(w @ t, g)
     return SectionFactors(sigma=sigma, t1=t1, t2=t2, t=t, w=w, bounds=bounds)
 
@@ -557,7 +553,7 @@ def translated_section(
     maps V to V1.
     """
     g = V.g
-    U = frame_unitary(operator_to_frame(V).Phi, operator_to_frame(V0).Phi, g)
+    U = frame_unitary(V.Phi, V0.Phi, g)
     u_inv = U.inv
     shrink = h1_operator_norm(u_inv, g)
     dist = h1_operator_norm(point_difference(V1, V0), g)
@@ -581,9 +577,9 @@ def delta_v(X: SkewOperator, V: StiefelOperator) -> np.ndarray:
 
 
 def K_map(Y, V: StiefelOperator) -> np.ndarray:
-    """Right inverse of the tangent map: Y -> Y V*2."""
+    """Right inverse of the tangent map: Y -> Y V*2, with V*2 = Xi (gl2 Phi)^H."""
     Y = as_operator(Y, V.n, "Y")
-    return Y @ V.v_adj
+    return (Y @ V.ref.Xi) @ V.projection_factors.R.conj().T
 
 
 def tangent_project(Y, V: StiefelOperator) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, load_frame_matrix
 from .errors import LogUnavailable
 from .geometry import (
     curve_length,
@@ -66,6 +66,7 @@ from .space import (
     norm_l2,
 )
 from .stiefel import (
+    ReferenceFrame,
     StiefelOperator,
     lie_split_stiefel,
     operator_to_frame,
@@ -117,6 +118,14 @@ class _Recorder:
             max_residual=self.max_residual,
             passed=self.passed,
         )
+
+
+def _reference_for(cfg: RunConfig, g: GramPair, setup) -> ReferenceFrame:
+    """The configured frame file as reference, else one drawn from ``setup``."""
+    frame = load_frame_matrix(cfg)
+    if frame is not None:
+        return ReferenceFrame(Xi=frame, g=g)
+    return random_reference(setup, g, cfg.subspace_dim)
 
 
 def _space_suite(cfg: RunConfig, g: GramPair) -> SuiteResult:
@@ -182,7 +191,7 @@ def _group_suite(cfg: RunConfig, g: GramPair) -> SuiteResult:
 def _section_suite(cfg: RunConfig, g: GramPair) -> SuiteResult:
     rec = _Recorder()
     setup = rng_for_trial(cfg.seed, SETUP_TRIAL)
-    ref = random_reference(setup, g, cfg.subspace_dim)
+    ref = _reference_for(cfg, g, setup)
     V = random_stiefel(setup, ref, scale=0.4)
     P = projection_of(V).P
     r = radius_r(V)
@@ -219,7 +228,7 @@ def _section_suite(cfg: RunConfig, g: GramPair) -> SuiteResult:
 def _sqrt_suite(cfg: RunConfig, g: GramPair) -> SuiteResult:
     rec = _Recorder()
     setup = rng_for_trial(cfg.seed, SETUP_TRIAL)
-    ref = random_reference(setup, g, cfg.subspace_dim)
+    ref = _reference_for(cfg, g, setup)
     V = random_stiefel(setup, ref, scale=0.4)
     P = projection_of(V).P
     eye = np.eye(g.n, dtype=np.complex128)
@@ -240,7 +249,7 @@ def _sqrt_suite(cfg: RunConfig, g: GramPair) -> SuiteResult:
 def _grassmann_suite(cfg: RunConfig, g: GramPair) -> SuiteResult:
     rec = _Recorder()
     setup = rng_for_trial(cfg.seed, SETUP_TRIAL)
-    ref = random_reference(setup, g, cfg.subspace_dim)
+    ref = _reference_for(cfg, g, setup)
     for trial in range(cfg.trials):
         rng = rng_for_trial(cfg.seed, trial)
         P = random_projection(rng, g, cfg.subspace_dim)
@@ -299,7 +308,7 @@ def _grassmann_suite(cfg: RunConfig, g: GramPair) -> SuiteResult:
 def _geometry_suite(cfg: RunConfig, g: GramPair) -> SuiteResult:
     rec = _Recorder()
     setup = rng_for_trial(cfg.seed, SETUP_TRIAL)
-    ref = random_reference(setup, g, cfg.subspace_dim)
+    ref = _reference_for(cfg, g, setup)
     V0 = random_stiefel(setup, ref, scale=0.3)
     spec = cfg.norm
     zero = SkewOperator(np.zeros((g.n, g.n), dtype=np.complex128), g)

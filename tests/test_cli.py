@@ -7,6 +7,7 @@ import pytest
 
 from twonorm import SpaceSpec, build_space
 from twonorm.basis import orthonormal_columns
+from twonorm import validate
 from twonorm.cli import main
 from twonorm.config import (
     DEFAULT_TOLERANCES,
@@ -200,6 +201,22 @@ def test_frame_file_reference_is_used(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
     capsys.readouterr()
+
+
+def test_validate_draws_no_reference_with_a_frame_file(tmp_path, capsys, monkeypatch):
+    frame = tmp_path / "frame.json"
+    frame.write_text(json_dumps(orthonormal_frame_payload()))
+    plain, framed = tmp_path / "plain", tmp_path / "framed"
+    assert main(["validate", "--trials", "2", "--out", str(plain)]) == 0
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the frame file should replace the sampled reference")
+
+    monkeypatch.setattr(validate, "random_reference", no_draw)
+    cfg = write_config(tmp_path, trials=2, frame_file=str(frame))
+    assert main(["validate", "--config", cfg, "--out", str(framed)]) == 0
+    capsys.readouterr()
+    assert (framed / "validate.json").read_bytes() != (plain / "validate.json").read_bytes()
 
 
 def test_non_orthonormal_frame_exits_two(tmp_path, capsys):

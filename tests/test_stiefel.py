@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twonorm import (
+    ConvergenceFailure,
     NeighborhoodViolation,
     ReferenceFrame,
     SkewOperator,
@@ -160,6 +161,17 @@ def test_binomial_sqrt_deflates_known_kernel(g):
     R = binomial_sqrt(-P, g, kernel_projector=P)
     assert np.linalg.norm(R - (np.eye(g.n) - P)) <= 1e-10
     assert np.linalg.norm(R @ v) <= 1e-12
+
+
+def test_binomial_sqrt_without_kernel_projector_names_it(g):
+    # -P has weak spectral radius 1: without the known kernel the tail bound
+    # decays like 1/sqrt(s) and cannot reach the tolerance within kmax terms.
+    v = np.zeros(g.n, dtype=np.complex128)
+    v[2] = 1.0
+    v /= np.sqrt((v.conj() @ g.gl2 @ v).real)
+    P = np.outer(v, v.conj()) @ g.gl2
+    with pytest.raises(ConvergenceFailure, match="kernel_projector"):
+        binomial_sqrt(-P, g)
 
 
 def test_binomial_sqrt_rejects_wrong_kernel_projector(g):
