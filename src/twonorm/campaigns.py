@@ -135,8 +135,7 @@ def run_sqrt_bench(cfg: RunConfig) -> int:
         H /= float(np.linalg.eigvalsh(H)[-1])
         B = g.from_l2_frame(-BENCH_RHO * H)
         target = sqrt_eig(eye + B, g)
-        for s in BENCH_TERMS:
-            approx = binomial_sqrt_truncated(B, g, s)
+        for s, approx in zip(BENCH_TERMS, binomial_sqrt_truncated(B, g, BENCH_TERMS)):
             max_err[s] = max(max_err[s], h1_operator_norm(approx - target, g))
     lines = ["s,tail_bound,max_error_vs_oracle\n"]
     ok = True
@@ -198,13 +197,13 @@ def run_geometry(cfg: RunConfig) -> int:
 
     X = random_skew(setup, g, scale=1.0)
     X = SkewOperator(X.data * (0.05 / h1_operator_norm(X.data, g)), g)
-    V_rot = StiefelOperator(exp_skew(X).data @ V0.V, ref)
+    V_rot = StiefelOperator(exp_skew(X).data @ V0.Phi, ref)
     emit("rotation", curve_length(exp_curve(V0, X, steps), spec, g), V_rot)
 
     V_near, _ = stiefel_near(V0, 0.25 * radius_r(V0), setup)
     emit("pair", nan, V_near)
 
-    emit("far_pair", nan, StiefelOperator(-V0.V, ref))
+    emit("far_pair", nan, StiefelOperator(-V0.Phi, ref))
 
     header = (
         "curve_id,spec,steps,length,distance_upper,"

@@ -19,3 +19,7 @@ class LogUnavailable(TwoNormError):
 
 class ConvergenceFailure(TwoNormError):
     """An iterative routine exhausted its budget before reaching tolerance."""
+
+
+class MembershipDefect(TwoNormError, ValueError):
+    """A group or algebra element misses its defining identity beyond tolerance."""

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 LOG_TOL = 1e-8
+SANDWICH_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -98,9 +99,7 @@ class SandwichReport:
     ok: bool
 
 
-def norm_sandwich_check(
-    V1: StiefelOperator, V2: StiefelOperator, spec: NormSpec, slack: float = 1e-10
-) -> SandwichReport:
+def norm_sandwich_check(V1: StiefelOperator, V2: StiefelOperator, spec: NormSpec) -> SandwichReport:
     """Evaluate the rank-2N sandwich for the difference of two embeddings."""
     g = V1.g
     diff = point_difference(V1, V2)
@@ -110,9 +109,9 @@ def norm_sandwich_check(
     top = float(np.sum(sv[: 2 * V1.N]))
     upper = 2 * V1.N * opn
     ok = (
-        opn <= chosen + slack
-        and chosen <= top + slack
-        and top <= upper + slack
+        opn <= chosen + SANDWICH_SLACK
+        and chosen <= top + SANDWICH_SLACK
+        and top <= upper + SANDWICH_SLACK
     )
     return SandwichReport(
         operator_norm=opn, chosen_norm=chosen, upper=upper, top_sum=top, ok=ok
@@ -181,15 +180,17 @@ class CurveSamples:
 def exp_curve(V0: StiefelOperator, X: SkewOperator, steps: int) -> CurveSamples:
     """One-parameter curve t -> exp(tX) V0 with its exact velocities.
 
-    Each point p vanishes off the reference subspace, so its velocity
-    X p = (X p Xi)(gl2 Xi)^H is kept as rank-N factors.
+    The point at t is F_t (gl2 Xi)^H for the image frame F_t = exp(tX) Phi0,
+    so its velocity X F_t (gl2 Xi)^H is kept as rank-N factors.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
     ts = np.linspace(0.0, 1.0, steps)
     exp_tX = OneParameterGroup(X)
-    points = tuple(exp_tX(t).data @ V0.V for t in ts)
-    velocities = tuple(LowRank(X.data @ (p @ V0.ref.Xi), V0.ref.dual) for p in points)
+    dual = V0.ref.dual
+    frames = [exp_tX(t).data @ V0.Phi for t in ts]
+    points = tuple(F @ dual.conj().T for F in frames)
+    velocities = tuple(LowRank(X.data @ F, dual) for F in frames)
     return CurveSamples(ts=tuple(ts), points=points, velocities=velocities)
 
 

@@ -25,14 +25,11 @@ from .stiefel import (
     _compressions,
     _overlap_rotation,
     cross_section_sigma,
-    projection_of,
     radius_r,
 )
 
 __all__ = [
     "ProjectionOperator",
-    "projection_from_frame",
-    "range_frame",
     "phi",
     "psi_section",
     "EquivalenceResult",
@@ -52,72 +49,76 @@ EQUIVALENCE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ProjectionOperator:
-    """Validated weak orthogonal projection of declared rank."""
+    """Weak orthogonal projection P = H (gl2 H)^H, stored as its range frame H.
 
-    P: np.ndarray
-    N: int
+    The rank N is the width of the weakly orthonormal frame, and P is built
+    only when asked for.  Dense input enters through :meth:`from_matrix`.
+    """
+
+    frame: np.ndarray
     g: GramPair
 
     def __post_init__(self):
-        P = as_operator(self.P, self.g.n, "P")
-        require_weak_projection(P, self.g, PROJECTION_TOL, "operator")
+        H = np.asarray(self.frame, dtype=np.complex128)
+        if H.ndim != 2 or H.shape[0] != self.g.n or H.shape[1] < 1:
+            raise ValueError(f"range frame must be n-by-N with N >= 1, got {H.shape}")
+        require_orthonormal(H, self.g, PROJECTION_TOL, "range frame is not orthonormal")
+        H.setflags(write=False)
+        object.__setattr__(self, "frame", H)
+
+    @classmethod
+    def from_matrix(cls, P, N: int, g: GramPair) -> "ProjectionOperator":
+        """Validate a dense projection of declared rank N; keep a deterministic range frame.
+
+        The frame is the pivoted Gram-Schmidt basis of the columns of P, each
+        with a canonical phase, so equal input gives an equal frame.
+        """
+        P = as_operator(P, g.n, "P")
+        require_weak_projection(P, g, PROJECTION_TOL, "operator")
         tr = float(np.trace(P).real)
-        if abs(tr - self.N) > TRACE_TOL * max(1.0, self.N):
-            raise ValueError(f"trace {tr:.6f} does not match declared rank {self.N}")
-        P.setflags(write=False)
-        object.__setattr__(self, "P", P)
+        if abs(tr - N) > TRACE_TOL * max(1.0, N):
+            raise ValueError(f"trace {tr:.6f} does not match declared rank {N}")
+        H = orthonormal_columns(P, g, phase_fix=True)
+        if H.shape[1] != N:
+            raise ValueError(f"projection range has numerical dimension {H.shape[1]}, declared {N}")
+        return cls(H, g)
 
     @property
     def n(self) -> int:
         return self.g.n
 
+    @property
+    def N(self) -> int:
+        return self.frame.shape[1]
+
     @cached_property
-    def frame(self) -> np.ndarray:
-        """Deterministic orthonormal basis H of the range, see :func:`range_frame`."""
-        return range_frame(self)
+    def P(self) -> np.ndarray:
+        """The operator H (gl2 H)^H."""
+        f = self.factors
+        P = f.L @ f.R.conj().T
+        P.setflags(write=False)
+        return P
 
     @cached_property
     def factors(self) -> LowRank:
-        """P = H (P^H gl2 H)^H as thin factors.
-
-        H H^H gl2 is the weak orthogonal projection onto range(P) and fixes
-        that range, so H H^H gl2 P = P holds for P as stored.
-        """
-        return LowRank(self.frame, self.P.conj().T @ (self.g.gl2 @ self.frame))
-
-
-def projection_from_frame(H, g: GramPair) -> ProjectionOperator:
-    """Projection H H^H gl2 onto the span of an orthonormal frame H."""
-    H = np.asarray(H, dtype=np.complex128)
-    if H.ndim != 2 or H.shape[0] != g.n or H.shape[1] < 1:
-        raise ValueError(f"frame must be n-by-N, got {H.shape}")
-    require_orthonormal(H, g, 1e-8, "frame is not orthonormal")
-    return ProjectionOperator(H @ H.conj().T @ g.gl2, H.shape[1], g)
-
-
-def range_frame(P: ProjectionOperator) -> np.ndarray:
-    """Deterministic orthonormal basis of range(P)."""
-    H = orthonormal_columns(P.P, P.g, phase_fix=True)
-    if H.shape[1] != P.N:
-        raise ValueError(
-            f"projection range has numerical dimension {H.shape[1]}, declared {P.N}"
-        )
-    return H
+        """P = H (gl2 H)^H as thin factors."""
+        return LowRank(self.frame, self.g.gl2 @ self.frame)
 
 
 def phi(V: StiefelOperator) -> ProjectionOperator:
-    """Quotient map onto projections: V -> V V*2."""
-    return projection_of(V)
+    """Quotient map onto projections: V -> V V*2 = Phi (gl2 Phi)^H."""
+    return ProjectionOperator(V.Phi, V.g)
 
 
 def psi_section(P: ProjectionOperator, P1: ProjectionOperator, ref: ReferenceFrame) -> StiefelOperator:
     """Local section of the quotient map around P.
 
     A fixed group element U carries the reference subspace onto range(P)
-    with U Xi = H; the partial isometry T1 then tilts range(P) onto range(P1).
-    The composition is the isometric embedding with image frame
-    T1 H = H1 Z Y^H, for the range frames H, H1 and the SVD of their
-    overlap, and its projection recovers P1.
+    with U Xi = H, where H is the frame P was built with; the partial
+    isometry T1 then tilts range(P) onto range(P1).  The composition is the
+    isometric embedding with image frame T1 H = H1 Z Y^H, for the range
+    frame H1 of P1 and the SVD Y diag(s) Z^H of the overlap H^H gl2 H1, and
+    its projection recovers P1.
     """
     if P.N != ref.N:
         raise ValueError("projection rank and reference width differ")
@@ -136,7 +137,7 @@ def psi_section(P: ProjectionOperator, P1: ProjectionOperator, ref: ReferenceFra
             f"contraction bounds ({b1:.6f}, {b2:.6f}) must stay below 1"
         )
     rot = _overlap_rotation(P.frame, P1.frame, g)[3]
-    return StiefelOperator((P1.frame @ rot) @ ref.dual.conj().T, ref)
+    return StiefelOperator(P1.frame @ rot, ref)
 
 
 @dataclass(frozen=True)
@@ -149,9 +150,7 @@ class EquivalenceResult:
     map_residual: float | None = None
 
 
-def grassmann_equivalence(
-    V: StiefelOperator, V1: StiefelOperator, tol: float = EQUIVALENCE_TOL
-) -> EquivalenceResult:
+def grassmann_equivalence(V: StiefelOperator, V1: StiefelOperator) -> EquivalenceResult:
     """Decide V ~ V1 and, on success, return the witnessing block unitary.
 
     The witness U = V1*2 V + (I - Pi_S) = I + Xi (Phi1^H gl2 Phi - I)(gl2 Xi)^H
@@ -160,13 +159,13 @@ def grassmann_equivalence(
     """
     g = V.g
     dist = h1_operator_norm(V.projection_factors - V1.projection_factors, g)
-    if dist > tol:
+    if dist > EQUIVALENCE_TOL:
         return EquivalenceResult(equivalent=False, projection_distance=dist)
     ref = V.ref
     overlap = V1.projection_factors.R.conj().T @ V.Phi
     U = np.eye(g.n) + (ref.Xi @ (overlap - np.eye(ref.N))) @ ref.dual.conj().T
     residual = float(np.linalg.norm(V1.V @ U - V.V))
-    element = GroupElement(U, g, tol=max(1e-6, 10 * tol))
+    element = GroupElement(U, g, tol=max(1e-6, 10 * EQUIVALENCE_TOL))
     return EquivalenceResult(
         equivalent=True,
         projection_distance=dist,
@@ -176,8 +175,8 @@ def grassmann_equivalence(
 
 
 def act_grassmann(U: GroupElement, P: ProjectionOperator) -> ProjectionOperator:
-    """Conjugation action U . P = U P U^-1; preserves rank and projection laws."""
-    return ProjectionOperator(U.data @ P.P @ U.inv, P.N, P.g)
+    """Conjugation action U . P = U P U^-1, the projection onto the span of U H."""
+    return ProjectionOperator(U.data @ P.frame, P.g)
 
 
 def connecting_unitary(P: ProjectionOperator, P1: ProjectionOperator) -> GroupElement:

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .basis import canonical_phase, complete_basis, require_orthonormal
+from .errors import MembershipDefect
 from .space import GramPair, as_operator
 
 __all__ = [
@@ -76,7 +77,7 @@ class GroupElement:
         data = as_operator(self.data, self.g.n, "group element")
         res = membership_residual(data, self.g)
         if not np.isfinite(res) or res > self.tol:
-            raise ValueError(
+            raise MembershipDefect(
                 f"form-preservation residual {res:.3e} exceeds tolerance {self.tol:.1e}"
             )
         data.setflags(write=False)
@@ -99,7 +100,7 @@ class SkewOperator:
         data = as_operator(self.data, self.g.n, "skew operator")
         res = skew_residual(data, self.g)
         if not np.isfinite(res) or res > self.tol:
-            raise ValueError(
+            raise MembershipDefect(
                 f"skewness residual {res:.3e} exceeds tolerance {self.tol:.1e}"
             )
         data.setflags(write=False)

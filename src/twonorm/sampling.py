@@ -10,7 +10,7 @@ import numpy as np
 
 from .basis import orthonormal_columns
 from .errors import ConvergenceFailure
-from .grassmann import ProjectionOperator, act_grassmann, projection_from_frame
+from .grassmann import ProjectionOperator, act_grassmann
 from .group import GroupElement, OneParameterGroup, SkewOperator, exp_skew
 from .space import GramPair, LowRank, h1_operator_norm
 from .stiefel import ReferenceFrame, StiefelOperator, point_difference
@@ -67,13 +67,13 @@ def random_reference(rng, g: GramPair, N: int) -> ReferenceFrame:
 
 
 def base_point(ref: ReferenceFrame) -> StiefelOperator:
-    """The weak orthogonal projection onto the reference subspace."""
-    return StiefelOperator(ref.span_projection, ref)
+    """The weak orthogonal projection onto the reference subspace, with image frame Xi."""
+    return StiefelOperator(ref.Xi, ref)
 
 
 def random_stiefel(rng, ref: ReferenceFrame, scale: float = 0.5) -> StiefelOperator:
     U = random_group_member(rng, ref.g, scale)
-    return StiefelOperator(U.data @ base_point(ref).V, ref)
+    return StiefelOperator(U.data @ ref.Xi, ref)
 
 
 def random_projection(rng, g: GramPair, N: int) -> ProjectionOperator:
@@ -81,7 +81,7 @@ def random_projection(rng, g: GramPair, N: int) -> ProjectionOperator:
     H = orthonormal_columns(M, g)
     if H.shape[1] != N:
         raise ValueError("sampled columns were linearly dependent")
-    return projection_from_frame(H, g)
+    return ProjectionOperator(H, g)
 
 
 def _calibrated_scale(distance_at, target: float) -> float:
@@ -123,7 +123,7 @@ def stiefel_near(V: StiefelOperator, target: float, rng) -> tuple[StiefelOperato
         return h1_operator_norm(LowRank(exp_sX(s).data @ V.Phi - V.Phi, V.ref.dual), g)
 
     s = _calibrated_scale(distance_at, target)
-    moved = StiefelOperator(exp_sX(s).data @ V.V, V.ref)
+    moved = StiefelOperator(exp_sX(s).data @ V.Phi, V.ref)
     return moved, h1_operator_norm(point_difference(moved, V), g)
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "MetricEquivalenceReport",
     "metric_equivalence_report",
     "act",
-    "projection_of",
     "projection_lipschitz_report",
     "binomial_coefficients",
     "binomial_sqrt",
@@ -57,6 +56,10 @@ __all__ = [
 FRAME_TOL = 1e-10
 OPERATOR_TOL = 1e-8
 RANGE_CUTOFF = 1e-12
+METRIC_SLACK = 1e-10
+SERIES_TOL = 1e-10
+SERIES_KMAX = 200_000
+MCSCF_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -123,27 +126,45 @@ class StiefelFrame:
 
 @dataclass(frozen=True)
 class StiefelOperator:
-    """Operator presentation V = Phi Xi^H gl2 of an isometric embedding of S."""
+    """Isometric embedding of S, stored as its orthonormal image frame Phi.
 
-    V: np.ndarray
+    The operator V = Phi (gl2 Xi)^H sends each reference vector xi_i to phi_i
+    and vanishes on the weak orthocomplement of S by construction; it is built
+    only when asked for.  Dense input enters through :meth:`from_matrix`.
+    """
+
+    Phi: np.ndarray
     ref: ReferenceFrame
-    tol: float = OPERATOR_TOL
 
     def __post_init__(self):
-        V = as_operator(self.V, self.ref.n, "V")
-        g = self.ref.g
-        Phi = V @ self.ref.Xi
+        Phi = np.asarray(self.Phi, dtype=np.complex128)
+        if Phi.shape != self.ref.Xi.shape:
+            raise ValueError(f"image frame must have shape {self.ref.Xi.shape}, got {Phi.shape}")
+        require_orthonormal(Phi, self.ref.g, OPERATOR_TOL, "image frame is not orthonormal")
+        Phi.setflags(write=False)
+        object.__setattr__(self, "Phi", Phi)
+
+    @classmethod
+    def from_matrix(cls, V, ref: ReferenceFrame) -> "StiefelOperator":
+        """Validate a dense operator as an isometric embedding of S; keep its frame V Xi."""
+        V = as_operator(V, ref.n, "V")
+        Phi = V @ ref.Xi
         scale = max(1.0, float(np.linalg.norm(V)))
-        iso_defect = orthonormality_defect(Phi, g)
-        rebuilt = Phi @ self.ref.Xi.conj().T @ g.gl2
-        kernel_defect = np.linalg.norm(rebuilt - V)
-        if iso_defect > self.tol * scale or kernel_defect > self.tol * scale:
+        iso_defect = orthonormality_defect(Phi, ref.g)
+        kernel_defect = np.linalg.norm(Phi @ ref.dual.conj().T - V)
+        if iso_defect > OPERATOR_TOL * scale or kernel_defect > OPERATOR_TOL * scale:
             raise ValueError(
                 "operator is not an isometric embedding of the reference subspace "
                 f"(isometry defect {iso_defect:.3e}, kernel defect {kernel_defect:.3e})"
             )
+        return cls(Phi, ref)
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        """The operator Phi (gl2 Xi)^H."""
+        V = self.Phi @ self.ref.dual.conj().T
         V.setflags(write=False)
-        object.__setattr__(self, "V", V)
+        return V
 
     @property
     def g(self) -> GramPair:
@@ -163,11 +184,6 @@ class StiefelOperator:
         P = self.projection_factors
         return P.L @ P.R.conj().T
 
-    @cached_property
-    def Phi(self) -> np.ndarray:
-        """Image frame V Xi."""
-        return self.V @ self.ref.Xi
-
     @property
     def factors(self) -> LowRank:
         """V = Phi (gl2 Xi)^H as thin factors."""
@@ -181,15 +197,12 @@ class StiefelOperator:
 
 def frame_to_operator(Phi: StiefelFrame, ref: ReferenceFrame) -> StiefelOperator:
     """Operator sending each reference vector xi_i to the frame vector phi_i."""
-    if Phi.N != ref.N:
-        raise ValueError(f"frame width {Phi.N} does not match reference width {ref.N}")
-    V = Phi.Phi @ ref.Xi.conj().T @ ref.g.gl2
-    return StiefelOperator(V, ref)
+    return StiefelOperator(Phi.Phi, ref)
 
 
 def operator_to_frame(V: StiefelOperator) -> StiefelFrame:
     """Image frame phi_i = V xi_i."""
-    return StiefelFrame(V.V @ V.ref.Xi, V.g, tol=OPERATOR_TOL)
+    return StiefelFrame(V.Phi, V.g, tol=OPERATOR_TOL)
 
 
 def point_difference(V1: StiefelOperator, V0: StiefelOperator) -> LowRank:
@@ -223,7 +236,7 @@ class MetricEquivalenceReport:
 
 
 def metric_equivalence_report(
-    Phi: StiefelFrame, Psi: StiefelFrame, ref: ReferenceFrame, slack: float = 1e-10
+    Phi: StiefelFrame, Psi: StiefelFrame, ref: ReferenceFrame
 ) -> MetricEquivalenceReport:
     """Check d <= sqrt(N) C ||V_Phi - V_Psi|| and ||V_Phi - V_Psi|| <= sqrt(N) d."""
     d = tuple_metric(Phi, Psi)
@@ -235,21 +248,14 @@ def metric_equivalence_report(
     return MetricEquivalenceReport(
         tuple_distance=d,
         operator_distance=opdist,
-        lower_ok=opdist <= root_n * d + slack,
-        upper_ok=d <= root_n * ref.C * opdist + slack,
+        lower_ok=opdist <= root_n * d + METRIC_SLACK,
+        upper_ok=d <= root_n * ref.C * opdist + METRIC_SLACK,
     )
 
 
 def act(U: GroupElement, V: StiefelOperator) -> StiefelOperator:
     """Left action U . V; the result stays on the manifold."""
-    return StiefelOperator(U.data @ V.V, V.ref)
-
-
-def projection_of(V: StiefelOperator):
-    """Weak orthogonal projection onto the image of V, as a validated value."""
-    from .grassmann import ProjectionOperator
-
-    return ProjectionOperator(V.projection, V.N, V.g)
+    return StiefelOperator(U.data @ V.Phi, V.ref)
 
 
 @dataclass(frozen=True)
@@ -332,29 +338,20 @@ def _partial_sums(Bw, terms: int):
         c = c * (0.5 - k) / (k + 1)
 
 
-def binomial_sqrt(
-    B,
-    g: GramPair,
-    tol: float = 1e-10,
-    kmax: int = 200_000,
-    *,
-    kernel_projector=None,
-) -> np.ndarray:
+def binomial_sqrt(B, g: GramPair, *, kernel_projector=None) -> np.ndarray:
     """Square root of I + B by the binomial series, for -I <= B <= 0 weakly.
 
     The truncation error after s terms is a scalar function of the weakly
     self-adjoint argument, so its weak norm is at most the scalar tail
     sum_(k>s) |c_k| rho^k on the spectrum, with rho the weak spectral radius;
     switching to the strong norm costs the Gram pencil factor.  Partial sums
-    stop once that rigorous bound drops below tol.  At rho = 1 the tail
-    decays like 1/sqrt(s), so a caller that knows the -1 eigenspace of B can
+    stop once that rigorous bound drops below ``SERIES_TOL``.  At rho = 1 the
+    tail decays like 1/sqrt(s), so a caller that knows the -1 eigenspace of B can
     pass its weak orthogonal projection as ``kernel_projector``: the series
     then runs on the deflated argument and the known kernel is restored
     exactly, keeping convergence geometric.
     """
     B, lam = _validated_series_argument(B, g)
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
     Bw, K0 = _deflated(B, g, kernel_projector)
     if K0 is not None:
         _, lam = _validated_series_argument(Bw, g)
@@ -363,40 +360,43 @@ def binomial_sqrt(
     # Exact weighted tail at s = 0: sum_k |c_k| rho^k = 1 - sqrt(1 - rho).
     tail = 1.0 - math.sqrt(max(0.0, 1.0 - rho)) if rho < 1.0 else 1.0
     if rho >= 1.0:
-        needed = amp * amp / (math.pi * tol * tol)
-        if needed > kmax:
+        needed = amp * amp / (math.pi * SERIES_TOL * SERIES_TOL)
+        if needed > SERIES_KMAX:
             raise ConvergenceFailure(
-                f"tail bound cannot reach tol={tol:.1e} within kmax={kmax} terms; "
+                f"tail bound cannot reach tol={SERIES_TOL:.1e} within kmax={SERIES_KMAX} terms; "
                 "the argument has weak spectral radius 1 (pass kernel_projector "
                 "if the -1 eigenspace is known)"
             )
     rho_pow = 1.0
-    for c, total in _partial_sums(Bw, kmax):
+    for c, total in _partial_sums(Bw, SERIES_KMAX):
         rho_pow *= rho
         tail -= abs(c) * rho_pow
         # tail now equals the weighted coefficient tail beyond this term.
-        if tail * amp <= tol:
+        if tail * amp <= SERIES_TOL:
             break
     else:
         raise ConvergenceFailure(
-            f"series truncation bound did not reach tol={tol:.1e} within {kmax} terms"
+            f"series truncation bound did not reach tol={SERIES_TOL:.1e} within {SERIES_KMAX} terms"
         )
     if K0 is not None:
         total = total - K0
     return total
 
 
-def binomial_sqrt_truncated(B, g: GramPair, terms: int, *, kernel_projector=None) -> np.ndarray:
-    """Plain partial sum of the series with a fixed number of terms."""
+def binomial_sqrt_truncated(B, g: GramPair, terms, *, kernel_projector=None) -> list[np.ndarray]:
+    """Plain partial sums of the series after each of the given term counts.
+
+    ``terms`` is a strictly increasing sequence of positive counts; one pass
+    of the series up to the last count yields every requested partial sum.
+    """
+    terms = tuple(terms)
+    if not terms or terms[0] < 1 or any(b <= a for a, b in zip(terms, terms[1:])):
+        raise ValueError(f"terms must be strictly increasing positive counts, got {terms}")
     B, _ = _validated_series_argument(B, g)
-    if terms < 1:
-        raise ValueError("terms must be positive")
     Bw, K0 = _deflated(B, g, kernel_projector)
-    for _, total in _partial_sums(Bw, terms):
-        pass
-    if K0 is not None:
-        total = total - K0
-    return total
+    wanted = set(terms)
+    sums = [total for k, (_, total) in enumerate(_partial_sums(Bw, terms[-1]), 1) if k in wanted]
+    return sums if K0 is None else [total - K0 for total in sums]
 
 
 def series_tail_bound(terms: int, rho: float, amp: float = 1.0) -> float:
@@ -562,7 +562,7 @@ def translated_section(
         raise NeighborhoodViolation(
             f"distance {dist:.6e} from the base point exceeds the translated radius {allowed:.6e}"
         )
-    pulled_back = StiefelOperator(u_inv @ V1.V, V.ref)
+    pulled_back = StiefelOperator(u_inv @ V1.Phi, V.ref)
     sigma = cross_section_sigma(V, pulled_back)
     return GroupElement(U.data @ sigma.data, g)
 
@@ -601,7 +601,7 @@ def lie_split_stiefel(X: SkewOperator, P) -> tuple[SkewOperator, SkewOperator]:
     return SkewOperator(xg, X.g), SkewOperator(xh, X.g)
 
 
-def mcscf_validate(c, Phi: StiefelFrame, K: int, N: int, tol: float = 1e-10) -> bool:
+def mcscf_validate(c, Phi: StiefelFrame, K: int, N: int) -> bool:
     """Validate a configuration-sphere point paired with a K-frame.
 
     The coefficient vector must be a real unit vector of length binom(K,N)+1
@@ -616,8 +616,8 @@ def mcscf_validate(c, Phi: StiefelFrame, K: int, N: int, tol: float = 1e-10) -> 
         raise ValueError(f"coefficient vector must have length {expected}, got {c.shape}")
     if Phi.N != K:
         raise ValueError(f"frame must have {K} columns, got {Phi.N}")
-    if float(np.max(np.abs(c.imag))) > tol:
+    if float(np.max(np.abs(c.imag))) > MCSCF_TOL:
         return False
-    if abs(float(np.linalg.norm(c.real)) - 1.0) > tol:
+    if abs(float(np.linalg.norm(c.real)) - 1.0) > MCSCF_TOL:
         return False
-    return orthonormality_defect(Phi.Phi, Phi.g) <= tol * max(1.0, math.sqrt(K))
+    return orthonormality_defect(Phi.Phi, Phi.g) <= MCSCF_TOL * max(1.0, math.sqrt(K))

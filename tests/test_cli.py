@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from twonorm import SpaceSpec, build_space
+from twonorm import GroupElement, SpaceSpec, build_space, cli
 from twonorm.basis import orthonormal_columns
 from twonorm import validate
 from twonorm.cli import main
@@ -242,6 +242,36 @@ def test_calibration_stall_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ConvergenceFailure" in err
     assert "configuration error" not in err
+
+
+def test_membership_defect_exits_one(tmp_path, capsys, monkeypatch):
+    # A validated value that misses its defining identity is a numerical
+    # defect, named on stderr, not a configuration error.
+    def runner(cfg):
+        g = build_space(cfg.space)
+        GroupElement(2.0 * np.eye(g.n), g)
+        return 0
+
+    monkeypatch.setitem(cli._COMMANDS, "validate", (runner, "probe"))
+    assert main(["validate", "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "MembershipDefect" in err
+    assert "configuration error" not in err
+
+
+def test_validate_writes_report_when_a_suite_raises(tmp_path, capsys):
+    # N = 15 of n = 16 stalls the sqrt suite's calibration; that suite is
+    # recorded as failed and the others still run.
+    cfg = write_config(tmp_path, subspace_dim=15, trials=2)
+    out = tmp_path / "run"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 1
+    assert "sqrt: ConvergenceFailure" in capsys.readouterr().err
+    report = json.loads((out / "validate.json").read_text())
+    suites = {s["suite"]: s for s in report["suites"]}
+    assert list(suites) == ["space", "group", "section", "sqrt", "grassmann", "geometry"]
+    assert suites["sqrt"]["passed"] is False
+    assert suites["sqrt"]["max_residual"] != suites["sqrt"]["max_residual"]  # NaN
+    assert report["all_passed"] is False
 
 
 def test_validate_records_unavailable_log_and_writes_report(tmp_path, capsys):

@@ -63,7 +63,7 @@ def _moved_to(V, target, seed):
     """V carried along a random one-parameter group to a strong distance of about target."""
     X = random_skew(rng_for_trial(seed, 1), V.g, 1.0)
     rate = h1_operator_norm(LowRank(X.data @ V.Phi, V.ref.dual), V.g)
-    return StiefelOperator(OneParameterGroup(X)(target / rate).data @ V.V, V.ref)
+    return StiefelOperator.from_matrix(OneParameterGroup(X)(target / rate).data @ V.V, V.ref)
 
 
 def _weak_projection(V):
@@ -134,9 +134,9 @@ def test_equivalence_witness_matches_weak_adjoint_form(n):
         ref = random_reference(rng, g, N)
         V = random_stiefel(rng, ref, scale=0.4)
         # A split-preserving right translation keeps the image subspace.
-        span = ProjectionOperator(ref.span_projection, ref.N, g)
+        span = ProjectionOperator.from_matrix(ref.span_projection, ref.N, g)
         Xd, _ = lie_split_grassmann(random_skew(rng, g, scale=0.5), span)
-        reparam = StiefelOperator(V.V @ exp_skew(Xd).data, ref)
+        reparam = StiefelOperator.from_matrix(V.V @ exp_skew(Xd).data, ref)
         res = grassmann_equivalence(reparam, V)
         assert res.equivalent
         dense = adjoint_l2(V.V, g) @ reparam.V + (np.eye(n) - ref.span_projection)

@@ -139,7 +139,7 @@ def test_exp_curve_endpoints_and_membership(g, V, rng):
     end = exp_skew(X).data @ V.V
     assert np.linalg.norm(c.points[-1] - end) <= 1e-12
     for p in c.points:
-        StiefelOperator(p, V.ref)
+        StiefelOperator.from_matrix(p, V.ref)
 
 
 def test_constant_curve_has_zero_length(g, V):
@@ -177,7 +177,7 @@ def test_distance_upper_bounds_chord(g, ref, rng):
     V0 = random_stiefel(rng, ref, scale=0.2)
     Y = random_skew(rng, g)
     Ys = SkewOperator(0.05 * Y.data / h1_operator_norm(Y.data, g), g)
-    V1 = StiefelOperator(exp_skew(Ys).data @ V0.V, ref)
+    V1 = StiefelOperator.from_matrix(exp_skew(Ys).data @ V0.V, ref)
     spec = NormSpec.schatten(2.0)
     upper = distance_upper(V0, V1, spec)
     chord = h1_operator_norm(V1.V - V0.V, g)
@@ -189,6 +189,6 @@ def test_distance_upper_recovers_rotation(g_flat):
     ref = ReferenceFrame(np.array([[1.0], [0.0]]), g_flat)
     V0 = base_point(ref)
     X = SkewOperator(np.array([[0.0, -theta], [theta, 0.0]]), g_flat)
-    V1 = StiefelOperator(exp_skew(X).data @ V0.V, ref)
+    V1 = StiefelOperator.from_matrix(exp_skew(X).data @ V0.V, ref)
     upper = distance_upper(V0, V1, NormSpec.schatten(2.0), steps=128)
     assert upper == pytest.approx(theta, abs=1e-8)

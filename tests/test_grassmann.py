@@ -14,10 +14,8 @@ from twonorm import (
     h1_operator_norm,
     lie_split_grassmann,
     phi,
-    projection_from_frame,
     psi_section,
     radius_r,
-    range_frame,
     section_pi_p,
     tangent_project_grassmann,
 )
@@ -41,28 +39,30 @@ def section_radius(P, ref):
 
 def test_projection_operator_rejects_defects(g):
     with pytest.raises(ValueError):
-        ProjectionOperator(0.5 * np.eye(g.n), g.n, g)
+        ProjectionOperator.from_matrix(0.5 * np.eye(g.n), g.n, g)
     # Valid projection, wrong declared rank.
     v = np.zeros(g.n, dtype=np.complex128)
     v[0] = 1.0
     v /= np.sqrt((v.conj() @ g.gl2 @ v).real)
     P = np.outer(v, v.conj()) @ g.gl2
     with pytest.raises(ValueError):
-        ProjectionOperator(P, 2, g)
-    ProjectionOperator(P, 1, g)
+        ProjectionOperator.from_matrix(P, 2, g)
+    ProjectionOperator.from_matrix(P, 1, g)
 
 
 def test_projection_from_frame_round_trip(g, rng):
     P = random_projection(rng, g, 3)
-    H = range_frame(P)
-    again = projection_from_frame(H, g)
+    H = ProjectionOperator.from_matrix(P.P, P.N, g).frame
+    again = ProjectionOperator(H, g)
     assert np.linalg.norm(again.P - P.P) <= 1e-10
     assert np.linalg.norm(P.P @ H - H) <= 1e-10
 
 
 def test_range_frame_is_deterministic(g, rng):
     P = random_projection(rng, g, 2)
-    assert np.array_equal(range_frame(P), range_frame(P))
+    first = ProjectionOperator.from_matrix(P.P, P.N, g)
+    second = ProjectionOperator.from_matrix(P.P, P.N, g)
+    assert np.array_equal(first.frame, second.frame)
 
 
 def test_phi_is_the_image_projection(V):
@@ -96,9 +96,9 @@ def test_psi_rejects_far_projection(g, V, ref, rng):
 def test_equivalence_accepts_reparameterized_point(g, V, ref, rng):
     # Right translation by an isotropy element keeps the image subspace.
     X = random_skew(rng, g, scale=0.4)
-    P_S = ProjectionOperator(ref.span_projection, ref.N, g)
+    P_S = ProjectionOperator.from_matrix(ref.span_projection, ref.N, g)
     xdiag, _ = lie_split_grassmann(X, P_S)
-    V1 = StiefelOperator(V.V @ exp_skew(xdiag).data, ref)
+    V1 = StiefelOperator.from_matrix(V.V @ exp_skew(xdiag).data, ref)
     res = grassmann_equivalence(V, V1)
     assert res.equivalent
     assert res.projection_distance <= 1e-8

@@ -54,7 +54,7 @@ def _dense(A):
 def _moved_point(V, eps, seed):
     """V carried a strong distance of order eps along a random one-parameter group."""
     exp_sX = OneParameterGroup(random_skew(rng_for_trial(seed, 1), V.g, 1.0))
-    return StiefelOperator(exp_sX(eps).data @ V.V, V.ref)
+    return StiefelOperator.from_matrix(exp_sX(eps).data @ V.V, V.ref)
 
 
 @settings(max_examples=40, deadline=None)

@@ -24,9 +24,9 @@ from twonorm import (
     lie_split_stiefel,
     mcscf_validate,
     metric_equivalence_report,
+    phi,
     operator_to_frame,
     projection_lipschitz_report,
-    projection_of,
     radius_formula,
     radius_r,
     section_factors,
@@ -77,12 +77,12 @@ def test_stiefel_frame_rejects_non_orthonormal(g):
 def test_stiefel_operator_rejects_identity(ref):
     # The identity is an isometry but does not kill the complement of S.
     with pytest.raises(ValueError):
-        StiefelOperator(np.eye(ref.n), ref)
+        StiefelOperator.from_matrix(np.eye(ref.n), ref)
 
 
 def test_stiefel_operator_rejects_random(ref, rng):
     with pytest.raises(ValueError):
-        StiefelOperator(random_complex(rng, ref.n, ref.n), ref)
+        StiefelOperator.from_matrix(random_complex(rng, ref.n, ref.n), ref)
 
 
 def test_frame_operator_round_trip(V):
@@ -113,11 +113,12 @@ def test_metric_equivalence_two_sided(g, ref, rng):
 def test_action_stays_on_manifold(g, V, rng):
     U = exp_skew(random_skew(rng, g, scale=0.7))
     moved = act(U, V)
-    assert np.linalg.norm(moved.V - U.data @ V.V) == 0.0
+    assert np.linalg.norm(moved.Phi - U.data @ V.Phi) == 0.0
+    assert np.linalg.norm(moved.V - U.data @ V.V) <= 1e-14 * np.linalg.norm(V.V)
 
 
 def test_projection_of_is_idempotent(V):
-    P = projection_of(V)
+    P = phi(V)
     assert P.N == V.N
     assert np.linalg.norm(P.P @ P.P - P.P) <= 1e-12
     assert np.linalg.norm(P.P @ V.V - V.V) <= 1e-12
@@ -185,8 +186,27 @@ def test_binomial_sqrt_rejects_wrong_kernel_projector(g):
 
 def test_truncated_series_first_order(g):
     B = -0.3 * np.eye(g.n)
-    out = binomial_sqrt_truncated(B, g, 1)
+    (out,) = binomial_sqrt_truncated(B, g, [1])
     assert np.linalg.norm(out - (np.eye(g.n) + 0.5 * B)) <= 1e-14
+
+
+def test_truncated_series_one_pass_matches_single_counts(g, V, rng):
+    C = random_complex(rng, g.n, g.n)
+    M = g.to_l2_frame(C) @ g.to_l2_frame(C).conj().T
+    B = g.from_l2_frame(-0.8 * M / float(np.linalg.eigvalsh(M)[-1]))
+    counts = (1, 4, 8, 16)
+    for B_, K in ((B, None), (-V.projection, V.projection)):
+        sums = binomial_sqrt_truncated(B_, g, counts, kernel_projector=K)
+        assert len(sums) == len(counts)
+        for s, total in zip(counts, sums):
+            (single,) = binomial_sqrt_truncated(B_, g, [s], kernel_projector=K)
+            assert np.array_equal(total, single)
+
+
+@pytest.mark.parametrize("counts", [(), (0, 4), (4, 4), (8, 4), (-1,)])
+def test_truncated_series_rejects_bad_counts(g, counts):
+    with pytest.raises(ValueError):
+        binomial_sqrt_truncated(-0.3 * np.eye(g.n), g, counts)
 
 
 def test_series_tail_bound_dominates_error(g, rng):
@@ -196,7 +216,7 @@ def test_series_tail_bound_dominates_error(g, rng):
     B = g.from_l2_frame(-0.8 * M / lam_max)
     exact = sqrt_eig(np.eye(g.n) + B, g)
     for terms in (4, 8, 16, 32):
-        approx = binomial_sqrt_truncated(B, g, terms)
+        (approx,) = binomial_sqrt_truncated(B, g, [terms])
         err = l2_operator_norm(approx - exact, g)
         assert err <= series_tail_bound(terms, 0.8) + 1e-13
 
@@ -318,7 +338,7 @@ def test_tangent_projection_fixes_generated_vectors(g, V, rng):
 
 def test_lie_split_recombines(g, V, rng):
     X = random_skew(rng, g)
-    P = projection_of(V)
+    P = phi(V)
     xg, xh = lie_split_stiefel(X, P)
     assert np.linalg.norm(xg.data + xh.data - X.data) <= 1e-12
     # The isotropy part annihilates the image subspace on both sides.
