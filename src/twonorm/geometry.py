@@ -234,7 +234,7 @@ def distance_upper(
     g = V0.g
     U = frame_unitary(V0.Phi, V1.Phi, g)
     X = group_log(U.data, g)
-    curve = exp_curve(V0, SkewOperator(X, g, tol=1e-6), steps)
+    curve = exp_curve(V0, SkewOperator(X, g), steps)
     if np.linalg.norm(curve.points[-1] - V1.V) > 1e-8 * max(1.0, np.linalg.norm(V1.V)):
         raise ConvergenceFailure("connecting curve does not reach the target point")
     return curve_length(curve, spec, g)

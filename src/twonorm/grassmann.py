@@ -31,6 +31,7 @@ from .stiefel import (
 __all__ = [
     "ProjectionOperator",
     "phi",
+    "quotient_radius",
     "psi_section",
     "EquivalenceResult",
     "grassmann_equivalence",
@@ -110,6 +111,11 @@ def phi(V: StiefelOperator) -> ProjectionOperator:
     return ProjectionOperator(V.Phi, V.g)
 
 
+def quotient_radius(P: ProjectionOperator) -> float:
+    """Radius 1/(||P||_h1 + 1)^2 of the quotient section around P."""
+    return 1.0 / (h1_operator_norm(P.factors, P.g) + 1.0) ** 2
+
+
 def psi_section(P: ProjectionOperator, P1: ProjectionOperator, ref: ReferenceFrame) -> StiefelOperator:
     """Local section of the quotient map around P.
 
@@ -124,7 +130,7 @@ def psi_section(P: ProjectionOperator, P1: ProjectionOperator, ref: ReferenceFra
         raise ValueError("projection rank and reference width differ")
     g = P.g
     dist = h1_operator_norm(P1.factors - P.factors, g)
-    rad = 1.0 / (h1_operator_norm(P.factors, g) + 1.0) ** 2
+    rad = quotient_radius(P)
     if not dist < rad:
         raise NeighborhoodViolation(
             f"projection distance {dist:.6e} is not inside the section radius {rad:.6e}"
@@ -197,7 +203,7 @@ def section_pi_p(P: ProjectionOperator, P1: ProjectionOperator, ref: ReferenceFr
     """
     V = psi_section(P, P, ref)
     dist = h1_operator_norm(P1.factors - P.factors, P.g)
-    r_star = min(1.0 / (h1_operator_norm(P.factors, P.g) + 1.0) ** 2, radius_r(V))
+    r_star = min(quotient_radius(P), radius_r(V))
     if not dist < r_star:
         raise NeighborhoodViolation(
             f"projection distance {dist:.6e} is outside the working radius {r_star:.6e}"

@@ -94,14 +94,13 @@ class SkewOperator:
 
     data: np.ndarray
     g: GramPair
-    tol: float = CONSTRUCT_TOL
 
     def __post_init__(self):
         data = as_operator(self.data, self.g.n, "skew operator")
         res = skew_residual(data, self.g)
-        if not np.isfinite(res) or res > self.tol:
+        if not np.isfinite(res) or res > CONSTRUCT_TOL:
             raise MembershipDefect(
-                f"skewness residual {res:.3e} exceeds tolerance {self.tol:.1e}"
+                f"skewness residual {res:.3e} exceeds tolerance {CONSTRUCT_TOL:.1e}"
             )
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
@@ -133,6 +132,14 @@ class OneParameterGroup:
     def __call__(self, t: float) -> GroupElement:
         step = (self.left * np.expm1(-1j * t * self.lam)) @ self.right
         return GroupElement(np.eye(self.g.n, dtype=np.complex128) + step, self.g)
+
+    def displacement(self, t: float, F) -> np.ndarray:
+        """exp(tX) F - F = Wl diag(expm1(-i t lam)) (Wr F), accurate to relative rounding.
+
+        Forming exp(tX) F and subtracting F instead leaves an absolute error of
+        about eps ||F||, which swamps a displacement of that size.
+        """
+        return (self.left * np.expm1(-1j * t * self.lam)) @ (self.right @ F)
 
 
 def exp_skew(X: SkewOperator) -> GroupElement:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import orthonormal_columns
-from .errors import ConvergenceFailure
+from .errors import ConvergenceFailure, NeighborhoodViolation
 from .grassmann import ProjectionOperator, act_grassmann
 from .group import GroupElement, OneParameterGroup, SkewOperator, exp_skew
 from .space import GramPair, LowRank, h1_operator_norm
@@ -30,6 +30,9 @@ __all__ = [
 
 SETUP_TRIAL = 2**64 - 1
 CALIBRATION_TOL = 1e-9
+# Targets below this many machine epsilons of the point's strong norm are
+# not resolved by the distance computed from the moved point.
+RESOLUTION_FACTOR = 1e3
 
 
 def rng_for_trial(seed: int, trial: int) -> np.random.Generator:
@@ -84,6 +87,17 @@ def random_projection(rng, g: GramPair, N: int) -> ProjectionOperator:
     return ProjectionOperator(H, g)
 
 
+def _require_resolvable(target: float, scale: float) -> None:
+    if target <= 0:
+        raise ValueError("target distance must be positive")
+    floor = RESOLUTION_FACTOR * np.finfo(float).eps * scale
+    if target < floor:
+        raise NeighborhoodViolation(
+            f"target distance {target:.3e} is below the resolution {floor:.3e} "
+            f"of a point of strong norm {scale:.3e}"
+        )
+
+
 def _calibrated_scale(distance_at, target: float) -> float:
     # distance_at(s) vanishes at s = 0 and is nearly linear for small s, so
     # proportional updates converge in a handful of evaluations.
@@ -111,16 +125,18 @@ def stiefel_near(V: StiefelOperator, target: float, rng) -> tuple[StiefelOperato
     """Perturb V along the group to a prescribed strong-norm distance.
 
     Returns the perturbed point and the achieved distance
-    ``|| V' - V ||`` in the strong operator norm.
+    ``|| V' - V ||`` in the strong operator norm.  A target below
+    ``RESOLUTION_FACTOR`` machine epsilons of ``||V||`` raises
+    NeighborhoodViolation.
     """
-    if target <= 0:
-        raise ValueError("target distance must be positive")
     g = V.g
+    _require_resolvable(target, h1_operator_norm(V.factors, g))
     exp_sX = OneParameterGroup(random_skew(rng, g, 1.0))
 
     def distance_at(s: float) -> float:
+        exp_sX(s)  # every step stays a validated group element
         # U V - V = (U Phi - Phi)(gl2 Xi)^H.
-        return h1_operator_norm(LowRank(exp_sX(s).data @ V.Phi - V.Phi, V.ref.dual), g)
+        return h1_operator_norm(LowRank(exp_sX.displacement(s, V.Phi), V.ref.dual), g)
 
     s = _calibrated_scale(distance_at, target)
     moved = StiefelOperator(exp_sX(s).data @ V.Phi, V.ref)
@@ -128,19 +144,24 @@ def stiefel_near(V: StiefelOperator, target: float, rng) -> tuple[StiefelOperato
 
 
 def projection_near(P: ProjectionOperator, target: float, rng) -> tuple[ProjectionOperator, float]:
-    """Conjugate P by a group element to a prescribed strong-norm distance."""
-    if target <= 0:
-        raise ValueError("target distance must be positive")
+    """Conjugate P by a group element to a prescribed strong-norm distance.
+
+    A target below ``RESOLUTION_FACTOR`` machine epsilons of ``||P||`` raises
+    NeighborhoodViolation.
+    """
     g = P.g
+    base = P.factors
+    _require_resolvable(target, h1_operator_norm(base, g))
     exp_sX = OneParameterGroup(random_skew(rng, g, 1.0))
     H = P.frame
-    base = LowRank(H, g.gl2 @ H)
 
-    def distance(U: GroupElement) -> float:
-        # P = H (gl2 H)^H and U^-H gl2 = gl2 U, so U P U^-1 = (U H)(gl2 U H)^H.
-        UH = U.data @ H
-        return h1_operator_norm(LowRank(UH, g.gl2 @ UH) - base, g)
+    def distance_at(s: float) -> float:
+        exp_sX(s)  # every step stays a validated group element
+        # With U H = H + D, U P U^-1 - P = D (gl2 H)^H + (H + D)(gl2 D)^H.
+        D = exp_sX.displacement(s, H)
+        return h1_operator_norm(LowRank(np.hstack([D, H + D]), np.hstack([base.R, g.gl2 @ D])), g)
 
-    s = _calibrated_scale(lambda s: distance(exp_sX(s)), target)
-    U = exp_sX(s)
-    return act_grassmann(U, P), distance(U)
+    s = _calibrated_scale(distance_at, target)
+    # P = H (gl2 H)^H and U^-H gl2 = gl2 U, so U P U^-1 = (U H)(gl2 U H)^H.
+    moved = act_grassmann(exp_sX(s), P)
+    return moved, h1_operator_norm(moved.factors - base, g)

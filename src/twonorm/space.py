@@ -95,15 +95,12 @@ class GramPair:
     """Pair of Gram matrices (weak, strong) with cached factorizations.
 
     Invariants: both matrices are Hermitian positive definite and
-    ``gh1 - gl2`` is positive semidefinite.  When forward-difference
-    operators are attached (grid-built pairs), ``gh1`` equals
-    ``gl2 + sum_a D_a^H gl2 D_a``.
+    ``gh1 - gl2`` is positive semidefinite.
     """
 
     n: int
     gl2: np.ndarray
     gh1: np.ndarray
-    deriv: tuple = ()
 
     def __post_init__(self):
         gl2 = as_operator(self.gl2, self.n, "gl2")
@@ -122,16 +119,10 @@ class GramPair:
             raise ValueError(
                 f"gh1 - gl2 has eigenvalue {gap[0]:.3e}; the strong form must dominate"
             )
-        deriv = tuple(as_operator(D, self.n, "difference operator") for D in self.deriv)
-        if deriv:
-            rebuilt = gl2 + sum(D.conj().T @ gl2 @ D for D in deriv)
-            if np.linalg.norm(gh1 - rebuilt) > 1e-10 * max(1.0, np.linalg.norm(gh1)):
-                raise ValueError("gh1 does not match gl2 plus difference energy")
-        for arr in (gl2, gh1) + deriv:
+        for arr in (gl2, gh1):
             arr.setflags(write=False)
         object.__setattr__(self, "gl2", gl2)
         object.__setattr__(self, "gh1", gh1)
-        object.__setattr__(self, "deriv", deriv)
 
     # Factorizations are computed once per pair and reused by every operation.
 
@@ -270,7 +261,7 @@ def build_space(spec: SpaceSpec) -> GramPair:
     gl2 = hd * np.eye(n, dtype=np.complex128)
     derivs = tuple(forward_difference(spec, a) for a in range(spec.domain_dim))
     gh1 = gl2 + sum(D.conj().T @ gl2 @ D for D in derivs)
-    return GramPair(n=n, gl2=gl2, gh1=gh1, deriv=derivs)
+    return GramPair(n=n, gl2=gl2, gh1=gh1)
 
 
 def gram_pair_from_matrices(gl2, gh1) -> GramPair:

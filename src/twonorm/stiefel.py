@@ -3,10 +3,11 @@
 A reference frame spans an N-dimensional subspace S of the coefficient space.
 Points of the manifold are operators V that restrict to weak isometries of S
 and vanish on its weak orthocomplement; equivalently V = Phi Xi^H gl2 for an
-orthonormal image frame Phi.  The module provides the frame and operator
-presentations, the transitive group action, local cross sections of that
-action with an explicit safe radius, a series square root with a rigorous
-truncation bound, and the tangent-space calculus.
+orthonormal image frame Phi.  That frame is the orthonormal N-tuple of the
+frame presentation, so one validated value serves both.  The module provides
+the tuple and operator metrics, the transitive group action, local cross
+sections of that action with an explicit safe radius, a series square root
+with a rigorous truncation bound, and the tangent-space calculus.
 """
 
 from __future__ import annotations
@@ -25,10 +26,7 @@ from .space import GramPair, LowRank, as_operator, h1_operator_norm, norm_h1
 
 __all__ = [
     "ReferenceFrame",
-    "StiefelFrame",
     "StiefelOperator",
-    "frame_to_operator",
-    "operator_to_frame",
     "point_difference",
     "tuple_metric",
     "MetricEquivalenceReport",
@@ -93,35 +91,9 @@ class ReferenceFrame:
         return self.Xi.shape[1]
 
     @cached_property
-    def span_projection(self) -> np.ndarray:
-        """Weak orthogonal projection onto the reference subspace."""
-        return self.Xi @ self.Xi.conj().T @ self.g.gl2
-
-    @cached_property
     def dual(self) -> np.ndarray:
         """gl2 Xi, the right factor of every point: V = Phi dual^H."""
         return self.g.gl2 @ self.Xi
-
-
-@dataclass(frozen=True)
-class StiefelFrame:
-    """Orthonormal N-tuple in the coefficient space."""
-
-    Phi: np.ndarray
-    g: GramPair
-    tol: float = FRAME_TOL
-
-    def __post_init__(self):
-        Phi = np.asarray(self.Phi, dtype=np.complex128)
-        if Phi.ndim != 2 or Phi.shape[0] != self.g.n or Phi.shape[1] < 1:
-            raise ValueError(f"frame must be n-by-N with N >= 1, got {Phi.shape}")
-        require_orthonormal(Phi, self.g, self.tol, "frame is not orthonormal")
-        Phi.setflags(write=False)
-        object.__setattr__(self, "Phi", Phi)
-
-    @property
-    def N(self) -> int:
-        return self.Phi.shape[1]
 
 
 @dataclass(frozen=True)
@@ -195,14 +167,9 @@ class StiefelOperator:
         return LowRank(self.Phi, self.g.gl2 @ self.Phi)
 
 
-def frame_to_operator(Phi: StiefelFrame, ref: ReferenceFrame) -> StiefelOperator:
-    """Operator sending each reference vector xi_i to the frame vector phi_i."""
-    return StiefelOperator(Phi.Phi, ref)
-
-
-def operator_to_frame(V: StiefelOperator) -> StiefelFrame:
-    """Image frame phi_i = V xi_i."""
-    return StiefelFrame(V.Phi, V.g, tol=OPERATOR_TOL)
+def _require_same_reference(V: StiefelOperator, V1: StiefelOperator) -> None:
+    if V1.ref is not V.ref and not np.allclose(V1.ref.Xi, V.ref.Xi, atol=1e-12):
+        raise ValueError("points use different reference frames")
 
 
 def point_difference(V1: StiefelOperator, V0: StiefelOperator) -> LowRank:
@@ -210,15 +177,11 @@ def point_difference(V1: StiefelOperator, V0: StiefelOperator) -> LowRank:
     return LowRank(V1.Phi - V0.Phi, V0.ref.dual)
 
 
-def tuple_metric(Phi: StiefelFrame, Psi: StiefelFrame) -> float:
-    """Strong-norm tuple distance (sum_i ||phi_i - psi_i||_h1^2)^(1/2)."""
-    if Phi.N != Psi.N:
-        raise ValueError("frames must have equal width")
-    g = Phi.g
-    diff = Phi.Phi - Psi.Phi
-    return float(
-        math.sqrt(sum(norm_h1(diff[:, i], g) ** 2 for i in range(Phi.N)))
-    )
+def tuple_metric(V: StiefelOperator, W: StiefelOperator) -> float:
+    """Strong-norm tuple distance (sum_i ||phi_i - psi_i||_h1^2)^(1/2) of the image frames."""
+    _require_same_reference(V, W)
+    diff = V.Phi - W.Phi
+    return float(math.sqrt(sum(norm_h1(diff[:, i], V.g) ** 2 for i in range(V.N))))
 
 
 @dataclass(frozen=True)
@@ -235,15 +198,11 @@ class MetricEquivalenceReport:
         return self.lower_ok and self.upper_ok
 
 
-def metric_equivalence_report(
-    Phi: StiefelFrame, Psi: StiefelFrame, ref: ReferenceFrame
-) -> MetricEquivalenceReport:
-    """Check d <= sqrt(N) C ||V_Phi - V_Psi|| and ||V_Phi - V_Psi|| <= sqrt(N) d."""
-    d = tuple_metric(Phi, Psi)
-    # Both operators are validated; their difference is (Phi - Psi)(gl2 Xi)^H.
-    frame_to_operator(Phi, ref)
-    frame_to_operator(Psi, ref)
-    opdist = h1_operator_norm(LowRank(Phi.Phi - Psi.Phi, ref.dual), ref.g)
+def metric_equivalence_report(V: StiefelOperator, W: StiefelOperator) -> MetricEquivalenceReport:
+    """Check d <= sqrt(N) C ||V - W|| and ||V - W|| <= sqrt(N) d for the tuple distance d."""
+    d = tuple_metric(V, W)
+    ref = V.ref
+    opdist = h1_operator_norm(point_difference(V, W), ref.g)
     root_n = math.sqrt(ref.N)
     return MetricEquivalenceReport(
         tuple_distance=d,
@@ -508,8 +467,7 @@ def section_factors(V: StiefelOperator, V1: StiefelOperator) -> SectionFactors:
     exist; any failure raises NeighborhoodViolation.
     """
     g = V.g
-    if V1.ref is not V.ref and not np.allclose(V1.ref.Xi, V.ref.Xi, atol=1e-12):
-        raise ValueError("points use different reference frames")
+    _require_same_reference(V, V1)
     dist = h1_operator_norm(point_difference(V1, V), g)
     r = radius_r(V)
     if not dist < r:
@@ -601,23 +559,25 @@ def lie_split_stiefel(X: SkewOperator, P) -> tuple[SkewOperator, SkewOperator]:
     return SkewOperator(xg, X.g), SkewOperator(xh, X.g)
 
 
-def mcscf_validate(c, Phi: StiefelFrame, K: int, N: int) -> bool:
-    """Validate a configuration-sphere point paired with a K-frame.
+def mcscf_validate(c, Phi, g: GramPair, N: int) -> bool:
+    """Validate a configuration-sphere point paired with K orbitals.
 
-    The coefficient vector must be a real unit vector of length binom(K,N)+1
-    and the frame must be an orthonormal K-tuple; dimension mismatches raise,
-    numeric defects merely return False.
+    Phi is the n-by-K array of orbitals.  The coefficient vector must be a
+    real unit vector of length binom(K,N)+1 and the orbitals an orthonormal
+    K-tuple; dimension mismatches raise, numeric defects merely return False.
     """
+    Phi = np.asarray(Phi, dtype=np.complex128)
+    if Phi.ndim != 2 or Phi.shape[0] != g.n:
+        raise ValueError(f"orbitals must be an n-by-K array with n={g.n}, got {Phi.shape}")
+    K = Phi.shape[1]
     if not (1 <= N < K):
         raise ValueError(f"need 1 <= N < K, got N={N}, K={K}")
     c = np.asarray(c, dtype=np.complex128)
     expected = math.comb(K, N) + 1
     if c.shape != (expected,):
         raise ValueError(f"coefficient vector must have length {expected}, got {c.shape}")
-    if Phi.N != K:
-        raise ValueError(f"frame must have {K} columns, got {Phi.N}")
     if float(np.max(np.abs(c.imag))) > MCSCF_TOL:
         return False
     if abs(float(np.linalg.norm(c.real)) - 1.0) > MCSCF_TOL:
         return False
-    return orthonormality_defect(Phi.Phi, Phi.g) <= MCSCF_TOL * max(1.0, math.sqrt(K))
+    return orthonormality_defect(Phi, g) <= MCSCF_TOL * max(1.0, math.sqrt(K))

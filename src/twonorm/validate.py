@@ -31,6 +31,7 @@ from .grassmann import (
     lie_split_grassmann,
     phi,
     psi_section,
+    quotient_radius,
     section_pi_p,
 )
 from .group import (
@@ -70,7 +71,6 @@ from .stiefel import (
     ReferenceFrame,
     StiefelOperator,
     lie_split_stiefel,
-    operator_to_frame,
     point_difference,
     radius_r,
     section_factors,
@@ -244,7 +244,7 @@ def _grassmann_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
     for trial in range(cfg.trials):
         rng = rng_for_trial(cfg.seed, trial)
         P = random_projection(rng, g, cfg.subspace_dim)
-        radius = 1.0 / (h1_operator_norm(P.factors, g) + 1.0) ** 2
+        radius = quotient_radius(P)
         P1, _ = projection_near(P, (0.1 + 0.5 * rng.random()) * radius, rng)
         V1 = psi_section(P, P1, ref)
         rec.residual(
@@ -332,7 +332,7 @@ def _geometry_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
         rec.require(True)
     # Tuple and operator distances stay within the equivalence window.
     other = random_stiefel(setup, ref, scale=0.3)
-    d_tuple = tuple_metric(operator_to_frame(V0), operator_to_frame(other))
+    d_tuple = tuple_metric(V0, other)
     d_op = h1_operator_norm(point_difference(other, V0), g)
     C = ref.C
     N = ref.N

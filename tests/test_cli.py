@@ -16,7 +16,7 @@ from twonorm.config import (
     load_config,
     load_frame_matrix,
 )
-from twonorm.sampling import random_complex, rng_for_trial
+from twonorm.sampling import _calibrated_scale, random_complex, rng_for_trial
 from twonorm.serialize import json_dumps, matrix_to_json
 
 
@@ -234,13 +234,39 @@ def test_unattainable_tolerance_exits_one(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_calibration_stall_exits_one(tmp_path, capsys):
-    # With N = 15 of n = 16 the perturbation scale never settles on its
-    # target distance: a numerical failure, named, not a configuration error.
-    cfg = write_config(tmp_path, subspace_dim=15, trials=2)
-    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+def test_calibration_stall_exits_one(tmp_path, capsys, monkeypatch):
+    # A calibration stall is a numerical failure, named, not a configuration error.
+    def runner(cfg):
+        _calibrated_scale(lambda s: 0.505, 0.5)
+        return 0
+
+    monkeypatch.setitem(cli._COMMANDS, "validate", (runner, "probe"))
+    assert main(["validate", "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert "ConvergenceFailure" in err
+    assert "configuration error" not in err
+
+
+def test_nearly_full_subspace_validates(tmp_path, capsys):
+    # N = 15 of n = 16 puts the safe radius near 5e-10; the perturbations
+    # still calibrate and every suite passes.
+    cfg = write_config(tmp_path, subspace_dim=15, trials=2)
+    out = tmp_path / "run"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads((out / "validate.json").read_text())
+    assert [s["suite"] for s in report["suites"]] == list(validate.SUITE_NAMES)
+    assert all(s["passed"] for s in report["suites"])
+
+
+@pytest.mark.parametrize("command", ["section-demo", "geometry"])
+def test_unresolvable_radius_exits_one(tmp_path, capsys, command):
+    # At spacing 1e-3 the safe radius (about 1e-21) is far below what a
+    # perturbation of a point of strong norm about 200 can resolve.
+    cfg = write_config(tmp_path, space={"spacing": 1e-3}, trials=1)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "NeighborhoodViolation" in err
     assert "configuration error" not in err
 
 
@@ -260,17 +286,17 @@ def test_membership_defect_exits_one(tmp_path, capsys, monkeypatch):
 
 
 def test_validate_writes_report_when_a_suite_raises(tmp_path, capsys):
-    # N = 15 of n = 16 stalls the sqrt suite's calibration; that suite is
-    # recorded as failed and the others still run.
-    cfg = write_config(tmp_path, subspace_dim=15, trials=2)
+    # At spacing 1e-3 the section suite's perturbation target is below
+    # resolution; that suite is recorded as failed and the others still run.
+    cfg = write_config(tmp_path, space={"spacing": 1e-3}, trials=2)
     out = tmp_path / "run"
     assert main(["validate", "--config", cfg, "--out", str(out)]) == 1
-    assert "sqrt: ConvergenceFailure" in capsys.readouterr().err
+    assert "section: NeighborhoodViolation" in capsys.readouterr().err
     report = json.loads((out / "validate.json").read_text())
     suites = {s["suite"]: s for s in report["suites"]}
     assert list(suites) == ["space", "group", "section", "sqrt", "grassmann", "geometry"]
-    assert suites["sqrt"]["passed"] is False
-    assert suites["sqrt"]["max_residual"] != suites["sqrt"]["max_residual"]  # NaN
+    assert suites["section"]["passed"] is False
+    assert suites["section"]["max_residual"] != suites["section"]["max_residual"]  # NaN
     assert report["all_passed"] is False
 
 

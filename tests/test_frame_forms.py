@@ -134,12 +134,12 @@ def test_equivalence_witness_matches_weak_adjoint_form(n):
         ref = random_reference(rng, g, N)
         V = random_stiefel(rng, ref, scale=0.4)
         # A split-preserving right translation keeps the image subspace.
-        span = ProjectionOperator.from_matrix(ref.span_projection, ref.N, g)
+        span = ProjectionOperator(ref.Xi, g)
         Xd, _ = lie_split_grassmann(random_skew(rng, g, scale=0.5), span)
         reparam = StiefelOperator.from_matrix(V.V @ exp_skew(Xd).data, ref)
         res = grassmann_equivalence(reparam, V)
         assert res.equivalent
-        dense = adjoint_l2(V.V, g) @ reparam.V + (np.eye(n) - ref.span_projection)
+        dense = adjoint_l2(V.V, g) @ reparam.V + (np.eye(n) - span.P)
         assert _close(res.unitary.data, dense)
 
 

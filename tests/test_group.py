@@ -16,6 +16,7 @@ from twonorm import (
     skew_residual,
 )
 from twonorm.basis import orthonormal_columns
+from twonorm.group import OneParameterGroup
 from twonorm.sampling import random_complex, random_group_member, random_skew, rng_for_trial
 
 
@@ -45,6 +46,18 @@ def test_exponential_one_parameter_property(g, rng):
     U = lambda t: exp_skew(SkewOperator(t * X.data, g)).data
     assert np.allclose(U(0.7) @ U(0.3), U(1.0), atol=1e-12)
     assert np.allclose(U(1.0) @ U(-1.0), np.eye(g.n), atol=1e-12)
+
+
+def test_displacement_keeps_relative_accuracy_for_tiny_steps(g, rng):
+    X = random_skew(rng, g)
+    curve = OneParameterGroup(X)
+    F = orthonormal_columns(random_complex(rng, g.n, 2), g)
+    assert np.allclose(curve.displacement(0.3, F), curve(0.3).data @ F - F, atol=1e-13)
+    # exp(tX) F - F = t X F + O(t^2); subtracting F from exp(tX) F instead
+    # would leave a relative error near eps / t.
+    t = 1e-12
+    step = t * (X.data @ F)
+    assert np.linalg.norm(curve.displacement(t, F) - step) <= 1e-10 * np.linalg.norm(step)
 
 
 def test_bracket_closes(g, rng):

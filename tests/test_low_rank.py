@@ -17,7 +17,6 @@ from twonorm import (
     h1_singular_values,
     metric_equivalence_report,
     norm_sandwich_check,
-    operator_to_frame,
     phi,
     point_difference,
     projection_lipschitz_report,
@@ -151,7 +150,7 @@ def test_stiefel_call_sites_match_dense(pair):
     for got, op in zip(section_factors(V, V1).bounds, dense_bounds):
         _agree(got, h1_operator_norm(op, g), pscale)
 
-    report = metric_equivalence_report(operator_to_frame(V), operator_to_frame(V1), ref)
+    report = metric_equivalence_report(V, V1)
     _agree(report.operator_distance, h1_operator_norm(V.V - V1.V, g), scale)
     lip = projection_lipschitz_report(V1, V)
     _agree(lip.lhs, h1_operator_norm(P1 - P, g), h1_operator_norm(P, g))

@@ -27,7 +27,9 @@ from twonorm.sampling import (
     random_skew,
     random_stiefel,
     rng_for_trial,
+    stiefel_near,
 )
+from twonorm.stiefel import radius_r
 
 
 def rank_one_projection(g):
@@ -147,3 +149,22 @@ def test_group_log_agrees_with_pade(g_n, rng):
     U = exp_skew(X).data
     L = log_pade(U, g_n)
     assert np.linalg.norm(group_log(U, g_n) - L) <= 1e-10 * np.linalg.norm(L)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sqrt_eig_is_accurate_on_a_tight_cluster(seed):
+    # The validate sqrt-suite operators A = (I - P)(I - Q)(I - P) have n - 2N
+    # eigenvalues within 1e-12 of one; the root must still square back to A
+    # to near rounding of its unit spectral norm.
+    g = build_space(SpaceSpec(domain_dim=1, grid_points=128, spacing=0.25))
+    setup = rng_for_trial(seed, SETUP_TRIAL)
+    V = random_stiefel(setup, random_reference(setup, g, 2), scale=0.4)
+    eye = np.eye(g.n)
+    ip = eye - V.projection
+    r = radius_r(V)
+    for trial in range(10):
+        rng = rng_for_trial(seed, trial)
+        W, _ = stiefel_near(V, (0.1 + 0.6 * rng.random()) * r, rng)
+        A = ip @ (eye - W.projection) @ ip
+        S = sqrt_eig(A, g)
+        assert np.linalg.norm(S @ S - A) <= 1e-13 * max(1.0, np.linalg.norm(A, 2))

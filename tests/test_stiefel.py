@@ -8,7 +8,6 @@ from twonorm import (
     NeighborhoodViolation,
     ReferenceFrame,
     SkewOperator,
-    StiefelFrame,
     StiefelOperator,
     act,
     adjoint_l2,
@@ -17,7 +16,6 @@ from twonorm import (
     cross_section_sigma,
     delta_v,
     exp_skew,
-    frame_to_operator,
     h1_operator_norm,
     is_group_member,
     l2_operator_norm,
@@ -25,7 +23,6 @@ from twonorm import (
     mcscf_validate,
     metric_equivalence_report,
     phi,
-    operator_to_frame,
     projection_lipschitz_report,
     radius_formula,
     radius_r,
@@ -57,7 +54,7 @@ def test_reference_frame_reports_column_bound(ref):
 
     cols = [norm_h1(ref.Xi[:, i], g) for i in range(ref.N)]
     assert ref.C == pytest.approx(max(cols))
-    P = ref.span_projection
+    P = base_point(ref).V
     assert np.linalg.norm(P @ P - P) <= 1e-12
     M = g.to_l2_frame(P)
     assert np.linalg.norm(M - M.conj().T) <= 1e-12
@@ -67,11 +64,6 @@ def test_reference_frame_rejects_skewed_columns(g):
     M = np.ones((g.n, 2))
     with pytest.raises(ValueError):
         ReferenceFrame(M, g)
-
-
-def test_stiefel_frame_rejects_non_orthonormal(g):
-    with pytest.raises(ValueError):
-        StiefelFrame(np.ones((g.n, 2)), g)
 
 
 def test_stiefel_operator_rejects_identity(ref):
@@ -85,27 +77,21 @@ def test_stiefel_operator_rejects_random(ref, rng):
         StiefelOperator.from_matrix(random_complex(rng, ref.n, ref.n), ref)
 
 
-def test_frame_operator_round_trip(V):
-    Phi = operator_to_frame(V)
-    back = frame_to_operator(Phi, V.ref)
-    assert np.linalg.norm(back.V - V.V) <= 1e-12
-
-
 def test_base_point_is_span_projection(ref):
     b = base_point(ref)
-    assert np.linalg.norm(b.V - ref.span_projection) <= 1e-13
+    span = ref.Xi @ ref.Xi.conj().T @ ref.g.gl2
+    assert np.linalg.norm(b.V - span) <= 1e-13
     assert np.linalg.norm(b.V @ ref.Xi - ref.Xi) <= 1e-12
 
 
 def test_tuple_metric_vanishes_on_equal_frames(V):
-    Phi = operator_to_frame(V)
-    assert tuple_metric(Phi, Phi) == 0.0
+    assert tuple_metric(V, V) == 0.0
 
 
 def test_metric_equivalence_two_sided(g, ref, rng):
     V1 = random_stiefel(rng, ref, scale=0.3)
     V2 = random_stiefel(rng, ref, scale=0.3)
-    rep = metric_equivalence_report(operator_to_frame(V1), operator_to_frame(V2), ref)
+    rep = metric_equivalence_report(V1, V2)
     assert rep.lower_ok and rep.upper_ok and rep.ok
     assert rep.tuple_distance > 0.0
 
@@ -348,27 +334,29 @@ def test_lie_split_recombines(g, V, rng):
 
 def test_mcscf_validate_accepts_unit_real_vector(g, rng):
     K, N = 4, 2
-    Phi = StiefelFrame(
-        np.linalg.qr(random_complex(rng, g.n, K))[0] @ np.diag([2.0] * K), g
-    )
+    Phi = np.linalg.qr(random_complex(rng, g.n, K))[0] @ np.diag([2.0] * K)
     c = np.zeros(math.comb(K, N) + 1)
     c[0] = 1.0
-    assert mcscf_validate(c, Phi, K, N)
+    assert mcscf_validate(c, Phi, g, N)
 
 
 def test_mcscf_validate_flags_defects(g, rng):
     K, N = 4, 2
-    Phi = StiefelFrame(
-        np.linalg.qr(random_complex(rng, g.n, K))[0] @ np.diag([2.0] * K), g
-    )
+    Phi = np.linalg.qr(random_complex(rng, g.n, K))[0] @ np.diag([2.0] * K)
     length = math.comb(K, N) + 1
     c = np.zeros(length)
     c[0] = 0.5
-    assert not mcscf_validate(c, Phi, K, N)
+    assert not mcscf_validate(c, Phi, g, N)
     c_complex = np.zeros(length, dtype=np.complex128)
     c_complex[0] = 1.0j
-    assert not mcscf_validate(c_complex, Phi, K, N)
+    assert not mcscf_validate(c_complex, Phi, g, N)
+    c_unit = np.zeros(length)
+    c_unit[0] = 1.0
+    # Orbitals that are not orthonormal are a numeric defect, not an error.
+    assert not mcscf_validate(c_unit, 1.5 * Phi, g, N)
     with pytest.raises(ValueError):
-        mcscf_validate(np.zeros(3), Phi, K, N)
+        mcscf_validate(np.zeros(3), Phi, g, N)
     with pytest.raises(ValueError):
-        mcscf_validate(c, Phi, K, K)
+        mcscf_validate(c, Phi, g, K)
+    with pytest.raises(ValueError):
+        mcscf_validate(c_unit, Phi[1:], g, N)
