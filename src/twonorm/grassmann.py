@@ -161,7 +161,7 @@ def grassmann_equivalence(V: StiefelOperator, V1: StiefelOperator) -> Equivalenc
 
     The witness U = V1*2 V + (I - Pi_S) = I + Xi (Phi1^H gl2 Phi - I)(gl2 Xi)^H
     acts as a weak unitary of the reference subspace and as the identity on
-    its complement, and satisfies V1 U = V up to the reported residual.
+    its complement; the reported residual is V1 U - V = (Phi1 Phi1^H gl2 Phi - Phi)(gl2 Xi)^H.
     """
     g = V.g
     dist = h1_operator_norm(V.projection_factors - V1.projection_factors, g)
@@ -169,20 +169,17 @@ def grassmann_equivalence(V: StiefelOperator, V1: StiefelOperator) -> Equivalenc
         return EquivalenceResult(equivalent=False, projection_distance=dist)
     ref = V.ref
     overlap = V1.projection_factors.R.conj().T @ V.Phi
-    U = np.eye(g.n) + (ref.Xi @ (overlap - np.eye(ref.N))) @ ref.dual.conj().T
-    residual = float(np.linalg.norm(V1.V @ U - V.V))
-    element = GroupElement(U, g, tol=max(1e-6, 10 * EQUIVALENCE_TOL))
     return EquivalenceResult(
         equivalent=True,
         projection_distance=dist,
-        unitary=element,
-        map_residual=residual,
+        unitary=GroupElement(ref.Xi, overlap - np.eye(ref.N), g),
+        map_residual=LowRank(V1.Phi @ overlap - V.Phi, ref.dual).frobenius_norm(),
     )
 
 
 def act_grassmann(U: GroupElement, P: ProjectionOperator) -> ProjectionOperator:
     """Conjugation action U . P = U P U^-1, the projection onto the span of U H."""
-    return ProjectionOperator(U.data @ P.frame, P.g)
+    return ProjectionOperator(P.frame + U.displacement(P.frame), P.g)
 
 
 def connecting_unitary(P: ProjectionOperator, P1: ProjectionOperator) -> GroupElement:
@@ -229,4 +226,4 @@ def lie_split_grassmann(X: SkewOperator, P: ProjectionOperator) -> tuple[SkewOpe
     ip = eye - Pm
     xg = Pm @ X.data @ Pm + ip @ X.data @ ip
     xh = X.data - xg
-    return SkewOperator(xg, X.g), SkewOperator(xh, X.g)
+    return SkewOperator.from_matrix(xg, X.g), SkewOperator.from_matrix(xh, X.g)

@@ -1,13 +1,14 @@
 """Invertible operators preserving the weak norm, and their skew generators.
 
 Membership is the quadratic identity U^H gl2 U = gl2; the corresponding
-algebra condition is X^H gl2 + gl2 X = 0.  Elements act on the strong space,
-so invertibility there comes for free in finite dimension, but predicates
-still guard against numerically singular input.
+algebra condition is X^H gl2 + gl2 X = 0.  An element moves the span of a
+weakly orthonormal n-by-k Q, fixes its weak complement and is stored as Q and
+a k-by-k block; dense input is the k = n case Q = gl2^{-1/2}.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,8 +24,6 @@ __all__ = [
     "SkewOperator",
     "membership_residual",
     "skew_residual",
-    "is_group_member",
-    "is_lie_algebra_member",
     "OneParameterGroup",
     "exp_skew",
     "bracket",
@@ -32,7 +31,6 @@ __all__ = [
     "algebraic_membership_residual",
 ]
 
-DEFAULT_TOL = 1e-10
 CONSTRUCT_TOL = 1e-8
 RCOND_FLOOR = 1e-12
 
@@ -50,100 +48,119 @@ def skew_residual(X, g: GramPair) -> float:
     return float(np.linalg.norm(X.conj().T @ g.gl2 + g.gl2 @ X) / np.linalg.norm(g.gl2))
 
 
-def is_group_member(A, g: GramPair, tol: float = DEFAULT_TOL) -> bool:
-    """True iff A is invertible and preserves the weak form at tolerance."""
-    A = as_operator(A, g.n, "A")
-    if not np.all(np.isfinite(A)):
-        return False
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[-1] <= RCOND_FLOOR * sv[0] or sv[0] == 0.0:
-        return False
-    return membership_residual(A, g) <= tol
+def _frozen(A: np.ndarray) -> np.ndarray:
+    A.setflags(write=False)
+    return A
 
 
-def is_lie_algebra_member(X, g: GramPair, tol: float = DEFAULT_TOL) -> bool:
-    return skew_residual(X, g) <= tol
+def _span_form(element, block: str, defect, identity: str) -> None:
+    """Check and freeze the weakly orthonormal span Q and the k-by-k block of an element.
+
+    The pair's own factor gl2^{-1/2} is orthonormal by construction.  The block
+    residual ||defect||_F / sqrt(n) is the dense one where gl2 is a multiple of I.
+    """
+    g = element.g
+    Q = np.asarray(element.Q, dtype=np.complex128)
+    M = np.asarray(getattr(element, block), dtype=np.complex128)
+    if Q.ndim != 2 or Q.shape[0] != g.n or M.shape != (Q.shape[1],) * 2:
+        raise ValueError(f"need an {g.n}-by-k span and a k-by-k block, got {Q.shape} and {M.shape}")
+    if Q is not g.isqrt_l2:
+        require_orthonormal(Q, g, CONSTRUCT_TOL, "span is not orthonormal")
+    res = float(np.linalg.norm(defect(M)) / math.sqrt(g.n))
+    if not res <= CONSTRUCT_TOL:
+        raise MembershipDefect(f"{identity} residual {res:.3e} exceeds tolerance {CONSTRUCT_TOL:.1e}")
+    object.__setattr__(element, "Q", _frozen(Q))
+    object.__setattr__(element, block, _frozen(M))
 
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Validated member of the weak-isometry group."""
+    """Validated member of the weak-isometry group, I + Q B (gl2 Q)^H with I + B unitary."""
 
-    data: np.ndarray
+    Q: np.ndarray
+    B: np.ndarray
     g: GramPair
-    tol: float = CONSTRUCT_TOL
 
     def __post_init__(self):
-        data = as_operator(self.data, self.g.n, "group element")
-        res = membership_residual(data, self.g)
-        if not np.isfinite(res) or res > self.tol:
-            raise MembershipDefect(
-                f"form-preservation residual {res:.3e} exceeds tolerance {self.tol:.1e}"
-            )
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
+        _span_form(self, "B", lambda B: B + B.conj().T + B.conj().T @ B, "form-preservation")
+
+    @classmethod
+    def from_matrix(cls, U, g: GramPair) -> "GroupElement":
+        """Dense U as the k = n case, B = gl2^{1/2} U gl2^{-1/2} - I; U is kept as data."""
+        U = as_operator(U, g.n, "group element")
+        element = cls(g.isqrt_l2, g.to_l2_frame(U) - np.eye(g.n), g)
+        object.__setattr__(element, "data", _frozen(U))
+        return element
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        return _frozen(np.eye(self.g.n) + (self.Q @ self.B) @ (self.g.gl2 @ self.Q).conj().T)
 
     @cached_property
     def inv(self) -> np.ndarray:
-        return np.linalg.inv(self.data)
+        """The dense inverse I + Q B^H (gl2 Q)^H, since (I + B)^-1 = (I + B)^H."""
+        return np.eye(self.g.n) + (self.Q @ self.B.conj().T) @ (self.g.gl2 @ self.Q).conj().T
+
+    def displacement(self, F) -> np.ndarray:
+        """U F - F = Q B (Q^H gl2 F), accurate to relative rounding when B is small.
+
+        Forming U F and subtracting F instead leaves an absolute error of
+        about eps ||F||, which swamps a displacement of that size.
+        """
+        return self.Q @ (self.B @ (self.Q.conj().T @ (self.g.gl2 @ F)))
 
 
 @dataclass(frozen=True)
 class SkewOperator:
-    """Validated member of the corresponding Lie algebra."""
+    """Validated member of the corresponding Lie algebra, Q S (gl2 Q)^H with S skew-Hermitian."""
 
-    data: np.ndarray
+    Q: np.ndarray
+    S: np.ndarray
     g: GramPair
 
     def __post_init__(self):
-        data = as_operator(self.data, self.g.n, "skew operator")
-        res = skew_residual(data, self.g)
-        if not np.isfinite(res) or res > CONSTRUCT_TOL:
-            raise MembershipDefect(
-                f"skewness residual {res:.3e} exceeds tolerance {CONSTRUCT_TOL:.1e}"
-            )
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
+        _span_form(self, "S", lambda S: S + S.conj().T, "skewness")
+
+    @classmethod
+    def from_matrix(cls, X, g: GramPair) -> "SkewOperator":
+        """Dense X as the k = n case, S = gl2^{1/2} X gl2^{-1/2}; X is kept as data."""
+        X = as_operator(X, g.n, "skew operator")
+        element = cls(g.isqrt_l2, g.to_l2_frame(X), g)
+        object.__setattr__(element, "data", _frozen(X))
+        return element
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        return _frozen((self.Q @ self.S) @ (self.g.gl2 @ self.Q).conj().T)
+
+    def apply(self, F) -> np.ndarray:
+        """X F = Q S (Q^H gl2 F)."""
+        return self.Q @ (self.S @ (self.Q.conj().T @ (self.g.gl2 @ F)))
 
 
 def bracket(X: SkewOperator, Y: SkewOperator) -> SkewOperator:
     """Commutator [X, Y]; the algebra is closed under it."""
-    return SkewOperator(X.data @ Y.data - Y.data @ X.data, X.g)
+    return SkewOperator.from_matrix(X.data @ Y.data - Y.data @ X.data, X.g)
 
 
 class OneParameterGroup:
-    """The curve t -> exp(tX) from one eigendecomposition of the generator.
+    """The curve t -> exp(tX) from one eigendecomposition of the k-by-k block.
 
-    In the weak frame M = gl2^{1/2} X gl2^{-1/2} is skew-Hermitian, so
-    iM = W diag(lam) W^H with real lam and unitary W.  With Wl = gl2^{-1/2} W
-    and Wr = W^H gl2^{1/2}, exp(tX) = I + Wl diag(expm1(-i t lam)) Wr for
-    every t: exact at t = 0 and free of cancellation for small t.
+    i S = W diag(lam) W^H with real lam and unitary W, so exp(tX) is the
+    element on the same span with block W diag(expm1(-i t lam)) W^H: exact
+    at t = 0 and free of cancellation for small t.
     """
 
     def __init__(self, X: SkewOperator):
-        g = X.g
-        M = 1j * g.to_l2_frame(X.data)
-        lam, W = eigh(0.5 * (M + M.conj().T), check_finite=False)
-        self.g = g
-        self.lam = lam
-        self.left = g.isqrt_l2 @ W
-        self.right = W.conj().T @ g.sqrt_l2
+        self.lam, self.W = eigh(0.5j * (X.S - X.S.conj().T), check_finite=False)
+        self.X = X
 
     def __call__(self, t: float) -> GroupElement:
-        step = (self.left * np.expm1(-1j * t * self.lam)) @ self.right
-        return GroupElement(np.eye(self.g.n, dtype=np.complex128) + step, self.g)
-
-    def displacement(self, t: float, F) -> np.ndarray:
-        """exp(tX) F - F = Wl diag(expm1(-i t lam)) (Wr F), accurate to relative rounding.
-
-        Forming exp(tX) F and subtracting F instead leaves an absolute error of
-        about eps ||F||, which swamps a displacement of that size.
-        """
-        return (self.left * np.expm1(-1j * t * self.lam)) @ (self.right @ F)
+        return GroupElement(self.X.Q, (self.W * np.expm1(-1j * t * self.lam)) @ self.W.conj().T, self.X.g)
 
 
 def exp_skew(X: SkewOperator) -> GroupElement:
-    """Exponential of an algebra element, via its weak-frame eigendecomposition."""
+    """Exponential of an algebra element, via the eigendecomposition of its block."""
     return OneParameterGroup(X)(1.0)
 
 
@@ -154,8 +171,8 @@ def frame_unitary(F0, F1, g: GramPair) -> GroupElement:
     Q = [F0, C] of the joint span, in which F1 has coordinates b = Q^H gl2 F1.
     The last k - N columns of the QR factor of [b, e_(N+1..k)] complete b to a
     unitary u, each with a canonical phase, so nearby frames produce an
-    element close to the identity.  The element I + Q (u - I) Q^H gl2 maps F0
-    to F1 and fixes the weak orthocomplement of the span.
+    element close to the identity.  The element on span Q with block u - I
+    maps F0 to F1 and fixes the weak orthocomplement of the span.
     """
     F0 = np.asarray(F0, dtype=np.complex128)
     F1 = np.asarray(F1, dtype=np.complex128)
@@ -164,15 +181,14 @@ def frame_unitary(F0, F1, g: GramPair) -> GroupElement:
     for name, F in (("first", F0), ("second", F1)):
         require_orthonormal(F, g, CONSTRUCT_TOL, f"{name} frame is not orthonormal")
     if np.linalg.norm(F1 - F0) <= 1e-14:
-        return GroupElement(np.eye(g.n, dtype=np.complex128), g)
+        return GroupElement(F0, np.zeros((F0.shape[1],) * 2), g)
     Q = np.hstack([F0, complete_basis(F0, F1, g)])
     N, k = F0.shape[1], Q.shape[1]
     b = Q.conj().T @ (g.gl2 @ F1)
     eye_k = np.eye(k, dtype=np.complex128)
     rest = np.linalg.qr(np.hstack([b, eye_k[:, N:]]))[0][:, N:]
     u = np.hstack([b] + [canonical_phase(c)[:, None] for c in rest.T])
-    U = np.eye(g.n, dtype=np.complex128) + (Q @ (u - eye_k)) @ (g.gl2 @ Q).conj().T
-    return GroupElement(U, g)
+    return GroupElement(Q, u - eye_k, g)
 
 
 def algebraic_membership_residual(U, g: GramPair) -> float:

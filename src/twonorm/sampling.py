@@ -1,6 +1,6 @@
 """Deterministic random generators for tests and campaign runs.
 
-Every trial owns a counter-based stream keyed by seed XOR trial index, so
+Each (seed, trial index) pair keys its own counter-based stream, so
 campaigns reproduce byte for byte and trials can run in any order.
 """
 
@@ -13,7 +13,7 @@ from .errors import ConvergenceFailure, NeighborhoodViolation
 from .grassmann import ProjectionOperator, act_grassmann
 from .group import GroupElement, OneParameterGroup, SkewOperator, exp_skew
 from .space import GramPair, LowRank, h1_operator_norm
-from .stiefel import ReferenceFrame, StiefelOperator, point_difference
+from .stiefel import ReferenceFrame, StiefelOperator, act, point_difference
 
 __all__ = [
     "rng_for_trial",
@@ -36,7 +36,7 @@ RESOLUTION_FACTOR = 1e3
 
 
 def rng_for_trial(seed: int, trial: int) -> np.random.Generator:
-    key = int(np.uint64(seed) ^ np.uint64(trial))
+    key = np.array([seed, trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -54,7 +54,7 @@ def random_skew(rng, g: GramPair, scale: float = 1.0) -> SkewOperator:
     nrm = np.linalg.norm(X)
     if nrm > 0:
         X = X * (scale / nrm)
-    return SkewOperator(X, g)
+    return SkewOperator.from_matrix(X, g)
 
 
 def random_group_member(rng, g: GramPair, scale: float = 1.0) -> GroupElement:
@@ -75,8 +75,7 @@ def base_point(ref: ReferenceFrame) -> StiefelOperator:
 
 
 def random_stiefel(rng, ref: ReferenceFrame, scale: float = 0.5) -> StiefelOperator:
-    U = random_group_member(rng, ref.g, scale)
-    return StiefelOperator(U.data @ ref.Xi, ref)
+    return act(random_group_member(rng, ref.g, scale), base_point(ref))
 
 
 def random_projection(rng, g: GramPair, N: int) -> ProjectionOperator:
@@ -85,17 +84,6 @@ def random_projection(rng, g: GramPair, N: int) -> ProjectionOperator:
     if H.shape[1] != N:
         raise ValueError("sampled columns were linearly dependent")
     return ProjectionOperator(H, g)
-
-
-def _require_resolvable(target: float, scale: float) -> None:
-    if target <= 0:
-        raise ValueError("target distance must be positive")
-    floor = RESOLUTION_FACTOR * np.finfo(float).eps * scale
-    if target < floor:
-        raise NeighborhoodViolation(
-            f"target distance {target:.3e} is below the resolution {floor:.3e} "
-            f"of a point of strong norm {scale:.3e}"
-        )
 
 
 def _calibrated_scale(distance_at, target: float) -> float:
@@ -121,6 +109,26 @@ def _calibrated_scale(distance_at, target: float) -> float:
     raise ConvergenceFailure("perturbation scale calibration stalled")
 
 
+def _span_perturbation(F, g: GramPair, target: float, scale: float, rng, distance) -> GroupElement:
+    """exp(sX) with distance(exp(sX) F - F) = target, for a random skew X on span[F, G].
+
+    G is a random n-by-N block.  A target below ``RESOLUTION_FACTOR`` machine
+    epsilons of the point's strong norm ``scale`` raises NeighborhoodViolation.
+    """
+    if target <= 0:
+        raise ValueError("target distance must be positive")
+    floor = RESOLUTION_FACTOR * np.finfo(float).eps * scale
+    if target < floor:
+        raise NeighborhoodViolation(
+            f"target distance {target:.3e} is below the resolution {floor:.3e} "
+            f"of a point of strong norm {scale:.3e}"
+        )
+    Q = orthonormal_columns(np.hstack([F, random_complex(rng, g.n, F.shape[1])]), g)
+    A = random_complex(rng, Q.shape[1], Q.shape[1])
+    exp_sX = OneParameterGroup(SkewOperator(Q, A - A.conj().T, g))
+    return exp_sX(_calibrated_scale(lambda s: distance(exp_sX(s).displacement(F)), target))
+
+
 def stiefel_near(V: StiefelOperator, target: float, rng) -> tuple[StiefelOperator, float]:
     """Perturb V along the group to a prescribed strong-norm distance.
 
@@ -130,16 +138,10 @@ def stiefel_near(V: StiefelOperator, target: float, rng) -> tuple[StiefelOperato
     NeighborhoodViolation.
     """
     g = V.g
-    _require_resolvable(target, h1_operator_norm(V.factors, g))
-    exp_sX = OneParameterGroup(random_skew(rng, g, 1.0))
-
-    def distance_at(s: float) -> float:
-        exp_sX(s)  # every step stays a validated group element
-        # U V - V = (U Phi - Phi)(gl2 Xi)^H.
-        return h1_operator_norm(LowRank(exp_sX.displacement(s, V.Phi), V.ref.dual), g)
-
-    s = _calibrated_scale(distance_at, target)
-    moved = StiefelOperator(exp_sX(s).data @ V.Phi, V.ref)
+    # U V - V = (U Phi - Phi)(gl2 Xi)^H.
+    U = _span_perturbation(V.Phi, g, target, h1_operator_norm(V.factors, g), rng,
+                           lambda D: h1_operator_norm(LowRank(D, V.ref.dual), g))
+    moved = act(U, V)
     return moved, h1_operator_norm(point_difference(moved, V), g)
 
 
@@ -149,19 +151,12 @@ def projection_near(P: ProjectionOperator, target: float, rng) -> tuple[Projecti
     A target below ``RESOLUTION_FACTOR`` machine epsilons of ``||P||`` raises
     NeighborhoodViolation.
     """
-    g = P.g
-    base = P.factors
-    _require_resolvable(target, h1_operator_norm(base, g))
-    exp_sX = OneParameterGroup(random_skew(rng, g, 1.0))
-    H = P.frame
+    g, base, H = P.g, P.factors, P.frame
 
-    def distance_at(s: float) -> float:
-        exp_sX(s)  # every step stays a validated group element
+    def distance(D) -> float:
         # With U H = H + D, U P U^-1 - P = D (gl2 H)^H + (H + D)(gl2 D)^H.
-        D = exp_sX.displacement(s, H)
         return h1_operator_norm(LowRank(np.hstack([D, H + D]), np.hstack([base.R, g.gl2 @ D])), g)
 
-    s = _calibrated_scale(distance_at, target)
     # P = H (gl2 H)^H and U^-H gl2 = gl2 U, so U P U^-1 = (U H)(gl2 U H)^H.
-    moved = act_grassmann(exp_sX(s), P)
+    moved = act_grassmann(_span_perturbation(H, g, target, h1_operator_norm(base, g), rng, distance), P)
     return moved, h1_operator_norm(moved.factors - base, g)

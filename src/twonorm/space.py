@@ -212,6 +212,10 @@ class LowRank:
         """A - B with the factors stacked side by side."""
         return LowRank(np.hstack([self.L, other.L]), np.hstack([self.R, -other.R]))
 
+    def frobenius_norm(self) -> float:
+        """||L R^H||_F = ||T1 T2^H||_F for the triangular factors of thin QRs of L and R."""
+        return float(np.linalg.norm(np.linalg.qr(self.L, mode="r") @ np.linalg.qr(self.R, mode="r").conj().T))
+
     def h1_singular_values(self, g: "GramPair") -> np.ndarray:
         """Strong singular values, descending; min(n, k) of them instead of n.
 

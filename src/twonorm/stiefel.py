@@ -213,8 +213,8 @@ def metric_equivalence_report(V: StiefelOperator, W: StiefelOperator) -> MetricE
 
 
 def act(U: GroupElement, V: StiefelOperator) -> StiefelOperator:
-    """Left action U . V; the result stays on the manifold."""
-    return StiefelOperator(U.data @ V.Phi, V.ref)
+    """Left action U . V, with image frame Phi + (U Phi - Phi); the result stays on the manifold."""
+    return StiefelOperator(V.Phi + U.displacement(V.Phi), V.ref)
 
 
 @dataclass(frozen=True)
@@ -443,7 +443,7 @@ class SectionFactors:
     t1: np.ndarray
     t2: np.ndarray
     t: np.ndarray
-    w: np.ndarray
+    w: GroupElement
     bounds: tuple
 
 
@@ -492,8 +492,8 @@ def section_factors(V: StiefelOperator, V1: StiefelOperator) -> SectionFactors:
     inv_root = inv_root + (GZ / (s + s * s)) @ (g.gl2 @ GZ).conj().T
     t2 = inv_root - P1.L @ (P1.R.conj().T @ inv_root)
     t = t1 + t2
-    w = np.eye(g.n) + (P1.L @ (rot.conj().T - np.eye(V.N))) @ P1.R.conj().T
-    sigma = GroupElement(w @ t, g)
+    w = GroupElement(P1.L, rot.conj().T - np.eye(V.N), g)
+    sigma = GroupElement.from_matrix(t + w.displacement(t), g)
     return SectionFactors(sigma=sigma, t1=t1, t2=t2, t=t, w=w, bounds=bounds)
 
 
@@ -512,17 +512,14 @@ def translated_section(
     """
     g = V.g
     U = frame_unitary(V.Phi, V0.Phi, g)
-    u_inv = U.inv
-    shrink = h1_operator_norm(u_inv, g)
     dist = h1_operator_norm(point_difference(V1, V0), g)
-    allowed = radius_r(V) / shrink
+    allowed = radius_r(V) / h1_operator_norm(U.inv, g)
     if not dist < allowed:
         raise NeighborhoodViolation(
             f"distance {dist:.6e} from the base point exceeds the translated radius {allowed:.6e}"
         )
-    pulled_back = StiefelOperator(u_inv @ V1.Phi, V.ref)
-    sigma = cross_section_sigma(V, pulled_back)
-    return GroupElement(U.data @ sigma.data, g)
+    sigma = cross_section_sigma(V, StiefelOperator(U.inv @ V1.Phi, V.ref))
+    return GroupElement.from_matrix(sigma.data + U.displacement(sigma.data), g)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +553,7 @@ def lie_split_stiefel(X: SkewOperator, P) -> tuple[SkewOperator, SkewOperator]:
     ip = eye - Pm
     xg = ip @ X.data @ ip
     xh = X.data - xg
-    return SkewOperator(xg, X.g), SkewOperator(xh, X.g)
+    return SkewOperator.from_matrix(xg, X.g), SkewOperator.from_matrix(xh, X.g)
 
 
 def mcscf_validate(c, Phi, g: GramPair, N: int) -> bool:

@@ -27,7 +27,6 @@ from twonorm import (
     grassmann_equivalence,
     h1_operator_norm,
     h1_singular_values,
-    is_group_member,
     lie_split_grassmann,
     lie_split_stiefel,
     membership_residual,
@@ -208,14 +207,14 @@ def test_09_curves_and_distance(g, g_flat, ref, capsys):
     from twonorm import CurveSamples
 
     zero = np.zeros((g.n, g.n))
-    const = CurveSamples(ts=(0.0, 0.5, 1.0), points=(V.V,) * 3, velocities=(zero,) * 3)
+    const = CurveSamples(ts=(0.0, 0.5, 1.0), frames=(V.Phi,) * 3, velocities=(zero,) * 3)
     ok &= curve_length(const, NormSpec.schatten(2.0), g) == 0.0
 
     # A plane rotation's length equals its angle.
     theta = 0.4
     flat_ref = ReferenceFrame(np.array([[1.0], [0.0]]), g_flat)
     V0 = base_point(flat_ref)
-    X = SkewOperator(np.array([[0.0, -theta], [theta, 0.0]]), g_flat)
+    X = SkewOperator.from_matrix(np.array([[0.0, -theta], [theta, 0.0]]), g_flat)
     length = curve_length(exp_curve(V0, X, steps=65), NormSpec.schatten(2.0), g_flat)
     ok &= abs(length - theta) <= 1e-6
 

@@ -231,7 +231,18 @@ def test_unattainable_tolerance_exits_one(tmp_path, capsys):
     cfg = write_config(tmp_path, trials=2, tolerances={"sqrt": 1e-18})
     out = tmp_path / "run"
     assert main(["sqrt-bench", "--config", cfg, "--out", str(out)]) == 1
-    capsys.readouterr()
+    assert "exceeds the sqrt tolerance 1.0e-18" in capsys.readouterr().err
+
+
+def test_sqrt_bench_names_the_failing_term_counts(tmp_path, capsys):
+    # At spacing 1e-3 the 128-term error exceeds its tail bound plus the 1e-12
+    # roundoff floor; the failure names each term count, error, bound and excess.
+    cfg = write_config(tmp_path, space={"spacing": 1e-3}, trials=10)
+    assert main(["sqrt-bench", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sqrt-bench: 128 terms: error ")
+    assert " exceeds bound " in err and " + 1e-12 by " in err
+    assert "sqrt tolerance" not in err
 
 
 def test_calibration_stall_exits_one(tmp_path, capsys, monkeypatch):
@@ -275,7 +286,7 @@ def test_membership_defect_exits_one(tmp_path, capsys, monkeypatch):
     # defect, named on stderr, not a configuration error.
     def runner(cfg):
         g = build_space(cfg.space)
-        GroupElement(2.0 * np.eye(g.n), g)
+        GroupElement.from_matrix(2.0 * np.eye(g.n), g)
         return 0
 
     monkeypatch.setitem(cli._COMMANDS, "validate", (runner, "probe"))

@@ -137,18 +137,18 @@ def test_exp_curve_points_agree_with_pade(g_n, rng):
     V0 = random_stiefel(rng, ref, scale=0.4)
     X = random_skew(rng, g_n, scale=1.0)
     c = exp_curve(V0, X, steps=9)
-    for t, point in zip(c.ts, c.points):
-        expected = exp_pade(t * X.data, g_n) @ V0.V
-        assert np.linalg.norm(point - expected) <= 1e-12 * np.linalg.norm(expected)
+    for t, frame in zip(c.ts, c.frames):
+        expected = exp_pade(t * X.data, g_n) @ V0.Phi
+        assert np.linalg.norm(frame - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_group_log_agrees_with_pade(g_n, rng):
     X = random_skew(rng, g_n, scale=1.0)
     # Strong norm 0.3 keeps exp(X) inside the domain of the principal logarithm.
-    X = SkewOperator(X.data * (0.3 / h1_operator_norm(X.data, g_n)), g_n)
-    U = exp_skew(X).data
-    L = log_pade(U, g_n)
-    assert np.linalg.norm(group_log(U, g_n) - L) <= 1e-10 * np.linalg.norm(L)
+    X = SkewOperator(X.Q, X.S * (0.3 / h1_operator_norm(X.data, g_n)), g_n)
+    U = exp_skew(X)
+    L = log_pade(U.data, g_n)
+    assert np.linalg.norm(group_log(U).data - L) <= 1e-10 * np.linalg.norm(L)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

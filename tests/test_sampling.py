@@ -1,7 +1,9 @@
-"""Perturbation-scale calibration: failure branches, tiny targets and the resolution floor."""
+"""Trial streams, and perturbation-scale calibration: failure branches, tiny targets and the resolution floor."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from twonorm import ConvergenceFailure, NeighborhoodViolation, SpaceSpec, build_space
 from twonorm.sampling import (
@@ -62,3 +64,21 @@ def test_targets_below_resolution_are_refused(n):
             sampler(start, 0.5 * floor, rng_for_trial(0, 0))
         with pytest.raises(ValueError):
             sampler(start, 0.0, rng_for_trial(0, 0))
+
+
+def test_neighbouring_seeds_draw_independent_trial_streams():
+    # A key of seed ^ trial gave trial 1 of seed 42 the stream of trial 0 of seed 43.
+    first = {rng_for_trial(42, trial).random() for trial in range(10)}
+    assert not first & {rng_for_trial(43, trial).random() for trial in range(10)}
+
+
+words = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=words, trial=words, other=st.tuples(words, words), mask=words)
+def test_distinct_seed_trial_pairs_give_distinct_first_draws(seed, trial, other, mask):
+    # Pairs with equal seed ^ trial are among the alternatives drawn.
+    for alt in (other, (seed ^ mask, trial ^ mask)):
+        assume(alt != (seed, trial))
+        assert not np.array_equal(rng_for_trial(seed, trial).random(2), rng_for_trial(*alt).random(2))

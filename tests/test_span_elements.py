@@ -1,0 +1,181 @@
+"""Group elements and generators in span form against dense forms and the Pade oracles.
+
+An element I + Q B (gl2 Q)^H or generator Q S (gl2 Q)^H on a weakly
+orthonormal n-by-k span is checked against scipy's general-matrix ``expm``
+and ``logm``, against its own dense operator, and against dense input taken
+as the k = n case.  The producers of span elements must not build an n-by-n
+operator unless ``data`` is read.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twonorm import (
+    GroupElement,
+    LowRank,
+    MembershipDefect,
+    NormSpec,
+    SkewOperator,
+    SpaceSpec,
+    build_space,
+    distance_upper,
+    exp_skew,
+    frame_unitary,
+    grassmann_equivalence,
+    group_log,
+    h1_operator_norm,
+    radius_r,
+    section_factors,
+)
+from twonorm import group
+from twonorm.basis import orthonormal_columns
+from twonorm.group import OneParameterGroup
+from twonorm.oracles import exp_pade, log_pade
+from twonorm.sampling import (
+    SETUP_TRIAL,
+    projection_near,
+    random_complex,
+    random_projection,
+    random_reference,
+    random_stiefel,
+    rng_for_trial,
+    stiefel_near,
+)
+from twonorm.stiefel import StiefelOperator
+
+SPACES = {n: build_space(SpaceSpec(domain_dim=1, grid_points=n, spacing=0.25)) for n in (16, 128)}
+TOL = 1e-12
+
+
+@st.composite
+def spans(draw):
+    n = draw(st.sampled_from((16, 128)))
+    N = draw(st.integers(1, 3))
+    k = draw(st.integers(N, 2 * N))
+    return n, N, k, draw(st.integers(0, 2**32 - 1))
+
+
+def _generator(g, k, seed, strong_norm=0.3):
+    """A skew generator on a random k-dimensional span, scaled to the given strong norm.
+
+    Strong norm 0.3 keeps exp(X) inside the domain of the principal logarithm.
+    """
+    rng = rng_for_trial(seed, 0)
+    Q = orthonormal_columns(random_complex(rng, g.n, k), g)
+    A = random_complex(rng, k, k)
+    S = A - A.conj().T
+    return SkewOperator(Q, S * (strong_norm / h1_operator_norm(LowRank(Q @ S, g.gl2 @ Q), g)), g)
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=spans())
+def test_span_exponential_agrees_with_pade(case):
+    n, N, k, seed = case
+    g = SPACES[n]
+    X = _generator(g, k, seed)
+    U = exp_skew(X)
+    E = exp_pade(X.data, g)
+    F = orthonormal_columns(random_complex(rng_for_trial(seed, 1), n, N), g)
+    assert U.Q.shape == (n, k) and U.B.shape == (k, k)
+    assert _rel(U.data, E) <= TOL
+    assert _rel(U.inv, np.linalg.inv(E)) <= TOL
+    assert _rel(U.displacement(F), E @ F - F) <= TOL
+    assert _rel(X.apply(F), X.data @ F) <= TOL
+    # Dense input is the k = n case of the same type and acts the same way.
+    dense = GroupElement.from_matrix(E, g)
+    assert dense.Q.shape == (n, n)
+    assert _rel(dense.displacement(F), U.displacement(F)) <= TOL
+    assert _rel(SkewOperator.from_matrix(X.data, g).apply(F), X.apply(F)) <= TOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=spans())
+def test_span_log_agrees_with_pade(case):
+    n, N, k, seed = case
+    g = SPACES[n]
+    U = exp_skew(_generator(g, k, seed))
+    L = log_pade(U.data, g)
+    log = group_log(U)
+    assert log.Q is U.Q
+    assert _rel(log.data, L) <= TOL
+
+
+@pytest.mark.parametrize("n", [16, 128])
+def test_span_residuals_equal_the_dense_residuals_on_grids(n):
+    # gl2 = h I, so ||B + B^H + B^H B|| / sqrt(n) is the dense membership residual.
+    # Both blocks are pushed off their identity by about 1e-10.
+    g = SPACES[n]
+    X = _generator(g, 3, 7, strong_norm=2.0)
+    B = exp_skew(X).B * (1.0 + 1e-10)
+    U = GroupElement(X.Q, B, g)
+    span_residual = np.linalg.norm(B + B.conj().T + B.conj().T @ B) / np.sqrt(n)
+    assert span_residual == pytest.approx(group.membership_residual(U.data, g), rel=1e-6)
+    S = X.S + 1e-10 * np.eye(3)
+    Y = SkewOperator(X.Q, S, g)
+    span_residual = np.linalg.norm(S + S.conj().T) / np.sqrt(n)
+    assert span_residual == pytest.approx(group.skew_residual(Y.data, g), rel=1e-6)
+
+
+def test_span_types_reject_bad_spans_and_blocks(g):
+    Q = orthonormal_columns(random_complex(rng_for_trial(1, 0), g.n, 2), g)
+    with pytest.raises(ValueError):
+        SkewOperator(2.0 * Q, np.zeros((2, 2)), g)
+    with pytest.raises(ValueError):
+        GroupElement(Q, np.zeros((3, 3)), g)
+    with pytest.raises(MembershipDefect):
+        GroupElement(Q, np.eye(2), g)
+    with pytest.raises(MembershipDefect):
+        SkewOperator(Q, np.eye(2), g)
+
+
+def test_section_correction_is_a_span_element():
+    g = SPACES[128]
+    setup = rng_for_trial(42, SETUP_TRIAL)
+    V = random_stiefel(setup, random_reference(setup, g, 2), scale=0.4)
+    V1, _ = stiefel_near(V, 0.5 * radius_r(V), rng_for_trial(42, 0))
+    w = section_factors(V, V1).w
+    assert isinstance(w, GroupElement)
+    assert w.Q.shape == (g.n, 2)
+
+
+def test_span_producers_build_no_dense_operator(monkeypatch):
+    # n-by-N frames and k-by-k blocks only: the peak allocation stays below
+    # one n-by-n complex array, and no dense membership residual is taken.
+    n = 256
+    g = build_space(SpaceSpec(domain_dim=1, grid_points=n, spacing=0.25))
+    g.sqrt_h1, g.isqrt_h1  # cached factorizations are built before tracing
+    setup = rng_for_trial(42, SETUP_TRIAL)
+    ref = random_reference(setup, g, 2)
+    V = random_stiefel(setup, ref, scale=0.4)
+    P = random_projection(setup, g, 2)
+    spec = NormSpec.schatten(2.0)
+
+    def refuse(*_):
+        raise AssertionError("dense n-by-n membership check")
+
+    monkeypatch.setattr(group, "membership_residual", refuse)
+    tracemalloc.start()
+    try:
+        V1, _ = stiefel_near(V, 0.5 * radius_r(V), rng_for_trial(42, 0))
+        projection_near(P, 1e-3, rng_for_trial(42, 1))
+        U = frame_unitary(V.Phi, V1.Phi, g)
+        reparam = StiefelOperator(V.Phi @ np.diag([1j, -1.0]), ref)
+        witness = grassmann_equivalence(reparam, V).unitary
+        X = SkewOperator(U.Q, U.B - U.B.conj().T, g)
+        moved = OneParameterGroup(X)(0.3)
+        distance_upper(V, V1, spec, steps=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 16
+    for element in (U, witness, moved):
+        assert "data" not in element.__dict__ and "inv" not in element.__dict__
+    assert witness.Q.shape == (n, 2) and moved.Q.shape == U.Q.shape

@@ -17,10 +17,10 @@ from twonorm import (
     delta_v,
     exp_skew,
     h1_operator_norm,
-    is_group_member,
     l2_operator_norm,
     lie_split_stiefel,
     mcscf_validate,
+    membership_residual,
     metric_equivalence_report,
     phi,
     projection_lipschitz_report,
@@ -99,7 +99,7 @@ def test_metric_equivalence_two_sided(g, ref, rng):
 def test_action_stays_on_manifold(g, V, rng):
     U = exp_skew(random_skew(rng, g, scale=0.7))
     moved = act(U, V)
-    assert np.linalg.norm(moved.Phi - U.data @ V.Phi) == 0.0
+    assert np.linalg.norm(moved.Phi - U.data @ V.Phi) <= 1e-14 * np.linalg.norm(V.Phi)
     assert np.linalg.norm(moved.V - U.data @ V.V) <= 1e-14 * np.linalg.norm(V.V)
 
 
@@ -249,7 +249,8 @@ def test_section_reproduces_target(g, V, rng):
     fac = section_factors(V, V1)
     assert max(fac.bounds) < 1.0
     assert np.linalg.norm(fac.sigma.data @ V.V - V1.V) <= 1e-9
-    assert is_group_member(fac.sigma.data, g, tol=1e-8)
+    assert membership_residual(fac.sigma.data, g) <= 1e-8
+    assert np.linalg.cond(fac.sigma.data) < 1e12
 
 
 def test_section_partial_isometries(g, V, rng):
