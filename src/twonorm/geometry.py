@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .errors import ConvergenceFailure, LogUnavailable
 from .group import GroupElement, OneParameterGroup, SkewOperator, frame_unitary
@@ -203,15 +202,17 @@ def curve_length(c: CurveSamples, spec: NormSpec, g: GramPair) -> float:
 def group_log(U: GroupElement) -> SkewOperator:
     """Principal logarithm of a group element near the identity, on the same span.
 
-    The block I + B is unitary, so its complex Schur form is diagonal and the
-    logarithm is the log of that diagonal.  Requires the strong-norm distance
-    ||U - I|| = ||Q B (gl2 Q)^H|| to the identity to sit below one; the
-    result is checked to lie in the Lie algebra.
+    With I + B unitary, H = -i B (2I + B)^{-1} is Hermitian and
+    log(I + B) = 2 atanh(iH) = W diag(2i arctan mu) W^H for H = W diag(mu) W^H
+    (Higham 2008, ch. 11), relatively accurate when B is small.  Requires
+    ||U - I|| = ||Q B (gl2 Q)^H|| < 1 in the strong norm, which keeps 2I + B
+    well conditioned; the result is checked to lie in the Lie algebra.
     """
     if h1_operator_norm(LowRank(U.Q @ U.B, U.g.gl2 @ U.Q), U.g) >= 1.0:
         raise LogUnavailable("element is too far from the identity for the principal logarithm")
-    T, Z = schur(np.eye(U.B.shape[0]) + U.B, output="complex", check_finite=False)
-    return SkewOperator(U.Q, (Z * np.log(np.diag(T))) @ Z.conj().T, U.g)
+    H = -1j * np.linalg.solve(2.0 * np.eye(U.B.shape[0]) + U.B, U.B)
+    mu, W = np.linalg.eigh(0.5 * (H + H.conj().T))
+    return SkewOperator(U.Q, (W * (2j * np.arctan(mu))) @ W.conj().T, U.g)
 
 
 def distance_upper(

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .basis import canonical_phase, complete_basis, require_orthonormal
 from .errors import MembershipDefect
@@ -152,7 +151,7 @@ class OneParameterGroup:
     """
 
     def __init__(self, X: SkewOperator):
-        self.lam, self.W = eigh(0.5j * (X.S - X.S.conj().T), check_finite=False)
+        self.lam, self.W = np.linalg.eigh(0.5j * (X.S - X.S.conj().T))
         self.X = X
 
     def __call__(self, t: float) -> GroupElement:
@@ -204,5 +203,5 @@ def algebraic_membership_residual(U, g: GramPair) -> float:
     if sv[-1] <= RCOND_FLOOR * max(sv[0], 1.0):
         raise ValueError("element is numerically singular")
     D = g.isqrt_l2 @ (U.conj().T @ g.gl2 @ U - g.gl2) @ g.isqrt_l2
-    lam = eigh(0.5 * (D + D.conj().T), eigvals_only=True, check_finite=False)
+    lam = np.linalg.eigvalsh(0.5 * (D + D.conj().T))
     return float(np.max(np.abs(lam)))

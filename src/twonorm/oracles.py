@@ -8,7 +8,6 @@ in tests is evidence rather than tautology.  Nothing here is tuned for speed.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import eigh, expm, logm
 
 from .basis import orthonormal_columns
 from .errors import RankDeficiency
@@ -24,9 +23,10 @@ def sqrt_eig(A, g: GramPair) -> np.ndarray:
     """Square root of a weakly self-adjoint PSD operator via eigendecomposition.
 
     Eigenvalues below the clamp are treated as exact zeros, so operators with
-    a kernel get an exact-kernel square root.  The divide-and-conquer driver
-    keeps the eigenvectors orthogonal on tight clusters, where the default
-    MRRR driver loses orthogonality and the root its accuracy.
+    a kernel get an exact-kernel square root.  ``np.linalg.eigh`` is LAPACK's
+    divide-and-conquer driver (``zheevd``), which keeps the eigenvectors
+    orthogonal on tight clusters, where the MRRR driver (``zheevr``) loses
+    orthogonality and the root its accuracy.
     """
     A = as_operator(A, g.n, "A")
     M = g.to_l2_frame(A)
@@ -34,7 +34,7 @@ def sqrt_eig(A, g: GramPair) -> np.ndarray:
     if herm > 1e-8 * max(1.0, np.linalg.norm(M)):
         raise ValueError("operator is not self-adjoint for the weak product")
     M = 0.5 * (M + M.conj().T)
-    lam, W = eigh(M, driver="evd", check_finite=False)
+    lam, W = np.linalg.eigh(M)
     if lam[0] < -1e-10 * max(1.0, abs(lam[-1])):
         raise ValueError(f"operator has negative eigenvalue {lam[0]:.3e}")
     lam = np.where(lam < SQRT_CLAMP, 0.0, lam)
@@ -86,6 +86,8 @@ def exp_pade(X, g: GramPair) -> np.ndarray:
 
     Treats X as a general matrix: no weak frame and no skew structure.
     """
+    from scipy.linalg import expm
+
     return expm(as_operator(X, g.n, "X"))
 
 
@@ -94,4 +96,6 @@ def log_pade(U, g: GramPair) -> np.ndarray:
 
     Treats U as a general matrix: no weak frame and no unitary structure.
     """
+    from scipy.linalg import logm
+
     return np.asarray(logm(as_operator(U, g.n, "U")), dtype=np.complex128)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh, svdvals
 
 __all__ = [
     "SpaceSpec",
@@ -113,7 +112,7 @@ class GramPair:
                 np.linalg.cholesky(G)
             except np.linalg.LinAlgError:
                 raise ValueError(f"{name} is not positive definite") from None
-        gap = eigh(gh1 - gl2, eigvals_only=True, check_finite=False)
+        gap = np.linalg.eigvalsh(gh1 - gl2)
         scale = max(1.0, float(np.linalg.norm(gh1, 2)))
         if gap[0] < PSD_FLOOR * scale:
             raise ValueError(
@@ -125,14 +124,6 @@ class GramPair:
         object.__setattr__(self, "gh1", gh1)
 
     # Factorizations are computed once per pair and reused by every operation.
-
-    @cached_property
-    def _chol_l2(self):
-        return cho_factor(self.gl2, check_finite=False)
-
-    @cached_property
-    def _chol_h1(self):
-        return cho_factor(self.gh1, check_finite=False)
 
     @cached_property
     def _sqrt_pair_l2(self):
@@ -159,11 +150,11 @@ class GramPair:
         return self._sqrt_pair_h1[1]
 
     def solve_l2(self, B):
-        """gl2^{-1} B via the cached Cholesky factor."""
-        return cho_solve(self._chol_l2, B, check_finite=False)
+        """gl2^{-1} B by one dense LU solve."""
+        return np.linalg.solve(self.gl2, B)
 
     def solve_h1(self, B):
-        return cho_solve(self._chol_h1, B, check_finite=False)
+        return np.linalg.solve(self.gh1, B)
 
     def to_l2_frame(self, A):
         """Congruence gl2^{1/2} A gl2^{-1/2}; Hermitian iff A is weakly self-adjoint."""
@@ -179,10 +170,11 @@ class GramPair:
     def pencil_factor(self) -> float:
         """Largest ratio of strong to weak operator norms, sqrt(mu_max/mu_min).
 
-        mu are the eigenvalues of the (strong, weak) Gram pencil; for any
-        operator A, ||A||_h1 <= pencil_factor * ||A||_l2 and conversely.
+        mu are the eigenvalues of the (strong, weak) Gram pencil, those of
+        gl2^{-1/2} gh1 gl2^{-1/2}; for any operator A,
+        ||A||_h1 <= pencil_factor * ||A||_l2 and conversely.
         """
-        mu = eigh(self.gh1, self.gl2, eigvals_only=True, check_finite=False)
+        mu = np.linalg.eigvalsh(self.isqrt_l2 @ self.gh1 @ self.isqrt_l2)
         return float(np.sqrt(mu[-1] / mu[0]))
 
 
@@ -227,11 +219,11 @@ class LowRank:
             raise ValueError(f"factors must have {g.n} rows, got {self.L.shape[0]}")
         t1 = np.linalg.qr(g.sqrt_h1 @ self.L, mode="r")
         t2 = np.linalg.qr(g.isqrt_h1 @ self.R, mode="r")
-        return np.asarray(svdvals(t1 @ t2.conj().T, check_finite=False))
+        return np.linalg.svd(t1 @ t2.conj().T, compute_uv=False)
 
 
 def _hermitian_sqrt_pair(G):
-    lam, W = eigh(G, check_finite=False)
+    lam, W = np.linalg.eigh(G)
     root = np.sqrt(lam)
     sqrt = (W * root) @ W.conj().T
     isqrt = (W / root) @ W.conj().T
@@ -311,7 +303,7 @@ def adjoint_h1(A, g: GramPair) -> np.ndarray:
 def l2_operator_norm(A, g: GramPair) -> float:
     """Operator norm of A as a map of the weak space."""
     A = as_operator(A, g.n, "A")
-    return float(svdvals(g.to_l2_frame(A), check_finite=False)[0])
+    return float(np.linalg.svd(g.to_l2_frame(A), compute_uv=False)[0])
 
 
 def h1_singular_values(A, g: GramPair) -> np.ndarray:
@@ -324,7 +316,7 @@ def h1_singular_values(A, g: GramPair) -> np.ndarray:
     if isinstance(A, LowRank):
         return A.h1_singular_values(g)
     A = as_operator(A, g.n, "A")
-    return np.asarray(svdvals(g.to_h1_frame(A), check_finite=False))
+    return np.linalg.svd(g.to_h1_frame(A), compute_uv=False)
 
 
 def h1_operator_norm(A, g: GramPair) -> float:

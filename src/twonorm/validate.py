@@ -293,6 +293,11 @@ def _grassmann_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
         )
 
 
+def _strong_scaled(X: SkewOperator, norm: float) -> SkewOperator:
+    """X rescaled to the given strong operator norm."""
+    return SkewOperator(X.Q, X.S * (norm / h1_operator_norm(X.data, X.g)), X.g)
+
+
 def _geometry_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
     setup = rng_for_trial(cfg.seed, SETUP_TRIAL)
     ref = _reference_for(cfg, g, setup)
@@ -302,7 +307,9 @@ def _geometry_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
     rec.residual(curve_length(exp_curve(V0, zero, 16), spec, g), 0.0)
     for trial in range(min(cfg.trials, 40)):
         rng = rng_for_trial(cfg.seed, trial)
-        X = random_skew(rng, g, scale=0.3)
+        # Small strong-norm generators keep the round trip and the connecting
+        # element inside the domain of the principal logarithm at any spacing.
+        X = _strong_scaled(random_skew(rng, g), 0.2)
         U = exp_skew(X)
         try:
             back = group_log(U)
@@ -311,11 +318,7 @@ def _geometry_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
             )
         except LogUnavailable:
             rec.require(False)
-        # Small strong-norm generator keeps the connecting element inside the
-        # domain of the principal logarithm.
-        Y = random_skew(rng, g, scale=1.0)
-        Y = SkewOperator(Y.Q, Y.S * (0.02 / h1_operator_norm(Y.data, g)), g)
-        W = act(exp_skew(Y), V0)
+        W = act(exp_skew(_strong_scaled(random_skew(rng, g), 0.02)), V0)
         report = norm_sandwich_check(V0, W, spec)
         rec.require(report.ok)
         try:

@@ -1,11 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from twonorm import GroupElement, SpaceSpec, build_space, cli
+from twonorm import GroupElement, LogUnavailable, SpaceSpec, build_space, cli
 from twonorm.basis import orthonormal_columns
 from twonorm import validate
 from twonorm.cli import main
@@ -311,9 +312,14 @@ def test_validate_writes_report_when_a_suite_raises(tmp_path, capsys):
     assert report["all_passed"] is False
 
 
-def test_validate_records_unavailable_log_and_writes_report(tmp_path, capsys):
-    # On a two-point grid the geometry suite's round trip leaves the domain of
-    # the principal logarithm; that is one failed check, not an abort.
+def test_validate_records_unavailable_log_and_writes_report(tmp_path, capsys, monkeypatch):
+    # A round trip that leaves the domain of the principal logarithm is one
+    # failed check, not an abort.  The suite's generators have strong norm 0.2,
+    # inside that domain at every spacing, so the log is made to refuse here.
+    def refuse(U):
+        raise LogUnavailable("probe")
+
+    monkeypatch.setattr(validate, "group_log", refuse)
     cfg = write_config(tmp_path, subspace_dim=1, space={"grid_points": 2}, trials=10)
     out = tmp_path / "run"
     assert main(["validate", "--config", cfg, "--out", str(out)]) == 1
@@ -323,6 +329,16 @@ def test_validate_records_unavailable_log_and_writes_report(tmp_path, capsys):
     assert report["all_passed"] is False
     assert suites["geometry"]["passed"] is False
     assert set(suites) == {"space", "group", "section", "sqrt", "grassmann", "geometry"}
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy serves only the Pade oracles of the tests; the runtime is numpy-only.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, twonorm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point(tmp_path):

@@ -108,6 +108,18 @@ def test_span_log_agrees_with_pade(case):
     assert _rel(log.data, L) <= TOL
 
 
+@settings(max_examples=30, deadline=None)
+@given(case=spans())
+def test_span_log_is_relatively_accurate_near_the_identity(case):
+    # A log that takes the eigenvalues of I + B loses eps absolute, eps/t relative.
+    n, N, k, seed = case
+    g = SPACES[n]
+    X = _generator(g, k, seed)
+    for t in (1e-1, 1e-4, 1e-8, 1e-12):
+        tX = SkewOperator(X.Q, t * X.S, g)
+        assert _rel(group_log(exp_skew(tX)).data, tX.data) <= TOL, t
+
+
 @pytest.mark.parametrize("n", [16, 128])
 def test_span_residuals_equal_the_dense_residuals_on_grids(n):
     # gl2 = h I, so ||B + B^H + B^H B|| / sqrt(n) is the dense membership residual.

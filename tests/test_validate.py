@@ -1,6 +1,8 @@
 import math
 
-from twonorm.validate import _Recorder
+from twonorm.config import config_from_mapping
+from twonorm.space import build_space
+from twonorm.validate import _Recorder, _geometry_suite
 
 
 def test_recorder_keeps_nan_as_worst_residual():
@@ -12,3 +14,14 @@ def test_recorder_keeps_nan_as_worst_residual():
     assert result.checks == 3
     assert math.isnan(result.max_residual)
     assert not result.passed
+
+
+def test_geometry_suite_passes_at_fine_spacing():
+    # At spacing 1e-3 the pencil factor is about 2e3.  A round-trip generator
+    # of fixed Frobenius norm would have a strong norm near 100 there and
+    # leave the domain of the principal logarithm; its strong norm is fixed.
+    cfg = config_from_mapping({"space": {"grid_points": 16, "spacing": 1e-3}})
+    rec = _Recorder()
+    _geometry_suite(cfg, build_space(cfg.space), rec)
+    result = rec.result("geometry")
+    assert result.passed, result
