@@ -52,7 +52,7 @@ def canonical_phase(v: np.ndarray) -> np.ndarray:
     return v * (z.conj() / np.abs(z))
 
 
-def complete_basis(B, candidates, g: GramPair, *, phase_fix=True):
+def complete_basis(B, candidates, g: GramPair):
     """Extend the orthonormal block B by vectors drawn from ``candidates``.
 
     Returns only the appended block (possibly zero columns).  Pivoting on the
@@ -81,19 +81,16 @@ def complete_basis(B, candidates, g: GramPair, *, phase_fix=True):
         if nv < DROP_TOL:
             W = np.delete(W, j, axis=1)
             continue
-        v = v / nv
-        if phase_fix:
-            v = canonical_phase(v)
+        v = canonical_phase(v / nv)
         appended = np.hstack([appended, v[:, None]])
         W = np.delete(W, j, axis=1)
         W = _project_out(v[:, None], W, g)
     return appended
 
 
-def orthonormal_columns(M, g: GramPair, *, phase_fix=False):
+def orthonormal_columns(M, g: GramPair):
     """Orthonormal basis of the column span of M under the weak product."""
-    empty = np.zeros((g.n, 0), dtype=np.complex128)
-    return complete_basis(empty, M, g, phase_fix=phase_fix)
+    return complete_basis(np.zeros((g.n, 0), dtype=np.complex128), M, g)
 
 
 def orthonormality_defect(F, g: GramPair) -> float:

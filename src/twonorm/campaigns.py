@@ -33,13 +33,14 @@ from .sampling import (
 from .space import build_space, h1_operator_norm
 from .stiefel import (
     StiefelOperator,
+    act,
     binomial_sqrt_truncated,
     radius_r,
     section_factors,
     series_tail_bound,
 )
 from .serialize import csv_line, json_dumps, write_text
-from .validate import _reference_for, run_suites
+from .validate import _reference_for, _strong_scaled, run_suites
 
 __all__ = [
     "run_validate",
@@ -197,9 +198,8 @@ def run_geometry(cfg: RunConfig) -> int:
     zero = SkewOperator(V0.Phi, np.zeros((ref.N, ref.N)), g)
     emit("constant", curve_length(exp_curve(V0, zero, steps), spec, g), V0)
 
-    X = random_skew(setup, g, scale=1.0)
-    X = SkewOperator(X.Q, X.S * (0.05 / h1_operator_norm(X.data, g)), g)
-    V_rot = StiefelOperator(exp_skew(X).data @ V0.Phi, ref)
+    X = _strong_scaled(random_skew(setup, g, scale=1.0), 0.05)
+    V_rot = act(exp_skew(X), V0)
     emit("rotation", curve_length(exp_curve(V0, X, steps), spec, g), V_rot)
 
     V_near, _ = stiefel_near(V0, 0.25 * radius_r(V0), setup)

@@ -79,7 +79,7 @@ class ProjectionOperator:
         tr = float(np.trace(P).real)
         if abs(tr - N) > TRACE_TOL * max(1.0, N):
             raise ValueError(f"trace {tr:.6f} does not match declared rank {N}")
-        H = orthonormal_columns(P, g, phase_fix=True)
+        H = orthonormal_columns(P, g)
         if H.shape[1] != N:
             raise ValueError(f"projection range has numerical dimension {H.shape[1]}, declared {N}")
         return cls(H, g)
@@ -142,7 +142,7 @@ def psi_section(P: ProjectionOperator, P1: ProjectionOperator, ref: ReferenceFra
         raise NeighborhoodViolation(
             f"contraction bounds ({b1:.6f}, {b2:.6f}) must stay below 1"
         )
-    rot = _overlap_rotation(P.frame, P1.frame, g)[3]
+    rot = _overlap_rotation(P.frame.conj().T @ (g.gl2 @ P1.frame))[2]
     return StiefelOperator(P1.frame @ rot, ref)
 
 

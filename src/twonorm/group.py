@@ -163,15 +163,23 @@ def exp_skew(X: SkewOperator) -> GroupElement:
     return OneParameterGroup(X)(1.0)
 
 
-def frame_unitary(F0, F1, g: GramPair) -> GroupElement:
-    """Group element mapping one orthonormal N-frame onto another.
+def _joint_span(F0, F1, g: GramPair):
+    """Orthonormal basis Q = [F0, C] of the span of both frames, and beta = Q^H gl2 (F1 - F0).
 
-    F0 is completed by pivoted Gram-Schmidt to an orthonormal basis
-    Q = [F0, C] of the joint span, in which F1 has coordinates b = Q^H gl2 F1.
-    The last k - N columns of the QR factor of [b, e_(N+1..k)] complete b to a
-    unitary u, each with a canonical phase, so nearby frames produce an
-    element close to the identity.  The element on span Q with block u - I
-    maps F0 to F1 and fixes the weak orthocomplement of the span.
+    F1 = Q (E + beta) for E the first N columns of I_k, and beta is as accurate as F1 - F0.
+    """
+    D = F1 - F0
+    Q = np.hstack([F0, complete_basis(F0, D, g)])
+    return Q, Q.conj().T @ (g.gl2 @ D)
+
+
+def frame_unitary(F0, F1, g: GramPair) -> GroupElement:
+    """Group element on the joint span Q of two orthonormal N-frames, mapping F0 to F1.
+
+    F1 = Q b with b = E + beta (``_joint_span``).  The last k - N columns of
+    the QR factor of [b, e_(N+1..k)], each with a canonical phase, complete b
+    to a unitary u, so nearby frames give an element near the identity; the
+    block is u - I, with first N columns beta.
     """
     F0 = np.asarray(F0, dtype=np.complex128)
     F1 = np.asarray(F1, dtype=np.complex128)
@@ -179,15 +187,13 @@ def frame_unitary(F0, F1, g: GramPair) -> GroupElement:
         raise ValueError(f"frames must share shape ({g.n}, N), got {F0.shape} and {F1.shape}")
     for name, F in (("first", F0), ("second", F1)):
         require_orthonormal(F, g, CONSTRUCT_TOL, f"{name} frame is not orthonormal")
-    if np.linalg.norm(F1 - F0) <= 1e-14:
-        return GroupElement(F0, np.zeros((F0.shape[1],) * 2), g)
-    Q = np.hstack([F0, complete_basis(F0, F1, g)])
+    Q, beta = _joint_span(F0, F1, g)
     N, k = F0.shape[1], Q.shape[1]
-    b = Q.conj().T @ (g.gl2 @ F1)
     eye_k = np.eye(k, dtype=np.complex128)
-    rest = np.linalg.qr(np.hstack([b, eye_k[:, N:]]))[0][:, N:]
-    u = np.hstack([b] + [canonical_phase(c)[:, None] for c in rest.T])
-    return GroupElement(Q, u - eye_k, g)
+    rest = np.linalg.qr(np.hstack([eye_k[:, :N] + beta, eye_k[:, N:]]))[0][:, N:]
+    B = np.hstack([beta] + [canonical_phase(c)[:, None] for c in rest.T])
+    B[N:, N:] -= eye_k[N:, N:]
+    return GroupElement(Q, B, g)
 
 
 def algebraic_membership_residual(U, g: GramPair) -> float:

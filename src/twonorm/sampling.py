@@ -47,14 +47,17 @@ def random_complex(rng, rows: int, cols: int) -> np.ndarray:
 
 
 def random_skew(rng, g: GramPair, scale: float = 1.0) -> SkewOperator:
-    """Random element of the Lie algebra, exact up to one linear solve."""
+    """Random skew X with k = n block gl2^{-1/2} (A - A^H) gl2^{-1/2} of Frobenius norm ``scale``.
+
+    On build_space grids gl2 is a multiple of I, so that is also ||X||_F; no
+    solve and no from_matrix are involved.
+    """
     A = random_complex(rng, g.n, g.n)
-    S = 0.5 * (A - A.conj().T)
-    X = g.solve_l2(S)
-    nrm = np.linalg.norm(X)
+    S = g.isqrt_l2 @ (A - A.conj().T) @ g.isqrt_l2
+    nrm = np.linalg.norm(S)
     if nrm > 0:
-        X = X * (scale / nrm)
-    return SkewOperator.from_matrix(X, g)
+        S = S * (scale / nrm)
+    return SkewOperator(g.isqrt_l2, S, g)
 
 
 def random_group_member(rng, g: GramPair, scale: float = 1.0) -> GroupElement:
@@ -79,11 +82,8 @@ def random_stiefel(rng, ref: ReferenceFrame, scale: float = 0.5) -> StiefelOpera
 
 
 def random_projection(rng, g: GramPair, N: int) -> ProjectionOperator:
-    M = random_complex(rng, g.n, N)
-    H = orthonormal_columns(M, g)
-    if H.shape[1] != N:
-        raise ValueError("sampled columns were linearly dependent")
-    return ProjectionOperator(H, g)
+    """The projection onto the span of a random reference frame."""
+    return ProjectionOperator(random_reference(rng, g, N).Xi, g)
 
 
 def _calibrated_scale(distance_at, target: float) -> float:

@@ -18,9 +18,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import orthonormality_defect, require_orthonormal, require_weak_projection
+from .basis import complete_basis, orthonormality_defect, require_orthonormal, require_weak_projection
 from .errors import ConvergenceFailure, NeighborhoodViolation, RankDeficiency
-from .group import GroupElement, SkewOperator, frame_unitary
+from .group import GroupElement, SkewOperator, _joint_span, frame_unitary
 from .space import GramPair, LowRank, as_operator, h1_operator_norm, norm_h1
 
 __all__ = [
@@ -403,21 +403,20 @@ def radius_r(V: StiefelOperator) -> float:
     return radius_formula(V.ref.C, V.N, h1_operator_norm(V.factors, V.g))
 
 
-def _overlap_rotation(Phi, Phi1, g: GramPair):
-    """M = Phi^H gl2 Phi1 = Y diag(s) Z^H for orthonormal frames; returns M, s, Z, Z Y^H.
+def _overlap_rotation(M):
+    """SVD Y diag(s) Z^H of the overlap M = Phi^H gl2 Phi1 of two frames; returns s, Z and Z Y^H.
 
     s are the cosines of the principal angles between the spans, and on
     range(P) the eigenvalues of P P1 P are s^2; one below the cutoff signals
     a breakdown of the neighborhood assumptions.
     """
-    M = Phi.conj().T @ (g.gl2 @ Phi1)
     Y, s, Zh = np.linalg.svd(M)
     if s[-1] ** 2 < RANGE_CUTOFF:
         raise RankDeficiency(
             f"restricted operator eigenvalue {s[-1] ** 2:.3e} below cutoff {RANGE_CUTOFF:.1e}"
         )
     Z = Zh.conj().T
-    return M, s, Z, Z @ Y.conj().T
+    return s, Z, Z @ Y.conj().T
 
 
 def _compressions(P: LowRank, P1: LowRank) -> tuple[LowRank, LowRank]:
@@ -436,12 +435,10 @@ def _compressions(P: LowRank, P1: LowRank) -> tuple[LowRank, LowRank]:
 
 @dataclass(frozen=True)
 class SectionFactors:
-    """Intermediate operators of the cross-section construction."""
+    """The cross section, the direct rotation and the correction, with the contraction bounds."""
 
     sigma: GroupElement
-    t1: np.ndarray
-    t2: np.ndarray
-    t: np.ndarray
+    t: GroupElement
     w: GroupElement
     bounds: tuple
 
@@ -449,21 +446,20 @@ class SectionFactors:
 def section_factors(V: StiefelOperator, V1: StiefelOperator) -> SectionFactors:
     """Cross-section data for a point V1 inside the safe radius around V.
 
-    T1 = P1 (P P1 P)^(-1/2) carries range(P) isometrically onto range(P1),
-    T2 = (I - P1)((I - P)(I - P1)(I - P))^(-1/2) does the same for the
-    complements, each inverse square root taken on the range of its
-    projection, and sigma = W T is the group element with sigma V = V1.  All
-    three depend on the frames only through their N-by-N overlap
-    M = Phi^H gl2 Phi1 = Y diag(s) Z^H:
+    The direct rotation T has T P = P1 (P P1 P)^(-1/2), carrying range(P)
+    isometrically onto range(P1), and T (I - P) = (I - P1)((I - P)(I - P1)(I - P))^(-1/2)
+    for the complements, each inverse root taken on the range of its
+    projection; with W = I + Phi1 (Y Z^H - I)(gl2 Phi1)^H, sigma = W T maps V
+    to V1.  On the joint span Q = [Phi, C], where Phi1 = Q b with b = E + beta
+    (``group._joint_span``), M = I + beta[:N] = Y diag(s) Z^H and K = beta[N:]:
 
-        T1 = Phi1 Z Y^H (gl2 Phi)^H,
-        T2 = (I - P1) [(I - P) + G Z diag(1/(s + s^2)) Z^H (gl2 G)^H],
-        W = V1 V*2 T*2 + (I - P1) = I + Phi1 (Y Z^H - I)(gl2 Phi1)^H,
+        T - I = [b Z Y^H - E, -tau],    sigma - I = [beta, -tau],
+        tau = b Z diag(1/s) Z^H K^H - (0; K Z diag(1/(s + s^2)) Z^H K^H),
 
-    with G = Phi1 - Phi M, because (I - P)(I - P1)(I - P) = (I - P) - G (gl2 G)^H,
-    G^H gl2 G = I - M^H M and T Phi = Phi1 Z Y^H.  Four contraction bounds
-    must sit strictly below one for the restricted inverse square roots to
-    exist; any failure raises NeighborhoodViolation.
+    as K^H K = I - M^H M and W fixes range(I - P1), which holds T C.  Both
+    blocks come from the frame displacement, so sigma Phi - Phi1 is rounding
+    relative to Phi1 - Phi.  Four contraction bounds must sit strictly below
+    one for the inverse roots to exist; else NeighborhoodViolation is raised.
     """
     g = V.g
     _require_same_reference(V, V1)
@@ -484,16 +480,17 @@ def section_factors(V: StiefelOperator, V1: StiefelOperator) -> SectionFactors:
         raise NeighborhoodViolation(
             f"contraction bounds {tuple(round(b, 6) for b in bounds)} must stay below 1"
         )
-    M, s, Z, rot = _overlap_rotation(P.L, P1.L, g)
-    t1 = P1.L @ rot @ P.R.conj().T
-    GZ = (P1.L - P.L @ M) @ Z
-    inv_root = np.eye(g.n, dtype=np.complex128) - P.L @ P.R.conj().T
-    inv_root = inv_root + (GZ / (s + s * s)) @ (g.gl2 @ GZ).conj().T
-    t2 = inv_root - P1.L @ (P1.R.conj().T @ inv_root)
-    t = t1 + t2
-    w = GroupElement(P1.L, rot.conj().T - np.eye(V.N), g)
-    sigma = GroupElement.from_matrix(t + w.displacement(t), g)
-    return SectionFactors(sigma=sigma, t1=t1, t2=t2, t=t, w=w, bounds=bounds)
+    N = V.N
+    Q, beta = _joint_span(V.Phi, V1.Phi, g)
+    s, Z, rot = _overlap_rotation(np.eye(N) + beta[:N])
+    E = np.eye(Q.shape[1], N)
+    b, KZ = E + beta, beta[N:] @ Z
+    tau = (b @ Z / s) @ KZ.conj().T
+    tau[N:] -= (KZ / (s + s * s)) @ KZ.conj().T
+    sigma = GroupElement(Q, np.hstack([beta, -tau]), g)
+    t = GroupElement(Q, np.hstack([b @ rot - E, -tau]), g)
+    w = GroupElement(V1.Phi, rot.conj().T - np.eye(N), g)
+    return SectionFactors(sigma=sigma, t=t, w=w, bounds=bounds)
 
 
 def cross_section_sigma(V: StiefelOperator, V1: StiefelOperator) -> GroupElement:
@@ -507,7 +504,7 @@ def translated_section(
     """Section around an arbitrary base point V0 = U V, by translating with U.
 
     The safe radius shrinks by the strong norm of U^-1; the returned element
-    maps V to V1.
+    U sigma maps V to V1 and lives on the joint span of both factors.
     """
     g = V.g
     U = frame_unitary(V.Phi, V0.Phi, g)
@@ -518,7 +515,9 @@ def translated_section(
             f"distance {dist:.6e} from the base point exceeds the translated radius {allowed:.6e}"
         )
     sigma = cross_section_sigma(V, StiefelOperator(U.inv @ V1.Phi, V.ref))
-    return GroupElement.from_matrix(sigma.data + U.displacement(sigma.data), g)
+    Q = np.hstack([U.Q, complete_basis(U.Q, sigma.Q, g)])
+    D = sigma.displacement(Q)
+    return GroupElement(Q, Q.conj().T @ (g.gl2 @ (D + U.displacement(Q + D))), g)
 
 
 # ---------------------------------------------------------------------------

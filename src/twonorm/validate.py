@@ -148,21 +148,16 @@ def _space_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
         y = random_complex(rng, n, 1)[:, 0]
         A2 = adjoint_l2(A, g)
         AH = adjoint_h1(A, g)
-        scale = norm_l2(A @ x, g) * norm_l2(y, g)
-        rec.residual(
-            abs(inner_l2(A @ x, y, g) - inner_l2(x, A2 @ y, g)), 1e-9 * max(1.0, scale)
-        )
-        scale = norm_h1(A @ x, g) * norm_h1(y, g)
-        rec.residual(
-            abs(inner_h1(A @ x, y, g) - inner_h1(x, AH @ y, g)), 1e-9 * max(1.0, scale)
-        )
-        rec.residual(
-            np.linalg.norm(A2 - adjoint_by_definition(A, g)),
-            1e-9 * max(1.0, np.linalg.norm(A2)),
-        )
         opn = h1_operator_norm(A, g)
         ratio = norm_h1(A @ x, g) / max(norm_h1(x, g), 1e-300)
-        rec.residual(max(0.0, ratio - opn), 1e-9 * max(1.0, opn))
+        # Each residual is recorded relative to max(1, scale) of its own operands.
+        for value, scale in (
+            (abs(inner_l2(A @ x, y, g) - inner_l2(x, A2 @ y, g)), norm_l2(A @ x, g) * norm_l2(y, g)),
+            (abs(inner_h1(A @ x, y, g) - inner_h1(x, AH @ y, g)), norm_h1(A @ x, g) * norm_h1(y, g)),
+            (np.linalg.norm(A2 - adjoint_by_definition(A, g)), np.linalg.norm(A2)),
+            (max(0.0, ratio - opn), opn),
+        ):
+            rec.residual(value / max(1.0, scale), 1e-9)
 
 
 def _group_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
@@ -202,12 +197,14 @@ def _section_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
             np.linalg.norm(fac.sigma.data @ V.V - V1.V), 1e-9 * np.linalg.norm(V1.V)
         )
         rec.residual(membership_residual(fac.sigma.data, g), 1e-9)
-        t1s = adjoint_l2(fac.t1, g)
-        rec.residual(np.linalg.norm(t1s @ fac.t1 - P), 1e-8 * max(1.0, np.linalg.norm(P)))
-        rec.residual(np.linalg.norm(fac.t1 @ t1s - P1), 1e-8 * max(1.0, np.linalg.norm(P1)))
-        t2s = adjoint_l2(fac.t2, g)
-        rec.residual(np.linalg.norm(t2s @ fac.t2 - (eye - P)), 1e-8 * np.sqrt(g.n))
-        rec.residual(np.linalg.norm(fac.t2 @ t2s - (eye - P1)), 1e-8 * np.sqrt(g.n))
+        # T1 = T P and T2 = T (I - P) are the partial isometries of the direct rotation.
+        t1, t2 = fac.t.data @ P, fac.t.data @ (eye - P)
+        t1s = adjoint_l2(t1, g)
+        rec.residual(np.linalg.norm(t1s @ t1 - P), 1e-8 * max(1.0, np.linalg.norm(P)))
+        rec.residual(np.linalg.norm(t1 @ t1s - P1), 1e-8 * max(1.0, np.linalg.norm(P1)))
+        t2s = adjoint_l2(t2, g)
+        rec.residual(np.linalg.norm(t2s @ t2 - (eye - P)), 1e-8 * np.sqrt(g.n))
+        rec.residual(np.linalg.norm(t2 @ t2s - (eye - P1)), 1e-8 * np.sqrt(g.n))
         rec.residual(membership_residual(fac.w.data, g), 1e-8)
     # The section translated along the group still maps base to target.
     mover = rng_for_trial(cfg.seed, SETUP_TRIAL - 1)

@@ -81,7 +81,7 @@ def test_section_correction_matches_weak_adjoint_form(n, frac, seed):
     g, _, V = _base(n)
     V1 = _moved_to(V, frac * radius_r(V), seed)
     fac = section_factors(V, V1)
-    dense = V1.V @ adjoint_l2(V.V, g) @ adjoint_l2(fac.t, g) + (np.eye(n) - _weak_projection(V1))
+    dense = V1.V @ adjoint_l2(V.V, g) @ adjoint_l2(fac.t.data, g) + (np.eye(n) - _weak_projection(V1))
     assert _close(fac.w.data, dense)
     assert np.linalg.norm(fac.sigma.data @ V.V - V1.V) <= 1e-9 * np.linalg.norm(V1.V)
 

@@ -22,14 +22,18 @@ from twonorm import (
     SkewOperator,
     SpaceSpec,
     build_space,
+    cross_section_sigma,
     distance_upper,
     exp_skew,
     frame_unitary,
     grassmann_equivalence,
     group_log,
     h1_operator_norm,
+    psi_section,
+    quotient_radius,
     radius_r,
     section_factors,
+    section_pi_p,
 )
 from twonorm import group
 from twonorm.basis import orthonormal_columns
@@ -184,10 +188,33 @@ def test_span_producers_build_no_dense_operator(monkeypatch):
         X = SkewOperator(U.Q, U.B - U.B.conj().T, g)
         moved = OneParameterGroup(X)(0.3)
         distance_upper(V, V1, spec, steps=8)
+        fac = section_factors(V, V1)
+        sigma = cross_section_sigma(V, V1)
+        r_star = min(quotient_radius(P), radius_r(psi_section(P, P, ref)))
+        P1, _ = projection_near(P, 0.5 * r_star, rng_for_trial(42, 2))
+        upi = section_pi_p(P, P1, ref)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < n * n * 16
-    for element in (U, witness, moved):
+    sections = (fac.sigma, fac.t, fac.w, sigma, upi)
+    for element in (U, witness, moved) + sections:
         assert "data" not in element.__dict__ and "inv" not in element.__dict__
     assert witness.Q.shape == (n, 2) and moved.Q.shape == U.Q.shape
+    # The sections and the direct rotation live on the joint span, k <= 2N.
+    assert all(element.Q.shape[1] <= 4 for element in sections)
+
+
+@pytest.mark.parametrize("n", [16, 128])
+def test_section_displacement_is_relatively_accurate(n):
+    # sigma - I is formed from the frame displacement, so sigma Phi - Phi1 is
+    # rounding relative to Phi1 - Phi; a dense sigma near I leaves eps ||Phi||.
+    g = SPACES[n]
+    for seed in range(5):
+        setup = rng_for_trial(seed, SETUP_TRIAL)
+        V = random_stiefel(setup, random_reference(setup, g, 2), scale=0.4)
+        for frac in (0.5, 1 / 160, 1e-3):
+            V1, _ = stiefel_near(V, frac * radius_r(V), rng_for_trial(seed, 1))
+            D = V1.Phi - V.Phi
+            moved = cross_section_sigma(V, V1).displacement(V.Phi)
+            assert np.linalg.norm(moved - D) <= 1e-12 * np.linalg.norm(D), (seed, frac)

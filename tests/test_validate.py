@@ -2,7 +2,7 @@ import math
 
 from twonorm.config import config_from_mapping
 from twonorm.space import build_space
-from twonorm.validate import _Recorder, _geometry_suite
+from twonorm.validate import _Recorder, _geometry_suite, _space_suite
 
 
 def test_recorder_keeps_nan_as_worst_residual():
@@ -25,3 +25,13 @@ def test_geometry_suite_passes_at_fine_spacing():
     _geometry_suite(cfg, build_space(cfg.space), rec)
     result = rec.result("geometry")
     assert result.passed, result
+
+
+def test_space_suite_records_residuals_on_the_scale_of_their_limits():
+    # Each limit is 1e-9 max(1, scale), so each residual is recorded divided by
+    # its scale and reads as a relative error.
+    cfg = config_from_mapping({"seed": 42, "trials": 10, "space": {"grid_points": 128, "spacing": 0.25}})
+    rec = _Recorder()
+    _space_suite(cfg, build_space(cfg.space), rec)
+    result = rec.result("space")
+    assert result.passed and result.max_residual <= 1e-13, result
