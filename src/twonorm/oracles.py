@@ -43,15 +43,14 @@ def sqrt_eig(A, g: GramPair) -> np.ndarray:
 
 
 def adjoint_by_definition(A, g: GramPair) -> np.ndarray:
-    """Weak adjoint recovered from its defining pairings, column by column.
+    """Weak adjoint recovered from its defining pairings.
 
-    Solves <A e_i, e_j> = <e_i, B e_j> for B: each column of gl2 B equals the
-    matching column of A^H gl2, solved with a fresh dense solve per column.
+    <A e_i, e_j> = <e_i, B e_j> for all i, j says gl2 B = A^H gl2.  All
+    columns are solved at once by ``np.linalg.lstsq``, whose SVD-based driver
+    shares no factorization with the LU solve behind ``adjoint_l2``.
     """
     A = as_operator(A, g.n, "A")
-    rhs = A.conj().T @ g.gl2
-    cols = [np.linalg.solve(g.gl2, rhs[:, j]) for j in range(g.n)]
-    return np.column_stack(cols)
+    return np.linalg.lstsq(g.gl2, A.conj().T @ g.gl2, rcond=None)[0]
 
 
 def pinv_on_range(P, A, g: GramPair) -> np.ndarray:

@@ -12,6 +12,7 @@ with a rigorous truncation bound, and the tangent-space calculus.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -56,6 +57,7 @@ RANGE_CUTOFF = 1e-12
 METRIC_SLACK = 1e-10
 SERIES_TOL = 1e-10
 SERIES_KMAX = 200_000
+SERIES_BLOCK = 8
 MCSCF_TOL = 1e-10
 
 
@@ -239,16 +241,19 @@ def projection_lipschitz_report(V1: StiefelOperator, V2: StiefelOperator) -> Lip
 # Series square root
 
 
+def _coefficient_stream():
+    """c_1, c_2, ... of (1+z)^(1/2), by c_(k+1) = c_k (1/2 - k) / (k + 1)."""
+    c = 0.5
+    for k in itertools.count(1):
+        yield c
+        c = c * (0.5 - k) / (k + 1)
+
+
 def binomial_coefficients(count: int) -> np.ndarray:
     """Signed series coefficients c_1..c_count of (1+z)^(1/2)."""
     if count < 1:
         raise ValueError("count must be positive")
-    out = np.empty(count)
-    c = 0.5
-    for k in range(1, count + 1):
-        out[k - 1] = c
-        c = c * (0.5 - k) / (k + 1)
-    return out
+    return np.fromiter(itertools.islice(_coefficient_stream(), count), float, count)
 
 
 def _validated_series_argument(B, g: GramPair):
@@ -284,16 +289,61 @@ def _deflated(B, g: GramPair, kernel_projector):
     return B + K0, K0
 
 
-def _partial_sums(Bw, terms: int):
-    """Yield c_k and the partial sum I + sum_(j<=k) c_j Bw^j for k = 1..terms."""
+def _partial_sums(Bw, counts) -> list[np.ndarray]:
+    """I + sum_(j<=s) c_j Bw^j for each s in the strictly increasing ``counts``.
+
+    Ascending Paterson-Stockmeyer (SIAM J. Comput. 1973) in blocks of
+    m = SERIES_BLOCK terms: block q adds Bw^(qm) sum_r c_(qm+r) Bw^r, using the
+    stored powers Bw^1..Bw^m.  A count inside a block costs one more product.
+    The fixed m keeps each sum independent of the other counts asked for, and
+    memory independent of the degree.
+    """
+    m = SERIES_BLOCK
+    coeffs = binomial_coefficients(counts[-1])
+    powers = np.empty((min(m, counts[-1]),) + Bw.shape, dtype=np.complex128)
+    powers[0] = Bw
+    for r in range(1, len(powers)):
+        np.matmul(powers[r - 1], Bw, out=powers[r])
     total = np.eye(Bw.shape[0], dtype=np.complex128)
-    power = np.eye(Bw.shape[0], dtype=np.complex128)
-    c = 0.5
-    for k in range(1, terms + 1):
-        power = power @ Bw
-        total = total + c * power
-        yield c, total
-        c = c * (0.5 - k) / (k + 1)
+    giant = None  # Bw^done; None is the identity
+    done = 0
+    sums = []
+    for s in counts:
+        while done + m <= s:
+            total += _block_sum(coeffs[done : done + m], powers, giant)
+            done += m
+            if done < counts[-1]:
+                giant = powers[-1] if giant is None else giant @ powers[-1]
+        sums.append(total.copy() if done == s else total + _block_sum(coeffs[done:s], powers, giant))
+    return sums
+
+
+def _block_sum(coeffs, powers, giant):
+    """giant @ sum_r coeffs[r-1] powers[r-1], with giant None read as the identity."""
+    part = np.tensordot(coeffs, powers[: len(coeffs)], axes=1)
+    return part if giant is None else giant @ part
+
+
+def _series_terms(rho: float, amp: float) -> int:
+    """Fewest terms whose weighted coefficient tail, times amp, is <= SERIES_TOL."""
+    if rho >= 1.0 and amp * amp / (math.pi * SERIES_TOL * SERIES_TOL) > SERIES_KMAX:
+        raise ConvergenceFailure(
+            f"tail bound cannot reach tol={SERIES_TOL:.1e} within kmax={SERIES_KMAX} terms; "
+            "the argument has weak spectral radius 1 (pass kernel_projector "
+            "if the -1 eigenspace is known)"
+        )
+    # Exact weighted tail at s = 0: sum_k |c_k| rho^k = 1 - sqrt(1 - rho).
+    tail = 1.0 - math.sqrt(max(0.0, 1.0 - rho)) if rho < 1.0 else 1.0
+    rho_pow = 1.0
+    for s, c in enumerate(itertools.islice(_coefficient_stream(), SERIES_KMAX), 1):
+        rho_pow *= rho
+        tail -= abs(c) * rho_pow
+        # tail now equals the weighted coefficient tail beyond term s.
+        if tail * amp <= SERIES_TOL:
+            return s
+    raise ConvergenceFailure(
+        f"series truncation bound did not reach tol={SERIES_TOL:.1e} within {SERIES_KMAX} terms"
+    )
 
 
 def binomial_sqrt(B, g: GramPair, *, kernel_projector=None) -> np.ndarray:
@@ -302,8 +352,8 @@ def binomial_sqrt(B, g: GramPair, *, kernel_projector=None) -> np.ndarray:
     The truncation error after s terms is a scalar function of the weakly
     self-adjoint argument, so its weak norm is at most the scalar tail
     sum_(k>s) |c_k| rho^k on the spectrum, with rho the weak spectral radius;
-    switching to the strong norm costs the Gram pencil factor.  Partial sums
-    stop once that rigorous bound drops below ``SERIES_TOL``.  At rho = 1 the
+    switching to the strong norm costs the Gram pencil factor.  The series
+    stops at the first s with that bound below ``SERIES_TOL``.  At rho = 1 the
     tail decays like 1/sqrt(s), so a caller that knows the -1 eigenspace of B can
     pass its weak orthogonal projection as ``kernel_projector``: the series
     then runs on the deflated argument and the known kernel is restored
@@ -314,31 +364,8 @@ def binomial_sqrt(B, g: GramPair, *, kernel_projector=None) -> np.ndarray:
     if K0 is not None:
         _, lam = _validated_series_argument(Bw, g)
     rho = min(1.0, float(np.max(np.abs(lam))))
-    amp = max(1.0, g.pencil_factor)
-    # Exact weighted tail at s = 0: sum_k |c_k| rho^k = 1 - sqrt(1 - rho).
-    tail = 1.0 - math.sqrt(max(0.0, 1.0 - rho)) if rho < 1.0 else 1.0
-    if rho >= 1.0:
-        needed = amp * amp / (math.pi * SERIES_TOL * SERIES_TOL)
-        if needed > SERIES_KMAX:
-            raise ConvergenceFailure(
-                f"tail bound cannot reach tol={SERIES_TOL:.1e} within kmax={SERIES_KMAX} terms; "
-                "the argument has weak spectral radius 1 (pass kernel_projector "
-                "if the -1 eigenspace is known)"
-            )
-    rho_pow = 1.0
-    for c, total in _partial_sums(Bw, SERIES_KMAX):
-        rho_pow *= rho
-        tail -= abs(c) * rho_pow
-        # tail now equals the weighted coefficient tail beyond this term.
-        if tail * amp <= SERIES_TOL:
-            break
-    else:
-        raise ConvergenceFailure(
-            f"series truncation bound did not reach tol={SERIES_TOL:.1e} within {SERIES_KMAX} terms"
-        )
-    if K0 is not None:
-        total = total - K0
-    return total
+    (total,) = _partial_sums(Bw, [_series_terms(rho, max(1.0, g.pencil_factor))])
+    return total if K0 is None else total - K0
 
 
 def binomial_sqrt_truncated(B, g: GramPair, terms, *, kernel_projector=None) -> list[np.ndarray]:
@@ -352,8 +379,7 @@ def binomial_sqrt_truncated(B, g: GramPair, terms, *, kernel_projector=None) -> 
         raise ValueError(f"terms must be strictly increasing positive counts, got {terms}")
     B, _ = _validated_series_argument(B, g)
     Bw, K0 = _deflated(B, g, kernel_projector)
-    wanted = set(terms)
-    sums = [total for k, (_, total) in enumerate(_partial_sums(Bw, terms[-1]), 1) if k in wanted]
+    sums = _partial_sums(Bw, terms)
     return sums if K0 is None else [total - K0 for total in sums]
 
 

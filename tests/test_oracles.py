@@ -9,6 +9,7 @@ from twonorm import (
     build_space,
     exp_curve,
     exp_skew,
+    gram_pair_from_matrices,
     group_log,
     h1_operator_norm,
 )
@@ -80,6 +81,24 @@ def test_adjoint_by_definition_agrees_with_library(g, rng):
     A = random_complex(rng, g.n, g.n)
     B = adjoint_by_definition(A, g)
     assert np.linalg.norm(B - adjoint_l2(A, g)) <= 1e-10 * np.linalg.norm(B)
+
+
+@pytest.mark.parametrize("n", [16, 128])
+def test_adjoint_by_definition_needs_no_lu_solve(n, monkeypatch):
+    # A non-grid Gram pair: random Hermitian positive definite gl2, cond 1e3.
+    rng = np.random.default_rng(n)
+    Q, _ = np.linalg.qr(random_complex(rng, n, n))
+    gl2 = (Q * np.logspace(0.0, -3.0, n)) @ Q.conj().T
+    g = gram_pair_from_matrices(gl2, 2.0 * gl2 + np.eye(n))
+    A = random_complex(rng, n, n)
+    expected = adjoint_l2(A, g)
+
+    def refuse(*_, **__):
+        raise AssertionError("the oracle reused the library's LU solve")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    B = adjoint_by_definition(A, g)
+    assert np.linalg.norm(B - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_adjoint_by_definition_frozen_two_point(g_small):
