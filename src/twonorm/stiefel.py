@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import complete_basis, orthonormality_defect, require_orthonormal, require_weak_projection
+from .basis import complete_basis, orthonormality_defect, require_orthonormal
 from .errors import ConvergenceFailure, NeighborhoodViolation, RankDeficiency
 from .group import GroupElement, SkewOperator, _joint_span, frame_unitary
 from .space import GramPair, LowRank, as_operator, h1_operator_norm, norm_h1
@@ -270,25 +270,6 @@ def _validated_series_argument(B, g: GramPair):
     return B, lam
 
 
-def _check_kernel_projector(B, K0, g: GramPair):
-    K0 = as_operator(K0, g.n, "kernel projector")
-    scale = require_weak_projection(K0, g, 1e-8, "kernel projector")
-    if (
-        np.linalg.norm(B @ K0 + K0) > 1e-8 * scale
-        or np.linalg.norm(K0 @ B + K0) > 1e-8 * scale
-    ):
-        raise ValueError("kernel projector does not match the -1 eigenspace of B")
-    return K0
-
-
-def _deflated(B, g: GramPair, kernel_projector):
-    """Series argument with its known -1 eigenspace lifted to 0, and that projector."""
-    if kernel_projector is None:
-        return B, None
-    K0 = _check_kernel_projector(B, kernel_projector, g)
-    return B + K0, K0
-
-
 def _partial_sums(Bw, counts) -> list[np.ndarray]:
     """I + sum_(j<=s) c_j Bw^j for each s in the strictly increasing ``counts``.
 
@@ -329,8 +310,7 @@ def _series_terms(rho: float, amp: float) -> int:
     if rho >= 1.0 and amp * amp / (math.pi * SERIES_TOL * SERIES_TOL) > SERIES_KMAX:
         raise ConvergenceFailure(
             f"tail bound cannot reach tol={SERIES_TOL:.1e} within kmax={SERIES_KMAX} terms; "
-            "the argument has weak spectral radius 1 (pass kernel_projector "
-            "if the -1 eigenspace is known)"
+            "the argument has weak spectral radius 1"
         )
     # Exact weighted tail at s = 0: sum_k |c_k| rho^k = 1 - sqrt(1 - rho).
     tail = 1.0 - math.sqrt(max(0.0, 1.0 - rho)) if rho < 1.0 else 1.0
@@ -346,7 +326,7 @@ def _series_terms(rho: float, amp: float) -> int:
     )
 
 
-def binomial_sqrt(B, g: GramPair, *, kernel_projector=None) -> np.ndarray:
+def binomial_sqrt(B, g: GramPair) -> np.ndarray:
     """Square root of I + B by the binomial series, for -I <= B <= 0 weakly.
 
     The truncation error after s terms is a scalar function of the weakly
@@ -354,21 +334,16 @@ def binomial_sqrt(B, g: GramPair, *, kernel_projector=None) -> np.ndarray:
     sum_(k>s) |c_k| rho^k on the spectrum, with rho the weak spectral radius;
     switching to the strong norm costs the Gram pencil factor.  The series
     stops at the first s with that bound below ``SERIES_TOL``.  At rho = 1 the
-    tail decays like 1/sqrt(s), so a caller that knows the -1 eigenspace of B can
-    pass its weak orthogonal projection as ``kernel_projector``: the series
-    then runs on the deflated argument and the known kernel is restored
-    exactly, keeping convergence geometric.
+    tail decays like 1/sqrt(s), so the bound cannot be met within
+    ``SERIES_KMAX`` terms and ConvergenceFailure is raised.
     """
     B, lam = _validated_series_argument(B, g)
-    Bw, K0 = _deflated(B, g, kernel_projector)
-    if K0 is not None:
-        _, lam = _validated_series_argument(Bw, g)
     rho = min(1.0, float(np.max(np.abs(lam))))
-    (total,) = _partial_sums(Bw, [_series_terms(rho, max(1.0, g.pencil_factor))])
-    return total if K0 is None else total - K0
+    (total,) = _partial_sums(B, [_series_terms(rho, max(1.0, g.pencil_factor))])
+    return total
 
 
-def binomial_sqrt_truncated(B, g: GramPair, terms, *, kernel_projector=None) -> list[np.ndarray]:
+def binomial_sqrt_truncated(B, g: GramPair, terms) -> list[np.ndarray]:
     """Plain partial sums of the series after each of the given term counts.
 
     ``terms`` is a strictly increasing sequence of positive counts; one pass
@@ -378,9 +353,7 @@ def binomial_sqrt_truncated(B, g: GramPair, terms, *, kernel_projector=None) -> 
     if not terms or terms[0] < 1 or any(b <= a for a, b in zip(terms, terms[1:])):
         raise ValueError(f"terms must be strictly increasing positive counts, got {terms}")
     B, _ = _validated_series_argument(B, g)
-    Bw, K0 = _deflated(B, g, kernel_projector)
-    sums = _partial_sums(Bw, terms)
-    return sums if K0 is None else [total - K0 for total in sums]
+    return _partial_sums(B, terms)
 
 
 def series_tail_bound(terms: int, rho: float, amp: float = 1.0) -> float:
@@ -402,16 +375,24 @@ def series_tail_bound(terms: int, rho: float, amp: float = 1.0) -> float:
 def sqrt_F(V: StiefelOperator, W: StiefelOperator) -> np.ndarray:
     """((I-P)(I-Q)(I-P))^(1/2) for the image projections P of V and Q of W.
 
-    The argument annihilates range(P), so that projection is handed to the
-    series as the known kernel and the result vanishes there exactly.
+    On the joint span [Phi, C] of the image frames, with K = C^H gl2 Psi for
+    W's frame Psi (``group._joint_span``), the argument is 0 on range(P),
+    I - K K^H on span C and I beyond.  So the series runs on the block -K K^H,
+    the result is I - Phi (gl2 Phi)^H + C (S - I)(gl2 C)^H, and its weak error
+    is the block's.  The radius ||K||_2^2 is the largest squared sine of the
+    principal angles between the images; at 1 ConvergenceFailure is raised.
     """
     g = V.g
-    eye = np.eye(g.n, dtype=np.complex128)
-    P = V.projection
-    Q = W.projection
-    ip = eye - P
-    A = ip @ (eye - Q) @ ip
-    return binomial_sqrt(A - eye, g, kernel_projector=P)
+    N = V.N
+    Q, beta = _joint_span(V.Phi, W.Phi, g)
+    K = beta[N:]
+    rho = min(1.0, float(np.linalg.norm(K, 2)) ** 2)
+    (S,) = _partial_sums(-K @ K.conj().T, [_series_terms(rho, max(1.0, g.pencil_factor))])
+    block = -np.eye(Q.shape[1], dtype=np.complex128)
+    block[N:, N:] += S
+    R = (Q @ block) @ (g.gl2 @ Q).conj().T
+    R[np.diag_indices(g.n)] += 1.0
+    return R
 
 
 # ---------------------------------------------------------------------------

@@ -229,10 +229,8 @@ def _sqrt_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
         Q = W.projection
         A = (eye - P) @ (eye - Q) @ (eye - P)
         R = sqrt_F(V, W)
-        rec.residual(np.linalg.norm(R @ R - A), 1e-9 * max(1.0, np.linalg.norm(A)))
-        rec.residual(
-            np.linalg.norm(R - sqrt_eig(A, g)), 1e-8 * max(1.0, np.linalg.norm(R))
-        )
+        rec.residual(np.linalg.norm(R @ R - A) / max(1.0, np.linalg.norm(A)), 1e-9)
+        rec.residual(np.linalg.norm(R - sqrt_eig(A, g)) / max(1.0, np.linalg.norm(R)), 1e-8)
 
 
 def _grassmann_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:

@@ -1,4 +1,4 @@
-"""The blocked series evaluator against a plain power loop, the oracle and its memory budget."""
+"""The blocked series evaluator and sqrt_F against a plain power loop, the oracle and their memory budgets."""
 
 import tracemalloc
 
@@ -7,14 +7,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twonorm import SpaceSpec, binomial_sqrt, binomial_sqrt_truncated, build_space, h1_operator_norm
+from twonorm import (
+    ConvergenceFailure,
+    SpaceSpec,
+    StiefelOperator,
+    binomial_sqrt,
+    binomial_sqrt_truncated,
+    build_space,
+    h1_operator_norm,
+    radius_r,
+    sqrt_F,
+)
+from twonorm.basis import complete_basis
 from twonorm.campaigns import BENCH_TERMS
 from twonorm.oracles import sqrt_eig
-from twonorm.sampling import random_complex, rng_for_trial
+from twonorm.sampling import random_complex, random_reference, random_stiefel, rng_for_trial, stiefel_near
 from twonorm.stiefel import SERIES_BLOCK, SERIES_TOL, _series_terms, binomial_coefficients
 
 SPACES = {
     16: build_space(SpaceSpec(domain_dim=1, grid_points=16, spacing=0.25)),
+    128: build_space(SpaceSpec(domain_dim=1, grid_points=128, spacing=0.25)),
     144: build_space(SpaceSpec(domain_dim=2, grid_points=12, spacing=0.25)),
 }
 # Traced peaks of the one-term-per-product loop this evaluator replaced, in
@@ -22,21 +34,13 @@ SPACES = {
 PLAIN_LOOP_PEAKS = (3.4, 8.0)
 
 
-def _argument(g, rho, seed, kernel_dim=0):
-    """Weakly self-adjoint B with spectrum in [-rho, 0], plus -1 on a random kernel.
-
-    Returns B and the weak projection onto its -1 eigenspace (None without one).
-    """
+def _argument(g, rho, seed):
+    """Weakly self-adjoint B with spectrum in [-rho, 0]."""
     rng = rng_for_trial(seed, 0)
     C = random_complex(rng, g.n, g.n)
     H = C @ C.conj().T
     H /= float(np.linalg.eigvalsh(H)[-1])
-    if not kernel_dim:
-        return g.from_l2_frame(-rho * H), None
-    U, _ = np.linalg.qr(random_complex(rng, g.n, kernel_dim))
-    K = U @ U.conj().T
-    off = np.eye(g.n) - K
-    return g.from_l2_frame(-K - rho * off @ H @ off), g.from_l2_frame(K)
+    return g.from_l2_frame(-rho * H)
 
 
 def _power_loop(Bw, counts):
@@ -60,19 +64,14 @@ def _power_loop(Bw, counts):
     drawn=st.lists(st.integers(1, 300), max_size=4),
     block_end=st.integers(1, 300 // SERIES_BLOCK),
     mid_block=st.integers(1, 300).filter(lambda s: s % SERIES_BLOCK),
-    kernel=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_partial_sums_match_power_loop(n, rho, drawn, block_end, mid_block, kernel, seed):
+def test_partial_sums_match_power_loop(n, rho, drawn, block_end, mid_block, seed):
     g = SPACES[n]
     counts = sorted(set(drawn) | {SERIES_BLOCK * block_end, mid_block})
-    B, K0 = _argument(g, rho, seed, kernel_dim=2 if kernel else 0)
-    sums = binomial_sqrt_truncated(B, g, counts, kernel_projector=K0)
-    Bw = B if K0 is None else B + K0
-    expected = _power_loop(Bw, counts)
-    for s, total, plain in zip(counts, sums, expected):
-        if K0 is not None:
-            plain = plain - K0
+    B = _argument(g, rho, seed)
+    sums = binomial_sqrt_truncated(B, g, counts)
+    for s, total, plain in zip(counts, sums, _power_loop(B, counts)):
         assert np.linalg.norm(total - plain) <= 1e-13 * np.linalg.norm(plain), s
 
 
@@ -81,7 +80,7 @@ def test_binomial_sqrt_near_unit_radius_agrees_with_oracle():
     g = SPACES[16]
     rho = 0.999
     assert _series_terms(rho, max(1.0, g.pencil_factor)) > 1000
-    B, _ = _argument(g, rho, seed=3)
+    B = _argument(g, rho, seed=3)
     err = h1_operator_norm(binomial_sqrt(B, g) - sqrt_eig(np.eye(g.n) + B, g), g)
     assert err <= SERIES_TOL
 
@@ -101,9 +100,62 @@ def test_series_memory_does_not_grow_with_the_degree(rho):
     # plain loop: SERIES_BLOCK + 2 arrays, whatever the term count.
     g = SPACES[144]
     g.pencil_factor  # cached factorizations are built before tracing
-    B, _ = _argument(g, rho, seed=5)
+    B = _argument(g, rho, seed=5)
     array = g.n * g.n * 16
     extra = SERIES_BLOCK + 2
     sqrt_peak, truncated_peak = PLAIN_LOOP_PEAKS
     assert _traced_peak(lambda: binomial_sqrt(B, g)) <= (sqrt_peak + extra) * array
     assert _traced_peak(lambda: binomial_sqrt_truncated(B, g, BENCH_TERMS)) <= (truncated_peak + extra) * array
+
+
+def _pair(n, N, kind, fraction, seed):
+    """A random point V and a second point W equal to it, near it or far from it."""
+    rng = rng_for_trial(seed, 0)
+    V = random_stiefel(rng, random_reference(rng, SPACES[n], N), scale=0.4)
+    if kind == "equal":
+        return V, V
+    if kind == "near":
+        return V, stiefel_near(V, fraction * radius_r(V), rng)[0]
+    return V, random_stiefel(rng, V.ref, scale=0.4)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    n=st.sampled_from((16, 128)),
+    N=st.integers(1, 3),
+    kind=st.sampled_from(("equal", "near", "far")),
+    fraction=st.floats(0.01, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sqrt_f_matches_oracle_on_equal_near_and_far_pairs(n, N, kind, fraction, seed):
+    V, W = _pair(n, N, kind, fraction, seed)
+    g = V.g
+    eye = np.eye(g.n)
+    ip = eye - V.projection
+    exact = sqrt_eig(ip @ (eye - W.projection) @ ip, g)
+    R = sqrt_F(V, W)
+    assert h1_operator_norm(R - exact, g) <= SERIES_TOL + 1e-12 * max(1.0, h1_operator_norm(exact, g))
+    assert np.linalg.norm(R @ V.projection) <= 1e-12
+
+
+def test_sqrt_f_builds_no_dense_array_but_its_result():
+    # The series runs on a block of width at most N, so the returned operator
+    # is the only n-by-n array.
+    g = build_space(SpaceSpec(domain_dim=1, grid_points=256, spacing=0.25))
+    g.pencil_factor  # cached factorizations are built before tracing
+    rng = rng_for_trial(5, 0)
+    ref = random_reference(rng, g, 2)
+    V, W = random_stiefel(rng, ref, scale=0.4), random_stiefel(rng, ref, scale=0.4)
+    assert _traced_peak(lambda: sqrt_F(V, W)) < 4 * g.n * g.n * 16
+
+
+def test_sqrt_f_raises_when_the_images_are_weakly_orthogonal_in_a_direction():
+    # A vector of W's image weakly orthogonal to V's image is a direction of
+    # (I - P)(I - Q)(I - P) with eigenvalue 0: the series radius is 1.
+    g = SPACES[16]
+    rng = rng_for_trial(9, 0)
+    V = random_stiefel(rng, random_reference(rng, g, 2), scale=0.4)
+    away = complete_basis(V.Phi, random_complex(rng, g.n, 1), g)
+    W = StiefelOperator(np.hstack([V.Phi[:, :1], away]), V.ref)
+    with pytest.raises(ConvergenceFailure):
+        sqrt_F(V, W)

@@ -139,35 +139,23 @@ def test_binomial_sqrt_rejects_bad_spectrum(g):
         binomial_sqrt(-1.5 * np.eye(g.n), g)
 
 
-def test_binomial_sqrt_deflates_known_kernel(g):
+def test_binomial_sqrt_deflates_known_kernel(g, V):
+    # I - P has an exact kernel on range(P), where the plain series would
+    # crawl; sqrt_F leaves it out of the block the series runs on.
+    R = sqrt_F(V, V)
+    assert np.linalg.norm(R - (np.eye(g.n) - V.projection)) <= 1e-13
+    assert np.linalg.norm(R @ V.Phi) <= 1e-13
+
+
+def test_binomial_sqrt_at_spectral_radius_one_names_it(g):
+    # -P has weak spectral radius 1: the tail bound decays like 1/sqrt(s)
+    # and cannot reach the tolerance within kmax terms.
     v = np.zeros(g.n, dtype=np.complex128)
     v[2] = 1.0
     v /= np.sqrt((v.conj() @ g.gl2 @ v).real)
     P = np.outer(v, v.conj()) @ g.gl2
-    # I - P has an exact kernel on range(P); the plain series would crawl.
-    R = binomial_sqrt(-P, g, kernel_projector=P)
-    assert np.linalg.norm(R - (np.eye(g.n) - P)) <= 1e-10
-    assert np.linalg.norm(R @ v) <= 1e-12
-
-
-def test_binomial_sqrt_without_kernel_projector_names_it(g):
-    # -P has weak spectral radius 1: without the known kernel the tail bound
-    # decays like 1/sqrt(s) and cannot reach the tolerance within kmax terms.
-    v = np.zeros(g.n, dtype=np.complex128)
-    v[2] = 1.0
-    v /= np.sqrt((v.conj() @ g.gl2 @ v).real)
-    P = np.outer(v, v.conj()) @ g.gl2
-    with pytest.raises(ConvergenceFailure, match="kernel_projector"):
+    with pytest.raises(ConvergenceFailure, match="spectral radius 1"):
         binomial_sqrt(-P, g)
-
-
-def test_binomial_sqrt_rejects_wrong_kernel_projector(g):
-    v = np.zeros(g.n, dtype=np.complex128)
-    v[0] = 1.0
-    v /= np.sqrt((v.conj() @ g.gl2 @ v).real)
-    P = np.outer(v, v.conj()) @ g.gl2
-    with pytest.raises(ValueError):
-        binomial_sqrt(-0.5 * P, g, kernel_projector=P)
 
 
 def test_truncated_series_first_order(g):
@@ -181,11 +169,11 @@ def test_truncated_series_one_pass_matches_single_counts(g, V, rng):
     M = g.to_l2_frame(C) @ g.to_l2_frame(C).conj().T
     B = g.from_l2_frame(-0.8 * M / float(np.linalg.eigvalsh(M)[-1]))
     counts = (1, 4, 8, 16)
-    for B_, K in ((B, None), (-V.projection, V.projection)):
-        sums = binomial_sqrt_truncated(B_, g, counts, kernel_projector=K)
+    for B_ in (B, -0.5 * V.projection):
+        sums = binomial_sqrt_truncated(B_, g, counts)
         assert len(sums) == len(counts)
         for s, total in zip(counts, sums):
-            (single,) = binomial_sqrt_truncated(B_, g, [s], kernel_projector=K)
+            (single,) = binomial_sqrt_truncated(B_, g, [s])
             assert np.array_equal(total, single)
 
 
@@ -196,8 +184,8 @@ def test_truncated_series_rejects_bad_counts(g, counts):
 
 
 def test_series_tail_bound_dominates_error(g, rng):
-    C = random_complex(rng, g.n, g.n)
-    M = g.to_l2_frame(C) @ g.to_l2_frame(C).conj().T
+    L = g.to_l2_frame(random_complex(rng, g.n, g.n))
+    M = L @ L.conj().T
     lam_max = float(np.linalg.eigvalsh(M)[-1])
     B = g.from_l2_frame(-0.8 * M / lam_max)
     exact = sqrt_eig(np.eye(g.n) + B, g)

@@ -2,7 +2,7 @@ import math
 
 from twonorm.config import config_from_mapping
 from twonorm.space import build_space
-from twonorm.validate import _Recorder, _geometry_suite, _grassmann_suite, _space_suite
+from twonorm.validate import _Recorder, _geometry_suite, _grassmann_suite, _space_suite, _sqrt_suite
 
 
 def test_recorder_keeps_nan_as_worst_residual():
@@ -44,4 +44,14 @@ def test_grassmann_suite_records_residuals_on_the_scale_of_their_limits():
     rec = _Recorder()
     _grassmann_suite(cfg, build_space(cfg.space), rec)
     result = rec.result("grassmann")
+    assert result.passed and result.max_residual <= 1e-14, result
+
+
+def test_sqrt_suite_records_residuals_on_the_scale_of_their_limits():
+    # The square and oracle checks have limits 1e-9 max(1, ||A||) and
+    # 1e-8 max(1, ||R||) and are recorded divided by that scale.
+    cfg = config_from_mapping({"seed": 42, "trials": 10, "space": {"grid_points": 128, "spacing": 0.25}})
+    rec = _Recorder()
+    _sqrt_suite(cfg, build_space(cfg.space), rec)
+    result = rec.result("sqrt")
     assert result.passed and result.max_residual <= 1e-14, result
