@@ -29,7 +29,6 @@ __all__ = [
     "finsler_norm_stiefel",
     "finsler_norm_grassmann",
     "riemannian_inner_stiefel",
-    "riemannian_inner_grassmann",
     "CurveSamples",
     "exp_curve",
     "curve_length",
@@ -136,13 +135,6 @@ def riemannian_inner_stiefel(X: SkewOperator, Y: SkewOperator, V: StiefelOperato
     g = V.g
     a = X.data @ V.V
     b = Y.data @ V.V
-    return float(np.trace(a @ adjoint_h1(b, g)).real)
-
-
-def riemannian_inner_grassmann(X: SkewOperator, Y: SkewOperator, P) -> float:
-    g = P.g
-    a = X.data @ P.P - P.P @ X.data
-    b = Y.data @ P.P - P.P @ Y.data
     return float(np.trace(a @ adjoint_h1(b, g)).real)
 
 

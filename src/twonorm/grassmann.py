@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import orthonormal_columns, require_orthonormal, require_weak_projection
 from .errors import NeighborhoodViolation
-from .group import GroupElement, SkewOperator, frame_unitary
+from .group import GroupElement, SkewOperator
 from .space import GramPair, LowRank, as_operator, h1_operator_norm
 from .stiefel import (
     ReferenceFrame,
@@ -36,7 +36,6 @@ __all__ = [
     "EquivalenceResult",
     "grassmann_equivalence",
     "act_grassmann",
-    "connecting_unitary",
     "section_pi_p",
     "delta_p",
     "tangent_project_grassmann",
@@ -180,13 +179,6 @@ def grassmann_equivalence(V: StiefelOperator, V1: StiefelOperator) -> Equivalenc
 def act_grassmann(U: GroupElement, P: ProjectionOperator) -> ProjectionOperator:
     """Conjugation action U . P = U P U^-1, the projection onto the span of U H."""
     return ProjectionOperator(P.frame + U.displacement(P.frame), P.g)
-
-
-def connecting_unitary(P: ProjectionOperator, P1: ProjectionOperator) -> GroupElement:
-    """Explicit group element conjugating P onto P1; the action is transitive."""
-    if P.N != P1.N:
-        raise ValueError("projections must have equal rank")
-    return frame_unitary(P.frame, P1.frame, P.g)
 
 
 def section_pi_p(P: ProjectionOperator, P1: ProjectionOperator, ref: ReferenceFrame) -> GroupElement:

@@ -25,7 +25,6 @@ __all__ = [
     "skew_residual",
     "OneParameterGroup",
     "exp_skew",
-    "bracket",
     "frame_unitary",
     "algebraic_membership_residual",
 ]
@@ -137,11 +136,6 @@ class SkewOperator:
         return self.Q @ (self.S @ (self.Q.conj().T @ (self.g.gl2 @ F)))
 
 
-def bracket(X: SkewOperator, Y: SkewOperator) -> SkewOperator:
-    """Commutator [X, Y]; the algebra is closed under it."""
-    return SkewOperator.from_matrix(X.data @ Y.data - Y.data @ X.data, X.g)
-
-
 class OneParameterGroup:
     """The curve t -> exp(tX) from one eigendecomposition of the k-by-k block.
 
@@ -167,9 +161,12 @@ def _joint_span(F0, F1, g: GramPair):
     """Orthonormal basis Q = [F0, C] of the span of both frames, and beta = Q^H gl2 (F1 - F0).
 
     F1 = Q (E + beta) for E the first N columns of I_k, and beta is as accurate as F1 - F0.
+    The basis is completed on D = F1 - F0 scaled to unit norm, so the drop rule of
+    ``complete_basis`` is relative to the displacement and keeps its small directions.
     """
     D = F1 - F0
-    Q = np.hstack([F0, complete_basis(F0, D, g)])
+    scale = np.linalg.norm(D)
+    Q = np.hstack([F0, complete_basis(F0, D / scale if scale > 0 else D, g)])
     return Q, Q.conj().T @ (g.gl2 @ D)
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "norm_h1",
     "adjoint_l2",
     "adjoint_h1",
-    "l2_operator_norm",
     "h1_singular_values",
     "h1_operator_norm",
 ]
@@ -230,20 +229,13 @@ def _hermitian_sqrt_pair(G):
     return sqrt, isqrt
 
 
-def _shift_matrix(m: int) -> np.ndarray:
-    """Periodic forward shift: (S x)_j = x_{j+1 mod m}."""
-    S = np.zeros((m, m))
-    for j in range(m):
-        S[j, (j + 1) % m] = 1.0
-    return S
-
-
 def forward_difference(spec: SpaceSpec, axis: int) -> np.ndarray:
     """Periodic forward difference along one axis, row-major grid ordering."""
     m, d, h = spec.grid_points, spec.domain_dim, spec.spacing
     if not 0 <= axis < d:
         raise ValueError(f"axis {axis} out of range for dimension {d}")
-    D1 = (_shift_matrix(m) - np.eye(m)) / h
+    # The periodic forward shift (S x)_j = x_(j+1 mod m), minus the identity.
+    D1 = (np.roll(np.eye(m), 1, axis=1) - np.eye(m)) / h
     out = np.eye(1)
     for a in range(d):
         out = np.kron(out, D1 if a == axis else np.eye(m))
@@ -298,12 +290,6 @@ def adjoint_h1(A, g: GramPair) -> np.ndarray:
     """Adjoint with respect to the strong product: gh1^{-1} A^H gh1."""
     A = as_operator(A, g.n, "A")
     return g.solve_h1(A.conj().T @ g.gh1)
-
-
-def l2_operator_norm(A, g: GramPair) -> float:
-    """Operator norm of A as a map of the weak space."""
-    A = as_operator(A, g.n, "A")
-    return float(np.linalg.svd(g.to_l2_frame(A), compute_uv=False)[0])
 
 
 def h1_singular_values(A, g: GramPair) -> np.ndarray:

@@ -44,7 +44,6 @@ __all__ = [
     "section_factors",
     "cross_section_sigma",
     "translated_section",
-    "delta_v",
     "K_map",
     "tangent_project",
     "lie_split_stiefel",
@@ -529,11 +528,6 @@ def translated_section(
 
 # ---------------------------------------------------------------------------
 # Tangent calculus
-
-
-def delta_v(X: SkewOperator, V: StiefelOperator) -> np.ndarray:
-    """Tangent vector X V generated by the algebra element X."""
-    return X.data @ V.V
 
 
 def K_map(Y, V: StiefelOperator) -> np.ndarray:

@@ -17,9 +17,12 @@ import numpy as np
 from .config import RunConfig, load_frame_matrix
 from .errors import LogUnavailable, TwoNormError
 from .geometry import (
+    NormSpec,
     curve_length,
     distance_upper,
     exp_curve,
+    finsler_norm_grassmann,
+    finsler_norm_stiefel,
     group_log,
     norm_sandwich_check,
     schatten_norm,
@@ -57,6 +60,7 @@ from .sampling import (
 )
 from .space import (
     GramPair,
+    LowRank,
     SpaceSpec,
     adjoint_h1,
     adjoint_l2,
@@ -72,12 +76,13 @@ from .stiefel import (
     StiefelOperator,
     act,
     lie_split_stiefel,
+    metric_equivalence_report,
     point_difference,
+    projection_lipschitz_report,
     radius_r,
     section_factors,
     sqrt_F,
     translated_section,
-    tuple_metric,
 )
 
 __all__ = ["SuiteResult", "run_suites", "SUITE_NAMES"]
@@ -292,6 +297,7 @@ def _geometry_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
     setup = rng_for_trial(cfg.seed, SETUP_TRIAL)
     ref = _reference_for(cfg, g, setup)
     V0 = random_stiefel(setup, ref, scale=0.3)
+    P0 = phi(V0)
     spec = cfg.norm
     zero = SkewOperator(V0.Phi, np.zeros((ref.N, ref.N)), g)
     rec.residual(curve_length(exp_curve(V0, zero, 16), spec, g), 0.0)
@@ -308,6 +314,13 @@ def _geometry_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
             )
         except LogUnavailable:
             rec.require(False)
+        # The Finsler norms of the tangents X V0 (rank N) and [X, P0] (rank 2N)
+        # lie between their strong operator norm and rank times that norm.
+        for f, op, rank in (
+            (finsler_norm_stiefel(X, V0, spec), h1_operator_norm(LowRank(X.apply(V0.Phi), ref.dual), g), ref.N),
+            (finsler_norm_grassmann(X, P0, spec), finsler_norm_grassmann(X, P0, NormSpec.operator()), 2 * ref.N),
+        ):
+            rec.residual(max(0.0, op - f, f - rank * op), 1e-10 * max(1.0, op))
         W = act(exp_skew(_strong_scaled(random_skew(rng, g), 0.02)), V0)
         report = norm_sandwich_check(V0, W, spec)
         rec.require(report.ok)
@@ -323,14 +336,13 @@ def _geometry_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
         rec.require(False)
     except LogUnavailable:
         rec.require(True)
-    # Tuple and operator distances stay within the equivalence window.
+    # Tuple and operator distances stay within the equivalence window, and the
+    # image projection is Lipschitz in the point.
     other = random_stiefel(setup, ref, scale=0.3)
-    d_tuple = tuple_metric(V0, other)
-    d_op = h1_operator_norm(point_difference(other, V0), g)
-    C = ref.C
-    N = ref.N
-    rec.residual(max(0.0, d_op - np.sqrt(N) * d_tuple), 1e-10)
-    rec.residual(max(0.0, d_tuple - np.sqrt(N) * C * d_op), 1e-10)
+    rep = metric_equivalence_report(V0, other)
+    rec.require(rep.lower_ok)
+    rec.require(rep.upper_ok)
+    rec.require(projection_lipschitz_report(V0, other).ok)
 
 
 _SUITES = (_space_suite, _group_suite, _section_suite, _sqrt_suite, _grassmann_suite, _geometry_suite)

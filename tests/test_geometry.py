@@ -22,7 +22,6 @@ from twonorm import (
     h1_singular_values,
     norm_sandwich_check,
     phi,
-    riemannian_inner_grassmann,
     riemannian_inner_stiefel,
     schatten_norm,
     skew_residual,
@@ -115,10 +114,6 @@ def test_riemannian_inner_products(g, V, rng):
     xx = riemannian_inner_stiefel(X, X, V)
     assert xx >= 0.0
     assert np.sqrt(xx) == pytest.approx(finsler_norm_stiefel(X, V, spec))
-    P = phi(V)
-    pp = riemannian_inner_grassmann(X, X, P)
-    assert pp >= 0.0
-    assert np.sqrt(pp) == pytest.approx(finsler_norm_grassmann(X, P, spec))
 
 
 def test_curve_samples_validation(g, V):

@@ -7,9 +7,9 @@ from twonorm import (
     SkewOperator,
     StiefelOperator,
     act_grassmann,
-    connecting_unitary,
     delta_p,
     exp_skew,
+    frame_unitary,
     grassmann_equivalence,
     h1_operator_norm,
     lie_split_grassmann,
@@ -124,7 +124,7 @@ def test_act_grassmann_matches_point_action(g, V, rng):
 def test_connecting_unitary_conjugates(g, rng):
     P = random_projection(rng, g, 2)
     P1 = random_projection(rng, g, 2)
-    U = connecting_unitary(P, P1)
+    U = frame_unitary(P.frame, P1.frame, g)
     moved = U.data @ P.P @ U.inv
     assert np.linalg.norm(moved - P1.P) <= 1e-9
 

@@ -9,7 +9,7 @@ from twonorm import (
     StiefelOperator,
     act_grassmann,
     build_space,
-    connecting_unitary,
+    frame_unitary,
     h1_operator_norm,
     psi_section,
     radius_r,
@@ -56,7 +56,7 @@ def test_quotient_sections_never_build_the_projections():
     radius = 1.0 / (h1_operator_norm(P.factors, g) + 1.0) ** 2
     P1, _ = projection_near(P, 0.3 * radius, rng_for_trial(42, 1))
     psi_section(P, P1, ref)
-    connecting_unitary(P, P1)
+    frame_unitary(P.frame, P1.frame, g)
     assert "P" not in P.__dict__
     assert "P" not in P1.__dict__
 

@@ -1,0 +1,25 @@
+"""Every exported name resolves, and retired conveniences stay retired."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import twonorm
+
+MODULES = [twonorm] + [
+    importlib.import_module(f"twonorm.{info.name}")
+    for info in pkgutil.iter_modules(twonorm.__path__)
+    if not info.name.startswith("_")
+]
+RETIRED = ("bracket", "connecting_unitary", "l2_operator_norm", "riemannian_inner_grassmann", "delta_v")
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_retired_names_are_gone(module):
+    assert [name for name in RETIRED if hasattr(module, name)] == []

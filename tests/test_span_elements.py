@@ -218,3 +218,20 @@ def test_section_displacement_is_relatively_accurate(n):
             D = V1.Phi - V.Phi
             moved = cross_section_sigma(V, V1).displacement(V.Phi)
             assert np.linalg.norm(moved - D) <= 1e-12 * np.linalg.norm(D), (seed, frac)
+
+
+@pytest.mark.parametrize("n", [16, 128])
+def test_joint_span_keeps_small_displacements(n):
+    # At 1e-5 of the radius the out-of-span part of Phi1 - Phi can fall below
+    # the absolute drop rule of complete_basis.  The span is completed on the
+    # unit-norm displacement, so it keeps 2N columns and sigma reaches Phi1.
+    g = SPACES[n]
+    for seed in range(8):
+        setup = rng_for_trial(seed, SETUP_TRIAL)
+        V = random_stiefel(setup, random_reference(setup, g, 2), scale=0.4)
+        V1, _ = stiefel_near(V, 1e-5 * radius_r(V), rng_for_trial(seed, 0))
+        Q, _ = group._joint_span(V.Phi, V1.Phi, g)
+        D = V1.Phi - V.Phi
+        moved = cross_section_sigma(V, V1).displacement(V.Phi)
+        assert Q.shape[1] == 4, seed
+        assert np.linalg.norm(moved - D) <= 1e-12 * np.linalg.norm(D), seed

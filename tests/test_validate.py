@@ -1,5 +1,6 @@
 import math
 
+from twonorm import validate
 from twonorm.config import config_from_mapping
 from twonorm.space import build_space
 from twonorm.validate import _Recorder, _geometry_suite, _grassmann_suite, _space_suite, _sqrt_suite
@@ -55,3 +56,14 @@ def test_sqrt_suite_records_residuals_on_the_scale_of_their_limits():
     _sqrt_suite(cfg, build_space(cfg.space), rec)
     result = rec.result("sqrt")
     assert result.passed and result.max_residual <= 1e-14, result
+
+
+def test_geometry_suite_fails_when_the_stiefel_finsler_norm_is_inflated(monkeypatch):
+    # The Finsler norm of the rank-N tangent X V0 is at most N times its
+    # strong operator norm; three times the norm exceeds that at N = 2.
+    true_norm = validate.finsler_norm_stiefel
+    monkeypatch.setattr(validate, "finsler_norm_stiefel", lambda *args: 3.0 * true_norm(*args))
+    cfg = config_from_mapping({"seed": 42, "trials": 4, "space": {"grid_points": 16, "spacing": 0.25}})
+    rec = _Recorder()
+    _geometry_suite(cfg, build_space(cfg.space), rec)
+    assert not rec.result("geometry").passed
