@@ -7,6 +7,7 @@ reproduces each artifact byte for byte.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 
@@ -20,17 +21,17 @@ from .geometry import (
     exp_curve,
     norm_sandwich_check,
 )
-from .group import SkewOperator, exp_skew, membership_residual
+from .group import SkewOperator, exp_skew
 from .oracles import sqrt_eig
 from .sampling import (
     SETUP_TRIAL,
     random_complex,
-    random_skew,
+    random_span_skew,
     random_stiefel,
     rng_for_trial,
     stiefel_near,
 )
-from .space import build_space, h1_operator_norm
+from .space import LowRank, build_space, h1_operator_norm
 from .stiefel import (
     StiefelOperator,
     act,
@@ -107,11 +108,13 @@ def run_section_demo(cfg: RunConfig) -> int:
         for frac in SECTION_FRACTIONS:
             V1, achieved = stiefel_near(V, frac * r, rng)
             fac = section_factors(V, V1)
-            sigma_res = float(
-                np.linalg.norm(fac.sigma.data @ V.V - V1.V)
-                / max(1.0, np.linalg.norm(V1.V))
-            )
-            mem = membership_residual(fac.sigma.data, g)
+            # sigma V - V1 = (sigma Phi - Phi1)(gl2 Xi)^H, from the displacement.
+            miss = fac.sigma.displacement(V.Phi) - (V1.Phi - V.Phi)
+            sigma_res = LowRank(miss, ref.dual).frobenius_norm() / max(1.0, V1.factors.frobenius_norm())
+            # The defect of the validated block; where gl2 is a multiple of I,
+            # as on build_space grids, it equals the dense relative defect.
+            B = fac.sigma.B
+            mem = float(np.linalg.norm(B + B.conj().T + B.conj().T @ B) / math.sqrt(g.n))
             slack = 1.0 - max(fac.bounds)
             worst = max(worst, sigma_res, mem)
             rows.append((achieved, sigma_res, mem, slack))
@@ -198,7 +201,7 @@ def run_geometry(cfg: RunConfig) -> int:
     zero = SkewOperator(V0.Phi, np.zeros((ref.N, ref.N)), g)
     emit("constant", curve_length(exp_curve(V0, zero, steps), spec, g), V0)
 
-    X = _strong_scaled(random_skew(setup, g, scale=1.0), 0.05)
+    X = _strong_scaled(random_span_skew(setup, V0.Phi, g), 0.05)
     V_rot = act(exp_skew(X), V0)
     emit("rotation", curve_length(exp_curve(V0, X, steps), spec, g), V_rot)
 

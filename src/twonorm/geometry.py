@@ -123,10 +123,12 @@ def finsler_norm_stiefel(X: SkewOperator, V: StiefelOperator, spec: NormSpec) ->
 def finsler_norm_grassmann(X: SkewOperator, P, spec: NormSpec) -> float:
     """Length of the tangent vector [X, P] in the chosen norm.
 
-    With P = L R^H, X P - P X = [X L, L][R, -X^H R]^H.
+    With P = L R^H, X P - P X = [X L, L][R, -X^H R]^H, and
+    X^H R = gl2 Q S^H (Q^H R), so no n-by-n operator is formed.
     """
     L, R = P.factors.L, P.factors.R
-    tangent = LowRank(X.data @ L, R) - LowRank(L, X.data.conj().T @ R)
+    XhR = P.g.gl2 @ (X.Q @ (X.S.conj().T @ (X.Q.conj().T @ R)))
+    tangent = LowRank(X.apply(L), R) - LowRank(L, XhR)
     return schatten_norm(tangent, spec, P.g)
 
 

@@ -54,7 +54,8 @@ def _frozen(A: np.ndarray) -> np.ndarray:
 def _span_form(element, block: str, defect, identity: str) -> None:
     """Check and freeze the weakly orthonormal span Q and the k-by-k block of an element.
 
-    The pair's own factor gl2^{-1/2} is orthonormal by construction.  The block
+    The pair's own factor gl2^{-1/2} is orthonormal by construction; a span
+    of k < n columns is checked without building that factor.  The block
     residual ||defect||_F / sqrt(n) is the dense one where gl2 is a multiple of I.
     """
     g = element.g
@@ -62,7 +63,7 @@ def _span_form(element, block: str, defect, identity: str) -> None:
     M = np.asarray(getattr(element, block), dtype=np.complex128)
     if Q.ndim != 2 or Q.shape[0] != g.n or M.shape != (Q.shape[1],) * 2:
         raise ValueError(f"need an {g.n}-by-k span and a k-by-k block, got {Q.shape} and {M.shape}")
-    if Q is not g.isqrt_l2:
+    if Q.shape[1] < g.n or Q is not g.isqrt_l2:
         require_orthonormal(Q, g, CONSTRUCT_TOL, "span is not orthonormal")
     res = float(np.linalg.norm(defect(M)) / math.sqrt(g.n))
     if not res <= CONSTRUCT_TOL:

@@ -19,6 +19,7 @@ __all__ = [
     "rng_for_trial",
     "random_complex",
     "random_skew",
+    "random_span_skew",
     "random_group_member",
     "random_reference",
     "base_point",
@@ -60,6 +61,17 @@ def random_skew(rng, g: GramPair, scale: float = 1.0) -> SkewOperator:
     return SkewOperator(g.isqrt_l2, S, g)
 
 
+def random_span_skew(rng, F, g: GramPair) -> SkewOperator:
+    """Random skew X = Q (A - A^H)(gl2 Q)^H on span[F, G], for G a random n-by-N block.
+
+    Q is an orthonormal basis of the span, so k = min(2N, n); the k-by-k
+    block is not normalized.
+    """
+    Q = orthonormal_columns(np.hstack([F, random_complex(rng, g.n, F.shape[1])]), g)
+    A = random_complex(rng, Q.shape[1], Q.shape[1])
+    return SkewOperator(Q, A - A.conj().T, g)
+
+
 def random_group_member(rng, g: GramPair, scale: float = 1.0) -> GroupElement:
     return exp_skew(random_skew(rng, g, scale))
 
@@ -78,7 +90,13 @@ def base_point(ref: ReferenceFrame) -> StiefelOperator:
 
 
 def random_stiefel(rng, ref: ReferenceFrame, scale: float = 0.5) -> StiefelOperator:
-    return act(random_group_member(rng, ref.g, scale), base_point(ref))
+    """The base point moved by exp(X), for X from ``random_span_skew`` on span[Xi, G].
+
+    The block of X has Frobenius norm ``scale``; on build_space grids that is
+    also ||X||_F.
+    """
+    X = random_span_skew(rng, ref.Xi, ref.g)
+    return act(exp_skew(SkewOperator(X.Q, X.S * (scale / np.linalg.norm(X.S)), X.g)), base_point(ref))
 
 
 def random_projection(rng, g: GramPair, N: int) -> ProjectionOperator:
@@ -110,10 +128,10 @@ def _calibrated_scale(distance_at, target: float) -> float:
 
 
 def _span_perturbation(F, g: GramPair, target: float, scale: float, rng, distance) -> GroupElement:
-    """exp(sX) with distance(exp(sX) F - F) = target, for a random skew X on span[F, G].
+    """exp(sX) with distance(exp(sX) F - F) = target, for X from ``random_span_skew``.
 
-    G is a random n-by-N block.  A target below ``RESOLUTION_FACTOR`` machine
-    epsilons of the point's strong norm ``scale`` raises NeighborhoodViolation.
+    A target below ``RESOLUTION_FACTOR`` machine epsilons of the point's
+    strong norm ``scale`` raises NeighborhoodViolation.
     """
     if target <= 0:
         raise ValueError("target distance must be positive")
@@ -123,9 +141,7 @@ def _span_perturbation(F, g: GramPair, target: float, scale: float, rng, distanc
             f"target distance {target:.3e} is below the resolution {floor:.3e} "
             f"of a point of strong norm {scale:.3e}"
         )
-    Q = orthonormal_columns(np.hstack([F, random_complex(rng, g.n, F.shape[1])]), g)
-    A = random_complex(rng, Q.shape[1], Q.shape[1])
-    exp_sX = OneParameterGroup(SkewOperator(Q, A - A.conj().T, g))
+    exp_sX = OneParameterGroup(random_span_skew(rng, F, g))
     return exp_sX(_calibrated_scale(lambda s: distance(exp_sX(s).displacement(F)), target))
 
 

@@ -54,6 +54,7 @@ from .sampling import (
     random_projection,
     random_reference,
     random_skew,
+    random_span_skew,
     random_stiefel,
     rng_for_trial,
     stiefel_near,
@@ -270,7 +271,7 @@ def _grassmann_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
         rec.require(res.equivalent)
         rec.residual(res.map_residual, 1e-7 * max(1.0, np.linalg.norm(V.V)))
         other = random_stiefel(rng, ref, scale=0.4)
-        same = h1_operator_norm(other.projection - V.projection, g) <= 1e-8
+        same = h1_operator_norm(other.projection_factors - V.projection_factors, g) <= 1e-8
         rec.require(grassmann_equivalence(other, V).equivalent == same)
         Y = random_complex(rng, g.n, g.n)
         d1 = delta_p(Y, P)
@@ -290,7 +291,7 @@ def _grassmann_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
 
 def _strong_scaled(X: SkewOperator, norm: float) -> SkewOperator:
     """X rescaled to the given strong operator norm."""
-    return SkewOperator(X.Q, X.S * (norm / h1_operator_norm(X.data, X.g)), X.g)
+    return SkewOperator(X.Q, X.S * (norm / h1_operator_norm(LowRank(X.Q @ X.S, X.g.gl2 @ X.Q), X.g)), X.g)
 
 
 def _geometry_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
@@ -303,9 +304,10 @@ def _geometry_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
     rec.residual(curve_length(exp_curve(V0, zero, 16), spec, g), 0.0)
     for trial in range(min(cfg.trials, 40)):
         rng = rng_for_trial(cfg.seed, trial)
-        # Small strong-norm generators keep the round trip and the connecting
-        # element inside the domain of the principal logarithm at any spacing.
-        X = _strong_scaled(random_skew(rng, g), 0.2)
+        # Small strong-norm generators on span[V0.Phi, G] keep the round trip
+        # and the connecting element inside the domain of the principal
+        # logarithm at any spacing.
+        X = _strong_scaled(random_span_skew(rng, V0.Phi, g), 0.2)
         U = exp_skew(X)
         try:
             back = group_log(U)
@@ -321,7 +323,7 @@ def _geometry_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
             (finsler_norm_grassmann(X, P0, spec), finsler_norm_grassmann(X, P0, NormSpec.operator()), 2 * ref.N),
         ):
             rec.residual(max(0.0, op - f, f - rank * op), 1e-10 * max(1.0, op))
-        W = act(exp_skew(_strong_scaled(random_skew(rng, g), 0.02)), V0)
+        W = act(exp_skew(_strong_scaled(random_span_skew(rng, V0.Phi, g), 0.02)), V0)
         report = norm_sandwich_check(V0, W, spec)
         rec.require(report.ok)
         try:

@@ -8,7 +8,7 @@ import pytest
 
 from twonorm import GroupElement, LogUnavailable, SpaceSpec, build_space, cli
 from twonorm.basis import orthonormal_columns
-from twonorm import validate
+from twonorm import group, validate
 from twonorm.cli import main
 from twonorm.config import (
     DEFAULT_TOLERANCES,
@@ -193,6 +193,18 @@ def test_seed_changes_section_table(tmp_path, capsys):
     assert main(["section-demo", "--trials", "2", "--out", str(b), "--seed", "2"]) == 0
     capsys.readouterr()
     assert (a / "section_demo.csv").read_bytes() != (b / "section_demo.csv").read_bytes()
+
+
+def test_section_demo_checks_sigma_in_span_form(tmp_path, capsys, monkeypatch):
+    # sigma is checked through its displacement and its validated block, so
+    # neither its dense operator nor a dense membership residual is formed.
+    def refuse(*_):
+        raise AssertionError("dense n-by-n group element")
+
+    monkeypatch.setattr(group, "membership_residual", refuse)
+    monkeypatch.setattr(GroupElement, "data", property(refuse))
+    assert main(["section-demo", "--trials", "2", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
 
 
 def test_frame_file_reference_is_used(tmp_path, capsys):

@@ -25,6 +25,7 @@ from twonorm import (
     cross_section_sigma,
     distance_upper,
     exp_skew,
+    finsler_norm_grassmann,
     frame_unitary,
     grassmann_equivalence,
     group_log,
@@ -32,10 +33,11 @@ from twonorm import (
     psi_section,
     quotient_radius,
     radius_r,
+    schatten_norm,
     section_factors,
     section_pi_p,
 )
-from twonorm import group
+from twonorm import group, sampling
 from twonorm.basis import orthonormal_columns
 from twonorm.group import OneParameterGroup
 from twonorm.oracles import exp_pade, log_pade
@@ -170,16 +172,23 @@ def test_span_producers_build_no_dense_operator(monkeypatch):
     g.sqrt_h1, g.isqrt_h1  # cached factorizations are built before tracing
     setup = rng_for_trial(42, SETUP_TRIAL)
     ref = random_reference(setup, g, 2)
-    V = random_stiefel(setup, ref, scale=0.4)
     P = random_projection(setup, g, 2)
     spec = NormSpec.schatten(2.0)
 
     def refuse(*_):
         raise AssertionError("dense n-by-n membership check")
 
+    drawn = []
+
+    def kept_exp(X):
+        drawn.append(exp_skew(X))
+        return drawn[-1]
+
     monkeypatch.setattr(group, "membership_residual", refuse)
+    monkeypatch.setattr(sampling, "exp_skew", kept_exp)
     tracemalloc.start()
     try:
+        V = random_stiefel(setup, ref, scale=0.4)
         V1, _ = stiefel_near(V, 0.5 * radius_r(V), rng_for_trial(42, 0))
         projection_near(P, 1e-3, rng_for_trial(42, 1))
         U = frame_unitary(V.Phi, V1.Phi, g)
@@ -198,8 +207,10 @@ def test_span_producers_build_no_dense_operator(monkeypatch):
         tracemalloc.stop()
     assert peak < n * n * 16
     sections = (fac.sigma, fac.t, fac.w, sigma, upi)
-    for element in (U, witness, moved) + sections:
+    for element in (U, witness, moved, drawn[0]) + sections:
         assert "data" not in element.__dict__ and "inv" not in element.__dict__
+    # random_stiefel exponentiates a generator on span[Xi, G].
+    assert len(drawn) == 1 and drawn[0].Q.shape[1] <= 4
     assert witness.Q.shape == (n, 2) and moved.Q.shape == U.Q.shape
     # The sections and the direct rotation live on the joint span, k <= 2N.
     assert all(element.Q.shape[1] <= 4 for element in sections)
@@ -235,3 +246,19 @@ def test_joint_span_keeps_small_displacements(n):
         moved = cross_section_sigma(V, V1).displacement(V.Phi)
         assert Q.shape[1] == 4, seed
         assert np.linalg.norm(moved - D) <= 1e-12 * np.linalg.norm(D), seed
+
+
+@pytest.mark.parametrize("n", [16, 128])
+def test_grassmann_finsler_norm_keeps_span_generators_thin(n):
+    # The tangent [X, P] is formed from X L and X^H R on the span of X,
+    # so the n-by-n operator of X is never built.
+    g = SPACES[n]
+    setup = rng_for_trial(5, SETUP_TRIAL)
+    P = random_projection(setup, g, 2)
+    X = _generator(g, 4, 5)
+    specs = (NormSpec.operator(), NormSpec.schatten(1.0), NormSpec.schatten(2.0))
+    values = [finsler_norm_grassmann(X, P, spec) for spec in specs]
+    assert "data" not in X.__dict__
+    for spec, value in zip(specs, values):
+        dense = schatten_norm(X.data @ P.P - P.P @ X.data, spec, g)
+        assert value == pytest.approx(dense, rel=1e-13)

@@ -2,6 +2,7 @@ import math
 
 from twonorm import validate
 from twonorm.config import config_from_mapping
+from twonorm.group import OneParameterGroup
 from twonorm.space import build_space
 from twonorm.validate import _Recorder, _geometry_suite, _grassmann_suite, _space_suite, _sqrt_suite
 
@@ -67,3 +68,30 @@ def test_geometry_suite_fails_when_the_stiefel_finsler_norm_is_inflated(monkeypa
     rec = _Recorder()
     _geometry_suite(cfg, build_space(cfg.space), rec)
     assert not rec.result("geometry").passed
+
+
+def test_only_the_group_suite_and_the_reparameterization_exponentiate_dense_generators(monkeypatch):
+    # Points, sampler moves and the geometry suite's generators live on spans
+    # of k <= 2N columns; the group suite checks the dense group by design,
+    # and the grassmann suite's reparameterization splits a dense generator.
+    cfg = config_from_mapping({"seed": 42, "trials": 2, "space": {"grid_points": 16, "spacing": 0.25}})
+    n = cfg.space.n
+    counts, current = {}, []
+    init = OneParameterGroup.__init__
+
+    def counted(self, X):
+        if X.Q.shape[1] == n:
+            counts[current[-1]] = counts.get(current[-1], 0) + 1
+        init(self, X)
+
+    def tagged(name, suite):
+        def run(*args):
+            current.append(name)
+            suite(*args)
+
+        return run
+
+    monkeypatch.setattr(OneParameterGroup, "__init__", counted)
+    monkeypatch.setattr(validate, "_SUITES", tuple(map(tagged, validate.SUITE_NAMES, validate._SUITES)))
+    assert all(result.passed for result in validate.run_suites(cfg))
+    assert counts == {"group": 3 * cfg.trials, "grassmann": cfg.trials}
