@@ -30,7 +30,7 @@ DROP_TOL = 1e-12
 def _col_norms(W, g: GramPair):
     if W.shape[1] == 0:
         return np.zeros(0)
-    quad = np.einsum("ij,ij->j", W.conj(), g.gl2 @ W).real
+    quad = np.einsum("ij,ij->j", W.conj(), g.l2(W)).real
     return np.sqrt(np.maximum(quad, 0.0))
 
 
@@ -38,7 +38,7 @@ def _project_out(B, W, g: GramPair):
     """One modified Gram-Schmidt sweep of the columns of W against basis B."""
     for j in range(B.shape[1]):
         b = B[:, j]
-        coeff = (g.gl2 @ b).conj() @ W
+        coeff = g.l2(b).conj() @ W
         W = W - np.outer(b, coeff)
     return W
 
@@ -96,7 +96,7 @@ def orthonormal_columns(M, g: GramPair):
 def orthonormality_defect(F, g: GramPair) -> float:
     """Frobenius norm of F^H gl2 F - I; zero iff the columns are weakly orthonormal."""
     F = np.asarray(F, dtype=np.complex128)
-    return float(np.linalg.norm(F.conj().T @ g.gl2 @ F - np.eye(F.shape[1])))
+    return float(np.linalg.norm(F.conj().T @ g.l2(F) - np.eye(F.shape[1])))
 
 
 def require_orthonormal(F, g: GramPair, tol: float, message: str) -> None:

@@ -127,7 +127,7 @@ def finsler_norm_grassmann(X: SkewOperator, P, spec: NormSpec) -> float:
     X^H R = gl2 Q S^H (Q^H R), so no n-by-n operator is formed.
     """
     L, R = P.factors.L, P.factors.R
-    XhR = P.g.gl2 @ (X.Q @ (X.S.conj().T @ (X.Q.conj().T @ R)))
+    XhR = P.g.l2(X.Q @ (X.S.conj().T @ (X.Q.conj().T @ R)))
     tangent = LowRank(X.apply(L), R) - LowRank(L, XhR)
     return schatten_norm(tangent, spec, P.g)
 
@@ -202,7 +202,7 @@ def group_log(U: GroupElement) -> SkewOperator:
     ||U - I|| = ||Q B (gl2 Q)^H|| < 1 in the strong norm, which keeps 2I + B
     well conditioned; the result is checked to lie in the Lie algebra.
     """
-    if h1_operator_norm(LowRank(U.Q @ U.B, U.g.gl2 @ U.Q), U.g) >= 1.0:
+    if h1_operator_norm(LowRank(U.Q @ U.B, U.g.l2(U.Q)), U.g) >= 1.0:
         raise LogUnavailable("element is too far from the identity for the principal logarithm")
     H = -1j * np.linalg.solve(2.0 * np.eye(U.B.shape[0]) + U.B, U.B)
     mu, W = np.linalg.eigh(0.5 * (H + H.conj().T))

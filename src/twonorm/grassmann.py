@@ -102,7 +102,7 @@ class ProjectionOperator:
     @cached_property
     def factors(self) -> LowRank:
         """P = H (gl2 H)^H as thin factors."""
-        return LowRank(self.frame, self.g.gl2 @ self.frame)
+        return LowRank(self.frame, self.g.l2(self.frame))
 
 
 def phi(V: StiefelOperator) -> ProjectionOperator:
@@ -141,7 +141,7 @@ def psi_section(P: ProjectionOperator, P1: ProjectionOperator, ref: ReferenceFra
         raise NeighborhoodViolation(
             f"contraction bounds ({b1:.6f}, {b2:.6f}) must stay below 1"
         )
-    rot = _overlap_rotation(P.frame.conj().T @ (g.gl2 @ P1.frame))[2]
+    rot = _overlap_rotation(P.frame.conj().T @ g.l2(P1.frame))[2]
     return StiefelOperator(P1.frame @ rot, ref)
 
 

@@ -36,14 +36,13 @@ RCOND_FLOOR = 1e-12
 def membership_residual(A, g: GramPair) -> float:
     """Relative Frobenius defect of the form-preservation identity."""
     A = as_operator(A, g.n, "A")
-    return float(
-        np.linalg.norm(A.conj().T @ g.gl2 @ A - g.gl2) / np.linalg.norm(g.gl2)
-    )
+    return float(np.linalg.norm(A.conj().T @ g.l2(A) - g.gl2) / np.linalg.norm(g.gl2))
 
 
 def skew_residual(X, g: GramPair) -> float:
     X = as_operator(X, g.n, "X")
-    return float(np.linalg.norm(X.conj().T @ g.gl2 + g.gl2 @ X) / np.linalg.norm(g.gl2))
+    gX = g.l2(X)
+    return float(np.linalg.norm(gX.conj().T + gX) / np.linalg.norm(g.gl2))
 
 
 def _frozen(A: np.ndarray) -> np.ndarray:
@@ -93,12 +92,25 @@ class GroupElement:
 
     @cached_property
     def data(self) -> np.ndarray:
-        return _frozen(np.eye(self.g.n) + (self.Q @ self.B) @ (self.g.gl2 @ self.Q).conj().T)
+        return _frozen(np.eye(self.g.n) + (self.Q @ self.B) @ self.g.l2(self.Q).conj().T)
 
     @cached_property
     def inv(self) -> np.ndarray:
         """The dense inverse I + Q B^H (gl2 Q)^H, since (I + B)^-1 = (I + B)^H."""
-        return np.eye(self.g.n) + (self.Q @ self.B.conj().T) @ (self.g.gl2 @ self.Q).conj().T
+        return np.eye(self.g.n) + (self.Q @ self.B.conj().T) @ self.g.l2(self.Q).conj().T
+
+    def inv_h1_norm(self) -> float:
+        """Strong operator norm of U^-1 = I + Q B^H (gl2 Q)^H, from the span.
+
+        In the strong frame U^-1 - I = L R^H with L = gh1^{1/2} Q B^H and
+        R = gh1^{-1/2} gl2 Q.  For the thin QR [L, R] = W [T1, T2], U^-1 acts as
+        I + T1 T2^H on the m <= 2k columns of W and as the identity beyond them,
+        so the norm is max(1, ||I_m + T1 T2^H||_2), without the 1 when m = n.
+        """
+        g, k = self.g, self.Q.shape[1]
+        T = np.linalg.qr(np.hstack([g.sqrt_h1 @ (self.Q @ self.B.conj().T), g.isqrt_h1 @ g.l2(self.Q)]), mode="r")
+        top = float(np.linalg.norm(np.eye(T.shape[0]) + T[:, :k] @ T[:, k:].conj().T, 2))
+        return top if T.shape[0] == g.n else max(1.0, top)
 
     def displacement(self, F) -> np.ndarray:
         """U F - F = Q B (Q^H gl2 F), accurate to relative rounding when B is small.
@@ -106,7 +118,7 @@ class GroupElement:
         Forming U F and subtracting F instead leaves an absolute error of
         about eps ||F||, which swamps a displacement of that size.
         """
-        return self.Q @ (self.B @ (self.Q.conj().T @ (self.g.gl2 @ F)))
+        return self.Q @ (self.B @ (self.Q.conj().T @ self.g.l2(F)))
 
 
 @dataclass(frozen=True)
@@ -130,11 +142,11 @@ class SkewOperator:
 
     @cached_property
     def data(self) -> np.ndarray:
-        return _frozen((self.Q @ self.S) @ (self.g.gl2 @ self.Q).conj().T)
+        return _frozen((self.Q @ self.S) @ self.g.l2(self.Q).conj().T)
 
     def apply(self, F) -> np.ndarray:
         """X F = Q S (Q^H gl2 F)."""
-        return self.Q @ (self.S @ (self.Q.conj().T @ (self.g.gl2 @ F)))
+        return self.Q @ (self.S @ (self.Q.conj().T @ self.g.l2(F)))
 
 
 class OneParameterGroup:
@@ -149,8 +161,12 @@ class OneParameterGroup:
         self.lam, self.W = np.linalg.eigh(0.5j * (X.S - X.S.conj().T))
         self.X = X
 
+    def block(self, t: float) -> np.ndarray:
+        """The k-by-k block of exp(tX), without building or validating the element."""
+        return (self.W * np.expm1(-1j * t * self.lam)) @ self.W.conj().T
+
     def __call__(self, t: float) -> GroupElement:
-        return GroupElement(self.X.Q, (self.W * np.expm1(-1j * t * self.lam)) @ self.W.conj().T, self.X.g)
+        return GroupElement(self.X.Q, self.block(t), self.X.g)
 
 
 def exp_skew(X: SkewOperator) -> GroupElement:
@@ -168,7 +184,7 @@ def _joint_span(F0, F1, g: GramPair):
     D = F1 - F0
     scale = np.linalg.norm(D)
     Q = np.hstack([F0, complete_basis(F0, D / scale if scale > 0 else D, g)])
-    return Q, Q.conj().T @ (g.gl2 @ D)
+    return Q, Q.conj().T @ g.l2(D)
 
 
 def frame_unitary(F0, F1, g: GramPair) -> GroupElement:
@@ -206,6 +222,6 @@ def algebraic_membership_residual(U, g: GramPair) -> float:
     sv = np.linalg.svd(U, compute_uv=False)
     if sv[-1] <= RCOND_FLOOR * max(sv[0], 1.0):
         raise ValueError("element is numerically singular")
-    D = g.isqrt_l2 @ (U.conj().T @ g.gl2 @ U - g.gl2) @ g.isqrt_l2
+    D = g.isqrt_l2 @ (U.conj().T @ g.l2(U) - g.gl2) @ g.isqrt_l2
     lam = np.linalg.eigvalsh(0.5 * (D + D.conj().T))
     return float(np.max(np.abs(lam)))

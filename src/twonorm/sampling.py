@@ -12,7 +12,7 @@ from .basis import orthonormal_columns
 from .errors import ConvergenceFailure, NeighborhoodViolation
 from .grassmann import ProjectionOperator, act_grassmann
 from .group import GroupElement, OneParameterGroup, SkewOperator, exp_skew
-from .space import GramPair, LowRank, h1_operator_norm
+from .space import GramPair, h1_operator_norm, h1_triangle, span_singular_values
 from .stiefel import ReferenceFrame, StiefelOperator, act, point_difference
 
 __all__ = [
@@ -127,11 +127,13 @@ def _calibrated_scale(distance_at, target: float) -> float:
     raise ConvergenceFailure("perturbation scale calibration stalled")
 
 
-def _span_perturbation(F, g: GramPair, target: float, scale: float, rng, distance) -> GroupElement:
+def _span_perturbation(F, g: GramPair, target: float, scale: float, rng, distance_on) -> GroupElement:
     """exp(sX) with distance(exp(sX) F - F) = target, for X from ``random_span_skew``.
 
-    A target below ``RESOLUTION_FACTOR`` machine epsilons of the point's
-    strong norm ``scale`` raises NeighborhoodViolation.
+    exp(sX) F - F = Q B(s) c for the span Q and block B(s) of exp(sX) and c = Q^H gl2 F;
+    ``distance_on(Q, c)`` returns the distance as a function of the k-by-N B(s) c,
+    so only the chosen s builds an element.  A target below ``RESOLUTION_FACTOR``
+    machine epsilons of the point's strong norm ``scale`` raises NeighborhoodViolation.
     """
     if target <= 0:
         raise ValueError("target distance must be positive")
@@ -142,7 +144,10 @@ def _span_perturbation(F, g: GramPair, target: float, scale: float, rng, distanc
             f"of a point of strong norm {scale:.3e}"
         )
     exp_sX = OneParameterGroup(random_span_skew(rng, F, g))
-    return exp_sX(_calibrated_scale(lambda s: distance(exp_sX(s).displacement(F)), target))
+    Q = exp_sX.X.Q
+    c = Q.conj().T @ g.l2(F)
+    distance = distance_on(Q, c)
+    return exp_sX(_calibrated_scale(lambda s: distance(exp_sX.block(s) @ c), target))
 
 
 def stiefel_near(V: StiefelOperator, target: float, rng) -> tuple[StiefelOperator, float]:
@@ -154,10 +159,13 @@ def stiefel_near(V: StiefelOperator, target: float, rng) -> tuple[StiefelOperato
     NeighborhoodViolation.
     """
     g = V.g
-    # U V - V = (U Phi - Phi)(gl2 Xi)^H.
-    U = _span_perturbation(V.Phi, g, target, h1_operator_norm(V.factors, g), rng,
-                           lambda D: h1_operator_norm(LowRank(D, V.ref.dual), g))
-    moved = act(U, V)
+
+    def distance_on(Q, c):
+        # U V - V = (U Phi - Phi)(gl2 Xi)^H = Q d (gl2 Xi)^H for the coefficient d.
+        TL = h1_triangle(Q, g)
+        return lambda d: float(span_singular_values(TL, V.ref.dual_triangle, d)[0])
+
+    moved = act(_span_perturbation(V.Phi, g, target, V.h1_norm, rng, distance_on), V)
     return moved, h1_operator_norm(point_difference(moved, V), g)
 
 
@@ -169,10 +177,12 @@ def projection_near(P: ProjectionOperator, target: float, rng) -> tuple[Projecti
     """
     g, base, H = P.g, P.factors, P.frame
 
-    def distance(D) -> float:
-        # With U H = H + D, U P U^-1 - P = D (gl2 H)^H + (H + D)(gl2 D)^H.
-        return h1_operator_norm(LowRank(np.hstack([D, H + D]), np.hstack([base.R, g.gl2 @ D])), g)
+    def distance_on(Q, c0):
+        # With U H = H + D, U P U^-1 - P = D (gl2 H)^H + (H + D)(gl2 D)^H; on the
+        # span H = Q c0 and D = Q d, so it is Q [d, c0 + d][c0, d]^H (gl2 Q)^H.
+        TL, TR = h1_triangle(Q, g), h1_triangle(g.l2(Q), g, right=True)
+        return lambda d: float(span_singular_values(TL, TR, np.hstack([d, c0 + d]) @ np.hstack([c0, d]).conj().T)[0])
 
     # P = H (gl2 H)^H and U^-H gl2 = gl2 U, so U P U^-1 = (U H)(gl2 U H)^H.
-    moved = act_grassmann(_span_perturbation(H, g, target, h1_operator_norm(base, g), rng, distance), P)
+    moved = act_grassmann(_span_perturbation(H, g, target, h1_operator_norm(base, g), rng, distance_on), P)
     return moved, h1_operator_norm(moved.factors - base, g)

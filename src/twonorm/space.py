@@ -11,11 +11,14 @@ Vectors are plain length-n complex ndarrays and operators are n-by-n complex
 ndarrays acting on coefficients.  Operators of small rank k, such as
 differences of embeddings, may instead be given as a :class:`LowRank` pair of
 n-by-k factors; strong norms then cost O(n^2 k) instead of an n-by-n SVD.
+Operators L M R^H on fixed factors share that n-sized work: each factor is
+reduced once to a k-by-k triangle (:func:`h1_triangle`), and the norm of any
+core M comes from the triangles alone (:func:`span_singular_values`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -34,6 +37,8 @@ __all__ = [
     "adjoint_h1",
     "h1_singular_values",
     "h1_operator_norm",
+    "h1_triangle",
+    "span_singular_values",
 ]
 
 # Hermitian / positive semidefiniteness slack used when validating Gram data.
@@ -93,12 +98,15 @@ class GramPair:
     """Pair of Gram matrices (weak, strong) with cached factorizations.
 
     Invariants: both matrices are Hermitian positive definite and
-    ``gh1 - gl2`` is positive semidefinite.
+    ``gh1 - gl2`` is positive semidefinite.  When gl2 is exactly w I, as on
+    every :func:`build_space` grid, ``l2_weight`` is w and the weak-form
+    routines are scalar operations; otherwise it is None.
     """
 
     n: int
     gl2: np.ndarray
     gh1: np.ndarray
+    l2_weight: float | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         gl2 = as_operator(self.gl2, self.n, "gl2")
@@ -121,6 +129,10 @@ class GramPair:
             arr.setflags(write=False)
         object.__setattr__(self, "gl2", gl2)
         object.__setattr__(self, "gh1", gh1)
+        w = gl2[0, 0]
+        # The diagonal is positive, so n nonzeros all equal to w mean gl2 = w I.
+        if np.count_nonzero(gl2) == self.n and np.all(np.diagonal(gl2) == w):
+            object.__setattr__(self, "l2_weight", float(w.real))
 
     # Factorizations are computed once per pair and reused by every operation.
 
@@ -148,19 +160,23 @@ class GramPair:
     def isqrt_h1(self):
         return self._sqrt_pair_h1[1]
 
+    def l2(self, F):
+        """gl2 F, a scaling when gl2 is w I."""
+        return self.gl2 @ F if self.l2_weight is None else self.l2_weight * F
+
     def solve_l2(self, B):
-        """gl2^{-1} B by one dense LU solve."""
-        return np.linalg.solve(self.gl2, B)
+        """gl2^{-1} B, by one dense LU solve unless gl2 is w I."""
+        return np.linalg.solve(self.gl2, B) if self.l2_weight is None else B / self.l2_weight
 
     def solve_h1(self, B):
         return np.linalg.solve(self.gh1, B)
 
     def to_l2_frame(self, A):
         """Congruence gl2^{1/2} A gl2^{-1/2}; Hermitian iff A is weakly self-adjoint."""
-        return self.sqrt_l2 @ A @ self.isqrt_l2
+        return self.sqrt_l2 @ A @ self.isqrt_l2 if self.l2_weight is None else np.array(A)
 
     def from_l2_frame(self, A):
-        return self.isqrt_l2 @ A @ self.sqrt_l2
+        return self.isqrt_l2 @ A @ self.sqrt_l2 if self.l2_weight is None else np.array(A)
 
     def to_h1_frame(self, A):
         return self.sqrt_h1 @ A @ self.isqrt_h1
@@ -207,19 +223,6 @@ class LowRank:
         """||L R^H||_F = ||T1 T2^H||_F for the triangular factors of thin QRs of L and R."""
         return float(np.linalg.norm(np.linalg.qr(self.L, mode="r") @ np.linalg.qr(self.R, mode="r").conj().T))
 
-    def h1_singular_values(self, g: "GramPair") -> np.ndarray:
-        """Strong singular values, descending; min(n, k) of them instead of n.
-
-        In the strong frame A is (gh1^{1/2} L)(gh1^{-1/2} R)^H.  With thin QRs
-        gh1^{1/2} L = Q1 T1 and gh1^{-1/2} R = Q2 T2 it is Q1 (T1 T2^H) Q2^H,
-        whose singular values are those of the k-by-k core T1 T2^H.
-        """
-        if self.L.shape[0] != g.n:
-            raise ValueError(f"factors must have {g.n} rows, got {self.L.shape[0]}")
-        t1 = np.linalg.qr(g.sqrt_h1 @ self.L, mode="r")
-        t2 = np.linalg.qr(g.isqrt_h1 @ self.R, mode="r")
-        return np.linalg.svd(t1 @ t2.conj().T, compute_uv=False)
-
 
 def _hermitian_sqrt_pair(G):
     lam, W = np.linalg.eigh(G)
@@ -262,7 +265,7 @@ def inner_l2(x, y, g: GramPair) -> complex:
     """Weak inner product <x, y>, linear in x and conjugate-linear in y."""
     x = as_vector(x, g.n, "x")
     y = as_vector(y, g.n, "y")
-    return complex(y.conj() @ (g.gl2 @ x))
+    return complex(y.conj() @ g.l2(x))
 
 
 def inner_h1(x, y, g: GramPair) -> complex:
@@ -281,9 +284,9 @@ def norm_h1(x, g: GramPair) -> float:
 
 
 def adjoint_l2(A, g: GramPair) -> np.ndarray:
-    """Adjoint with respect to the weak product: gl2^{-1} A^H gl2."""
+    """Adjoint with respect to the weak product: gl2^{-1} A^H gl2 = gl2^{-1} (gl2 A)^H."""
     A = as_operator(A, g.n, "A")
-    return g.solve_l2(A.conj().T @ g.gl2)
+    return g.solve_l2(g.l2(A).conj().T)
 
 
 def adjoint_h1(A, g: GramPair) -> np.ndarray:
@@ -296,11 +299,13 @@ def h1_singular_values(A, g: GramPair) -> np.ndarray:
     """Singular values of A as a map of the strong space, descending.
 
     A dense operand gives the n singular values of gh1^{1/2} A gh1^{-1/2}; a
-    :class:`LowRank` operand of width k takes the factored route and gives
-    min(n, k), the remaining ones being zero.
+    :class:`LowRank` operand of width k is the core M = I case of
+    :func:`span_singular_values` and gives min(n, k), the others being zero.
     """
     if isinstance(A, LowRank):
-        return A.h1_singular_values(g)
+        if A.L.shape[0] != g.n:
+            raise ValueError(f"factors must have {g.n} rows, got {A.L.shape[0]}")
+        return span_singular_values(h1_triangle(A.L, g), h1_triangle(A.R, g, right=True))
     A = as_operator(A, g.n, "A")
     return np.linalg.svd(g.to_h1_frame(A), compute_uv=False)
 
@@ -308,3 +313,20 @@ def h1_singular_values(A, g: GramPair) -> np.ndarray:
 def h1_operator_norm(A, g: GramPair) -> float:
     """Operator norm of A as a map of the strong space: its top singular value."""
     return float(h1_singular_values(A, g)[0])
+
+
+def h1_triangle(F, g: GramPair, right: bool = False) -> np.ndarray:
+    """Triangular factor of the thin QR of gh1^{1/2} F, or of gh1^{-1/2} F for a ``right`` factor."""
+    return np.linalg.qr((g.isqrt_h1 if right else g.sqrt_h1) @ F, mode="r")
+
+
+def span_singular_values(TL, TR, M=None) -> np.ndarray:
+    """Strong singular values of L M R^H, descending, from the triangles of its factors.
+
+    With thin QRs gh1^{1/2} L = Q_L TL and gh1^{-1/2} R = Q_R TR (:func:`h1_triangle`),
+    the operator is Q_L (TL M TR^H) Q_R^H in the strong frame, so its singular
+    values are those of the small core TL M TR^H.  The n-sized work is one
+    triangle per factor, however many cores share it; M = None is the identity.
+    """
+    core = TL if M is None else TL @ M
+    return np.linalg.svd(core @ TR.conj().T, compute_uv=False)

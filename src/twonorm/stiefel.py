@@ -22,7 +22,7 @@ import numpy as np
 from .basis import complete_basis, orthonormality_defect, require_orthonormal
 from .errors import ConvergenceFailure, NeighborhoodViolation, RankDeficiency
 from .group import GroupElement, SkewOperator, _joint_span, frame_unitary
-from .space import GramPair, LowRank, as_operator, h1_operator_norm, norm_h1
+from .space import GramPair, LowRank, as_operator, h1_operator_norm, h1_triangle, norm_h1, span_singular_values
 
 __all__ = [
     "ReferenceFrame",
@@ -93,7 +93,12 @@ class ReferenceFrame:
     @cached_property
     def dual(self) -> np.ndarray:
         """gl2 Xi, the right factor of every point: V = Phi dual^H."""
-        return self.g.gl2 @ self.Xi
+        return self.g.l2(self.Xi)
+
+    @cached_property
+    def dual_triangle(self) -> np.ndarray:
+        """The strong triangle of ``dual`` (``space.h1_triangle``), shared by every point."""
+        return h1_triangle(self.dual, self.g, right=True)
 
 
 @dataclass(frozen=True)
@@ -162,9 +167,14 @@ class StiefelOperator:
         return LowRank(self.Phi, self.ref.dual)
 
     @cached_property
+    def h1_norm(self) -> float:
+        """Strong operator norm of V, from the reference's cached triangle."""
+        return float(span_singular_values(h1_triangle(self.Phi, self.g), self.ref.dual_triangle)[0])
+
+    @cached_property
     def projection_factors(self) -> LowRank:
         """The image projection Phi (gl2 Phi)^H as thin factors."""
-        return LowRank(self.Phi, self.g.gl2 @ self.Phi)
+        return LowRank(self.Phi, self.g.l2(self.Phi))
 
 
 def _require_same_reference(V: StiefelOperator, V1: StiefelOperator) -> None:
@@ -232,7 +242,7 @@ def projection_lipschitz_report(V1: StiefelOperator, V2: StiefelOperator) -> Lip
     g = V1.g
     lhs = h1_operator_norm(V1.projection_factors - V2.projection_factors, g)
     C = V1.ref.C
-    factor = V1.N * C * (C * h1_operator_norm(V1.factors, g) + 1.0)
+    factor = V1.N * C * (C * V1.h1_norm + 1.0)
     return LipschitzReport(lhs=lhs, bound=factor * h1_operator_norm(point_difference(V1, V2), g))
 
 
@@ -389,7 +399,7 @@ def sqrt_F(V: StiefelOperator, W: StiefelOperator) -> np.ndarray:
     (S,) = _partial_sums(-K @ K.conj().T, [_series_terms(rho, max(1.0, g.pencil_factor))])
     block = -np.eye(Q.shape[1], dtype=np.complex128)
     block[N:, N:] += S
-    R = (Q @ block) @ (g.gl2 @ Q).conj().T
+    R = (Q @ block) @ g.l2(Q).conj().T
     R[np.diag_indices(g.n)] += 1.0
     return R
 
@@ -406,7 +416,7 @@ def radius_formula(C: float, N: int, vnorm: float) -> float:
 
 def radius_r(V: StiefelOperator) -> float:
     """Safe section radius at the point V."""
-    return radius_formula(V.ref.C, V.N, h1_operator_norm(V.factors, V.g))
+    return radius_formula(V.ref.C, V.N, V.h1_norm)
 
 
 def _overlap_rotation(M):
@@ -466,31 +476,37 @@ def section_factors(V: StiefelOperator, V1: StiefelOperator) -> SectionFactors:
     blocks come from the frame displacement, so sigma Phi - Phi1 is rounding
     relative to Phi1 - Phi.  Four contraction bounds must sit strictly below
     one for the inverse roots to exist; else NeighborhoodViolation is raised.
+    The distance and the bounds share one pair of span triangles.
     """
     g = V.g
     _require_same_reference(V, V1)
-    dist = h1_operator_norm(point_difference(V1, V), g)
+    N = V.N
+    Q, beta = _joint_span(V.Phi, V1.Phi, g)
+    TL, TR = h1_triangle(Q, g), h1_triangle(g.l2(Q), g, right=True)
+    # V1 - V = Q beta (gl2 Xi)^H.
+    dist = float(span_singular_values(TL, V.ref.dual_triangle, beta)[0])
     r = radius_r(V)
     if not dist < r:
         raise NeighborhoodViolation(
             f"distance {dist:.6e} is not inside the safe radius {r:.6e}"
         )
-    # The factors of P and P1 are the frames Phi, Phi1 and their duals gl2 Phi, gl2 Phi1.
-    P, P1 = V.projection_factors, V1.projection_factors
+    # On the span, P = Q E E^H (gl2 Q)^H and P1 = Q b b^H (gl2 Q)^H.
     # P - P P1 P = P (I - P1) P, and (I - P) - (I - P)(I - P1)(I - P) =
     # (I - P) P1 (I - P) because P is idempotent; likewise with P, P1 swapped.
+    E = np.eye(Q.shape[1], N)
+    b = E + beta
+    P, P1 = LowRank(E, E), LowRank(b, b)
     inner, outer = _compressions(P, P1)
     inner1, outer1 = _compressions(P1, P)
-    bounds = tuple(h1_operator_norm(op, g) for op in (inner, inner1, outer, outer1))
+    bounds = tuple(
+        float(span_singular_values(TL, TR, op.L @ op.R.conj().T)[0]) for op in (inner, inner1, outer, outer1)
+    )
     if max(bounds) >= 1.0:
         raise NeighborhoodViolation(
             f"contraction bounds {tuple(round(b, 6) for b in bounds)} must stay below 1"
         )
-    N = V.N
-    Q, beta = _joint_span(V.Phi, V1.Phi, g)
     s, Z, rot = _overlap_rotation(np.eye(N) + beta[:N])
-    E = np.eye(Q.shape[1], N)
-    b, KZ = E + beta, beta[N:] @ Z
+    KZ = beta[N:] @ Z
     tau = (b @ Z / s) @ KZ.conj().T
     tau[N:] -= (KZ / (s + s * s)) @ KZ.conj().T
     sigma = GroupElement(Q, np.hstack([beta, -tau]), g)
@@ -515,7 +531,7 @@ def translated_section(
     g = V.g
     U = frame_unitary(V.Phi, V0.Phi, g)
     dist = h1_operator_norm(point_difference(V1, V0), g)
-    allowed = radius_r(V) / h1_operator_norm(U.inv, g)
+    allowed = radius_r(V) / U.inv_h1_norm()
     if not dist < allowed:
         raise NeighborhoodViolation(
             f"distance {dist:.6e} from the base point exceeds the translated radius {allowed:.6e}"
@@ -523,7 +539,7 @@ def translated_section(
     sigma = cross_section_sigma(V, StiefelOperator(U.inv @ V1.Phi, V.ref))
     Q = np.hstack([U.Q, complete_basis(U.Q, sigma.Q, g)])
     D = sigma.displacement(Q)
-    return GroupElement(Q, Q.conj().T @ (g.gl2 @ (D + U.displacement(Q + D))), g)
+    return GroupElement(Q, Q.conj().T @ g.l2(D + U.displacement(Q + D)), g)
 
 
 # ---------------------------------------------------------------------------

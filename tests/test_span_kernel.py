@@ -1,0 +1,175 @@
+"""Strong norms in span coordinates and the scalar weak form, against dense n-by-n evaluations."""
+
+from contextlib import ExitStack
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twonorm import SpaceSpec, build_space, forward_difference, gram_pair_from_matrices, h1_operator_norm
+from twonorm import campaigns, sampling, stiefel
+from twonorm.cli import main
+from twonorm.config import config_from_mapping
+from twonorm.grassmann import quotient_radius
+from twonorm.group import frame_unitary
+from twonorm.sampling import (
+    RESOLUTION_FACTOR,
+    SETUP_TRIAL,
+    projection_near,
+    random_complex,
+    random_projection,
+    random_reference,
+    random_stiefel,
+    rng_for_trial,
+    stiefel_near,
+)
+from twonorm.space import h1_triangle, span_singular_values
+from twonorm.stiefel import radius_r, section_factors
+from twonorm.validate import _grassmann_suite, _Recorder, _section_suite
+
+EPS = np.finfo(float).eps
+
+
+def _weighted_pair(n, seed):
+    """A grid pair whose weak form is a non-scalar Hermitian matrix, so g.l2 takes its dense branch."""
+    spec = SpaceSpec(domain_dim=1, grid_points=n, spacing=0.25)
+    A = random_complex(rng_for_trial(seed, 0), n, n)
+    gl2 = 0.25 * np.eye(n) + 0.05 * (A @ A.conj().T) / n
+    D = forward_difference(spec, 0)
+    return gram_pair_from_matrices(gl2, gl2 + D.conj().T @ gl2 @ D)
+
+
+PAIRS = {
+    ("grid", n): build_space(SpaceSpec(domain_dim=1, grid_points=n, spacing=0.25)) for n in (16, 64)
+} | {("weighted", n): _weighted_pair(n, 7) for n in (16, 64)}
+
+
+def test_only_an_exact_multiple_of_the_identity_is_a_scalar_weak_form():
+    assert PAIRS["grid", 16].l2_weight == 0.25
+    assert PAIRS["weighted", 16].l2_weight is None
+    assert build_space(SpaceSpec(domain_dim=2, grid_points=4, spacing=0.3)).l2_weight == 0.3**2
+    off_diagonal, uneven = np.eye(3), np.eye(3)
+    off_diagonal[0, 1] = off_diagonal[1, 0] = 1e-300
+    uneven[2, 2] = 1.0 + 1e-15
+    for gl2 in (off_diagonal, uneven):
+        assert gram_pair_from_matrices(gl2, 2.0 * np.eye(3)).l2_weight is None
+
+
+def _triangle_record():
+    """Patch h1_triangle where the samplers and sections read it, remembering each triangle's factor."""
+    factors = {}
+
+    def recorded(F, g, right=False):
+        T = h1_triangle(F, g, right)
+        factors[id(T)] = (T, np.array(F))
+        return T
+
+    return factors, recorded
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(("grid", "weighted")),
+    n=st.sampled_from((16, 64)),
+    N=st.integers(1, 3),
+    # The target is 10^-depth of the radius, floored at the sampler's resolution.
+    depth=st.floats(0.05, 16.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_span_kernel_matches_the_dense_strong_norm(kind, n, N, depth, seed):
+    # Every span norm that stiefel_near, projection_near and section_factors
+    # take is compared with the dense norm of the same n-by-n operator L M R^H.
+    g = PAIRS[kind, n]
+    rng = rng_for_trial(seed, 0)
+    ref = random_reference(rng, g, N)
+    V = random_stiefel(rng, ref, scale=0.4)
+    P = random_projection(rng, g, N)
+    factors, recorded = _triangle_record()
+    checked = []
+
+    def compared(TL, TR, M=None):
+        sv = span_singular_values(TL, TR, M)
+        (_, L), (_, R) = factors[id(TL)], factors[id(TR)]
+        core = np.eye(L.shape[1]) if M is None else M
+        dense = h1_operator_norm(L @ core @ R.conj().T, g)
+        assert abs(sv[0] - dense) <= 1e-12 * dense
+        checked.append(dense)
+        return sv
+
+    with ExitStack() as stack:
+        for module in (sampling, stiefel):
+            stack.enter_context(mock.patch.object(module, "h1_triangle", recorded))
+            stack.enter_context(mock.patch.object(module, "span_singular_values", compared))
+        r = radius_r(V)
+        target = max(r * 10.0**-depth, 2 * RESOLUTION_FACTOR * EPS * V.h1_norm)
+        V1, _ = stiefel_near(V, target, rng)
+        section_factors(V, V1)
+        floor = 2 * RESOLUTION_FACTOR * EPS * h1_operator_norm(P.factors, g)
+        projection_near(P, max(quotient_radius(P) * 10.0**-depth, floor), rng)
+    assert len(checked) >= 8
+
+
+@pytest.mark.parametrize(
+    "d, m, h",
+    [(1, 16, 0.25), (1, 128, 0.25), (2, 8, 0.3), (1, 6, 1.0)],
+    ids=["n16", "n128", "2d-8x8", "n6-full-span"],
+)
+def test_inverse_norm_from_the_span_matches_the_dense_norm(d, m, h):
+    # U^-1 = I + L R^H acts as the identity beyond span[L, R]; at n = 6 the
+    # joint QR of the two k = 4 factors spans all of C^6, so there is no
+    # complement and the norm may fall below 1.
+    g = build_space(SpaceSpec(domain_dim=d, grid_points=m, spacing=h))
+    for seed in range(6):
+        rng = rng_for_trial(seed, SETUP_TRIAL)
+        ref = random_reference(rng, g, 2)
+        V, V0 = random_stiefel(rng, ref, scale=0.4), random_stiefel(rng, ref, scale=0.3)
+        U = frame_unitary(V.Phi, V0.Phi, g)
+        if g.n == 6:
+            assert 2 * U.Q.shape[1] >= g.n
+        dense = h1_operator_norm(U.inv, g)
+        assert abs(U.inv_h1_norm() - dense) <= 1e-12 * dense
+
+
+class _RefusingGram(np.ndarray):
+    """A weak Gram matrix that refuses matrix products; everything else reads it as an array."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            raise AssertionError("n-by-n product with gl2")
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, _RefusingGram) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def _refusing_pair(n):
+    g = build_space(SpaceSpec(domain_dim=1, grid_points=n, spacing=0.25))
+    object.__setattr__(g, "gl2", g.gl2.view(_RefusingGram))
+    return g
+
+
+def test_thin_weak_products_go_through_the_pair(tmp_path, capsys, monkeypatch):
+    # On a grid gl2 is w I, so g.l2 scales; any product with the matrix itself raises.
+    g = _refusing_pair(16)
+    with pytest.raises(AssertionError, match="n-by-n product"):
+        g.gl2 @ np.ones((16, 1))
+    cfg = config_from_mapping({"seed": 42, "trials": 3, "space": {"grid_points": 16, "spacing": 0.25}})
+    for suite in (_section_suite, _grassmann_suite):
+        rec = _Recorder()
+        suite(cfg, g, rec)
+        assert rec.result("probe").passed
+    monkeypatch.setattr(campaigns, "build_space", lambda spec: g)
+    assert main(["section-demo", "--trials", "2", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("d, m", [(1, 128), (2, 12)])
+def test_scalar_weak_form_equals_the_dense_products_bit_for_bit(d, m):
+    # At spacing 0.25 the weight h^d is a power of two, so scaling is exact.
+    g = build_space(SpaceSpec(domain_dim=d, grid_points=m, spacing=0.25))
+    rng = rng_for_trial(3, 0)
+    F, A = random_complex(rng, g.n, 4), random_complex(rng, g.n, g.n)
+    assert np.array_equal(g.l2(F), g.gl2 @ F)
+    assert np.array_equal(g.solve_l2(F), np.linalg.solve(g.gl2, F))
+    assert np.array_equal(g.to_l2_frame(A), g.sqrt_l2 @ A @ g.isqrt_l2)
+    assert np.array_equal(g.from_l2_frame(A), g.isqrt_l2 @ A @ g.sqrt_l2)

@@ -2,7 +2,7 @@ import math
 
 from twonorm import validate
 from twonorm.config import config_from_mapping
-from twonorm.group import OneParameterGroup
+from twonorm.group import OneParameterGroup, SkewOperator
 from twonorm.space import build_space
 from twonorm.validate import _Recorder, _geometry_suite, _grassmann_suite, _space_suite, _sqrt_suite
 
@@ -95,3 +95,16 @@ def test_only_the_group_suite_and_the_reparameterization_exponentiate_dense_gene
     monkeypatch.setattr(validate, "_SUITES", tuple(map(tagged, validate.SUITE_NAMES, validate._SUITES)))
     assert all(result.passed for result in validate.run_suites(cfg))
     assert counts == {"group": 3 * cfg.trials, "grassmann": cfg.trials}
+
+
+def test_geometry_suite_checks_the_log_round_trip_on_the_span(monkeypatch):
+    # The log keeps the generator's span, so the round trip is measured on the
+    # k-by-k blocks; no dense n-by-n generator is built.
+    def refuse(_):
+        raise AssertionError("dense n-by-n generator")
+
+    monkeypatch.setattr(SkewOperator, "data", property(refuse))
+    cfg = config_from_mapping({"seed": 42, "trials": 4, "space": {"grid_points": 16, "spacing": 0.25}})
+    rec = _Recorder()
+    _geometry_suite(cfg, build_space(cfg.space), rec)
+    assert rec.result("geometry").passed
