@@ -11,13 +11,15 @@ Such operands, and tangent vectors, are passed as thin
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceFailure, LogUnavailable
 from .group import GroupElement, OneParameterGroup, SkewOperator, frame_unitary
-from .space import GramPair, LowRank, adjoint_h1, h1_operator_norm, h1_singular_values
+from .space import (
+    GramPair, LowRank, adjoint_h1, h1_operator_norm, h1_singular_values, h1_triangle, span_singular_values
+)
 from .stiefel import StiefelOperator, point_difference
 
 __all__ = [
@@ -77,12 +79,16 @@ class NormSpec:
         return NormSpec(kind="schatten_p", p=float(p))
 
 
+def _norm_of(sv, spec: NormSpec):
+    """The norm prescribed by ``spec`` of descending singular values, along the last axis."""
+    if spec.kind == "operator_h1" or math.isinf(spec.p):
+        return sv[..., 0]
+    return np.sum(sv ** spec.p, axis=-1) ** (1.0 / spec.p)
+
+
 def schatten_norm(A, spec: NormSpec, g: GramPair) -> float:
     """Norm of A prescribed by ``spec``, computed from strong singular values."""
-    sv = h1_singular_values(A, g)
-    if spec.kind == "operator_h1" or math.isinf(spec.p):
-        return float(sv[0])
-    return float(np.sum(sv ** spec.p) ** (1.0 / spec.p))
+    return float(_norm_of(h1_singular_values(A, g), spec))
 
 
 @dataclass(frozen=True)
@@ -147,11 +153,14 @@ class CurveSamples:
     Parameters must increase strictly from 0 to 1; frames are the image frames
     of the points and velocities operator-valued samples of the derivative.  A
     velocity may be dense or, since it has rank at most N, a :class:`LowRank` pair.
+    A curve from :func:`exp_curve` also carries ``span`` = (Q, cores, ref): velocity
+    i is Q cores[i] (gl2 Xi)^H, so its norms share one pair of strong triangles.
     """
 
     ts: tuple
     frames: tuple
     velocities: tuple
+    span: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         ts = tuple(float(t) for t in self.ts)
@@ -172,21 +181,35 @@ class CurveSamples:
 def exp_curve(V0: StiefelOperator, X: SkewOperator, steps: int) -> CurveSamples:
     """One-parameter curve t -> exp(tX) V0 with its exact velocities.
 
-    The point at t has the image frame F_t = Phi0 + (exp(tX) Phi0 - Phi0), so
-    its velocity X F_t (gl2 Xi)^H is kept as rank-N factors.
+    On the span Q of X, with c0 = Q^H gl2 Phi0 and the blocks B(t) of exp(tX)
+    from one eigendecomposition, the point at t has the image frame
+    F_t = Phi0 + Q B(t) c0 and the velocity X F_t (gl2 Xi)^H = Q S (I + B(t)) c0 (gl2 Xi)^H,
+    kept as rank-N factors.  Only the end point exp(X) V0 is built from a
+    validated element.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
     ts = np.linspace(0.0, 1.0, steps)
     exp_tX = OneParameterGroup(X)
-    frames = tuple(V0.Phi + exp_tX(t).displacement(V0.Phi) for t in ts)
-    velocities = tuple(LowRank(X.apply(F), V0.ref.dual) for F in frames)
-    return CurveSamples(ts=tuple(ts), frames=frames, velocities=velocities)
+    c0 = X.Q.conj().T @ X.g.l2(V0.Phi)
+    moved = exp_tX.block(ts) @ c0
+    frames = tuple(V0.Phi + X.Q @ d for d in moved[:-1]) + (V0.Phi + exp_tX(1.0).displacement(V0.Phi),)
+    cores = X.S @ (c0 + moved)
+    velocities = tuple(LowRank(X.Q @ core, V0.ref.dual) for core in cores)
+    return CurveSamples(ts=tuple(ts), frames=frames, velocities=velocities, span=(X.Q, cores, V0.ref))
 
 
 def curve_length(c: CurveSamples, spec: NormSpec, g: GramPair) -> float:
-    """Trapezoid-rule length of a sampled curve in the chosen norm."""
-    norms = [schatten_norm(v, spec, g) for v in c.velocities]
+    """Trapezoid-rule length of a sampled curve in the chosen norm.
+
+    A curve with a ``span`` takes every velocity norm from one strong triangle
+    of Q, the reference's dual triangle and one batched SVD of the k-by-N cores.
+    """
+    if c.span is None:
+        norms = [schatten_norm(v, spec, g) for v in c.velocities]
+    else:
+        Q, cores, ref = c.span
+        norms = _norm_of(span_singular_values(h1_triangle(Q, g), ref.dual_triangle, cores), spec).tolist()
     total = 0.0
     for (t0, t1), (n0, n1) in zip(zip(c.ts, c.ts[1:]), zip(norms, norms[1:])):
         total += 0.5 * (t1 - t0) * (n0 + n1)

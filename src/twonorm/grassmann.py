@@ -104,6 +104,11 @@ class ProjectionOperator:
         """P = H (gl2 H)^H as thin factors."""
         return LowRank(self.frame, self.g.l2(self.frame))
 
+    @cached_property
+    def h1_norm(self) -> float:
+        """Strong operator norm of P, shared by the quotient radius and the sampler's resolution."""
+        return h1_operator_norm(self.factors, self.g)
+
 
 def phi(V: StiefelOperator) -> ProjectionOperator:
     """Quotient map onto projections: V -> V V*2 = Phi (gl2 Phi)^H."""
@@ -112,7 +117,7 @@ def phi(V: StiefelOperator) -> ProjectionOperator:
 
 def quotient_radius(P: ProjectionOperator) -> float:
     """Radius 1/(||P||_h1 + 1)^2 of the quotient section around P."""
-    return 1.0 / (h1_operator_norm(P.factors, P.g) + 1.0) ** 2
+    return 1.0 / (P.h1_norm + 1.0) ** 2
 
 
 def psi_section(P: ProjectionOperator, P1: ProjectionOperator, ref: ReferenceFrame) -> StiefelOperator:

@@ -71,6 +71,12 @@ def _span_form(element, block: str, defect, identity: str) -> None:
     object.__setattr__(element, block, _frozen(M))
 
 
+def _operator(element, M) -> np.ndarray:
+    """The n-by-n Q M (gl2 Q)^H; for k = n that is gl2^{-1/2} M gl2^{1/2}, which is M when gl2 is w I."""
+    Q, g = element.Q, element.g
+    return g.from_l2_frame(M) if Q is g.isqrt_l2 else (Q @ M) @ g.l2(Q).conj().T
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """Validated member of the weak-isometry group, I + Q B (gl2 Q)^H with I + B unitary."""
@@ -92,12 +98,12 @@ class GroupElement:
 
     @cached_property
     def data(self) -> np.ndarray:
-        return _frozen(np.eye(self.g.n) + (self.Q @ self.B) @ self.g.l2(self.Q).conj().T)
+        return _frozen(np.eye(self.g.n) + _operator(self, self.B))
 
     @cached_property
     def inv(self) -> np.ndarray:
         """The dense inverse I + Q B^H (gl2 Q)^H, since (I + B)^-1 = (I + B)^H."""
-        return np.eye(self.g.n) + (self.Q @ self.B.conj().T) @ self.g.l2(self.Q).conj().T
+        return np.eye(self.g.n) + _operator(self, self.B.conj().T)
 
     def inv_h1_norm(self) -> float:
         """Strong operator norm of U^-1 = I + Q B^H (gl2 Q)^H, from the span.
@@ -119,6 +125,10 @@ class GroupElement:
         about eps ||F||, which swamps a displacement of that size.
         """
         return self.Q @ (self.B @ (self.Q.conj().T @ self.g.l2(F)))
+
+    def inv_displacement(self, F) -> np.ndarray:
+        """U^-1 F - F = Q B^H (Q^H gl2 F), without the dense inverse."""
+        return self.Q @ (self.B.conj().T @ (self.Q.conj().T @ self.g.l2(F)))
 
 
 @dataclass(frozen=True)
@@ -142,7 +152,7 @@ class SkewOperator:
 
     @cached_property
     def data(self) -> np.ndarray:
-        return _frozen((self.Q @ self.S) @ self.g.l2(self.Q).conj().T)
+        return _frozen(_operator(self, self.S))
 
     def apply(self, F) -> np.ndarray:
         """X F = Q S (Q^H gl2 F)."""
@@ -161,9 +171,9 @@ class OneParameterGroup:
         self.lam, self.W = np.linalg.eigh(0.5j * (X.S - X.S.conj().T))
         self.X = X
 
-    def block(self, t: float) -> np.ndarray:
-        """The k-by-k block of exp(tX), without building or validating the element."""
-        return (self.W * np.expm1(-1j * t * self.lam)) @ self.W.conj().T
+    def block(self, t) -> np.ndarray:
+        """The k-by-k block of exp(tX), or the stack of blocks for an array of t, unvalidated."""
+        return (self.W * np.expm1(-1j * np.multiply.outer(t, self.lam))[..., None, :]) @ self.W.conj().T
 
     def __call__(self, t: float) -> GroupElement:
         return GroupElement(self.X.Q, self.block(t), self.X.g)
@@ -222,6 +232,6 @@ def algebraic_membership_residual(U, g: GramPair) -> float:
     sv = np.linalg.svd(U, compute_uv=False)
     if sv[-1] <= RCOND_FLOOR * max(sv[0], 1.0):
         raise ValueError("element is numerically singular")
-    D = g.isqrt_l2 @ (U.conj().T @ g.l2(U) - g.gl2) @ g.isqrt_l2
+    D = g.isqrt_l2_congruence(U.conj().T @ g.l2(U) - g.gl2)
     lam = np.linalg.eigvalsh(0.5 * (D + D.conj().T))
     return float(np.max(np.abs(lam)))

@@ -50,11 +50,11 @@ def random_complex(rng, rows: int, cols: int) -> np.ndarray:
 def random_skew(rng, g: GramPair, scale: float = 1.0) -> SkewOperator:
     """Random skew X with k = n block gl2^{-1/2} (A - A^H) gl2^{-1/2} of Frobenius norm ``scale``.
 
-    On build_space grids gl2 is a multiple of I, so that is also ||X||_F; no
-    solve and no from_matrix are involved.
+    On build_space grids gl2 is a multiple of I, so that is also ||X||_F and
+    the congruence is a scaling; no solve and no from_matrix are involved.
     """
     A = random_complex(rng, g.n, g.n)
-    S = g.isqrt_l2 @ (A - A.conj().T) @ g.isqrt_l2
+    S = g.isqrt_l2_congruence(A - A.conj().T)
     nrm = np.linalg.norm(S)
     if nrm > 0:
         S = S * (scale / nrm)
@@ -184,5 +184,5 @@ def projection_near(P: ProjectionOperator, target: float, rng) -> tuple[Projecti
         return lambda d: float(span_singular_values(TL, TR, np.hstack([d, c0 + d]) @ np.hstack([c0, d]).conj().T)[0])
 
     # P = H (gl2 H)^H and U^-H gl2 = gl2 U, so U P U^-1 = (U H)(gl2 U H)^H.
-    moved = act_grassmann(_span_perturbation(H, g, target, h1_operator_norm(base, g), rng, distance_on), P)
+    moved = act_grassmann(_span_perturbation(H, g, target, P.h1_norm, rng, distance_on), P)
     return moved, h1_operator_norm(moved.factors - base, g)

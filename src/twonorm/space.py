@@ -168,6 +168,10 @@ class GramPair:
         """gl2^{-1} B, by one dense LU solve unless gl2 is w I."""
         return np.linalg.solve(self.gl2, B) if self.l2_weight is None else B / self.l2_weight
 
+    def isqrt_l2_congruence(self, M):
+        """gl2^{-1/2} M gl2^{-1/2}, a scaling when gl2 is w I."""
+        return self.isqrt_l2 @ M @ self.isqrt_l2 if self.l2_weight is None else M / self.l2_weight
+
     def solve_h1(self, B):
         return np.linalg.solve(self.gh1, B)
 
@@ -326,7 +330,8 @@ def span_singular_values(TL, TR, M=None) -> np.ndarray:
     With thin QRs gh1^{1/2} L = Q_L TL and gh1^{-1/2} R = Q_R TR (:func:`h1_triangle`),
     the operator is Q_L (TL M TR^H) Q_R^H in the strong frame, so its singular
     values are those of the small core TL M TR^H.  The n-sized work is one
-    triangle per factor, however many cores share it; M = None is the identity.
+    triangle per factor, however many cores share it; M = None is the identity,
+    and a stack of cores gives a stack of singular values.
     """
     core = TL if M is None else TL @ M
     return np.linalg.svd(core @ TR.conj().T, compute_uv=False)

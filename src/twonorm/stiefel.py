@@ -536,7 +536,7 @@ def translated_section(
         raise NeighborhoodViolation(
             f"distance {dist:.6e} from the base point exceeds the translated radius {allowed:.6e}"
         )
-    sigma = cross_section_sigma(V, StiefelOperator(U.inv @ V1.Phi, V.ref))
+    sigma = cross_section_sigma(V, StiefelOperator(V1.Phi + U.inv_displacement(V1.Phi), V.ref))
     Q = np.hstack([U.Q, complete_basis(U.Q, sigma.Q, g)])
     D = sigma.displacement(Q)
     return GroupElement(Q, Q.conj().T @ g.l2(D + U.displacement(Q + D)), g)

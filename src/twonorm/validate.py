@@ -28,7 +28,6 @@ from .geometry import (
     schatten_norm,
 )
 from .grassmann import (
-    ProjectionOperator,
     delta_p,
     grassmann_equivalence,
     lie_split_grassmann,
@@ -262,11 +261,16 @@ def _grassmann_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
         rec.residual(membership_residual(Upi.data, g), 1e-9)
         V = random_stiefel(rng, ref, scale=0.4)
         # Right translation by a split-preserving element reparameterizes the
-        # embedding without moving its image, so the pair is equivalent.
-        span = ProjectionOperator(ref.Xi, g)
-        Xd, _ = lie_split_grassmann(random_skew(rng, g, scale=0.5), span)
-        T = exp_skew(Xd)
-        reparam = StiefelOperator(V.V @ (T.data @ ref.Xi), ref)
+        # embedding without moving its image, so the pair is equivalent.  The
+        # generator is drawn on span[Xi, G].  With E = Q^H gl2 Xi, J = 2 E E^H - I
+        # reflects across span(Xi), and S + J S J is twice the part of the block
+        # that commutes with J, so T fixes span(Xi) and V T Xi = Phi (gl2 Xi)^H T Xi.
+        Z = random_span_skew(rng, ref.Xi, g)
+        E = Z.Q.conj().T @ ref.dual
+        J = 2.0 * E @ E.conj().T - np.eye(len(E))
+        S = Z.S + J @ Z.S @ J
+        T = exp_skew(SkewOperator(Z.Q, S * (0.5 / np.linalg.norm(S)), g))
+        reparam = StiefelOperator(V.Phi @ (ref.dual.conj().T @ (ref.Xi + T.displacement(ref.Xi))), ref)
         res = grassmann_equivalence(reparam, V)
         rec.require(res.equivalent)
         rec.residual(res.map_residual, 1e-7 * max(1.0, np.linalg.norm(V.V)))

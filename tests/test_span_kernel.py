@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twonorm import SpaceSpec, build_space, forward_difference, gram_pair_from_matrices, h1_operator_norm
-from twonorm import campaigns, sampling, stiefel
+from twonorm import campaigns, geometry, sampling, space, stiefel
 from twonorm.cli import main
 from twonorm.config import config_from_mapping
+from twonorm.geometry import CurveSamples, NormSpec, curve_length, distance_upper, exp_curve, schatten_norm
 from twonorm.grassmann import quotient_radius
-from twonorm.group import frame_unitary
+from twonorm.group import GroupElement, SkewOperator, exp_skew, frame_unitary
 from twonorm.sampling import (
     RESOLUTION_FACTOR,
     SETUP_TRIAL,
@@ -21,12 +22,14 @@ from twonorm.sampling import (
     random_complex,
     random_projection,
     random_reference,
+    random_skew,
+    random_span_skew,
     random_stiefel,
     rng_for_trial,
     stiefel_near,
 )
-from twonorm.space import h1_triangle, span_singular_values
-from twonorm.stiefel import radius_r, section_factors
+from twonorm.space import LowRank, h1_triangle, span_singular_values
+from twonorm.stiefel import act, radius_r, section_factors, translated_section
 from twonorm.validate import _grassmann_suite, _Recorder, _section_suite
 
 EPS = np.finfo(float).eps
@@ -173,3 +176,140 @@ def test_scalar_weak_form_equals_the_dense_products_bit_for_bit(d, m):
     assert np.array_equal(g.solve_l2(F), np.linalg.solve(g.gl2, F))
     assert np.array_equal(g.to_l2_frame(A), g.sqrt_l2 @ A @ g.isqrt_l2)
     assert np.array_equal(g.from_l2_frame(A), g.isqrt_l2 @ A @ g.sqrt_l2)
+
+
+def _strong_scaled(X, size):
+    """X rescaled to strong operator norm ``size``."""
+    g = X.g
+    return SkewOperator(X.Q, X.S * (size / h1_operator_norm(LowRank(X.Q @ X.S, g.l2(X.Q)), g)), g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(("grid", "weighted")),
+    n=st.sampled_from((16, 64)),
+    N=st.integers(1, 3),
+    spec=st.sampled_from((NormSpec.operator(), NormSpec.schatten(1), NormSpec.schatten(2))),
+    # The generator's strong norm is 0.5 * 10^-depth, from 0.5 down to 5e-7.
+    depth=st.floats(0.0, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_curves_on_the_span_match_the_per_sample_evaluation(kind, n, N, spec, depth, seed):
+    # Frames against exp(tX) V0 built one t at a time, velocities against X F_t,
+    # and the span length against the same curve with its velocities normed one by one.
+    g = PAIRS[kind, n]
+    rng = rng_for_trial(seed, 0)
+    ref = random_reference(rng, g, N)
+    V0 = random_stiefel(rng, ref, scale=0.3)
+    X = _strong_scaled(random_span_skew(rng, V0.Phi, g), 0.5 * 10.0**-depth)
+    curve = exp_curve(V0, X, 9)
+    for t, F, v in zip(curve.ts, curve.frames, curve.velocities):
+        D = exp_skew(SkewOperator(X.Q, t * X.S, g)).displacement(V0.Phi)
+        # A stored frame carries eps ||F|| of rounding beyond the displacement's own error.
+        assert np.linalg.norm(F - (V0.Phi + D)) <= 1e-12 * np.linalg.norm(D) + EPS * np.linalg.norm(F)
+        XF = X.apply(F)
+        assert np.linalg.norm(v.L - XF) <= 1e-12 * np.linalg.norm(XF)
+    one_by_one = CurveSamples(curve.ts, curve.frames, curve.velocities)
+    assert one_by_one.span is None
+    dense = curve_length(one_by_one, spec, g)
+    assert abs(curve_length(curve, spec, g) - dense) <= 1e-12 * dense
+    norms = [schatten_norm(v, spec, g) for v in curve.velocities]
+    assert abs(dense - sum(0.5 * (a + b) for a, b in zip(norms, norms[1:])) / 8) <= 1e-12 * dense
+
+
+def test_distance_upper_takes_its_strong_triangles_once_per_curve():
+    # The log's size check takes two triangles and the curve one of its span;
+    # the reference's dual triangle is shared by every point.
+    g = PAIRS["grid", 16]
+    rng = rng_for_trial(0, SETUP_TRIAL)
+    V0 = random_stiefel(rng, random_reference(rng, g, 2), scale=0.3)
+    W = act(exp_skew(_strong_scaled(random_span_skew(rng, V0.Phi, g), 0.02)), V0)
+    factors, recorded = _triangle_record()
+    with ExitStack() as stack:
+        for module in (space, geometry, stiefel):
+            stack.enter_context(mock.patch.object(module, "h1_triangle", recorded))
+        distance_upper(V0, W, NormSpec.operator(), steps=32)
+    assert len(factors) <= 4
+
+
+def test_grassmann_suite_takes_each_projection_norm_once():
+    # quotient_radius, both psi_section calls, section_pi_p and the sampler's
+    # resolution read one cached strong norm of P.
+    calls = []
+    counted = space.h1_singular_values
+
+    def recorded(A, g):
+        calls.append(A)
+        return counted(A, g)
+
+    cfg = config_from_mapping({"seed": 42, "trials": 10, "space": {"grid_points": 16, "spacing": 0.25}})
+    rec = _Recorder()
+    with mock.patch.object(space, "h1_singular_values", recorded):
+        _grassmann_suite(cfg, PAIRS["grid", 16], rec)
+    assert rec.result("grassmann").passed
+    assert len(calls) == 190
+
+
+@pytest.mark.parametrize("n", [16, 128])
+def test_translated_section_applies_the_inverse_on_the_frame(n, monkeypatch):
+    # U^-1 F = F + Q B^H (Q^H gl2 F) agrees with the dense inverse, and the
+    # translated section never builds that inverse.
+    g = build_space(SpaceSpec(domain_dim=1, grid_points=n, spacing=0.25))
+    setup, mover = rng_for_trial(42, SETUP_TRIAL), rng_for_trial(42, SETUP_TRIAL - 1)
+    ref = random_reference(setup, g, 2)
+    V = random_stiefel(setup, ref, scale=0.4)
+    V0 = random_stiefel(mover, ref, scale=0.3)
+    U = frame_unitary(V.Phi, V0.Phi, g)
+    V1, _ = stiefel_near(V0, 0.3 * radius_r(V) / U.inv_h1_norm(), mover)
+    dense = U.inv @ V1.Phi
+    assert np.linalg.norm(V1.Phi + U.inv_displacement(V1.Phi) - dense) <= 1e-14 * np.linalg.norm(dense)
+
+    def refuse(_):
+        raise AssertionError("dense inverse")
+
+    monkeypatch.setattr(GroupElement, "inv", property(refuse))
+    moved = translated_section(V, V0, V1)
+    D = V1.Phi - V.Phi
+    assert np.linalg.norm(moved.displacement(V.Phi) - D) <= 1e-12 * np.linalg.norm(D)
+
+
+def _span_form_products(g, seed):
+    """random_skew's block, X, exp(X), its inverse and the congruence: span products Q M (gl2 Q)^H, then the pair's."""
+    Q = g.isqrt_l2
+    A = random_complex(rng_for_trial(seed, 0), g.n, g.n)
+    S = Q @ (A - A.conj().T) @ Q
+    S = S / np.linalg.norm(S)
+    X = random_skew(rng_for_trial(seed, 0), g)
+    U = exp_skew(X)
+    eye = np.eye(g.n)
+    reference = {
+        "block": S,
+        "X": (Q @ X.S) @ (g.gl2 @ Q).conj().T,
+        "data": eye + (Q @ U.B) @ (g.gl2 @ Q).conj().T,
+        "inv": eye + (Q @ U.B.conj().T) @ (g.gl2 @ Q).conj().T,
+        "congruence": Q @ A @ Q,
+    }
+    routed = {"block": X.S, "X": X.data, "data": U.data, "inv": U.inv, "congruence": g.isqrt_l2_congruence(A)}
+    return reference, routed
+
+
+@pytest.mark.parametrize(
+    "kind, rtol",
+    [(0.25, 0.0), (0.3, 1e-15), ("weighted", 1e-14)],
+    ids=["grid-0.25-exact", "grid-0.3", "weighted"],
+)
+def test_k_equals_n_blocks_equal_the_span_form_products(kind, rtol):
+    # gl2 = w I makes a k = n element I + B and its generator S; at spacing
+    # 0.25, w^-1/2 = 2 and the span-form products are exact.  A non-scalar pair
+    # agrees with them to rounding.
+    if kind == "weighted":
+        g = PAIRS["weighted", 16]
+    else:
+        g = build_space(SpaceSpec(domain_dim=1, grid_points=16, spacing=kind))
+    for seed in range(4):
+        reference, routed = _span_form_products(g, seed)
+        for name, value in reference.items():
+            if rtol == 0.0:
+                assert np.array_equal(routed[name], value), name
+            else:
+                assert np.linalg.norm(routed[name] - value) <= rtol * np.linalg.norm(value), name

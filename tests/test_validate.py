@@ -70,10 +70,10 @@ def test_geometry_suite_fails_when_the_stiefel_finsler_norm_is_inflated(monkeypa
     assert not rec.result("geometry").passed
 
 
-def test_only_the_group_suite_and_the_reparameterization_exponentiate_dense_generators(monkeypatch):
-    # Points, sampler moves and the geometry suite's generators live on spans
-    # of k <= 2N columns; the group suite checks the dense group by design,
-    # and the grassmann suite's reparameterization splits a dense generator.
+def test_only_the_group_suite_exponentiates_dense_generators(monkeypatch):
+    # Points, sampler moves, the geometry suite's generators and the grassmann
+    # suite's reparameterization live on spans of k <= 2N columns; the group
+    # suite checks the dense group by design.
     cfg = config_from_mapping({"seed": 42, "trials": 2, "space": {"grid_points": 16, "spacing": 0.25}})
     n = cfg.space.n
     counts, current = {}, []
@@ -94,7 +94,7 @@ def test_only_the_group_suite_and_the_reparameterization_exponentiate_dense_gene
     monkeypatch.setattr(OneParameterGroup, "__init__", counted)
     monkeypatch.setattr(validate, "_SUITES", tuple(map(tagged, validate.SUITE_NAMES, validate._SUITES)))
     assert all(result.passed for result in validate.run_suites(cfg))
-    assert counts == {"group": 3 * cfg.trials, "grassmann": cfg.trials}
+    assert counts == {"group": 3 * cfg.trials}
 
 
 def test_geometry_suite_checks_the_log_round_trip_on_the_span(monkeypatch):
