@@ -156,13 +156,14 @@ def load_config(path: str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ValueError(f"configuration {path!r} is not valid JSON: {exc}") from exc
     cfg = config_from_mapping(obj)
-    if cfg.frame_file is not None:
-        load_frame_matrix(cfg)
+    if cfg.frame_file is not None:  # a bad file fails here, before any campaign work
+        msg = "frame file columns are not orthonormal for the weak product"
+        require_orthonormal(load_frame_matrix(cfg), build_space(cfg.space), 1e-10, msg)
     return cfg
 
 
 def load_frame_matrix(cfg: RunConfig):
-    """Read and validate the optional frame file named by the configuration."""
+    """Read the optional frame file named by the configuration; campaigns check it on their own pair."""
     if cfg.frame_file is None:
         return None
     path = cfg.frame_file
@@ -180,6 +181,4 @@ def load_frame_matrix(cfg: RunConfig):
         raise ValueError(
             f"frame file has shape {M.shape}, expected ({cfg.space.n}, {cfg.subspace_dim})"
         )
-    g = build_space(cfg.space)
-    require_orthonormal(M, g, 1e-10, "frame file columns are not orthonormal for the weak product")
     return M

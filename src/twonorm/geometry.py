@@ -104,11 +104,9 @@ class SandwichReport:
 
 def norm_sandwich_check(V1: StiefelOperator, V2: StiefelOperator, spec: NormSpec) -> SandwichReport:
     """Evaluate the rank-2N sandwich for the difference of two embeddings."""
-    g = V1.g
-    diff = point_difference(V1, V2)
-    sv = h1_singular_values(diff, g)
+    sv = h1_singular_values(point_difference(V1, V2), V1.g)
     opn = float(sv[0])
-    chosen = schatten_norm(diff, spec, g)
+    chosen = float(_norm_of(sv, spec))
     top = float(np.sum(sv[: 2 * V1.N]))
     upper = 2 * V1.N * opn
     ok = (
@@ -134,8 +132,7 @@ def finsler_norm_grassmann(X: SkewOperator, P, spec: NormSpec) -> float:
     """
     L, R = P.factors.L, P.factors.R
     XhR = P.g.l2(X.Q @ (X.S.conj().T @ (X.Q.conj().T @ R)))
-    tangent = LowRank(X.apply(L), R) - LowRank(L, XhR)
-    return schatten_norm(tangent, spec, P.g)
+    return schatten_norm(LowRank(np.hstack([X.apply(L), L]), np.hstack([R, -XhR])), spec, P.g)
 
 
 def riemannian_inner_stiefel(X: SkewOperator, Y: SkewOperator, V: StiefelOperator) -> float:

@@ -22,8 +22,8 @@ from .space import GramPair, LowRank, as_operator, h1_operator_norm
 from .stiefel import (
     ReferenceFrame,
     StiefelOperator,
-    _compressions,
     _overlap_rotation,
+    _TwoFrames,
     cross_section_sigma,
     radius_r,
 )
@@ -94,8 +94,7 @@ class ProjectionOperator:
     @cached_property
     def P(self) -> np.ndarray:
         """The operator H (gl2 H)^H."""
-        f = self.factors
-        P = f.L @ f.R.conj().T
+        P = self.frame @ self.g.l2(self.frame).conj().T
         P.setflags(write=False)
         return P
 
@@ -128,20 +127,20 @@ def psi_section(P: ProjectionOperator, P1: ProjectionOperator, ref: ReferenceFra
     isometry T1 then tilts range(P) onto range(P1).  The composition is the
     isometric embedding with image frame T1 H = H1 Z Y^H, for the range
     frame H1 of P1 and the SVD Y diag(s) Z^H of the overlap H^H gl2 H1, and
-    its projection recovers P1.
+    its projection recovers P1.  The distance and the contraction bounds are
+    taken on the joint span of H and H1, as in ``section_factors``.
     """
     if P.N != ref.N:
         raise ValueError("projection rank and reference width differ")
     g = P.g
-    dist = h1_operator_norm(P1.factors - P.factors, g)
+    span = _TwoFrames(P.frame, P1.frame, g)
+    dist = span.projection_distance
     rad = quotient_radius(P)
     if not dist < rad:
         raise NeighborhoodViolation(
             f"projection distance {dist:.6e} is not inside the section radius {rad:.6e}"
         )
-    # P - P P1 P = P (I - P1) P, and likewise with P and P1 swapped.
-    b1 = h1_operator_norm(_compressions(P.factors, P1.factors)[0], g)
-    b2 = h1_operator_norm(_compressions(P1.factors, P.factors)[0], g)
+    b1, b2 = span.bounds()[:2]
     if max(b1, b2) >= 1.0:
         raise NeighborhoodViolation(
             f"contraction bounds ({b1:.6f}, {b2:.6f}) must stay below 1"
@@ -168,11 +167,11 @@ def grassmann_equivalence(V: StiefelOperator, V1: StiefelOperator) -> Equivalenc
     its complement; the reported residual is V1 U - V = (Phi1 Phi1^H gl2 Phi - Phi)(gl2 Xi)^H.
     """
     g = V.g
-    dist = h1_operator_norm(V.projection_factors - V1.projection_factors, g)
+    dist = _TwoFrames(V.Phi, V1.Phi, g).projection_distance
     if dist > EQUIVALENCE_TOL:
         return EquivalenceResult(equivalent=False, projection_distance=dist)
     ref = V.ref
-    overlap = V1.projection_factors.R.conj().T @ V.Phi
+    overlap = g.l2(V1.Phi).conj().T @ V.Phi
     return EquivalenceResult(
         equivalent=True,
         projection_distance=dist,
@@ -196,7 +195,7 @@ def section_pi_p(P: ProjectionOperator, P1: ProjectionOperator, ref: ReferenceFr
     outside its own neighborhood.
     """
     V = psi_section(P, P, ref)
-    dist = h1_operator_norm(P1.factors - P.factors, P.g)
+    dist = _TwoFrames(P.frame, P1.frame, P.g).projection_distance
     r_star = min(quotient_radius(P), radius_r(V))
     if not dist < r_star:
         raise NeighborhoodViolation(

@@ -13,7 +13,7 @@ from .errors import ConvergenceFailure, NeighborhoodViolation
 from .grassmann import ProjectionOperator, act_grassmann
 from .group import GroupElement, OneParameterGroup, SkewOperator, exp_skew
 from .space import GramPair, h1_operator_norm, h1_triangle, span_singular_values
-from .stiefel import ReferenceFrame, StiefelOperator, act, point_difference
+from .stiefel import ReferenceFrame, StiefelOperator, _TwoFrames, act, point_difference
 
 __all__ = [
     "rng_for_trial",
@@ -175,14 +175,13 @@ def projection_near(P: ProjectionOperator, target: float, rng) -> tuple[Projecti
     A target below ``RESOLUTION_FACTOR`` machine epsilons of ``||P||`` raises
     NeighborhoodViolation.
     """
-    g, base, H = P.g, P.factors, P.frame
+    g, H = P.g, P.frame
 
     def distance_on(Q, c0):
-        # With U H = H + D, U P U^-1 - P = D (gl2 H)^H + (H + D)(gl2 D)^H; on the
-        # span H = Q c0 and D = Q d, so it is Q [d, c0 + d][c0, d]^H (gl2 Q)^H.
+        # On the span, H = Q c0 and U H - H = Q d.
         TL, TR = h1_triangle(Q, g), h1_triangle(g.l2(Q), g, right=True)
-        return lambda d: float(span_singular_values(TL, TR, np.hstack([d, c0 + d]) @ np.hstack([c0, d]).conj().T)[0])
+        return lambda d: _TwoFrames.conjugation_distance(TL, TR, c0, d)
 
     # P = H (gl2 H)^H and U^-H gl2 = gl2 U, so U P U^-1 = (U H)(gl2 U H)^H.
     moved = act_grassmann(_span_perturbation(H, g, target, P.h1_norm, rng, distance_on), P)
-    return moved, h1_operator_norm(moved.factors - base, g)
+    return moved, _TwoFrames(H, moved.frame, g).projection_distance

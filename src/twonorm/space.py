@@ -120,7 +120,7 @@ class GramPair:
             except np.linalg.LinAlgError:
                 raise ValueError(f"{name} is not positive definite") from None
         gap = np.linalg.eigvalsh(gh1 - gl2)
-        scale = max(1.0, float(np.linalg.norm(gh1, 2)))
+        scale = max(1.0, float(np.linalg.eigvalsh(gh1)[-1]))  # the 2-norm of the definite gh1
         if gap[0] < PSD_FLOOR * scale:
             raise ValueError(
                 f"gh1 - gl2 has eigenvalue {gap[0]:.3e}; the strong form must dominate"
@@ -218,10 +218,6 @@ class LowRank:
             )
         object.__setattr__(self, "L", L)
         object.__setattr__(self, "R", R)
-
-    def __sub__(self, other: "LowRank") -> "LowRank":
-        """A - B with the factors stacked side by side."""
-        return LowRank(np.hstack([self.L, other.L]), np.hstack([self.R, -other.R]))
 
     def frobenius_norm(self) -> float:
         """||L R^H||_F = ||T1 T2^H||_F for the triangular factors of thin QRs of L and R."""

@@ -158,8 +158,7 @@ class StiefelOperator:
     @cached_property
     def projection(self) -> np.ndarray:
         """Weak orthogonal projection V V*2 = Phi (gl2 Phi)^H onto the image subspace."""
-        P = self.projection_factors
-        return P.L @ P.R.conj().T
+        return self.Phi @ self.g.l2(self.Phi).conj().T
 
     @property
     def factors(self) -> LowRank:
@@ -170,11 +169,6 @@ class StiefelOperator:
     def h1_norm(self) -> float:
         """Strong operator norm of V, from the reference's cached triangle."""
         return float(span_singular_values(h1_triangle(self.Phi, self.g), self.ref.dual_triangle)[0])
-
-    @cached_property
-    def projection_factors(self) -> LowRank:
-        """The image projection Phi (gl2 Phi)^H as thin factors."""
-        return LowRank(self.Phi, self.g.l2(self.Phi))
 
 
 def _require_same_reference(V: StiefelOperator, V1: StiefelOperator) -> None:
@@ -239,11 +233,10 @@ class LipschitzReport:
 
 def projection_lipschitz_report(V1: StiefelOperator, V2: StiefelOperator) -> LipschitzReport:
     """Verify ||P1 - P2|| <= N C (C ||V1|| + 1) ||V1 - V2|| in the strong norm."""
-    g = V1.g
-    lhs = h1_operator_norm(V1.projection_factors - V2.projection_factors, g)
+    lhs = _TwoFrames(V1.Phi, V2.Phi, V1.g).projection_distance
     C = V1.ref.C
     factor = V1.N * C * (C * V1.h1_norm + 1.0)
-    return LipschitzReport(lhs=lhs, bound=factor * h1_operator_norm(point_difference(V1, V2), g))
+    return LipschitzReport(lhs=lhs, bound=factor * h1_operator_norm(point_difference(V1, V2), V1.g))
 
 
 # ---------------------------------------------------------------------------
@@ -435,18 +428,44 @@ def _overlap_rotation(M):
     return s, Z, Z @ Y.conj().T
 
 
-def _compressions(P: LowRank, P1: LowRank) -> tuple[LowRank, LowRank]:
-    """P (I - P1) P and (I - P) P1 (I - P) for projections given as thin factors.
+class _TwoFrames:
+    """Two orthonormal N-frames F0 and F1 = Q b on their joint span, with b = E + beta (``group._joint_span``).
 
-    With P = L R^H and P1 = L1 R1^H, the first is L (I - (R^H L1)(R1^H L)) R^H
-    exactly, and the second is G ((I - P)^H R1)^H with G = (I - P) L1; both
-    keep the width of the factors.  Their strong norms are the contraction
-    bounds of the cross sections.
+    The weak projections onto the spans are P = Q E E^H (gl2 Q)^H and P1 = Q b b^H (gl2 Q)^H,
+    so a strong norm built from them is that of a k-by-k core between the
+    strong triangles TL and TR of Q and gl2 Q (``space.h1_triangle``).
     """
-    A = P.R.conj().T @ P1.L
-    inner = LowRank(P.L @ (np.eye(A.shape[0]) - A @ (P1.R.conj().T @ P.L)), P.R)
-    outer = LowRank(P1.L - P.L @ A, P1.R - P.R @ (P.L.conj().T @ P1.R))
-    return inner, outer
+
+    def __init__(self, F0, F1, g: GramPair):
+        self.Q, self.beta = _joint_span(F0, F1, g)
+        self.E = np.eye(*self.beta.shape, dtype=np.complex128)
+        self.b = self.E + self.beta
+        self.TL, self.TR = h1_triangle(self.Q, g), h1_triangle(g.l2(self.Q), g, right=True)
+        self.projection_distance = self.conjugation_distance(self.TL, self.TR, self.E, self.beta)
+
+    @staticmethod
+    def conjugation_distance(TL, TR, c0, d) -> float:
+        """Strong norm of U P U^-1 - P on a span Q with strong triangles TL, TR of Q and gl2 Q.
+
+        P's range frame is H = Q c0 and U H - H = D = Q d.  As U^-H gl2 = gl2 U,
+        U P U^-1 - P = D (gl2 H)^H + (H + D)(gl2 D)^H = Q [d, c0 + d][c0, d]^H (gl2 Q)^H.
+        """
+        return float(span_singular_values(TL, TR, np.hstack([d, c0 + d]) @ np.hstack([c0, d]).conj().T)[0])
+
+    def bounds(self) -> tuple:
+        """The contraction bounds, strong norms of P (I - P1) P, P1 (I - P) P1, (I - P) P1 (I - P), (I - P1) P (I - P1).
+
+        As P is idempotent, P (I - P1) P = P - P P1 P and (I - P) P1 (I - P) =
+        (I - P) - (I - P)(I - P1)(I - P).  For P = L L^H, P1 = L1 L1^H and
+        A = L^H L1, the first is L (I - A A^H) L^H and the third G G^H with G = L1 - L A.
+        """
+        inner, outer = [], []
+        for L, L1 in ((self.E, self.b), (self.b, self.E)):
+            A = L.conj().T @ L1
+            inner.append((L @ (np.eye(A.shape[0]) - A @ (L1.conj().T @ L))) @ L.conj().T)
+            G = L1 - L @ A
+            outer.append(G @ G.conj().T)
+        return tuple(float(span_singular_values(self.TL, self.TR, M)[0]) for M in inner + outer)
 
 
 @dataclass(frozen=True)
@@ -481,26 +500,16 @@ def section_factors(V: StiefelOperator, V1: StiefelOperator) -> SectionFactors:
     g = V.g
     _require_same_reference(V, V1)
     N = V.N
-    Q, beta = _joint_span(V.Phi, V1.Phi, g)
-    TL, TR = h1_triangle(Q, g), h1_triangle(g.l2(Q), g, right=True)
+    span = _TwoFrames(V.Phi, V1.Phi, g)
+    Q, beta, E, b = span.Q, span.beta, span.E, span.b
     # V1 - V = Q beta (gl2 Xi)^H.
-    dist = float(span_singular_values(TL, V.ref.dual_triangle, beta)[0])
+    dist = float(span_singular_values(span.TL, V.ref.dual_triangle, beta)[0])
     r = radius_r(V)
     if not dist < r:
         raise NeighborhoodViolation(
             f"distance {dist:.6e} is not inside the safe radius {r:.6e}"
         )
-    # On the span, P = Q E E^H (gl2 Q)^H and P1 = Q b b^H (gl2 Q)^H.
-    # P - P P1 P = P (I - P1) P, and (I - P) - (I - P)(I - P1)(I - P) =
-    # (I - P) P1 (I - P) because P is idempotent; likewise with P, P1 swapped.
-    E = np.eye(Q.shape[1], N)
-    b = E + beta
-    P, P1 = LowRank(E, E), LowRank(b, b)
-    inner, outer = _compressions(P, P1)
-    inner1, outer1 = _compressions(P1, P)
-    bounds = tuple(
-        float(span_singular_values(TL, TR, op.L @ op.R.conj().T)[0]) for op in (inner, inner1, outer, outer1)
-    )
+    bounds = span.bounds()
     if max(bounds) >= 1.0:
         raise NeighborhoodViolation(
             f"contraction bounds {tuple(round(b, 6) for b in bounds)} must stay below 1"
@@ -549,7 +558,7 @@ def translated_section(
 def K_map(Y, V: StiefelOperator) -> np.ndarray:
     """Right inverse of the tangent map: Y -> Y V*2, with V*2 = Xi (gl2 Phi)^H."""
     Y = as_operator(Y, V.n, "Y")
-    return (Y @ V.ref.Xi) @ V.projection_factors.R.conj().T
+    return (Y @ V.ref.Xi) @ V.g.l2(V.Phi).conj().T
 
 
 def tangent_project(Y, V: StiefelOperator) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 
 from twonorm import GroupElement, LogUnavailable, SpaceSpec, build_space, cli
 from twonorm.basis import orthonormal_columns
-from twonorm import group, validate
+from twonorm import campaigns, config, group, validate
 from twonorm.cli import main
 from twonorm.config import (
     DEFAULT_TOLERANCES,
@@ -238,6 +239,44 @@ def test_non_orthonormal_frame_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path, frame_file=str(frame))
     assert main(["validate", "--config", cfg]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "section-demo", "geometry"])
+def test_a_frame_file_is_checked_early_and_builds_the_configured_pair_at_most_twice(
+    tmp_path, capsys, monkeypatch, command
+):
+    # load_config checks the file on one pair before any campaign work; the
+    # campaign checks it again on the pair it runs with, which it builds once.
+    # The only other build is the space suite's fixed two-point stencil check.
+    built = []
+
+    def counted(spec):
+        built.append(spec)
+        return build_space(spec)
+
+    for module in (config, validate, campaigns):
+        monkeypatch.setattr(module, "build_space", counted)
+    for name, payload, message in (
+        ("skewed", matrix_to_json(np.ones((16, 2))), "frame file columns are not orthonormal for the weak product"),
+        ("narrow", orthonormal_frame_payload(cols=3), r"frame file has shape \(16, 3\), expected \(16, 2\)"),
+    ):
+        frame = tmp_path / f"{name}.json"
+        frame.write_text(json_dumps(payload))
+        out = tmp_path / name
+        cfg = write_config(tmp_path, name=f"{name}-cfg.json", frame_file=str(frame))
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and re.search(message, err)
+        assert not out.exists()
+    built.clear()
+    frame = tmp_path / "frame.json"
+    frame.write_text(json_dumps(orthonormal_frame_payload()))
+    cfg = write_config(tmp_path, trials=2, frame_file=str(frame))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    configured = SpaceSpec(domain_dim=1, grid_points=16, spacing=0.25)
+    assert built.count(configured) <= 2
+    assert [spec.n for spec in built if spec != configured] == ([2] if command == "validate" else [])
 
 
 def test_unattainable_tolerance_exits_one(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from twonorm import (
     schatten_norm,
     skew_residual,
 )
+from twonorm import geometry
 from twonorm.sampling import base_point, random_complex, random_skew, random_stiefel, rng_for_trial
 
 
@@ -80,6 +83,18 @@ def test_sandwich_between_operator_and_top_sum(g, ref, rng):
         assert rep.operator_norm <= rep.chosen_norm + 1e-10
         assert rep.chosen_norm <= rep.top_sum + 1e-10
         assert rep.top_sum <= 2 * ref.N * rep.operator_norm + 1e-10
+
+
+def test_sandwich_takes_the_singular_values_once(g, ref, rng):
+    # The chosen norm comes from the same singular values as the operator norm and the top sum.
+    V1 = random_stiefel(rng, ref, scale=0.4)
+    V2 = random_stiefel(rng, ref, scale=0.4)
+    for spec in (NormSpec.operator(), NormSpec.schatten(1.0), NormSpec.schatten(2.0)):
+        with mock.patch.object(geometry, "h1_singular_values", wraps=geometry.h1_singular_values) as counted:
+            rep = norm_sandwich_check(V1, V2, spec)
+        assert counted.call_count == 1
+        dense = schatten_norm(V1.V - V2.V, spec, g)
+        assert abs(rep.chosen_norm - dense) <= 1e-12 * dense
 
 
 def test_difference_has_low_rank(g, ref, rng):

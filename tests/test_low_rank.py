@@ -38,7 +38,8 @@ from twonorm.sampling import (
     rng_for_trial,
     stiefel_near,
 )
-from twonorm.stiefel import StiefelOperator, _compressions
+from twonorm.space import adjoint_l2
+from twonorm.stiefel import StiefelOperator, _TwoFrames
 
 SPACES = {n: build_space(SpaceSpec(domain_dim=1, grid_points=n, spacing=0.25)) for n in (16, 128)}
 SPECS = (NormSpec.operator(), NormSpec.schatten(1.0), NormSpec.schatten(2.0))
@@ -102,13 +103,12 @@ def test_low_rank_rejects_mismatched_factors(g):
 
 def test_factors_rebuild_their_operators(g, V, rng):
     assert np.linalg.norm(_dense(V.factors) - V.V) <= TOL * np.linalg.norm(V.V)
-    assert np.linalg.norm(_dense(V.projection_factors) - V.projection) <= TOL * np.linalg.norm(
-        V.projection
-    )
+    VV2 = V.V @ adjoint_l2(V.V, g)
+    assert np.linalg.norm(V.projection - VV2) <= TOL * np.linalg.norm(VV2)
     P = random_projection(rng, g, N)
     assert np.linalg.norm(_dense(P.factors) - P.P) <= TOL * np.linalg.norm(P.P)
     W = random_stiefel(rng, V.ref, scale=0.4)
-    diff = _dense(W.factors - V.factors)
+    diff = _dense(point_difference(W, V))
     assert np.linalg.norm(diff - (W.V - V.V)) <= TOL * np.linalg.norm(V.V)
 
 
@@ -191,12 +191,14 @@ def test_projection_call_sites_match_dense(pair):
     P1 = act_grassmann(U, P)
     pscale = h1_operator_norm(P.P, g)
     _agree(h1_operator_norm(P.factors, g), pscale)
-    _agree(h1_operator_norm(P1.factors - P.factors, g), h1_operator_norm(P1.P - P.P, g), pscale)
+    # The joint span of the two range frames gives the distance and the contraction bounds.
     for A, B in ((P, P1), (P1, P)):
-        inner, outer = _compressions(A.factors, B.factors)
+        span = _TwoFrames(A.frame, B.frame, g)
+        _agree(span.projection_distance, h1_operator_norm(B.P - A.P, g), pscale)
+        inner, _, outer, _ = span.bounds()
         ia = np.eye(g.n) - A.P
-        _agree(h1_operator_norm(inner, g), h1_operator_norm(A.P - A.P @ B.P @ A.P, g), pscale**3)
-        _agree(h1_operator_norm(outer, g), h1_operator_norm(ia @ B.P @ ia, g), pscale**3)
+        _agree(inner, h1_operator_norm(A.P - A.P @ B.P @ A.P, g), pscale**3)
+        _agree(outer, h1_operator_norm(ia @ B.P @ ia, g), pscale**3)
 
     X = random_skew(rng_for_trial(3, 8), g, 1.0)
     xscale = h1_operator_norm(X.data, g)

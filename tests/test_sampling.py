@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twonorm import ConvergenceFailure, NeighborhoodViolation, SpaceSpec, build_space
+from twonorm.grassmann import quotient_radius
 from twonorm.sampling import (
     RESOLUTION_FACTOR,
     SETUP_TRIAL,
@@ -50,6 +51,19 @@ def test_tiny_targets_calibrate(n):
             for sampler, start in ((stiefel_near, V), (projection_near, P)):
                 _, achieved = sampler(start, target, rng_for_trial(stream, 0))
                 assert abs(achieved - target) <= 1e-3 * target
+
+
+def test_projection_near_returns_the_distance_of_the_moved_projection():
+    # The achieved distance is taken on the joint span of the two range frames,
+    # so near coincidence it stays close to the calibrated target.
+    g = build_space(SpaceSpec(domain_dim=1, grid_points=128, spacing=0.25))
+    for frac, tol in ((1e-6, 2e-9), (1e-8, 5e-8)):
+        for seed in range(5):
+            rng = rng_for_trial(seed, 0)
+            P = random_projection(rng, g, 2)
+            target = frac * quotient_radius(P)
+            _, achieved = projection_near(P, target, rng)
+            assert abs(achieved - target) <= tol * target
 
 
 @pytest.mark.parametrize("n", [16, 128])

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,19 @@ def test_difference_operator_is_periodic():
 def test_strong_dominates_weak(g):
     lam = np.linalg.eigvalsh(g.gh1 - g.gl2)
     assert lam[0] >= -1e-10 * np.linalg.norm(g.gh1, 2)
+
+
+def test_gram_pair_checks_domination_without_an_svd():
+    # The PSD floor's scale is the top eigenvalue of the definite gh1, its 2-norm;
+    # np.linalg.norm(gh1, 2) would take a full SVD through the module's svd.
+    def refuse(*args, **kwargs):
+        raise AssertionError("SVD in the Gram pair check")
+
+    with mock.patch.object(np.linalg, "svd", refuse), mock.patch.object(np.linalg._linalg, "svd", refuse):
+        g = build_space(SpaceSpec(domain_dim=1, grid_points=16, spacing=0.25))
+        with pytest.raises(ValueError, match="the strong form must dominate"):
+            gram_pair_from_matrices(np.eye(2), 0.5 * np.eye(2))
+    assert g.n == 16
 
 
 def test_gram_pair_rejects_bad_input():

@@ -1,5 +1,6 @@
 """Strong norms in span coordinates and the scalar weak form, against dense n-by-n evaluations."""
 
+import math
 from contextlib import ExitStack
 from unittest import mock
 
@@ -9,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twonorm import SpaceSpec, build_space, forward_difference, gram_pair_from_matrices, h1_operator_norm
-from twonorm import campaigns, geometry, sampling, space, stiefel
+from twonorm import campaigns, geometry, grassmann, sampling, space, stiefel
 from twonorm.cli import main
 from twonorm.config import config_from_mapping
 from twonorm.geometry import CurveSamples, NormSpec, curve_length, distance_upper, exp_curve, schatten_norm
-from twonorm.grassmann import quotient_radius
+from twonorm.grassmann import psi_section, quotient_radius
 from twonorm.group import GroupElement, SkewOperator, exp_skew, frame_unitary
 from twonorm.sampling import (
     RESOLUTION_FACTOR,
@@ -35,11 +36,11 @@ from twonorm.validate import _grassmann_suite, _Recorder, _section_suite
 EPS = np.finfo(float).eps
 
 
-def _weighted_pair(n, seed):
+def _weighted_pair(n, seed, spacing=0.25):
     """A grid pair whose weak form is a non-scalar Hermitian matrix, so g.l2 takes its dense branch."""
-    spec = SpaceSpec(domain_dim=1, grid_points=n, spacing=0.25)
+    spec = SpaceSpec(domain_dim=1, grid_points=n, spacing=spacing)
     A = random_complex(rng_for_trial(seed, 0), n, n)
-    gl2 = 0.25 * np.eye(n) + 0.05 * (A @ A.conj().T) / n
+    gl2 = spacing * np.eye(n) + 0.05 * (A @ A.conj().T) / n
     D = forward_difference(spec, 0)
     return gram_pair_from_matrices(gl2, gl2 + D.conj().T @ gl2 @ D)
 
@@ -112,6 +113,50 @@ def test_span_kernel_matches_the_dense_strong_norm(kind, n, N, depth, seed):
         floor = 2 * RESOLUTION_FACTOR * EPS * h1_operator_norm(P.factors, g)
         projection_near(P, max(quotient_radius(P) * 10.0**-depth, floor), rng)
     assert len(checked) >= 8
+
+
+def _agree(factored, dense, scale):
+    # As in test_low_rank: relative to the larger of the value and the size of its terms.
+    assert abs(factored - dense) <= 1e-12 * max(abs(dense), scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(("grid", "weighted")),
+    n=st.sampled_from((16, 64)),
+    N=st.integers(1, 3),
+    spacing=st.floats(0.1, 1.0),
+    # The target is 10^-depth of the quotient radius, from 0.5 down to 1e-8.
+    depth=st.floats(math.log10(2.0), 8.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_projection_distances_and_quotient_bounds_match_the_dense_operators(kind, n, N, spacing, depth, seed):
+    # psi_section takes the distance ||P1 - P|| and its two contraction bounds on
+    # the joint span of the range frames; projection_near returns the same distance.
+    spec = SpaceSpec(domain_dim=1, grid_points=n, spacing=spacing)
+    g = build_space(spec) if kind == "grid" else _weighted_pair(n, 7, spacing)
+    rng = rng_for_trial(seed, 0)
+    P, ref = random_projection(rng, g, N), random_reference(rng, g, N)
+    floor = 2 * RESOLUTION_FACTOR * EPS * P.h1_norm
+    P1, achieved = projection_near(P, max(quotient_radius(P) * 10.0**-depth, floor), rng)
+    spans = []
+
+    class Recorded(stiefel._TwoFrames):
+        def __init__(self, *args):
+            super().__init__(*args)
+            spans.append(self)
+
+    with mock.patch.object(grassmann, "_TwoFrames", Recorded):
+        psi_section(P, P1, ref)
+    (span,) = spans
+    pscale = h1_operator_norm(P.P, g)
+    dense = h1_operator_norm(P1.P - P.P, g)
+    _agree(span.projection_distance, dense, pscale)
+    _agree(achieved, dense, pscale)
+    ip, ip1 = np.eye(n) - P.P, np.eye(n) - P1.P
+    compressions = (P.P @ ip1 @ P.P, P1.P @ ip @ P1.P, ip @ P1.P @ ip, ip1 @ P.P @ ip1)
+    for got, op in zip(span.bounds(), compressions):
+        _agree(got, h1_operator_norm(op, g), pscale**3)
 
 
 @pytest.mark.parametrize(
@@ -234,7 +279,9 @@ def test_distance_upper_takes_its_strong_triangles_once_per_curve():
 
 def test_grassmann_suite_takes_each_projection_norm_once():
     # quotient_radius, both psi_section calls, section_pi_p and the sampler's
-    # resolution read one cached strong norm of P.
+    # resolution read one cached strong norm of P, and every projection
+    # distance and contraction bound is taken on a joint span, so one call
+    # per trial remains.
     calls = []
     counted = space.h1_singular_values
 
@@ -247,7 +294,7 @@ def test_grassmann_suite_takes_each_projection_norm_once():
     with mock.patch.object(space, "h1_singular_values", recorded):
         _grassmann_suite(cfg, PAIRS["grid", 16], rec)
     assert rec.result("grassmann").passed
-    assert len(calls) == 190
+    assert len(calls) == 10
 
 
 @pytest.mark.parametrize("n", [16, 128])
