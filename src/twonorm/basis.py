@@ -28,19 +28,13 @@ DROP_TOL = 1e-12
 
 
 def _col_norms(W, g: GramPair):
-    if W.shape[1] == 0:
-        return np.zeros(0)
     quad = np.einsum("ij,ij->j", W.conj(), g.l2(W)).real
     return np.sqrt(np.maximum(quad, 0.0))
 
 
 def _project_out(B, W, g: GramPair):
-    """One modified Gram-Schmidt sweep of the columns of W against basis B."""
-    for j in range(B.shape[1]):
-        b = B[:, j]
-        coeff = g.l2(b).conj() @ W
-        W = W - np.outer(b, coeff)
-    return W
+    """One block classical Gram-Schmidt sweep of the columns of W against the orthonormal B: W - B (B^H gl2 W)."""
+    return W - B @ (g.l2(B).conj().T @ W)
 
 
 def canonical_phase(v: np.ndarray) -> np.ndarray:
@@ -59,33 +53,30 @@ def complete_basis(B, candidates, g: GramPair):
     residual weak norm makes the outcome independent of candidate order up to
     exact ties, which are broken by the lowest index.
     """
-    B = np.asarray(B, dtype=np.complex128).copy()
-    W = np.asarray(candidates, dtype=np.complex128).copy()
+    B = np.asarray(B, dtype=np.complex128)
+    W = np.asarray(candidates, dtype=np.complex128)
     if W.ndim != 2 or W.shape[0] != g.n:
         raise ValueError(f"candidates must be {g.n}-by-k, got shape {W.shape}")
     # Two sweeps against the existing basis keep the residuals orthogonal to
     # working precision even when candidates nearly lie in span(B).
-    W = _project_out(B, W, g)
-    W = _project_out(B, W, g)
-    appended = np.zeros((g.n, 0), dtype=np.complex128)
+    W = _project_out(B, _project_out(B, W, g), g)
+    full = np.hstack([B, np.empty_like(W)])  # B, then the appended columns
+    k = B.shape[1]
     while W.shape[1] > 0:
         norms = _col_norms(W, g)
         j = int(np.argmax(norms))
         if norms[j] < DROP_TOL:
             break
-        v = W[:, j] / norms[j]
         # One reorthogonalization pass against everything accepted so far.
-        full = np.hstack([B, appended])
-        v = _project_out(full, v[:, None], g)[:, 0]
-        nv = _col_norms(v[:, None], g)[0]
-        if nv < DROP_TOL:
-            W = np.delete(W, j, axis=1)
-            continue
-        v = canonical_phase(v / nv)
-        appended = np.hstack([appended, v[:, None]])
+        v = _project_out(full[:, :k], W[:, j : j + 1] / norms[j], g)
         W = np.delete(W, j, axis=1)
-        W = _project_out(v[:, None], W, g)
-    return appended
+        nv = _col_norms(v, g)[0]
+        if nv < DROP_TOL:
+            continue
+        full[:, k] = canonical_phase(v[:, 0] / nv)
+        W = _project_out(full[:, k : k + 1], W, g)
+        k += 1
+    return full[:, B.shape[1] : k].copy()
 
 
 def orthonormal_columns(M, g: GramPair):

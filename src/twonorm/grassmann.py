@@ -132,9 +132,12 @@ def psi_section(P: ProjectionOperator, P1: ProjectionOperator, ref: ReferenceFra
     """
     if P.N != ref.N:
         raise ValueError("projection rank and reference width differ")
-    g = P.g
-    span = _TwoFrames(P.frame, P1.frame, g)
-    dist = span.projection_distance
+    return _psi_on(_TwoFrames(P.frame, P1.frame, P.g), P, P1, ref)
+
+
+def _psi_on(span: _TwoFrames, P, P1, ref: ReferenceFrame) -> StiefelOperator:
+    """``psi_section`` on the joint span of the range frames of P and P1, built by the caller."""
+    g, dist = P.g, span.projection_distance
     rad = quotient_radius(P)
     if not dist < rad:
         raise NeighborhoodViolation(
@@ -185,23 +188,30 @@ def act_grassmann(U: GroupElement, P: ProjectionOperator) -> ProjectionOperator:
     return ProjectionOperator(P.frame + U.displacement(P.frame), P.g)
 
 
-def section_pi_p(P: ProjectionOperator, P1: ProjectionOperator, ref: ReferenceFrame) -> GroupElement:
+def _lift(P: ProjectionOperator, ref: ReferenceFrame) -> tuple[StiefelOperator, float]:
+    """The lifted base point psi_section(P, P, ref) and the working radius of ``section_pi_p`` around P."""
+    V = psi_section(P, P, ref)
+    return V, min(quotient_radius(P), radius_r(V))
+
+
+def section_pi_p(P: ProjectionOperator, P1: ProjectionOperator, ref: ReferenceFrame, *, lift=None) -> GroupElement:
     """Section of the conjugation action: a group element with U P U^-1 = P1.
 
     Built by lifting both projections through the quotient section and
     applying the cross section on the embedding side.  P1 must lie inside the
     working radius, the smaller of the quotient-section radius and the safe
     radius of the lifted base point; the cross section rejects a lifted pair
-    outside its own neighborhood.
+    outside its own neighborhood.  A caller that drew P1 inside that radius
+    passes the ``_lift(P, ref)`` it used, so it is not built again.
     """
-    V = psi_section(P, P, ref)
-    dist = _TwoFrames(P.frame, P1.frame, P.g).projection_distance
-    r_star = min(quotient_radius(P), radius_r(V))
+    V, r_star = lift or _lift(P, ref)
+    span = _TwoFrames(P.frame, P1.frame, P.g)
+    dist = span.projection_distance
     if not dist < r_star:
         raise NeighborhoodViolation(
             f"projection distance {dist:.6e} is outside the working radius {r_star:.6e}"
         )
-    return cross_section_sigma(V, psi_section(P, P1, ref))
+    return cross_section_sigma(V, _psi_on(span, P, P1, ref))
 
 
 def delta_p(Y, P: ProjectionOperator) -> np.ndarray:

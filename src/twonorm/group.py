@@ -53,16 +53,16 @@ def _frozen(A: np.ndarray) -> np.ndarray:
 def _span_form(element, block: str, defect, identity: str) -> None:
     """Check and freeze the weakly orthonormal span Q and the k-by-k block of an element.
 
-    The pair's own factor gl2^{-1/2} is orthonormal by construction; a span
-    of k < n columns is checked without building that factor.  The block
-    residual ||defect||_F / sqrt(n) is the dense one where gl2 is a multiple of I.
+    The pair's own factor gl2^{-1/2} is orthonormal by construction and known
+    without building it (``GramPair.is_isqrt_l2``); any other span is checked.
+    The block residual ||defect||_F / sqrt(n) is the dense one where gl2 is w I.
     """
     g = element.g
     Q = np.asarray(element.Q, dtype=np.complex128)
     M = np.asarray(getattr(element, block), dtype=np.complex128)
     if Q.ndim != 2 or Q.shape[0] != g.n or M.shape != (Q.shape[1],) * 2:
         raise ValueError(f"need an {g.n}-by-k span and a k-by-k block, got {Q.shape} and {M.shape}")
-    if Q.shape[1] < g.n or Q is not g.isqrt_l2:
+    if not g.is_isqrt_l2(Q):
         require_orthonormal(Q, g, CONSTRUCT_TOL, "span is not orthonormal")
     res = float(np.linalg.norm(defect(M)) / math.sqrt(g.n))
     if not res <= CONSTRUCT_TOL:
@@ -74,7 +74,7 @@ def _span_form(element, block: str, defect, identity: str) -> None:
 def _operator(element, M) -> np.ndarray:
     """The n-by-n Q M (gl2 Q)^H; for k = n that is gl2^{-1/2} M gl2^{1/2}, which is M when gl2 is w I."""
     Q, g = element.Q, element.g
-    return g.from_l2_frame(M) if Q is g.isqrt_l2 else (Q @ M) @ g.l2(Q).conj().T
+    return g.from_l2_frame(M) if g.is_isqrt_l2(Q) else (Q @ M) @ g.l2(Q).conj().T
 
 
 @dataclass(frozen=True)
@@ -108,13 +108,13 @@ class GroupElement:
     def inv_h1_norm(self) -> float:
         """Strong operator norm of U^-1 = I + Q B^H (gl2 Q)^H, from the span.
 
-        In the strong frame U^-1 - I = L R^H with L = gh1^{1/2} Q B^H and
+        In strong coordinates U^-1 - I = L R^H with L = gh1^{1/2} Q B^H and
         R = gh1^{-1/2} gl2 Q.  For the thin QR [L, R] = W [T1, T2], U^-1 acts as
         I + T1 T2^H on the m <= 2k columns of W and as the identity beyond them,
         so the norm is max(1, ||I_m + T1 T2^H||_2), without the 1 when m = n.
         """
         g, k = self.g, self.Q.shape[1]
-        T = np.linalg.qr(np.hstack([g.sqrt_h1 @ (self.Q @ self.B.conj().T), g.isqrt_h1 @ g.l2(self.Q)]), mode="r")
+        T = np.linalg.qr(np.hstack([g.h1_half(self.Q @ self.B.conj().T), g.h1_ihalf(g.l2(self.Q))]), mode="r")
         top = float(np.linalg.norm(np.eye(T.shape[0]) + T[:, :k] @ T[:, k:].conj().T, 2))
         return top if T.shape[0] == g.n else max(1.0, top)
 

@@ -12,8 +12,8 @@ from .basis import orthonormal_columns
 from .errors import ConvergenceFailure, NeighborhoodViolation
 from .grassmann import ProjectionOperator, act_grassmann
 from .group import GroupElement, OneParameterGroup, SkewOperator, exp_skew
-from .space import GramPair, h1_operator_norm, h1_triangle, span_singular_values
-from .stiefel import ReferenceFrame, StiefelOperator, _TwoFrames, act, point_difference
+from .space import GramPair, h1_triangle, span_singular_values
+from .stiefel import ReferenceFrame, StiefelOperator, _TwoFrames, act
 
 __all__ = [
     "rng_for_trial",
@@ -166,7 +166,8 @@ def stiefel_near(V: StiefelOperator, target: float, rng) -> tuple[StiefelOperato
         return lambda d: float(span_singular_values(TL, V.ref.dual_triangle, d)[0])
 
     moved = act(_span_perturbation(V.Phi, g, target, V.h1_norm, rng, distance_on), V)
-    return moved, h1_operator_norm(point_difference(moved, V), g)
+    # The norm of point_difference(moved, V), with the reference's cached right triangle.
+    return moved, float(span_singular_values(h1_triangle(moved.Phi - V.Phi, g), V.ref.dual_triangle)[0])
 
 
 def projection_near(P: ProjectionOperator, target: float, rng) -> tuple[ProjectionOperator, float]:

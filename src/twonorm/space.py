@@ -1,16 +1,16 @@
 """Finite-dimensional model of a Hilbert space carrying two inner products.
 
-A weak product (``l2``) and a strong product (``h1``) are represented by
-Hermitian positive-definite Gram matrices on the coefficient space C^n, with
-the strong Gram matrix dominating the weak one.  :func:`build_space`
+A weak product (``l2``) and a strong product (``h1``) are Hermitian
+positive-definite forms on C^n, the strong dominating the weak, reached only
+through the operators of a :class:`GramPair`.  :func:`build_space`
 discretizes scalar fields on a periodic uniform grid: the weak form is the
 quadrature weight h^d times the identity and the strong form adds
-forward-difference derivative energy, so domination holds by construction.
+forward-difference derivative energy, applied by FFT (:class:`GridPair`).
 
 Vectors are plain length-n complex ndarrays and operators are n-by-n complex
 ndarrays acting on coefficients.  Operators of small rank k, such as
 differences of embeddings, may instead be given as a :class:`LowRank` pair of
-n-by-k factors; strong norms then cost O(n^2 k) instead of an n-by-n SVD.
+n-by-k factors; strong norms then cost two thin QRs instead of an n-by-n SVD.
 Operators L M R^H on fixed factors share that n-sized work: each factor is
 reduced once to a k-by-k triangle (:func:`h1_triangle`), and the norm of any
 core M comes from the triangles alone (:func:`span_singular_values`).
@@ -19,13 +19,14 @@ core M comes from the triangles alone (:func:`span_singular_values`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partialmethod
 
 import numpy as np
 
 __all__ = [
     "SpaceSpec",
     "GramPair",
+    "GridPair",
     "LowRank",
     "build_space",
     "gram_pair_from_matrices",
@@ -95,17 +96,18 @@ class SpaceSpec:
 
 @dataclass(frozen=True)
 class GramPair:
-    """Pair of Gram matrices (weak, strong) with cached factorizations.
+    """Pair of Gram matrices (weak, strong), used through its operators.
 
     Invariants: both matrices are Hermitian positive definite and
     ``gh1 - gl2`` is positive semidefinite.  When gl2 is exactly w I, as on
     every :func:`build_space` grid, ``l2_weight`` is w and the weak-form
-    routines are scalar operations; otherwise it is None.
+    routines are scalar operations; otherwise it is None.  ``h1_half`` and
+    ``h1_ihalf`` give strong coordinates W gh1^{+-1/2} F for a unitary W, here I.
     """
 
     n: int
-    gl2: np.ndarray
-    gh1: np.ndarray
+    gl2: np.ndarray = field(repr=False)
+    gh1: np.ndarray = field(repr=False)
     l2_weight: float | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -160,6 +162,10 @@ class GramPair:
     def isqrt_h1(self):
         return self._sqrt_pair_h1[1]
 
+    def is_isqrt_l2(self, Q) -> bool:
+        """Whether Q is this pair's own gl2^{-1/2}, the span of k = n elements; never builds it."""
+        return Q is self.__dict__.get("_sqrt_pair_l2", (None, None))[1]
+
     def l2(self, F):
         """gl2 F, a scaling when gl2 is w I."""
         return self.gl2 @ F if self.l2_weight is None else self.l2_weight * F
@@ -172,8 +178,17 @@ class GramPair:
         """gl2^{-1/2} M gl2^{-1/2}, a scaling when gl2 is w I."""
         return self.isqrt_l2 @ M @ self.isqrt_l2 if self.l2_weight is None else M / self.l2_weight
 
+    def h1(self, F):
+        return self.gh1 @ F
+
     def solve_h1(self, B):
         return np.linalg.solve(self.gh1, B)
+
+    def h1_half(self, F):
+        return self.sqrt_h1 @ F
+
+    def h1_ihalf(self, F):
+        return self.isqrt_h1 @ F
 
     def to_l2_frame(self, A):
         """Congruence gl2^{1/2} A gl2^{-1/2}; Hermitian iff A is weakly self-adjoint."""
@@ -181,9 +196,6 @@ class GramPair:
 
     def from_l2_frame(self, A):
         return self.isqrt_l2 @ A @ self.sqrt_l2 if self.l2_weight is None else np.array(A)
-
-    def to_h1_frame(self, A):
-        return self.sqrt_h1 @ A @ self.isqrt_h1
 
     @cached_property
     def pencil_factor(self) -> float:
@@ -195,6 +207,66 @@ class GramPair:
         """
         mu = np.linalg.eigvalsh(self.isqrt_l2 @ self.gh1 @ self.isqrt_l2)
         return float(np.sqrt(mu[-1] / mu[0]))
+
+
+class GridPair(GramPair):
+    """The pair of a periodic grid, applied through the Fourier symbol of its stencil.
+
+    gl2 = w I with w = h^d, and gh1 = w (I + sum_a D_a^H D_a) is diagonal in the
+    grid's unitary DFT W, with symbol mu = w (1 + sum_a 4 sin^2(theta_a / 2) / h^2),
+    theta_a = 2 pi k_a / m.  So gh1^p F = W^H mu^p W F, the strong coordinates
+    are mu^{+-1/2} W F and pencil_factor = sqrt(max mu / min mu).  The matrices
+    and their roots are built only when read, without an eigendecomposition.
+    """
+
+    def __init__(self, spec: SpaceSpec):
+        m, d, h = spec.grid_points, spec.domain_dim, spec.spacing
+        w = h**d
+        mu = w * (1.0 + sum(np.ix_(*(4.0 * np.sin(np.pi * np.arange(m) / m) ** 2 / h**2,) * d)))
+        # The symbol of gh1 - gl2 is mu - w.
+        if not (w > 0 and np.all(np.isfinite(mu)) and mu.min() >= w):
+            raise ValueError(f"grid symbol {mu.min():.3e} must be finite and at least w = {w:.3e} > 0")
+        self.__dict__.update(n=spec.n, spec=spec, l2_weight=float(w), mu=mu)
+        self.__dict__["_scales"] = {p: (mu**p)[..., None] for p in (1, -1, 0.5, -0.5)}  # with a column axis
+
+    def _apply(self, F, power, back=True):
+        """W^H mu^power W F over the grid axes, or mu^power W F without ``back``."""
+        F = np.asarray(F)
+        X = F.reshape(self.mu.shape + (F.size // self.n,))
+        for axis in range(self.spec.domain_dim):  # one axis at a time: fftn costs more per call
+            X = np.fft.fft(X, axis=axis, norm="ortho")
+        X = X * self._scales[power]
+        for axis in range(self.spec.domain_dim) if back else ():
+            X = np.fft.ifft(X, axis=axis, norm="ortho")
+        return X.reshape(F.shape)
+
+    h1 = partialmethod(_apply, power=1)
+    solve_h1 = partialmethod(_apply, power=-1)
+    h1_half = partialmethod(_apply, power=0.5, back=False)
+    h1_ihalf = partialmethod(_apply, power=-0.5, back=False)
+
+    @cached_property
+    def gl2(self):
+        return self.l2_weight * np.eye(self.n, dtype=np.complex128)
+
+    @cached_property
+    def gh1(self):
+        """Assembled from the stencil, so it is exactly Hermitian."""
+        derivs = (forward_difference(self.spec, a) for a in range(self.spec.domain_dim))
+        return self.gl2 + sum(D.conj().T @ self.gl2 @ D for D in derivs)
+
+    @cached_property
+    def _sqrt_pair_l2(self):
+        eye, root = np.eye(self.n, dtype=np.complex128), np.sqrt(self.l2_weight)
+        return root * eye, eye / root
+
+    @cached_property
+    def _sqrt_pair_h1(self):
+        return tuple(self._apply(np.eye(self.n, dtype=np.complex128), p) for p in (0.5, -0.5))
+
+    @cached_property
+    def pencil_factor(self) -> float:
+        return float(np.sqrt(self.mu.max() / self.mu.min()))
 
 
 @dataclass(frozen=True)
@@ -245,14 +317,9 @@ def forward_difference(spec: SpaceSpec, axis: int) -> np.ndarray:
     return out.astype(np.complex128)
 
 
-def build_space(spec: SpaceSpec) -> GramPair:
+def build_space(spec: SpaceSpec) -> GridPair:
     """Gram pair for a periodic grid: quadrature weights plus difference energy."""
-    n = spec.n
-    hd = spec.spacing**spec.domain_dim
-    gl2 = hd * np.eye(n, dtype=np.complex128)
-    derivs = tuple(forward_difference(spec, a) for a in range(spec.domain_dim))
-    gh1 = gl2 + sum(D.conj().T @ gl2 @ D for D in derivs)
-    return GramPair(n=n, gl2=gl2, gh1=gh1)
+    return GridPair(spec)
 
 
 def gram_pair_from_matrices(gl2, gh1) -> GramPair:
@@ -272,7 +339,7 @@ def inner_h1(x, y, g: GramPair) -> complex:
     """Strong inner product <x, y>, linear in x and conjugate-linear in y."""
     x = as_vector(x, g.n, "x")
     y = as_vector(y, g.n, "y")
-    return complex(y.conj() @ (g.gh1 @ x))
+    return complex(y.conj() @ g.h1(x))
 
 
 def norm_l2(x, g: GramPair) -> float:
@@ -292,7 +359,7 @@ def adjoint_l2(A, g: GramPair) -> np.ndarray:
 def adjoint_h1(A, g: GramPair) -> np.ndarray:
     """Adjoint with respect to the strong product: gh1^{-1} A^H gh1."""
     A = as_operator(A, g.n, "A")
-    return g.solve_h1(A.conj().T @ g.gh1)
+    return g.solve_h1(g.h1(A).conj().T)
 
 
 def h1_singular_values(A, g: GramPair) -> np.ndarray:
@@ -307,7 +374,7 @@ def h1_singular_values(A, g: GramPair) -> np.ndarray:
             raise ValueError(f"factors must have {g.n} rows, got {A.L.shape[0]}")
         return span_singular_values(h1_triangle(A.L, g), h1_triangle(A.R, g, right=True))
     A = as_operator(A, g.n, "A")
-    return np.linalg.svd(g.to_h1_frame(A), compute_uv=False)
+    return np.linalg.svd(g.sqrt_h1 @ A @ g.isqrt_h1, compute_uv=False)
 
 
 def h1_operator_norm(A, g: GramPair) -> float:
@@ -316,8 +383,11 @@ def h1_operator_norm(A, g: GramPair) -> float:
 
 
 def h1_triangle(F, g: GramPair, right: bool = False) -> np.ndarray:
-    """Triangular factor of the thin QR of gh1^{1/2} F, or of gh1^{-1/2} F for a ``right`` factor."""
-    return np.linalg.qr((g.isqrt_h1 if right else g.sqrt_h1) @ F, mode="r")
+    """Triangular factor of the thin QR of gh1^{1/2} F, or of gh1^{-1/2} F for a ``right`` factor.
+
+    From the pair's strong coordinates, so up to a diagonal unitary, which no singular value sees.
+    """
+    return np.linalg.qr((g.h1_ihalf if right else g.h1_half)(F), mode="r")
 
 
 def span_singular_values(TL, TR, M=None) -> np.ndarray:

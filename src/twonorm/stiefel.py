@@ -441,7 +441,11 @@ class _TwoFrames:
         self.E = np.eye(*self.beta.shape, dtype=np.complex128)
         self.b = self.E + self.beta
         self.TL, self.TR = h1_triangle(self.Q, g), h1_triangle(g.l2(self.Q), g, right=True)
-        self.projection_distance = self.conjugation_distance(self.TL, self.TR, self.E, self.beta)
+
+    @cached_property
+    def projection_distance(self) -> float:
+        """||P1 - P|| in the strong norm; ``section_factors`` does not need it."""
+        return self.conjugation_distance(self.TL, self.TR, self.E, self.beta)
 
     @staticmethod
     def conjugation_distance(TL, TR, c0, d) -> float:

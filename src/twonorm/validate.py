@@ -28,6 +28,7 @@ from .geometry import (
     schatten_norm,
 )
 from .grassmann import (
+    _lift,
     delta_p,
     grassmann_equivalence,
     lie_split_grassmann,
@@ -251,9 +252,9 @@ def _grassmann_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
             np.linalg.norm(phi(V1).P - P1.P), 1e-9 * max(1.0, np.linalg.norm(P1.P))
         )
         # The composed section needs the much smaller lifted radius.
-        r_star = min(radius, radius_r(psi_section(P, P, ref)))
-        P2, _ = projection_near(P, (0.1 + 0.4 * rng.random()) * r_star, rng)
-        Upi = section_pi_p(P, P2, ref)
+        lift = _lift(P, ref)
+        P2, _ = projection_near(P, (0.1 + 0.4 * rng.random()) * lift[1], rng)
+        Upi = section_pi_p(P, P2, ref, lift=lift)
         rec.residual(
             np.linalg.norm(Upi.data @ P.P @ Upi.inv - P2.P),
             1e-9 * max(1.0, np.linalg.norm(P2.P)),

@@ -45,9 +45,16 @@ def _weighted_pair(n, seed, spacing=0.25):
     return gram_pair_from_matrices(gl2, gl2 + D.conj().T @ gl2 @ D)
 
 
-PAIRS = {
-    ("grid", n): build_space(SpaceSpec(domain_dim=1, grid_points=n, spacing=0.25)) for n in (16, 64)
-} | {("weighted", n): _weighted_pair(n, 7) for n in (16, 64)}
+def _pair(kind, n, spacing):
+    """The grid pair, the dense pair of its matrices, or a weighted pair, on a 1D grid."""
+    if kind == "weighted":
+        return _weighted_pair(n, 7, spacing)
+    g = build_space(SpaceSpec(domain_dim=1, grid_points=n, spacing=spacing))
+    return g if kind == "grid" else gram_pair_from_matrices(g.gl2, g.gh1)
+
+
+KINDS = ("grid", "dense", "weighted")
+PAIRS = {(kind, n): _pair(kind, n, 0.25) for kind in KINDS for n in (16, 64)}
 
 
 def test_only_an_exact_multiple_of_the_identity_is_a_scalar_weak_form():
@@ -75,17 +82,18 @@ def _triangle_record():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(("grid", "weighted")),
+    kind=st.sampled_from(KINDS),
     n=st.sampled_from((16, 64)),
     N=st.integers(1, 3),
+    spacing=st.floats(0.1, 1.0),
     # The target is 10^-depth of the radius, floored at the sampler's resolution.
     depth=st.floats(0.05, 16.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_span_kernel_matches_the_dense_strong_norm(kind, n, N, depth, seed):
+def test_span_kernel_matches_the_dense_strong_norm(kind, n, N, spacing, depth, seed):
     # Every span norm that stiefel_near, projection_near and section_factors
     # take is compared with the dense norm of the same n-by-n operator L M R^H.
-    g = PAIRS[kind, n]
+    g = _pair(kind, n, spacing)
     rng = rng_for_trial(seed, 0)
     ref = random_reference(rng, g, N)
     V = random_stiefel(rng, ref, scale=0.4)
@@ -122,7 +130,7 @@ def _agree(factored, dense, scale):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    kind=st.sampled_from(("grid", "weighted")),
+    kind=st.sampled_from(KINDS),
     n=st.sampled_from((16, 64)),
     N=st.integers(1, 3),
     spacing=st.floats(0.1, 1.0),
@@ -133,8 +141,7 @@ def _agree(factored, dense, scale):
 def test_projection_distances_and_quotient_bounds_match_the_dense_operators(kind, n, N, spacing, depth, seed):
     # psi_section takes the distance ||P1 - P|| and its two contraction bounds on
     # the joint span of the range frames; projection_near returns the same distance.
-    spec = SpaceSpec(domain_dim=1, grid_points=n, spacing=spacing)
-    g = build_space(spec) if kind == "grid" else _weighted_pair(n, 7, spacing)
+    g = _pair(kind, n, spacing)
     rng = rng_for_trial(seed, 0)
     P, ref = random_projection(rng, g, N), random_reference(rng, g, N)
     floor = 2 * RESOLUTION_FACTOR * EPS * P.h1_norm
@@ -231,18 +238,19 @@ def _strong_scaled(X, size):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    kind=st.sampled_from(("grid", "weighted")),
+    kind=st.sampled_from(KINDS),
     n=st.sampled_from((16, 64)),
     N=st.integers(1, 3),
+    spacing=st.floats(0.1, 1.0),
     spec=st.sampled_from((NormSpec.operator(), NormSpec.schatten(1), NormSpec.schatten(2))),
     # The generator's strong norm is 0.5 * 10^-depth, from 0.5 down to 5e-7.
     depth=st.floats(0.0, 6.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_curves_on_the_span_match_the_per_sample_evaluation(kind, n, N, spec, depth, seed):
+def test_curves_on_the_span_match_the_per_sample_evaluation(kind, n, N, spacing, spec, depth, seed):
     # Frames against exp(tX) V0 built one t at a time, velocities against X F_t,
     # and the span length against the same curve with its velocities normed one by one.
-    g = PAIRS[kind, n]
+    g = _pair(kind, n, spacing)
     rng = rng_for_trial(seed, 0)
     ref = random_reference(rng, g, N)
     V0 = random_stiefel(rng, ref, scale=0.3)
@@ -295,6 +303,30 @@ def test_grassmann_suite_takes_each_projection_norm_once():
         _grassmann_suite(cfg, PAIRS["grid", 16], rec)
     assert rec.result("grassmann").passed
     assert len(calls) == 10
+
+
+def test_grassmann_suite_builds_each_joint_span_once():
+    # Per trial: P's strong norm (2 triangles), each of the two quotient
+    # samplers' calibration span and returned distance (2 + 2 each),
+    # psi_section's span (2), the lift of P shared by the working radius and
+    # section_pi_p (2, and 1 for the lifted point's norm), section_pi_p's span
+    # of P and P2 (2), the cross section's span (2) and three equivalence
+    # checks (2 each); plus the reference's dual triangle once.
+    calls = []
+    counted = space.h1_triangle
+
+    def recorded(F, g, right=False):
+        calls.append(F.shape)
+        return counted(F, g, right)
+
+    cfg = config_from_mapping({"seed": 42, "trials": 10, "space": {"grid_points": 16, "spacing": 0.25}})
+    rec = _Recorder()
+    with ExitStack() as stack:
+        for module in (space, geometry, sampling, stiefel):
+            stack.enter_context(mock.patch.object(module, "h1_triangle", recorded))
+        _grassmann_suite(cfg, PAIRS["grid", 16], rec)
+    assert rec.result("grassmann").passed
+    assert len(calls) == 1 + 25 * cfg.trials
 
 
 @pytest.mark.parametrize("n", [16, 128])
