@@ -37,9 +37,7 @@ _CONFIG_KEYS = {
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 42
-    space: SpaceSpec = field(
-        default_factory=lambda: SpaceSpec(domain_dim=1, grid_points=16, spacing=0.25)
-    )
+    space: SpaceSpec = field(default_factory=SpaceSpec)
     subspace_dim: int = 2
     trials: int = 100
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
@@ -93,12 +91,7 @@ def _space_from_mapping(obj) -> SpaceSpec:
         kwargs["spacing"] = float(obj["spacing"])
     if "boundary" in obj:
         kwargs["boundary"] = str(obj["boundary"])
-    return SpaceSpec(
-        domain_dim=kwargs.get("domain_dim", 1),
-        grid_points=kwargs.get("grid_points", 16),
-        spacing=kwargs.get("spacing", 0.25),
-        boundary=kwargs.get("boundary", "periodic"),
-    )
+    return SpaceSpec(**kwargs)
 
 
 def _norm_from_mapping(obj) -> NormSpec:

@@ -17,9 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, LogUnavailable
 from .group import GroupElement, OneParameterGroup, SkewOperator, frame_unitary
-from .space import (
-    GramPair, LowRank, adjoint_h1, h1_operator_norm, h1_singular_values, h1_triangle, span_singular_values
-)
+from .space import GramPair, LowRank, h1_operator_norm, h1_singular_values, h1_triangle, span_singular_values
 from .stiefel import StiefelOperator, point_difference
 
 __all__ = [
@@ -136,11 +134,12 @@ def finsler_norm_grassmann(X: SkewOperator, P, spec: NormSpec) -> float:
 
 
 def riemannian_inner_stiefel(X: SkewOperator, Y: SkewOperator, V: StiefelOperator) -> float:
-    """Real trace pairing of tangent vectors XV and YV in the strong space."""
-    g = V.g
-    a = X.data @ V.V
-    b = Y.data @ V.V
-    return float(np.trace(a @ adjoint_h1(b, g)).real)
+    """Real trace pairing Re tr[XV (YV)^*] of tangent vectors, * the strong adjoint gh1^-1 (.)^H gh1.
+
+    With A = X Phi, B = Y Phi and R = gl2 Xi it is Re tr[(B^H gh1 A)(R^H gh1^-1 R)], of two N-by-N cores.
+    """
+    A, B, R = X.apply(V.Phi), Y.apply(V.Phi), V.ref.dual
+    return float(np.trace((B.conj().T @ V.g.h1(A)) @ (R.conj().T @ V.g.solve_h1(R))).real)
 
 
 @dataclass(frozen=True)

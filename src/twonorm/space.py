@@ -74,9 +74,9 @@ class SpaceSpec:
     boundary    -- only "periodic" is supported
     """
 
-    domain_dim: int
-    grid_points: int
-    spacing: float
+    domain_dim: int = 1
+    grid_points: int = 16
+    spacing: float = 0.25
     boundary: str = "periodic"
 
     def __post_init__(self):

@@ -307,21 +307,21 @@ def _block_sum(coeffs, powers, giant):
     return part if giant is None else giant @ part
 
 
+def _tail_bounds(rho: float, amp: float):
+    """|c_(s+1)| rho^(s+1) / (1 - rho) max(1, amp) for s = 1, 2, ...
+
+    |c_k| decreases, so this bounds sum_(k>s) |c_k| rho^k max(1, amp) with no difference of O(1) terms.
+    """
+    for s, c in enumerate(itertools.islice(_coefficient_stream(), 1, None), 1):
+        yield abs(c) * rho ** (s + 1) / (1.0 - rho) * max(1.0, amp)
+
+
 def _series_terms(rho: float, amp: float) -> int:
-    """Fewest terms whose weighted coefficient tail, times amp, is <= SERIES_TOL."""
-    if rho >= 1.0 and amp * amp / (math.pi * SERIES_TOL * SERIES_TOL) > SERIES_KMAX:
-        raise ConvergenceFailure(
-            f"tail bound cannot reach tol={SERIES_TOL:.1e} within kmax={SERIES_KMAX} terms; "
-            "the argument has weak spectral radius 1"
-        )
-    # Exact weighted tail at s = 0: sum_k |c_k| rho^k = 1 - sqrt(1 - rho).
-    tail = 1.0 - math.sqrt(max(0.0, 1.0 - rho)) if rho < 1.0 else 1.0
-    rho_pow = 1.0
-    for s, c in enumerate(itertools.islice(_coefficient_stream(), SERIES_KMAX), 1):
-        rho_pow *= rho
-        tail -= abs(c) * rho_pow
-        # tail now equals the weighted coefficient tail beyond term s.
-        if tail * amp <= SERIES_TOL:
+    """Fewest terms whose ``series_tail_bound`` is <= SERIES_TOL, at most SERIES_KMAX."""
+    if rho >= 1.0:
+        raise ConvergenceFailure("the series argument has weak spectral radius 1; its tail bound is infinite")
+    for s, bound in enumerate(itertools.islice(_tail_bounds(rho, amp), SERIES_KMAX), 1):
+        if bound <= SERIES_TOL:
             return s
     raise ConvergenceFailure(
         f"series truncation bound did not reach tol={SERIES_TOL:.1e} within {SERIES_KMAX} terms"
@@ -335,9 +335,9 @@ def binomial_sqrt(B, g: GramPair) -> np.ndarray:
     self-adjoint argument, so its weak norm is at most the scalar tail
     sum_(k>s) |c_k| rho^k on the spectrum, with rho the weak spectral radius;
     switching to the strong norm costs the Gram pencil factor.  The series
-    stops at the first s with that bound below ``SERIES_TOL``.  At rho = 1 the
-    tail decays like 1/sqrt(s), so the bound cannot be met within
-    ``SERIES_KMAX`` terms and ConvergenceFailure is raised.
+    stops at the first s whose geometric majorant of that tail, the value
+    ``series_tail_bound`` reports, is below ``SERIES_TOL``.  At rho = 1 the
+    majorant is infinite and ConvergenceFailure is raised at once.
     """
     B, lam = _validated_series_argument(B, g)
     rho = min(1.0, float(np.max(np.abs(lam))))
@@ -361,17 +361,14 @@ def binomial_sqrt_truncated(B, g: GramPair, terms) -> list[np.ndarray]:
 def series_tail_bound(terms: int, rho: float, amp: float = 1.0) -> float:
     """Truncation error bound after ``terms`` series terms at spectral radius rho.
 
-    Uses the geometric majorant |c_(terms+1)| rho^(terms+1) / (1 - rho) of the
-    weighted coefficient tail (coefficient magnitudes decrease), scaled by the
-    strong-norm amplification ``amp``.  Free of the cancellation that a
-    closed-form-minus-partial-sum evaluation would suffer at small tails.
+    The majorant that also sets the automatic term count, with the strong-norm
+    amplification ``amp``.
     """
     if not (0.0 < rho < 1.0):
         raise ValueError("rho must lie in (0, 1)")
     if terms < 1:
         raise ValueError("terms must be positive")
-    coeffs = binomial_coefficients(terms + 1)
-    return abs(float(coeffs[-1])) * rho ** (terms + 1) / (1.0 - rho) * max(1.0, amp)
+    return next(itertools.islice(_tail_bounds(rho, amp), terms - 1, None))
 
 
 def sqrt_F(V: StiefelOperator, W: StiefelOperator) -> np.ndarray:
@@ -381,8 +378,9 @@ def sqrt_F(V: StiefelOperator, W: StiefelOperator) -> np.ndarray:
     W's frame Psi (``group._joint_span``), the argument is 0 on range(P),
     I - K K^H on span C and I beyond.  So the series runs on the block -K K^H,
     the result is I - Phi (gl2 Phi)^H + C (S - I)(gl2 C)^H, and its weak error
-    is the block's.  The radius ||K||_2^2 is the largest squared sine of the
-    principal angles between the images; at 1 ConvergenceFailure is raised.
+    is the block's, below ``SERIES_TOL`` by the term count of ``binomial_sqrt``.
+    The radius ||K||_2^2 is the largest squared sine of the principal angles
+    between the images; at 1 ConvergenceFailure is raised.
     """
     g = V.g
     N = V.N

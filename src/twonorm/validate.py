@@ -292,6 +292,14 @@ def _grassmann_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
         rec.residual(
             np.linalg.norm(sg.data @ V.V), 1e-10 * max(1.0, np.linalg.norm(V.V))
         )
+    # Pairs at half and twice the documented tolerance 1e-8, from a stream of their own.
+    straddle = rng_for_trial(cfg.seed, SETUP_TRIAL - 2)
+    V = random_stiefel(straddle, ref, scale=0.4)
+    P = phi(V)
+    for target, expected in ((0.5e-8, True), (2e-8, False)):
+        W = StiefelOperator(projection_near(P, target, straddle)[0].frame, ref)
+        rec.require(grassmann_equivalence(V, W).equivalent == expected)
+        rec.require(grassmann_equivalence(W, V).equivalent == expected)
 
 
 def _strong_scaled(X: SkewOperator, norm: float) -> SkewOperator:

@@ -394,10 +394,13 @@ def test_cli_import_loads_no_scipy():
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "run"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "twonorm", "validate", "--trials", "1", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

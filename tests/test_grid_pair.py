@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from twonorm import SpaceSpec, build_space, gram_pair_from_matrices, h1_singular_values
 from twonorm.cli import main
-from twonorm.group import GroupElement, frame_unitary
-from twonorm.sampling import random_complex, random_reference, random_stiefel, rng_for_trial
+from twonorm.geometry import riemannian_inner_stiefel
+from twonorm.group import GroupElement, SkewOperator, frame_unitary
+from twonorm.sampling import random_complex, random_reference, random_span_skew, random_stiefel, rng_for_trial
 from twonorm.space import GridPair, h1_triangle, span_singular_values
+from twonorm.stiefel import StiefelOperator
 
 
 def _relative(a, b):
@@ -115,3 +117,27 @@ def test_large_grids_build_no_dense_matrix(tmp_path, capsys, monkeypatch):
         tracemalloc.stop()
     assert peak < 64e6  # an n-by-n float array alone is 134 MB
     capsys.readouterr()
+
+
+def test_riemannian_inner_product_on_a_large_grid_builds_no_dense_operator(monkeypatch):
+    # Span generators at n = 4096: neither the Gram matrices nor the n-by-n
+    # tangents X V and Y V are formed.
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense n-by-n operator")
+
+    g = build_space(SpaceSpec(domain_dim=1, grid_points=4096, spacing=0.25))
+    rng = rng_for_trial(3, 0)
+    V = random_stiefel(rng, random_reference(rng, g, 2), scale=0.4)
+    X, Y = random_span_skew(rng, V.Phi, g), random_span_skew(rng, V.Phi, g)
+    for name in ("gl2", "gh1", "_sqrt_pair_l2", "_sqrt_pair_h1"):
+        monkeypatch.setattr(GridPair, name, property(refuse))
+    monkeypatch.setattr(SkewOperator, "data", property(refuse))
+    monkeypatch.setattr(StiefelOperator, "V", property(refuse))
+    tracemalloc.start()
+    try:
+        value = riemannian_inner_stiefel(X, Y, V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value)
+    assert peak < 4e6  # an n-by-n complex array is 268 MB

@@ -1,6 +1,7 @@
 """The blocked series evaluator and sqrt_F against a plain power loop, the oracle and their memory budgets."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from twonorm import (
     build_space,
     h1_operator_norm,
     radius_r,
+    series_tail_bound,
     sqrt_F,
 )
 from twonorm.basis import complete_basis
@@ -83,6 +85,29 @@ def test_binomial_sqrt_near_unit_radius_agrees_with_oracle():
     B = _argument(g, rho, seed=3)
     err = h1_operator_norm(binomial_sqrt(B, g) - sqrt_eig(np.eye(g.n) + B, g), g)
     assert err <= SERIES_TOL
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9])
+@pytest.mark.parametrize("amp", [1e5, 1e6, 1e7])
+def test_term_count_meets_the_tolerance_on_exact_tails(rho, amp):
+    # The weighted tail beyond s terms in rational arithmetic: 200 terms summed
+    # exactly and the geometric majorant for the rest.
+    s = _series_terms(rho, amp)
+    r, c, tail = Fraction(rho), Fraction(1, 2), Fraction(0)
+    for k in range(1, s + 201):
+        if k > s:
+            tail += abs(c) * r**k
+        c *= (Fraction(1, 2) - k) / (k + 1)
+    tail += abs(c) * r ** (s + 201) / (1 - r)
+    assert tail * Fraction(amp) <= Fraction(SERIES_TOL)
+    # The count is the first one at which the reported bound meets the tolerance.
+    assert series_tail_bound(s, rho, amp) <= SERIES_TOL < series_tail_bound(s - 1, rho, amp)
+
+
+def test_term_count_at_the_ends_of_the_radius():
+    assert _series_terms(0.0, 1e7) == 1
+    with pytest.raises(ConvergenceFailure, match="spectral radius 1"):
+        _series_terms(1.0, 1.0)
 
 
 def _traced_peak(call):

@@ -289,7 +289,7 @@ def test_grassmann_suite_takes_each_projection_norm_once():
     # quotient_radius, both psi_section calls, section_pi_p and the sampler's
     # resolution read one cached strong norm of P, and every projection
     # distance and contraction bound is taken on a joint span, so one call
-    # per trial remains.
+    # per trial remains, and one for the projection of the equivalence straddle.
     calls = []
     counted = space.h1_singular_values
 
@@ -302,7 +302,7 @@ def test_grassmann_suite_takes_each_projection_norm_once():
     with mock.patch.object(space, "h1_singular_values", recorded):
         _grassmann_suite(cfg, PAIRS["grid", 16], rec)
     assert rec.result("grassmann").passed
-    assert len(calls) == 10
+    assert len(calls) == 10 + 1
 
 
 def test_grassmann_suite_builds_each_joint_span_once():
@@ -311,7 +311,9 @@ def test_grassmann_suite_builds_each_joint_span_once():
     # psi_section's span (2), the lift of P shared by the working radius and
     # section_pi_p (2, and 1 for the lifted point's norm), section_pi_p's span
     # of P and P2 (2), the cross section's span (2) and three equivalence
-    # checks (2 each); plus the reference's dual triangle once.
+    # checks (2 each); plus the reference's dual triangle once, and once the
+    # equivalence straddle: its projection's norm (2), two samplers (4 each)
+    # and four equivalence checks (2 each).
     calls = []
     counted = space.h1_triangle
 
@@ -326,7 +328,7 @@ def test_grassmann_suite_builds_each_joint_span_once():
             stack.enter_context(mock.patch.object(module, "h1_triangle", recorded))
         _grassmann_suite(cfg, PAIRS["grid", 16], rec)
     assert rec.result("grassmann").passed
-    assert len(calls) == 1 + 25 * cfg.trials
+    assert len(calls) == 1 + 25 * cfg.trials + 18
 
 
 @pytest.mark.parametrize("n", [16, 128])
@@ -392,3 +394,18 @@ def test_k_equals_n_blocks_equal_the_span_form_products(kind, rtol):
                 assert np.array_equal(routed[name], value), name
             else:
                 assert np.linalg.norm(routed[name] - value) <= rtol * np.linalg.norm(value), name
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_riemannian_inner_product_matches_the_dense_trace_pairing(kind):
+    # Re tr[XV (YV)^*] with the strong adjoint, formed from the n-by-n tangents,
+    # for k = n and k = 2N generators.
+    g = PAIRS[kind, 16]
+    for seed in range(4):
+        rng = rng_for_trial(seed, 0)
+        V = random_stiefel(rng, random_reference(rng, g, 2), scale=0.4)
+        for X, Y in ((random_skew(rng, g), random_skew(rng, g)),
+                     (random_span_skew(rng, V.Phi, g), random_span_skew(rng, V.Phi, g))):
+            a, b = X.data @ V.V, Y.data @ V.V
+            dense = np.trace(a @ np.linalg.solve(g.gh1, b.conj().T @ g.gh1)).real
+            assert abs(geometry.riemannian_inner_stiefel(X, Y, V) - dense) <= 1e-12 * abs(dense)

@@ -1,6 +1,8 @@
 import math
 
-from twonorm import validate
+import pytest
+
+from twonorm import grassmann, validate
 from twonorm.config import config_from_mapping
 from twonorm.group import OneParameterGroup, SkewOperator
 from twonorm.space import build_space
@@ -108,3 +110,14 @@ def test_geometry_suite_checks_the_log_round_trip_on_the_span(monkeypatch):
     rec = _Recorder()
     _geometry_suite(cfg, build_space(cfg.space), rec)
     assert rec.result("geometry").passed
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-9])
+def test_grassmann_suite_fails_when_the_equivalence_tolerance_moves(monkeypatch, tol):
+    # Pairs at 0.5e-8 and 2e-8 straddle the documented 1e-8, so a tolerance
+    # ten times looser or tighter decides one of them wrongly.
+    monkeypatch.setattr(grassmann, "EQUIVALENCE_TOL", tol)
+    cfg = config_from_mapping({"seed": 42, "trials": 2, "space": {"grid_points": 16, "spacing": 0.25}})
+    rec = _Recorder()
+    _grassmann_suite(cfg, build_space(cfg.space), rec)
+    assert not rec.result("grassmann").passed
