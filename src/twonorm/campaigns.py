@@ -1,12 +1,13 @@
 """Campaign drivers behind the command-line interface.
 
-Every campaign is a pure function of its configuration: outputs are written
-with deterministic float rendering so a rerun with the same configuration
+Every campaign is a pure function of its configuration: floats are written
+by their shortest round-trip repr, so a rerun with the same configuration
 reproduces each artifact byte for byte.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import sys
@@ -40,7 +41,7 @@ from .stiefel import (
     section_factors,
     series_tail_bound,
 )
-from .serialize import csv_line, json_dumps, write_text
+from .serialize import csv_line, write_text
 from .validate import _reference_for, _strong_scaled, run_suites
 
 __all__ = [
@@ -86,7 +87,7 @@ def run_validate(cfg: RunConfig) -> int:
         ],
         "all_passed": all(r.passed for r in results),
     }
-    write_text(os.path.join(outdir, "validate.json"), json_dumps(payload))
+    write_text(os.path.join(outdir, "validate.json"), json.dumps(payload, indent=2) + "\n")
     for r in results:
         status = "passed" if r.passed else "FAILED"
         print(f"{r.suite}: {r.checks} checks, max residual {r.max_residual:.3e}, {status}")

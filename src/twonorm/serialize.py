@@ -1,8 +1,8 @@
 """Deterministic JSON and CSV encoding for run artifacts.
 
 Complex matrices are stored row-major as [re, im] pairs; floats are printed
-with 17 significant digits so re-running a campaign reproduces files byte for
-byte.  All text artifacts use "\\n" line endings.
+by their shortest round-trip repr, so re-running a campaign reproduces files
+byte for byte.  All text artifacts use "\\n" line endings.
 """
 
 from __future__ import annotations
@@ -10,92 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "format_float",
-    "json_dumps",
     "write_text",
     "matrix_to_json",
     "matrix_from_json",
     "csv_line",
 ]
-
-
-def format_float(x: float) -> str:
-    """Render a float with enough digits to round-trip (17 significant)."""
-    x = float(x)
-    if x != x:
-        return "NaN"
-    if x in (float("inf"), float("-inf")):
-        return "Infinity" if x > 0 else "-Infinity"
-    if x == int(x) and abs(x) < 1e16:
-        return f"{x:.1f}"
-    return f"{x:.17g}"
-
-
-def _json_fragment(obj, out, indent, level):
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        escaped = (
-            obj.replace("\\", "\\\\")
-            .replace('"', '\\"')
-            .replace("\n", "\\n")
-            .replace("\t", "\\t")
-        )
-        out.append(f'"{escaped}"')
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (k, v) in enumerate(obj.items()):
-            out.append(inner)
-            _json_fragment(str(k), out, indent, level + 1)
-            out.append(": ")
-            _json_fragment(v, out, indent, level + 1)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        items = list(obj)
-        if not items:
-            out.append("[]")
-            return
-        flat = all(
-            isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-            for v in items
-        )
-        if flat:
-            out.append("[")
-            for i, v in enumerate(items):
-                _json_fragment(v, out, indent, level + 1)
-                if i + 1 < len(items):
-                    out.append(", ")
-            out.append("]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(items):
-            out.append(inner)
-            _json_fragment(v, out, indent, level + 1)
-            out.append(",\n" if i + 1 < len(items) else "\n")
-        out.append(pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def json_dumps(obj, indent: int = 2) -> str:
-    out = []
-    _json_fragment(obj, out, indent, 0)
-    out.append("\n")
-    return "".join(out)
 
 
 def write_text(path, text: str):
@@ -134,11 +53,5 @@ def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
 
 
 def csv_line(values) -> str:
-    """One CSV row; floats get the deterministic 17-digit rendering."""
-    parts = []
-    for v in values:
-        if isinstance(v, (float, np.floating)):
-            parts.append(format_float(float(v)))
-        else:
-            parts.append(str(v))
-    return ",".join(parts) + "\n"
+    """One CSV row; floats get their shortest round-trip repr."""
+    return ",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in values) + "\n"

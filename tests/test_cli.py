@@ -19,7 +19,7 @@ from twonorm.config import (
     load_frame_matrix,
 )
 from twonorm.sampling import _calibrated_scale, random_complex, rng_for_trial
-from twonorm.serialize import json_dumps, matrix_to_json
+from twonorm.serialize import matrix_to_json
 
 
 def write_config(tmp_path, name="cfg.json", **entries):
@@ -129,18 +129,18 @@ def test_load_config_bad_files(tmp_path):
 
 def test_frame_file_validation(tmp_path):
     good = tmp_path / "frame.json"
-    good.write_text(json_dumps(orthonormal_frame_payload()))
+    good.write_text(json.dumps(orthonormal_frame_payload()))
     cfg = load_config(write_config(tmp_path, frame_file=str(good)))
     F = load_frame_matrix(cfg)
     assert F.shape == (16, 2)
 
     skewed = tmp_path / "skewed.json"
-    skewed.write_text(json_dumps(matrix_to_json(np.ones((16, 2)))))
+    skewed.write_text(json.dumps(matrix_to_json(np.ones((16, 2)))))
     with pytest.raises(ValueError):
         load_config(write_config(tmp_path, name="cfg2.json", frame_file=str(skewed)))
 
     wrong_shape = tmp_path / "narrow.json"
-    wrong_shape.write_text(json_dumps(orthonormal_frame_payload(cols=3)))
+    wrong_shape.write_text(json.dumps(orthonormal_frame_payload(cols=3)))
     with pytest.raises(ValueError):
         load_config(write_config(tmp_path, name="cfg3.json", frame_file=str(wrong_shape)))
 
@@ -188,6 +188,41 @@ def test_double_runs_are_byte_identical(tmp_path, capsys, command, artifact):
     assert (a / artifact).read_bytes() == (b / artifact).read_bytes()
 
 
+def _is_float_cell(cell):
+    """Integer and label cells are not floats; every other number is."""
+    for parse, wanted in ((int, False), (float, True)):
+        try:
+            parse(cell)
+            return wanted
+        except ValueError:
+            pass
+    return False
+
+
+@pytest.mark.parametrize(
+    "command,artifact",
+    [("section-demo", "section_demo.csv"), ("sqrt-bench", "sqrt_bench.csv"), ("geometry", "geometry.csv")],
+)
+def test_csv_floats_are_shortest_round_trip_reprs(tmp_path, capsys, command, artifact):
+    assert main([command, "--trials", "2", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    _, *rows = (tmp_path / artifact).read_text().splitlines()
+    floats = [cell for row in rows for cell in row.split(",") if _is_float_cell(cell)]
+    assert len(floats) >= 2 * len(rows)
+    assert [cell for cell in floats if cell != repr(float(cell))] == []
+
+
+def test_validate_report_is_standard_json_with_shortest_floats(tmp_path, capsys):
+    assert main(["validate", "--trials", "2", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    text = (tmp_path / "validate.json").read_text()
+    floats = []
+    payload = json.loads(text, parse_float=lambda s: floats.append(s) or float(s))
+    assert text == json.dumps(payload, indent=2) + "\n"
+    assert len(floats) > len(payload["suites"])
+    assert [s for s in floats if s != repr(float(s))] == []
+
+
 def test_seed_changes_section_table(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["section-demo", "--trials", "2", "--out", str(a), "--seed", "1"]) == 0
@@ -210,7 +245,7 @@ def test_section_demo_checks_sigma_in_span_form(tmp_path, capsys, monkeypatch):
 
 def test_frame_file_reference_is_used(tmp_path, capsys):
     frame = tmp_path / "frame.json"
-    frame.write_text(json_dumps(orthonormal_frame_payload()))
+    frame.write_text(json.dumps(orthonormal_frame_payload()))
     cfg = write_config(tmp_path, trials=2, frame_file=str(frame))
     out = tmp_path / "run"
     assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
@@ -219,7 +254,7 @@ def test_frame_file_reference_is_used(tmp_path, capsys):
 
 def test_validate_draws_no_reference_with_a_frame_file(tmp_path, capsys, monkeypatch):
     frame = tmp_path / "frame.json"
-    frame.write_text(json_dumps(orthonormal_frame_payload()))
+    frame.write_text(json.dumps(orthonormal_frame_payload()))
     plain, framed = tmp_path / "plain", tmp_path / "framed"
     assert main(["validate", "--trials", "2", "--out", str(plain)]) == 0
 
@@ -235,7 +270,7 @@ def test_validate_draws_no_reference_with_a_frame_file(tmp_path, capsys, monkeyp
 
 def test_non_orthonormal_frame_exits_two(tmp_path, capsys):
     frame = tmp_path / "frame.json"
-    frame.write_text(json_dumps(matrix_to_json(np.ones((16, 2)))))
+    frame.write_text(json.dumps(matrix_to_json(np.ones((16, 2)))))
     cfg = write_config(tmp_path, frame_file=str(frame))
     assert main(["validate", "--config", cfg]) == 2
     assert "configuration error" in capsys.readouterr().err
@@ -261,7 +296,7 @@ def test_a_frame_file_is_checked_early_and_builds_the_configured_pair_at_most_tw
         ("narrow", orthonormal_frame_payload(cols=3), r"frame file has shape \(16, 3\), expected \(16, 2\)"),
     ):
         frame = tmp_path / f"{name}.json"
-        frame.write_text(json_dumps(payload))
+        frame.write_text(json.dumps(payload))
         out = tmp_path / name
         cfg = write_config(tmp_path, name=f"{name}-cfg.json", frame_file=str(frame))
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
@@ -270,7 +305,7 @@ def test_a_frame_file_is_checked_early_and_builds_the_configured_pair_at_most_tw
         assert not out.exists()
     built.clear()
     frame = tmp_path / "frame.json"
-    frame.write_text(json_dumps(orthonormal_frame_payload()))
+    frame.write_text(json.dumps(orthonormal_frame_payload()))
     cfg = write_config(tmp_path, trials=2, frame_file=str(frame))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 0
     capsys.readouterr()

@@ -12,7 +12,16 @@ MODULES = [twonorm] + [
     for info in pkgutil.iter_modules(twonorm.__path__)
     if not info.name.startswith("_")
 ]
-RETIRED = ("bracket", "connecting_unitary", "l2_operator_norm", "riemannian_inner_grassmann", "delta_v")
+RETIRED = (
+    "bracket",
+    "connecting_unitary",
+    "l2_operator_norm",
+    "riemannian_inner_grassmann",
+    "delta_v",
+    # Artifacts are written by the standard library's json and float repr.
+    "format_float",
+    "json_dumps",
+)
 # Members folded into their callers: projection distances and contraction
 # bounds are taken on the joint span of the range frames.
 RETIRED_MEMBERS = ((twonorm.LowRank, "__sub__"), (twonorm.StiefelOperator, "projection_factors"))

@@ -3,59 +3,21 @@ import pytest
 
 from twonorm.serialize import (
     csv_line,
-    format_float,
-    json_dumps,
     matrix_from_json,
     matrix_to_json,
     write_text,
 )
 
 
-def test_format_float_frozen_renderings():
-    assert format_float(1.0) == "1.0"
-    assert format_float(-3.0) == "-3.0"
-    assert format_float(0.0) == "0.0"
-    assert format_float(0.5) == "0.5"
-    assert format_float(0.1) == "0.10000000000000001"
-    assert format_float(float("nan")) == "NaN"
-    assert format_float(float("inf")) == "Infinity"
-    assert format_float(float("-inf")) == "-Infinity"
-    # Huge integral values fall through to the significant-digit path.
-    assert format_float(1e300) == "1.0000000000000001e+300"
+def test_csv_line_renders_shortest_round_trip_reprs():
+    # numpy scalars print as plain floats, not as np.float64(...).
+    row = [0.1, 1.0, 1e300, np.float64(2.0**-52), float("inf"), float("-inf")]
+    assert csv_line(row) == "0.1,1.0,1e+300,2.220446049250313e-16,inf,-inf\n"
 
 
-def test_format_float_round_trips():
-    for x in (0.1, 1.0 / 3.0, 2.0**-52, 1.2345678901234567e-8):
-        assert float(format_float(x)) == x
-
-
-def test_json_dumps_layout():
-    doc = {"name": "run", "count": 3, "values": [1.0, 0.5], "nested": {"ok": True}}
-    text = json_dumps(doc)
-    assert text.endswith("\n")
-    # Numeric lists stay on one line; nested objects indent by two spaces.
-    assert '"values": [1.0, 0.5]' in text
-    assert '  "name": "run"' in text
-    assert '"ok": true' in text
-
-
-def test_json_dumps_escapes_strings():
-    assert json_dumps({"a": 'x"y\n'}) == '{\n  "a": "x\\"y\\n"\n}\n'
-
-
-def test_json_dumps_empty_containers():
-    assert json_dumps([]) == "[]\n"
-    assert json_dumps({}) == "{}\n"
-
-
-def test_json_dumps_rejects_unknown_types():
-    with pytest.raises(TypeError):
-        json_dumps({"bad": object()})
-
-
-def test_json_dumps_is_deterministic():
-    doc = {"b": [1, 2, 3], "a": 0.1}
-    assert json_dumps(doc) == json_dumps(doc)
+def test_csv_line_floats_round_trip():
+    for x in (0.1, 1.0 / 3.0, 2.0**-52, 1.2345678901234567e-8, np.float64(np.pi)):
+        assert float(csv_line([x])) == x
 
 
 def test_write_text_forces_unix_endings(tmp_path):
@@ -85,4 +47,4 @@ def test_matrix_from_json_rejects_malformed():
 
 def test_csv_line_mixes_types():
     assert csv_line(["id", 3, 0.5]) == "id,3,0.5\n"
-    assert csv_line([float("nan"), 1.0]) == "NaN,1.0\n"
+    assert csv_line([float("nan"), np.float64("nan"), 1.0]) == "nan,nan,1.0\n"
