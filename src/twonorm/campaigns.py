@@ -97,9 +97,9 @@ def run_validate(cfg: RunConfig) -> int:
 def run_section_demo(cfg: RunConfig) -> int:
     outdir = _ensure_outdir(cfg)
     g = build_space(cfg.space)
-    # The reference and the base point each start their own setup stream.
-    ref = _reference_for(cfg, g, rng_for_trial(cfg.seed, SETUP_TRIAL))
+    # The reference, then the base point, are drawn from one setup stream.
     setup = rng_for_trial(cfg.seed, SETUP_TRIAL)
+    ref = _reference_for(cfg, g, setup)
     V = random_stiefel(setup, ref, scale=0.4)
     r = radius_r(V)
     rows = []
@@ -164,9 +164,9 @@ def run_sqrt_bench(cfg: RunConfig) -> int:
 def run_geometry(cfg: RunConfig) -> int:
     outdir = _ensure_outdir(cfg)
     g = build_space(cfg.space)
-    # The reference and the base point each start their own setup stream.
-    ref = _reference_for(cfg, g, rng_for_trial(cfg.seed, SETUP_TRIAL))
+    # The reference, then the base point, are drawn from one setup stream.
     setup = rng_for_trial(cfg.seed, SETUP_TRIAL)
+    ref = _reference_for(cfg, g, setup)
     V0 = random_stiefel(setup, ref, scale=0.3)
     spec = cfg.norm
     steps = 64

@@ -24,13 +24,21 @@ def g_flat():
 
 
 @pytest.fixture(scope="session")
-def ref(g):
-    return random_reference(rng_for_trial(42, SETUP_TRIAL), g, 2)
+def setup_stream(g):
+    """Reference and base point, drawn in that order from the seed-42 setup stream."""
+    setup = rng_for_trial(42, SETUP_TRIAL)
+    ref = random_reference(setup, g, 2)
+    return ref, random_stiefel(setup, ref, scale=0.4)
 
 
 @pytest.fixture(scope="session")
-def V(g, ref):
-    return random_stiefel(rng_for_trial(42, SETUP_TRIAL), ref, scale=0.4)
+def ref(setup_stream):
+    return setup_stream[0]
+
+
+@pytest.fixture(scope="session")
+def V(setup_stream):
+    return setup_stream[1]
 
 
 @pytest.fixture

@@ -223,6 +223,25 @@ def test_validate_report_is_standard_json_with_shortest_floats(tmp_path, capsys)
     assert [s for s in floats if s != repr(float(s))] == []
 
 
+@pytest.mark.parametrize("command", ["section-demo", "geometry"])
+def test_campaign_base_point_leaves_the_reference_subspace(tmp_path, capsys, monkeypatch, command):
+    # The base point's random block is drawn after the reference on one setup
+    # stream. Drawn from a second copy of that stream, it would repeat the
+    # reference's candidates, and exp(X) would only rotate inside span Xi.
+    drawn, draw = [], campaigns.random_stiefel
+
+    def recording(*args, **kwargs):
+        drawn.append(draw(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(campaigns, "random_stiefel", recording)
+    assert main([command, "--trials", "1", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    (V,) = drawn
+    outside = V.Phi - V.ref.Xi @ (V.ref.dual.conj().T @ V.Phi)
+    assert np.linalg.norm(outside) > 1e-3 * np.linalg.norm(V.Phi)
+
+
 def test_seed_changes_section_table(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["section-demo", "--trials", "2", "--out", str(a), "--seed", "1"]) == 0

@@ -131,8 +131,8 @@ def pair(request):
     """Base point V and a point V1 inside its safe radius at a fraction of it."""
     n, frac = request.param
     g = SPACES[n]
-    ref = random_reference(rng_for_trial(3, SETUP_TRIAL), g, N)
-    V = random_stiefel(rng_for_trial(3, SETUP_TRIAL), ref, scale=0.4)
+    setup = rng_for_trial(3, SETUP_TRIAL)
+    V = random_stiefel(setup, random_reference(setup, g, N), scale=0.4)
     return V, _moved_point(V, frac * radius_r(V), 3)
 
 
