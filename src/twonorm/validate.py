@@ -140,7 +140,7 @@ def _space_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
     rec.residual(np.linalg.norm(g.gl2 - g.gl2.conj().T), 1e-12 * np.linalg.norm(g.gl2))
     rec.residual(np.linalg.norm(g.gh1 - g.gh1.conj().T), 1e-12 * np.linalg.norm(g.gh1))
     gap = np.linalg.eigvalsh(g.gh1 - g.gl2)
-    rec.residual(max(0.0, -float(gap[0])), 1e-10 * float(np.linalg.norm(g.gh1, 2)))
+    rec.residual(max(0.0, -float(gap[0])), 1e-10 * float(np.linalg.eigvalsh(g.gh1)[-1]))
 
     two = build_space(SpaceSpec(domain_dim=1, grid_points=2, spacing=1.0))
     rec.residual(

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from twonorm import grassmann, validate
@@ -39,6 +40,24 @@ def test_space_suite_records_residuals_on_the_scale_of_their_limits():
     _space_suite(cfg, build_space(cfg.space), rec)
     result = rec.result("space")
     assert result.passed and result.max_residual <= 1e-13, result
+
+
+def test_space_suite_takes_one_dense_svd_per_trial(monkeypatch):
+    # The PSD floor's scale is the top eigenvalue of the definite gh1, its
+    # 2-norm, so the only n-by-n SVD left is the strong operator norm's.
+    cfg = config_from_mapping({"seed": 42, "trials": 1, "space": {"grid_points": 16, "spacing": 0.25}})
+    n, shapes, svd = cfg.space.n, [], np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg._linalg, "svd", counted)
+    rec = _Recorder()
+    _space_suite(cfg, build_space(cfg.space), rec)
+    assert rec.result("space").passed
+    assert shapes.count((n, n)) == 1
 
 
 def test_grassmann_suite_records_residuals_on_the_scale_of_their_limits():
