@@ -24,14 +24,7 @@ from .geometry import (
 )
 from .group import SkewOperator, exp_skew
 from .oracles import sqrt_eig
-from .sampling import (
-    SETUP_TRIAL,
-    random_complex,
-    random_span_skew,
-    random_stiefel,
-    rng_for_trial,
-    stiefel_near,
-)
+from .sampling import random_complex, random_span_skew, rng_for_trial, stiefel_near
 from .space import LowRank, build_space, h1_operator_norm
 from .stiefel import (
     StiefelOperator,
@@ -42,7 +35,7 @@ from .stiefel import (
     series_tail_bound,
 )
 from .serialize import csv_line, write_text
-from .validate import _reference_for, _strong_scaled, run_suites
+from .validate import _setup_point, _strong_scaled, run_suites
 
 __all__ = [
     "run_validate",
@@ -97,10 +90,7 @@ def run_validate(cfg: RunConfig) -> int:
 def run_section_demo(cfg: RunConfig) -> int:
     outdir = _ensure_outdir(cfg)
     g = build_space(cfg.space)
-    # The reference, then the base point, are drawn from one setup stream.
-    setup = rng_for_trial(cfg.seed, SETUP_TRIAL)
-    ref = _reference_for(cfg, g, setup)
-    V = random_stiefel(setup, ref, scale=0.4)
+    _, ref, V = _setup_point(cfg, g, 0.4)
     r = radius_r(V)
     rows = []
     worst = 0.0
@@ -164,10 +154,7 @@ def run_sqrt_bench(cfg: RunConfig) -> int:
 def run_geometry(cfg: RunConfig) -> int:
     outdir = _ensure_outdir(cfg)
     g = build_space(cfg.space)
-    # The reference, then the base point, are drawn from one setup stream.
-    setup = rng_for_trial(cfg.seed, SETUP_TRIAL)
-    ref = _reference_for(cfg, g, setup)
-    V0 = random_stiefel(setup, ref, scale=0.3)
+    setup, ref, V0 = _setup_point(cfg, g, 0.3)
     spec = cfg.norm
     steps = 64
     nan = float("nan")

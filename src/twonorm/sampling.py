@@ -174,9 +174,14 @@ def projection_near(P: ProjectionOperator, target: float, rng) -> tuple[Projecti
     """Conjugate P by a group element to a prescribed strong-norm distance.
 
     A target below ``RESOLUTION_FACTOR`` machine epsilons of ``||P||`` raises
-    NeighborhoodViolation.
+    NeighborhoodViolation, and so does a projection of rank n, which no
+    conjugation moves.
     """
     g, H = P.g, P.frame
+    if H.shape[1] == g.n:
+        raise NeighborhoodViolation(
+            f"the rank-{g.n} projection is the identity; every group element fixes it"
+        )
 
     def distance_on(Q, c0):
         # On the span, H = Q c0 and U H - H = Q d.

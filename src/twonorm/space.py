@@ -365,16 +365,18 @@ def adjoint_h1(A, g: GramPair) -> np.ndarray:
 def h1_singular_values(A, g: GramPair) -> np.ndarray:
     """Singular values of A as a map of the strong space, descending.
 
-    A dense operand gives the n singular values of gh1^{1/2} A gh1^{-1/2}; a
-    :class:`LowRank` operand of width k is the core M = I case of
-    :func:`span_singular_values` and gives min(n, k), the others being zero.
+    A dense operand gives the n singular values of gh1^{1/2} A gh1^{-1/2}, read
+    from W gh1^{1/2} A gh1^{-1/2} W^H in the pair's strong coordinates, so a
+    grid pair takes them by FFT and builds no root.  A :class:`LowRank` operand
+    of width k is the core M = I case of :func:`span_singular_values` and gives
+    min(n, k), the others being zero.
     """
     if isinstance(A, LowRank):
         if A.L.shape[0] != g.n:
             raise ValueError(f"factors must have {g.n} rows, got {A.L.shape[0]}")
         return span_singular_values(h1_triangle(A.L, g), h1_triangle(A.R, g, right=True))
     A = as_operator(A, g.n, "A")
-    return np.linalg.svd(g.sqrt_h1 @ A @ g.isqrt_h1, compute_uv=False)
+    return np.linalg.svd(g.h1_half(g.h1_ihalf(A.conj().T).conj().T), compute_uv=False)
 
 
 def h1_operator_norm(A, g: GramPair) -> float:

@@ -275,11 +275,13 @@ def _validated_series_argument(B, g: GramPair):
 def _partial_sums(Bw, counts) -> list[np.ndarray]:
     """I + sum_(j<=s) c_j Bw^j for each s in the strictly increasing ``counts``.
 
-    Ascending Paterson-Stockmeyer (SIAM J. Comput. 1973) in blocks of
-    m = SERIES_BLOCK terms: block q adds Bw^(qm) sum_r c_(qm+r) Bw^r, using the
-    stored powers Bw^1..Bw^m.  A count inside a block costs one more product.
-    The fixed m keeps each sum independent of the other counts asked for, and
-    memory independent of the degree.
+    Descending Paterson-Stockmeyer (SIAM J. Comput. 1973) in blocks of
+    m = SERIES_BLOCK terms over the stored powers Bw^1..Bw^m: Horner's rule
+    acc <- Bw^m acc + sum_r c_(qm+r) Bw^r runs from a count's top block q down
+    to 0.  A full block's sum is formed once and shared by every count that
+    covers it; a count ending inside a block sums its own part.  So each sum
+    depends on its own count alone and costs ceil(s/m) - 1 products after the
+    m - 1 powers, and memory does not grow with the degree.
     """
     m = SERIES_BLOCK
     coeffs = binomial_coefficients(counts[-1])
@@ -287,24 +289,18 @@ def _partial_sums(Bw, counts) -> list[np.ndarray]:
     powers[0] = Bw
     for r in range(1, len(powers)):
         np.matmul(powers[r - 1], Bw, out=powers[r])
-    total = np.eye(Bw.shape[0], dtype=np.complex128)
-    giant = None  # Bw^done; None is the identity
-    done = 0
-    sums = []
-    for s in counts:
-        while done + m <= s:
-            total += _block_sum(coeffs[done : done + m], powers, giant)
-            done += m
-            if done < counts[-1]:
-                giant = powers[-1] if giant is None else giant @ powers[-1]
-        sums.append(total.copy() if done == s else total + _block_sum(coeffs[done:s], powers, giant))
+    sums = [None] * len(counts)
+    for q in reversed(range((counts[-1] - 1) // m + 1)):
+        lo, hi = q * m, q * m + m
+        full = np.tensordot(coeffs[lo:hi], powers, axes=1) if counts[-1] >= hi else None
+        for i, s in enumerate(counts):
+            if s > lo:
+                block = full if s >= hi else np.tensordot(coeffs[lo:s], powers[: s - lo], axes=1)
+                # A sum starts from a copy, so adding I leaves the shared block alone.
+                sums[i] = block.copy() if sums[i] is None else powers[-1] @ sums[i] + block
+    for total in sums:
+        total[np.diag_indices(Bw.shape[0])] += 1.0
     return sums
-
-
-def _block_sum(coeffs, powers, giant):
-    """giant @ sum_r coeffs[r-1] powers[r-1], with giant None read as the identity."""
-    part = np.tensordot(coeffs, powers[: len(coeffs)], axes=1)
-    return part if giant is None else giant @ part
 
 
 def _tail_bounds(rho: float, amp: float):

@@ -135,6 +135,13 @@ def _reference_for(cfg: RunConfig, g: GramPair, setup) -> ReferenceFrame:
     return random_reference(setup, g, cfg.subspace_dim)
 
 
+def _setup_point(cfg: RunConfig, g: GramPair, scale: float):
+    """The setup stream, then the reference and the base point drawn from it in that order."""
+    setup = rng_for_trial(cfg.seed, SETUP_TRIAL)
+    ref = _reference_for(cfg, g, setup)
+    return setup, ref, random_stiefel(setup, ref, scale=scale)
+
+
 def _space_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
     n = g.n
     rec.residual(np.linalg.norm(g.gl2 - g.gl2.conj().T), 1e-12 * np.linalg.norm(g.gl2))
@@ -187,9 +194,7 @@ def _group_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
 
 
 def _section_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
-    setup = rng_for_trial(cfg.seed, SETUP_TRIAL)
-    ref = _reference_for(cfg, g, setup)
-    V = random_stiefel(setup, ref, scale=0.4)
+    _, ref, V = _setup_point(cfg, g, 0.4)
     P = V.projection
     r = radius_r(V)
     eye = np.eye(g.n, dtype=np.complex128)
@@ -223,9 +228,7 @@ def _section_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
 
 
 def _sqrt_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
-    setup = rng_for_trial(cfg.seed, SETUP_TRIAL)
-    ref = _reference_for(cfg, g, setup)
-    V = random_stiefel(setup, ref, scale=0.4)
+    V = _setup_point(cfg, g, 0.4)[2]
     P = V.projection
     eye = np.eye(g.n, dtype=np.complex128)
     r = radius_r(V)
@@ -308,9 +311,7 @@ def _strong_scaled(X: SkewOperator, norm: float) -> SkewOperator:
 
 
 def _geometry_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
-    setup = rng_for_trial(cfg.seed, SETUP_TRIAL)
-    ref = _reference_for(cfg, g, setup)
-    V0 = random_stiefel(setup, ref, scale=0.3)
+    setup, ref, V0 = _setup_point(cfg, g, 0.3)
     P0 = phi(V0)
     spec = cfg.norm
     zero = SkewOperator(V0.Phi, np.zeros((ref.N, ref.N)), g)

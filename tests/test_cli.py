@@ -228,13 +228,14 @@ def test_campaign_base_point_leaves_the_reference_subspace(tmp_path, capsys, mon
     # The base point's random block is drawn after the reference on one setup
     # stream. Drawn from a second copy of that stream, it would repeat the
     # reference's candidates, and exp(X) would only rotate inside span Xi.
-    drawn, draw = [], campaigns.random_stiefel
+    # Both campaigns draw it through validate._setup_point.
+    drawn, draw = [], validate.random_stiefel
 
     def recording(*args, **kwargs):
         drawn.append(draw(*args, **kwargs))
         return drawn[-1]
 
-    monkeypatch.setattr(campaigns, "random_stiefel", recording)
+    monkeypatch.setattr(validate, "random_stiefel", recording)
     assert main([command, "--trials", "1", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     (V,) = drawn

@@ -141,3 +141,25 @@ def test_riemannian_inner_product_on_a_large_grid_builds_no_dense_operator(monke
         tracemalloc.stop()
     assert np.isfinite(value)
     assert peak < 4e6  # an n-by-n complex array is 268 MB
+
+
+def test_dense_strong_norms_and_sqrt_bench_read_no_dense_root(tmp_path, capsys, monkeypatch):
+    # A dense operand's strong singular values come from the pair's strong
+    # coordinates, by FFT on a grid, and agree with the dense pair's roots.
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense Gram matrix or root on a grid pair")
+
+    cases = []
+    for d, m in ((1, 128), (2, 12)):
+        grid = build_space(SpaceSpec(domain_dim=d, grid_points=m, spacing=0.25))
+        A = random_complex(rng_for_trial(d, 0), grid.n, grid.n)
+        dense = gram_pair_from_matrices(grid.gl2, grid.gh1)
+        cases.append((grid, A, h1_singular_values(A, dense)))
+    for name in ("gl2", "gh1", "_sqrt_pair_l2", "_sqrt_pair_h1"):
+        monkeypatch.setattr(GridPair, name, property(refuse))
+    for grid, A, expected in cases:
+        assert _relative(h1_singular_values(A, grid), expected) <= 1e-13
+    config = tmp_path / "series-2d.json"
+    config.write_text(json.dumps({"space": {"domain_dim": 2, "grid_points": 12, "spacing": 0.25}, "trials": 10}))
+    assert main(["sqrt-bench", "--config", str(config), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()

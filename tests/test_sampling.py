@@ -1,11 +1,14 @@
 """Trial streams, and perturbation-scale calibration: failure branches, tiny targets and the resolution floor."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twonorm import ConvergenceFailure, NeighborhoodViolation, SpaceSpec, build_space
+from twonorm.cli import main
 from twonorm.grassmann import quotient_radius
 from twonorm.sampling import (
     RESOLUTION_FACTOR,
@@ -78,6 +81,21 @@ def test_targets_below_resolution_are_refused(n):
             sampler(start, 0.5 * floor, rng_for_trial(0, 0))
         with pytest.raises(ValueError):
             sampler(start, 0.0, rng_for_trial(0, 0))
+
+
+@pytest.mark.parametrize("d, m", [(1, 4), (1, 2), (2, 2)])
+def test_a_rank_n_projection_is_refused_as_fixed(tmp_path, capsys, d, m):
+    # The rank-n weak projection is I: no conjugation moves it, so calibration
+    # would double its scale without end.  validate names that cause and exits 1.
+    g = build_space(SpaceSpec(domain_dim=d, grid_points=m, spacing=0.25))
+    rng = rng_for_trial(0, 0)
+    with pytest.raises(NeighborhoodViolation, match="identity"):
+        projection_near(random_projection(rng, g, g.n), 0.1, rng)
+    config = tmp_path / "full.json"
+    space = {"domain_dim": d, "grid_points": m, "spacing": 0.25}
+    config.write_text(json.dumps({"space": space, "subspace_dim": g.n, "trials": 2}))
+    assert main(["validate", "--config", str(config), "--out", str(tmp_path)]) == 1
+    assert "grassmann: NeighborhoodViolation: the rank" in capsys.readouterr().err
 
 
 def test_neighbouring_seeds_draw_independent_trial_streams():

@@ -166,13 +166,14 @@ def test_truncated_series_one_pass_matches_single_counts(g, V, rng):
     C = random_complex(rng, g.n, g.n)
     M = g.to_l2_frame(C) @ g.to_l2_frame(C).conj().T
     B = g.from_l2_frame(-0.8 * M / float(np.linalg.eigvalsh(M)[-1]))
-    counts = (1, 4, 8, 16)
-    for B_ in (B, -0.5 * V.projection):
-        sums = binomial_sqrt_truncated(B_, g, counts)
-        assert len(sums) == len(counts)
-        for s, total in zip(counts, sums):
-            (single,) = binomial_sqrt_truncated(B_, g, [s])
-            assert np.array_equal(total, single)
+    # The second counts end inside top blocks and share full blocks below them.
+    for counts in ((1, 4, 8, 16), (3, 8, 20, 24, 40, 129)):
+        for B_ in (B, -0.5 * V.projection):
+            sums = binomial_sqrt_truncated(B_, g, counts)
+            assert len(sums) == len(counts)
+            for s, total in zip(counts, sums):
+                (single,) = binomial_sqrt_truncated(B_, g, [s])
+                assert np.array_equal(total, single)
 
 
 @pytest.mark.parametrize("counts", [(), (0, 4), (4, 4), (8, 4), (-1,)])
