@@ -19,14 +19,7 @@ from .basis import orthonormal_columns, require_orthonormal, require_weak_projec
 from .errors import NeighborhoodViolation
 from .group import GroupElement, SkewOperator
 from .space import GramPair, LowRank, as_operator, h1_operator_norm
-from .stiefel import (
-    ReferenceFrame,
-    StiefelOperator,
-    _overlap_rotation,
-    _TwoFrames,
-    cross_section_sigma,
-    radius_r,
-)
+from .stiefel import ReferenceFrame, StiefelOperator, _overlap_rotation, _TwoFrames
 
 __all__ = [
     "ProjectionOperator",
@@ -119,6 +112,17 @@ def quotient_radius(P: ProjectionOperator) -> float:
     return 1.0 / (P.h1_norm + 1.0) ** 2
 
 
+def _quotient_span(P: ProjectionOperator, P1: ProjectionOperator) -> _TwoFrames:
+    """The joint span of the range frames of P and P1, once P1 is inside the quotient radius of P."""
+    span = _TwoFrames(P.frame, P1.frame, P.g)
+    dist, rad = span.projection_distance, quotient_radius(P)
+    if not dist < rad:
+        raise NeighborhoodViolation(
+            f"projection distance {dist:.6e} is not inside the section radius {rad:.6e}"
+        )
+    return span
+
+
 def psi_section(P: ProjectionOperator, P1: ProjectionOperator, ref: ReferenceFrame) -> StiefelOperator:
     """Local section of the quotient map around P.
 
@@ -132,23 +136,12 @@ def psi_section(P: ProjectionOperator, P1: ProjectionOperator, ref: ReferenceFra
     """
     if P.N != ref.N:
         raise ValueError("projection rank and reference width differ")
-    return _psi_on(_TwoFrames(P.frame, P1.frame, P.g), P, P1, ref)
-
-
-def _psi_on(span: _TwoFrames, P, P1, ref: ReferenceFrame) -> StiefelOperator:
-    """``psi_section`` on the joint span of the range frames of P and P1, built by the caller."""
-    g, dist = P.g, span.projection_distance
-    rad = quotient_radius(P)
-    if not dist < rad:
-        raise NeighborhoodViolation(
-            f"projection distance {dist:.6e} is not inside the section radius {rad:.6e}"
-        )
-    b1, b2 = span.bounds()[:2]
+    b1, b2 = _quotient_span(P, P1).bounds()[:2]
     if max(b1, b2) >= 1.0:
         raise NeighborhoodViolation(
             f"contraction bounds ({b1:.6f}, {b2:.6f}) must stay below 1"
         )
-    rot = _overlap_rotation(P.frame.conj().T @ g.l2(P1.frame))[2]
+    rot = _overlap_rotation(P.frame.conj().T @ P.g.l2(P1.frame))[2]
     return StiefelOperator(P1.frame @ rot, ref)
 
 
@@ -188,30 +181,17 @@ def act_grassmann(U: GroupElement, P: ProjectionOperator) -> ProjectionOperator:
     return ProjectionOperator(P.frame + U.displacement(P.frame), P.g)
 
 
-def _lift(P: ProjectionOperator, ref: ReferenceFrame) -> tuple[StiefelOperator, float]:
-    """The lifted base point psi_section(P, P, ref) and the working radius of ``section_pi_p`` around P."""
-    V = psi_section(P, P, ref)
-    return V, min(quotient_radius(P), radius_r(V))
+def section_pi_p(P: ProjectionOperator, P1: ProjectionOperator) -> GroupElement:
+    """Section of the conjugation action: the direct rotation T, with T P T^-1 = P1.
 
-
-def section_pi_p(P: ProjectionOperator, P1: ProjectionOperator, ref: ReferenceFrame, *, lift=None) -> GroupElement:
-    """Section of the conjugation action: a group element with U P U^-1 = P1.
-
-    Built by lifting both projections through the quotient section and
-    applying the cross section on the embedding side.  P1 must lie inside the
-    working radius, the smaller of the quotient-section radius and the safe
-    radius of the lifted base point; the cross section rejects a lifted pair
-    outside its own neighborhood.  A caller that drew P1 inside that radius
-    passes the ``_lift(P, ref)`` it used, so it is not built again.
+    T is Kato's transformation function for the pair (Davis and Kahan, SIAM
+    J. Numer. Anal. 7, 1970), the element ``section_factors`` returns as
+    ``t``: it depends only on the two ranges, is I at P1 = P and lives on
+    their joint span, k <= 2N.  P1 must lie inside the quotient radius of P,
+    and all four contraction bounds below 1, else NeighborhoodViolation.
     """
-    V, r_star = lift or _lift(P, ref)
-    span = _TwoFrames(P.frame, P1.frame, P.g)
-    dist = span.projection_distance
-    if not dist < r_star:
-        raise NeighborhoodViolation(
-            f"projection distance {dist:.6e} is outside the working radius {r_star:.6e}"
-        )
-    return cross_section_sigma(V, _psi_on(span, P, P1, ref))
+    span = _quotient_span(P, P1)
+    return GroupElement(span.Q, span.direct_rotation()[3], P.g)
 
 
 def delta_p(Y, P: ProjectionOperator) -> np.ndarray:

@@ -47,7 +47,6 @@ __all__ = [
     "K_map",
     "tangent_project",
     "lie_split_stiefel",
-    "mcscf_validate",
 ]
 
 FRAME_TOL = 1e-10
@@ -57,7 +56,6 @@ METRIC_SLACK = 1e-10
 SERIES_TOL = 1e-10
 SERIES_KMAX = 200_000
 SERIES_BLOCK = 8
-MCSCF_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -465,6 +463,26 @@ class _TwoFrames:
             outer.append(G @ G.conj().T)
         return tuple(float(span_singular_values(self.TL, self.TR, M)[0]) for M in inner + outer)
 
+    def direct_rotation(self) -> tuple:
+        """The contraction bounds, Z Y^H, tau and the block T - I = [b Z Y^H - E, -tau] (``section_factors``).
+
+        T carries range(P) onto range(P1) and range(I - P) onto range(I - P1),
+        so T P T^-1 = P1, and T = I at P1 = P.  The four bounds must sit
+        strictly below one for its inverse roots to exist; else
+        NeighborhoodViolation is raised.
+        """
+        bounds = self.bounds()
+        if max(bounds) >= 1.0:
+            raise NeighborhoodViolation(
+                f"contraction bounds {tuple(round(b, 6) for b in bounds)} must stay below 1"
+            )
+        N = self.E.shape[1]
+        s, Z, rot = _overlap_rotation(np.eye(N) + self.beta[:N])
+        KZ = self.beta[N:] @ Z
+        tau = (self.b @ Z / s) @ KZ.conj().T
+        tau[N:] -= (KZ / (s + s * s)) @ KZ.conj().T
+        return bounds, rot, tau, np.hstack([self.b @ rot - self.E, -tau])
+
 
 @dataclass(frozen=True)
 class SectionFactors:
@@ -497,29 +515,21 @@ def section_factors(V: StiefelOperator, V1: StiefelOperator) -> SectionFactors:
     """
     g = V.g
     _require_same_reference(V, V1)
-    N = V.N
     span = _TwoFrames(V.Phi, V1.Phi, g)
-    Q, beta, E, b = span.Q, span.beta, span.E, span.b
     # V1 - V = Q beta (gl2 Xi)^H.
-    dist = float(span_singular_values(span.TL, V.ref.dual_triangle, beta)[0])
+    dist = float(span_singular_values(span.TL, V.ref.dual_triangle, span.beta)[0])
     r = radius_r(V)
     if not dist < r:
         raise NeighborhoodViolation(
             f"distance {dist:.6e} is not inside the safe radius {r:.6e}"
         )
-    bounds = span.bounds()
-    if max(bounds) >= 1.0:
-        raise NeighborhoodViolation(
-            f"contraction bounds {tuple(round(b, 6) for b in bounds)} must stay below 1"
-        )
-    s, Z, rot = _overlap_rotation(np.eye(N) + beta[:N])
-    KZ = beta[N:] @ Z
-    tau = (b @ Z / s) @ KZ.conj().T
-    tau[N:] -= (KZ / (s + s * s)) @ KZ.conj().T
-    sigma = GroupElement(Q, np.hstack([beta, -tau]), g)
-    t = GroupElement(Q, np.hstack([b @ rot - E, -tau]), g)
-    w = GroupElement(V1.Phi, rot.conj().T - np.eye(N), g)
-    return SectionFactors(sigma=sigma, t=t, w=w, bounds=bounds)
+    bounds, rot, tau, t = span.direct_rotation()
+    return SectionFactors(
+        sigma=GroupElement(span.Q, np.hstack([span.beta, -tau]), g),
+        t=GroupElement(span.Q, t, g),
+        w=GroupElement(V1.Phi, rot.conj().T - np.eye(V.N), g),
+        bounds=bounds,
+    )
 
 
 def cross_section_sigma(V: StiefelOperator, V1: StiefelOperator) -> GroupElement:
@@ -577,26 +587,3 @@ def lie_split_stiefel(X: SkewOperator, P) -> tuple[SkewOperator, SkewOperator]:
     xh = X.data - xg
     return SkewOperator.from_matrix(xg, X.g), SkewOperator.from_matrix(xh, X.g)
 
-
-def mcscf_validate(c, Phi, g: GramPair, N: int) -> bool:
-    """Validate a configuration-sphere point paired with K orbitals.
-
-    Phi is the n-by-K array of orbitals.  The coefficient vector must be a
-    real unit vector of length binom(K,N)+1 and the orbitals an orthonormal
-    K-tuple; dimension mismatches raise, numeric defects merely return False.
-    """
-    Phi = np.asarray(Phi, dtype=np.complex128)
-    if Phi.ndim != 2 or Phi.shape[0] != g.n:
-        raise ValueError(f"orbitals must be an n-by-K array with n={g.n}, got {Phi.shape}")
-    K = Phi.shape[1]
-    if not (1 <= N < K):
-        raise ValueError(f"need 1 <= N < K, got N={N}, K={K}")
-    c = np.asarray(c, dtype=np.complex128)
-    expected = math.comb(K, N) + 1
-    if c.shape != (expected,):
-        raise ValueError(f"coefficient vector must have length {expected}, got {c.shape}")
-    if float(np.max(np.abs(c.imag))) > MCSCF_TOL:
-        return False
-    if abs(float(np.linalg.norm(c.real)) - 1.0) > MCSCF_TOL:
-        return False
-    return orthonormality_defect(Phi, g) <= MCSCF_TOL * max(1.0, math.sqrt(K))

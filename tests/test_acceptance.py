@@ -131,9 +131,8 @@ def test_05_quotient_sections_and_equivalence(g, ref, capsys):
         lift = psi_section(P, P1, ref)
         ok &= np.linalg.norm(lift.projection - P1.P) <= 1e-9
 
-        r_star = min(quotient_radius, radius_r(psi_section(P, P, ref)))
-        P2, _ = projection_near(P, 0.3 * r_star, rng)
-        U = section_pi_p(P, P2, ref)
+        P2, _ = projection_near(P, 0.3 * quotient_radius, rng)
+        U = section_pi_p(P, P2)
         ok &= np.linalg.norm(U.data @ P.P @ U.inv - P2.P) <= 1e-9
 
         X = random_skew(rng, g, scale=0.4)

@@ -5,8 +5,10 @@ from twonorm import (
     NeighborhoodViolation,
     ProjectionOperator,
     SkewOperator,
+    SpaceSpec,
     StiefelOperator,
     act_grassmann,
+    build_space,
     delta_p,
     exp_skew,
     frame_unitary,
@@ -16,7 +18,6 @@ from twonorm import (
     phi,
     psi_section,
     quotient_radius,
-    radius_r,
     section_pi_p,
     tangent_project_grassmann,
 )
@@ -28,10 +29,6 @@ from twonorm.sampling import (
     random_stiefel,
     rng_for_trial,
 )
-
-
-def section_radius(P, ref):
-    return min(quotient_radius(P), radius_r(psi_section(P, P, ref)))
 
 
 def test_projection_operator_rejects_defects(g):
@@ -67,7 +64,7 @@ def test_phi_is_the_image_projection(V):
     assert np.linalg.norm(P.P - V.projection) == 0.0
 
 
-def test_psi_lifts_base_projection(g, V, ref):
+def test_psi_section_recovers_base_projection(g, V, ref):
     P = phi(V)
     lift = psi_section(P, P, ref)
     assert np.linalg.norm(lift.projection - P.P) <= 1e-10
@@ -129,20 +126,44 @@ def test_connecting_unitary_conjugates(g, rng):
     assert np.linalg.norm(moved - P1.P) <= 1e-9
 
 
-def test_section_pi_p_conjugates_nearby(g, V, ref, rng):
+def test_section_pi_p_conjugates_nearby(g, V, rng):
     P = phi(V)
-    target = 0.3 * section_radius(P, ref)
+    target = 0.3 * quotient_radius(P)
     P1, _ = projection_near(P, target, rng)
-    U = section_pi_p(P, P1, ref)
+    U = section_pi_p(P, P1)
     moved = U.data @ P.P @ U.inv
     assert np.linalg.norm(moved - P1.P) <= 1e-9
 
 
-def test_section_pi_p_rejects_far_projection(g, V, ref, rng):
+def test_section_pi_p_rejects_far_projection(g, V, rng):
     P = phi(V)
     far = random_projection(rng, g, P.N)
     with pytest.raises(NeighborhoodViolation):
-        section_pi_p(P, far, ref)
+        section_pi_p(P, far)
+
+
+@pytest.mark.parametrize("n", [16, 128])
+def test_section_pi_p_conjugates_across_the_quotient_radius(n):
+    # The direct rotation works on the whole quotient radius, five decades
+    # beyond the safe radius of a lifted base point.
+    g = build_space(SpaceSpec(domain_dim=1, grid_points=n, spacing=0.25))
+    for seed in range(10):
+        rng = rng_for_trial(seed, 0)
+        P = random_projection(rng, g, 2)
+        P1, _ = projection_near(P, 0.9 * quotient_radius(P), rng)
+        U = section_pi_p(P, P1)
+        moved = U.data @ P.P @ U.inv
+        assert h1_operator_norm(moved - P1.P, g) <= 1e-13 * max(1.0, P1.h1_norm), seed
+
+
+@pytest.mark.parametrize("n", [16, 128])
+def test_section_pi_p_rejects_just_outside_the_quotient_radius(n):
+    g = build_space(SpaceSpec(domain_dim=1, grid_points=n, spacing=0.25))
+    rng = rng_for_trial(0, 0)
+    P = random_projection(rng, g, 2)
+    P1, _ = projection_near(P, 1.1 * quotient_radius(P), rng)
+    with pytest.raises(NeighborhoodViolation, match="section radius"):
+        section_pi_p(P, P1)
 
 
 def test_delta_p_cubes_to_itself(g, V, rng):

@@ -21,6 +21,11 @@ RETIRED = (
     # Artifacts are written by the standard library's json and float repr.
     "format_float",
     "json_dumps",
+    # Models none of the MCSCF manifold.
+    "mcscf_validate",
+    # The conjugation section is the direct rotation, with no lifted base point.
+    "_lift",
+    "_psi_on",
 )
 # Members folded into their callers: projection distances and contraction
 # bounds are taken on the joint span of the range frames.

@@ -30,7 +30,6 @@ from twonorm import (
     grassmann_equivalence,
     group_log,
     h1_operator_norm,
-    psi_section,
     quotient_radius,
     radius_r,
     schatten_norm,
@@ -199,9 +198,8 @@ def test_span_producers_build_no_dense_operator(monkeypatch):
         distance_upper(V, V1, spec, steps=8)
         fac = section_factors(V, V1)
         sigma = cross_section_sigma(V, V1)
-        r_star = min(quotient_radius(P), radius_r(psi_section(P, P, ref)))
-        P1, _ = projection_near(P, 0.5 * r_star, rng_for_trial(42, 2))
-        upi = section_pi_p(P, P1, ref)
+        P1, _ = projection_near(P, 0.5 * quotient_radius(P), rng_for_trial(42, 2))
+        upi = section_pi_p(P, P1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -286,10 +286,11 @@ def test_distance_upper_takes_its_strong_triangles_once_per_curve():
 
 
 def test_grassmann_suite_takes_each_projection_norm_once():
-    # quotient_radius, both psi_section calls, section_pi_p and the sampler's
-    # resolution read one cached strong norm of P, and every projection
-    # distance and contraction bound is taken on a joint span, so one call
-    # per trial remains, and one for the projection of the equivalence straddle.
+    # quotient_radius, psi_section, section_pi_p and the samplers' resolution
+    # read one cached strong norm of P, and every projection distance,
+    # contraction bound and the norm of P2 in the conjugation check is taken
+    # on a joint span, so one call per trial remains, and one for the
+    # projection of the equivalence straddle.
     calls = []
     counted = space.h1_singular_values
 
@@ -308,12 +309,11 @@ def test_grassmann_suite_takes_each_projection_norm_once():
 def test_grassmann_suite_builds_each_joint_span_once():
     # Per trial: P's strong norm (2 triangles), each of the two quotient
     # samplers' calibration span and returned distance (2 + 2 each),
-    # psi_section's span (2), the lift of P shared by the working radius and
-    # section_pi_p (2, and 1 for the lifted point's norm), section_pi_p's span
-    # of P and P2 (2), the cross section's span (2) and three equivalence
-    # checks (2 each); plus the reference's dual triangle once, and once the
-    # equivalence straddle: its projection's norm (2), two samplers (4 each)
-    # and four equivalence checks (2 each).
+    # psi_section's span (2), section_pi_p's span of P and P2 (2), the span
+    # of P2 and T P T^-1 that checks the conjugation (2) and three
+    # equivalence checks (2 each); plus, once, the equivalence straddle: its
+    # projection's norm (2), two samplers (4 each) and four equivalence
+    # checks (2 each).  No cross section reads the reference's dual triangle.
     calls = []
     counted = space.h1_triangle
 
@@ -328,7 +328,7 @@ def test_grassmann_suite_builds_each_joint_span_once():
             stack.enter_context(mock.patch.object(module, "h1_triangle", recorded))
         _grassmann_suite(cfg, PAIRS["grid", 16], rec)
     assert rec.result("grassmann").passed
-    assert len(calls) == 1 + 25 * cfg.trials + 18
+    assert len(calls) == 22 * cfg.trials + 18
 
 
 @pytest.mark.parametrize("n", [16, 128])

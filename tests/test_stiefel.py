@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -17,7 +15,6 @@ from twonorm import (
     exp_skew,
     h1_operator_norm,
     lie_split_stiefel,
-    mcscf_validate,
     membership_residual,
     metric_equivalence_report,
     phi,
@@ -320,32 +317,3 @@ def test_lie_split_recombines(g, V, rng):
     assert np.linalg.norm(xg.data @ P.P) <= 1e-12
     assert np.linalg.norm(P.P @ xg.data) <= 1e-12
 
-
-def test_mcscf_validate_accepts_unit_real_vector(g, rng):
-    K, N = 4, 2
-    Phi = np.linalg.qr(random_complex(rng, g.n, K))[0] @ np.diag([2.0] * K)
-    c = np.zeros(math.comb(K, N) + 1)
-    c[0] = 1.0
-    assert mcscf_validate(c, Phi, g, N)
-
-
-def test_mcscf_validate_flags_defects(g, rng):
-    K, N = 4, 2
-    Phi = np.linalg.qr(random_complex(rng, g.n, K))[0] @ np.diag([2.0] * K)
-    length = math.comb(K, N) + 1
-    c = np.zeros(length)
-    c[0] = 0.5
-    assert not mcscf_validate(c, Phi, g, N)
-    c_complex = np.zeros(length, dtype=np.complex128)
-    c_complex[0] = 1.0j
-    assert not mcscf_validate(c_complex, Phi, g, N)
-    c_unit = np.zeros(length)
-    c_unit[0] = 1.0
-    # Orbitals that are not orthonormal are a numeric defect, not an error.
-    assert not mcscf_validate(c_unit, 1.5 * Phi, g, N)
-    with pytest.raises(ValueError):
-        mcscf_validate(np.zeros(3), Phi, g, N)
-    with pytest.raises(ValueError):
-        mcscf_validate(c, Phi, g, K)
-    with pytest.raises(ValueError):
-        mcscf_validate(c_unit, Phi[1:], g, N)

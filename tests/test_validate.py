@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from twonorm import grassmann, validate
+from twonorm import grassmann, stiefel, validate
 from twonorm.config import config_from_mapping
 from twonorm.group import OneParameterGroup, SkewOperator
 from twonorm.space import build_space
@@ -136,6 +136,26 @@ def test_grassmann_suite_fails_when_the_equivalence_tolerance_moves(monkeypatch,
     # Pairs at 0.5e-8 and 2e-8 straddle the documented 1e-8, so a tolerance
     # ten times looser or tighter decides one of them wrongly.
     monkeypatch.setattr(grassmann, "EQUIVALENCE_TOL", tol)
+    cfg = config_from_mapping({"seed": 42, "trials": 2, "space": {"grid_points": 16, "spacing": 0.25}})
+    rec = _Recorder()
+    _grassmann_suite(cfg, build_space(cfg.space), rec)
+    assert not rec.result("grassmann").passed
+
+
+def test_grassmann_suite_fails_when_the_direct_rotation_tau_block_is_mutated(monkeypatch):
+    # section_pi_p returns the block T - I = [b Z Y^H - E, -tau] of the builder
+    # section_factors shares.  One tau entry moved by 3e-9 sqrt(n) leaves T P
+    # T^-1 alone and stays inside the GroupElement constructor's 1e-8, but its
+    # form defect, about 4.2e-9, fails the suite's 1e-9 limit.
+    built = stiefel._TwoFrames.direct_rotation
+
+    def mutated(span):
+        bounds, rot, tau, t = built(span)
+        t = t.copy()
+        t[0, rot.shape[0]] -= 3e-9 * math.sqrt(span.Q.shape[0])
+        return bounds, rot, tau, t
+
+    monkeypatch.setattr(stiefel._TwoFrames, "direct_rotation", mutated)
     cfg = config_from_mapping({"seed": 42, "trials": 2, "space": {"grid_points": 16, "spacing": 0.25}})
     rec = _Recorder()
     _grassmann_suite(cfg, build_space(cfg.space), rec)
