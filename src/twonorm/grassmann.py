@@ -131,16 +131,12 @@ def psi_section(P: ProjectionOperator, P1: ProjectionOperator, ref: ReferenceFra
     isometry T1 then tilts range(P) onto range(P1).  The composition is the
     isometric embedding with image frame T1 H = H1 Z Y^H, for the range
     frame H1 of P1 and the SVD Y diag(s) Z^H of the overlap H^H gl2 H1, and
-    its projection recovers P1.  The distance and the contraction bounds are
-    taken on the joint span of H and H1, as in ``section_factors``.
+    its projection recovers P1.  P1 is gated as in ``section_pi_p``, by the
+    quotient radius and the four contraction bounds on the joint span.
     """
     if P.N != ref.N:
         raise ValueError("projection rank and reference width differ")
-    b1, b2 = _quotient_span(P, P1).bounds()[:2]
-    if max(b1, b2) >= 1.0:
-        raise NeighborhoodViolation(
-            f"contraction bounds ({b1:.6f}, {b2:.6f}) must stay below 1"
-        )
+    _quotient_span(P, P1).bounds()
     rot = _overlap_rotation(P.frame.conj().T @ P.g.l2(P1.frame))[2]
     return StiefelOperator(P1.frame @ rot, ref)
 

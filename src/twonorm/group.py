@@ -9,7 +9,7 @@ a k-by-k block; dense input is the k = n case Q = gl2^{-1/2}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -55,7 +55,8 @@ def _span_form(element, block: str, defect, identity: str) -> None:
 
     The pair's own factor gl2^{-1/2} is orthonormal by construction and known
     without building it (``GramPair.is_isqrt_l2``); any other span is checked.
-    The block residual ||defect||_F / sqrt(n) is the dense one where gl2 is w I.
+    The block residual ||defect||_F / sqrt(n), the dense one where gl2 is w I,
+    is kept as the element's ``defect``.
     """
     g = element.g
     Q = np.asarray(element.Q, dtype=np.complex128)
@@ -69,6 +70,7 @@ def _span_form(element, block: str, defect, identity: str) -> None:
         raise MembershipDefect(f"{identity} residual {res:.3e} exceeds tolerance {CONSTRUCT_TOL:.1e}")
     object.__setattr__(element, "Q", _frozen(Q))
     object.__setattr__(element, block, _frozen(M))
+    object.__setattr__(element, "defect", res)
 
 
 def _operator(element, M) -> np.ndarray:
@@ -84,6 +86,7 @@ class GroupElement:
     Q: np.ndarray
     B: np.ndarray
     g: GramPair
+    defect: float = field(init=False, repr=False, compare=False)  # set by _span_form
 
     def __post_init__(self):
         _span_form(self, "B", lambda B: B + B.conj().T + B.conj().T @ B, "form-preservation")
@@ -138,6 +141,7 @@ class SkewOperator:
     Q: np.ndarray
     S: np.ndarray
     g: GramPair
+    defect: float = field(init=False, repr=False, compare=False)  # set by _span_form
 
     def __post_init__(self):
         _span_form(self, "S", lambda S: S + S.conj().T, "skewness")

@@ -6,8 +6,8 @@ and vanish on its weak orthocomplement; equivalently V = Phi Xi^H gl2 for an
 orthonormal image frame Phi.  That frame is the orthonormal N-tuple of the
 frame presentation, so one validated value serves both.  The module provides
 the tuple and operator metrics, the transitive group action, local cross
-sections of that action with an explicit safe radius, a series square root
-with a rigorous truncation bound, and the tangent-space calculus.
+sections of that action gated by their contraction bounds, a series square
+root with a rigorous truncation bound, and the tangent-space calculus.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "radius_r",
     "SectionFactors",
     "section_factors",
-    "cross_section_sigma",
     "translated_section",
     "K_map",
     "tangent_project",
@@ -451,9 +450,11 @@ class _TwoFrames:
     def bounds(self) -> tuple:
         """The contraction bounds, strong norms of P (I - P1) P, P1 (I - P) P1, (I - P) P1 (I - P), (I - P1) P (I - P1).
 
-        As P is idempotent, P (I - P1) P = P - P P1 P and (I - P) P1 (I - P) =
-        (I - P) - (I - P)(I - P1)(I - P).  For P = L L^H, P1 = L1 L1^H and
-        A = L^H L1, the first is L (I - A A^H) L^H and the third G G^H with G = L1 - L A.
+        All four below one is the domain of the direct rotation's inverse roots
+        and every section's one gate; else NeighborhoodViolation is raised.  As P
+        is idempotent, P (I - P1) P = P - P P1 P and (I - P) P1 (I - P) = (I - P) -
+        (I - P)(I - P1)(I - P).  For P = L L^H, P1 = L1 L1^H and A = L^H L1, the
+        first is L (I - A A^H) L^H and the third G G^H with G = L1 - L A.
         """
         inner, outer = [], []
         for L, L1 in ((self.E, self.b), (self.b, self.E)):
@@ -461,21 +462,20 @@ class _TwoFrames:
             inner.append((L @ (np.eye(A.shape[0]) - A @ (L1.conj().T @ L))) @ L.conj().T)
             G = L1 - L @ A
             outer.append(G @ G.conj().T)
-        return tuple(float(span_singular_values(self.TL, self.TR, M)[0]) for M in inner + outer)
+        bounds = tuple(float(span_singular_values(self.TL, self.TR, M)[0]) for M in inner + outer)
+        if not max(bounds) < 1.0:
+            raise NeighborhoodViolation(
+                f"contraction bounds {tuple(round(b, 6) for b in bounds)} must stay below 1"
+            )
+        return bounds
 
     def direct_rotation(self) -> tuple:
         """The contraction bounds, Z Y^H, tau and the block T - I = [b Z Y^H - E, -tau] (``section_factors``).
 
         T carries range(P) onto range(P1) and range(I - P) onto range(I - P1),
-        so T P T^-1 = P1, and T = I at P1 = P.  The four bounds must sit
-        strictly below one for its inverse roots to exist; else
-        NeighborhoodViolation is raised.
+        so T P T^-1 = P1, and T = I at P1 = P.  ``bounds`` gates it.
         """
         bounds = self.bounds()
-        if max(bounds) >= 1.0:
-            raise NeighborhoodViolation(
-                f"contraction bounds {tuple(round(b, 6) for b in bounds)} must stay below 1"
-            )
         N = self.E.shape[1]
         s, Z, rot = _overlap_rotation(np.eye(N) + self.beta[:N])
         KZ = self.beta[N:] @ Z
@@ -495,7 +495,7 @@ class SectionFactors:
 
 
 def section_factors(V: StiefelOperator, V1: StiefelOperator) -> SectionFactors:
-    """Cross-section data for a point V1 inside the safe radius around V.
+    """Cross-section data for a point V1 near V.
 
     The direct rotation T has T P = P1 (P P1 P)^(-1/2), carrying range(P)
     isometrically onto range(P1), and T (I - P) = (I - P1)((I - P)(I - P1)(I - P))^(-1/2)
@@ -509,20 +509,13 @@ def section_factors(V: StiefelOperator, V1: StiefelOperator) -> SectionFactors:
 
     as K^H K = I - M^H M and W fixes range(I - P1), which holds T C.  Both
     blocks come from the frame displacement, so sigma Phi - Phi1 is rounding
-    relative to Phi1 - Phi.  Four contraction bounds must sit strictly below
-    one for the inverse roots to exist; else NeighborhoodViolation is raised.
-    The distance and the bounds share one pair of span triangles.
+    relative to Phi1 - Phi.  They exist wherever all four contraction bounds
+    are below one, else NeighborhoodViolation is raised; inside the paper's
+    safe radius ``radius_r`` they always are.
     """
     g = V.g
     _require_same_reference(V, V1)
     span = _TwoFrames(V.Phi, V1.Phi, g)
-    # V1 - V = Q beta (gl2 Xi)^H.
-    dist = float(span_singular_values(span.TL, V.ref.dual_triangle, span.beta)[0])
-    r = radius_r(V)
-    if not dist < r:
-        raise NeighborhoodViolation(
-            f"distance {dist:.6e} is not inside the safe radius {r:.6e}"
-        )
     bounds, rot, tau, t = span.direct_rotation()
     return SectionFactors(
         sigma=GroupElement(span.Q, np.hstack([span.beta, -tau]), g),
@@ -532,28 +525,17 @@ def section_factors(V: StiefelOperator, V1: StiefelOperator) -> SectionFactors:
     )
 
 
-def cross_section_sigma(V: StiefelOperator, V1: StiefelOperator) -> GroupElement:
-    """Group element sigma with sigma V = V1, defined inside the safe radius."""
-    return section_factors(V, V1).sigma
-
-
 def translated_section(
     V: StiefelOperator, V0: StiefelOperator, V1: StiefelOperator
 ) -> GroupElement:
     """Section around an arbitrary base point V0 = U V, by translating with U.
 
-    The safe radius shrinks by the strong norm of U^-1; the returned element
-    U sigma maps V to V1 and lives on the joint span of both factors.
+    The returned element U sigma, for the section sigma from V to U^-1 V1,
+    maps V to V1 and lives on the joint span of both factors.
     """
     g = V.g
     U = frame_unitary(V.Phi, V0.Phi, g)
-    dist = h1_operator_norm(point_difference(V1, V0), g)
-    allowed = radius_r(V) / U.inv_h1_norm()
-    if not dist < allowed:
-        raise NeighborhoodViolation(
-            f"distance {dist:.6e} from the base point exceeds the translated radius {allowed:.6e}"
-        )
-    sigma = cross_section_sigma(V, StiefelOperator(V1.Phi + U.inv_displacement(V1.Phi), V.ref))
+    sigma = section_factors(V, StiefelOperator(V1.Phi + U.inv_displacement(V1.Phi), V.ref)).sigma
     Q = np.hstack([U.Q, complete_basis(U.Q, sigma.Q, g)])
     D = sigma.displacement(Q)
     return GroupElement(Q, Q.conj().T @ g.l2(D + U.displacement(Q + D)), g)

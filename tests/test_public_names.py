@@ -26,6 +26,8 @@ RETIRED = (
     # The conjugation section is the direct rotation, with no lifted base point.
     "_lift",
     "_psi_on",
+    # A one-line wrapper: the section is section_factors(V, V1).sigma.
+    "cross_section_sigma",
 )
 # Members folded into their callers: projection distances and contraction
 # bounds are taken on the joint span of the range frames.

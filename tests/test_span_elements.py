@@ -22,7 +22,6 @@ from twonorm import (
     SkewOperator,
     SpaceSpec,
     build_space,
-    cross_section_sigma,
     distance_upper,
     exp_skew,
     finsler_norm_grassmann,
@@ -197,7 +196,7 @@ def test_span_producers_build_no_dense_operator(monkeypatch):
         moved = OneParameterGroup(X)(0.3)
         distance_upper(V, V1, spec, steps=8)
         fac = section_factors(V, V1)
-        sigma = cross_section_sigma(V, V1)
+        sigma = section_factors(V, V1).sigma
         P1, _ = projection_near(P, 0.5 * quotient_radius(P), rng_for_trial(42, 2))
         upi = section_pi_p(P, P1)
         peak = tracemalloc.get_traced_memory()[1]
@@ -225,7 +224,7 @@ def test_section_displacement_is_relatively_accurate(n):
         for frac in (0.5, 1 / 160, 1e-3):
             V1, _ = stiefel_near(V, frac * radius_r(V), rng_for_trial(seed, 1))
             D = V1.Phi - V.Phi
-            moved = cross_section_sigma(V, V1).displacement(V.Phi)
+            moved = section_factors(V, V1).sigma.displacement(V.Phi)
             assert np.linalg.norm(moved - D) <= 1e-12 * np.linalg.norm(D), (seed, frac)
 
 
@@ -241,7 +240,7 @@ def test_joint_span_keeps_small_displacements(n):
         V1, _ = stiefel_near(V, 1e-5 * radius_r(V), rng_for_trial(seed, 0))
         Q, _ = group._joint_span(V.Phi, V1.Phi, g)
         D = V1.Phi - V.Phi
-        moved = cross_section_sigma(V, V1).displacement(V.Phi)
+        moved = section_factors(V, V1).sigma.displacement(V.Phi)
         assert Q.shape[1] == 4, seed
         assert np.linalg.norm(moved - D) <= 1e-12 * np.linalg.norm(D), seed
 

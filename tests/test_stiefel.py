@@ -11,8 +11,8 @@ from twonorm import (
     adjoint_l2,
     binomial_sqrt,
     binomial_sqrt_truncated,
-    cross_section_sigma,
     exp_skew,
+    frame_unitary,
     h1_operator_norm,
     lie_split_stiefel,
     membership_residual,
@@ -28,6 +28,7 @@ from twonorm import (
     translated_section,
     tuple_metric,
 )
+from twonorm.basis import complete_basis
 from twonorm.oracles import pinv_on_range, sqrt_eig
 from twonorm.stiefel import binomial_coefficients
 from twonorm.sampling import (
@@ -250,12 +251,14 @@ def test_section_partial_isometries(g, V, rng):
     assert np.linalg.norm(adjoint_l2(t2, g) @ t2 - ip) <= 1e-8
 
 
-@pytest.mark.parametrize("frac", [0.9, 1e-4])
+@pytest.mark.parametrize("frac", [0.9, 1e-4, 1e5])
 @pytest.mark.parametrize("n", [16, 128])
 def test_section_factors_match_restricted_inverse_roots(n, frac):
     # The direct rotation's span block, restricted by P and I - P, against the definitions
     # T1 = P1 (P P1 P)^(-1/2) and T2 = (I - P1)((I - P)(I - P1)(I - P))^(-1/2),
     # inverted on the ranges by an independent eigendecomposition and solve.
+    # At 1e5 r the point is far outside the paper's radius, yet inside the
+    # contraction bounds that gate the closed form.
     g = build_space(SpaceSpec(domain_dim=1, grid_points=n, spacing=0.25))
     setup = rng_for_trial(42, SETUP_TRIAL)
     V = random_stiefel(setup, random_reference(setup, g, 2), scale=0.4)
@@ -270,12 +273,40 @@ def test_section_factors_match_restricted_inverse_roots(n, frac):
     assert np.linalg.norm(fac.t.data @ ip - t2) <= 1e-12 * np.linalg.norm(t2)
 
 
-def test_section_rejects_far_point(g, ref, rng):
-    V = random_stiefel(rng, ref, scale=0.2)
-    far = random_stiefel(rng, ref, scale=1.0)
-    assert h1_operator_norm(far.V - V.V, g) >= radius_r(V)
-    with pytest.raises(NeighborhoodViolation):
-        cross_section_sigma(V, far)
+def _turned_off_range(V, rng):
+    """V's first image vector and one direction weakly orthogonal to range(V).
+
+    P (I - P1) P then holds the weak projection onto V's second image vector,
+    whose strong norm is at least 1, so no section reaches this point.
+    """
+    w = complete_basis(V.Phi, random_complex(rng, V.n, 1), V.g)
+    return StiefelOperator(np.hstack([V.Phi[:, :1], w]), V.ref)
+
+
+def _seeded_points(n):
+    g = build_space(SpaceSpec(domain_dim=1, grid_points=n, spacing=0.25))
+    for seed in range(10):
+        setup = rng_for_trial(seed, SETUP_TRIAL)
+        yield seed, random_stiefel(setup, random_reference(setup, g, 2), scale=0.4)
+
+
+@pytest.mark.parametrize("n", [16, 128])
+def test_section_reaches_far_beyond_the_safe_radius(n):
+    # The contraction bounds, not r, gate the section: at 1e5 r they stay far
+    # below 1 and sigma Phi - Phi1 is rounding relative to Phi1 - Phi.
+    for seed, V in _seeded_points(n):
+        V1, _ = stiefel_near(V, 1e5 * radius_r(V), rng_for_trial(seed, 1))
+        D = V1.Phi - V.Phi
+        fac = section_factors(V, V1)
+        assert max(fac.bounds) < 0.1, seed
+        assert np.linalg.norm(fac.sigma.displacement(V.Phi) - D) <= 1e-13 * np.linalg.norm(D), seed
+
+
+def test_section_rejects_far_point():
+    for n in (16, 128):
+        for seed, V in _seeded_points(n):
+            with pytest.raises(NeighborhoodViolation):
+                section_factors(V, _turned_off_range(V, rng_for_trial(seed, 0)))
 
 
 def test_translated_section_moves_base_point(g, V, rng):
@@ -287,12 +318,28 @@ def test_translated_section_moves_base_point(g, V, rng):
     assert np.linalg.norm(sigma.data @ V.V - V1.V) <= 1e-8
 
 
-def test_translated_section_rejects_far_point(g, V, rng):
-    mover = exp_skew(random_skew(rng, g, scale=0.2))
-    V0 = act(mover, V)
-    far = random_stiefel(rng, V.ref, scale=1.0)
-    with pytest.raises(NeighborhoodViolation):
-        translated_section(V, V0, far)
+@pytest.mark.parametrize("n", [16, 128])
+def test_translated_section_reaches_far_beyond_the_translated_radius(n):
+    # The translated radius r / ||U^-1|| is a sufficient condition only; at
+    # 1e3 times it the section still maps V to V1 to rounding relative to the move.
+    for seed, V in _seeded_points(n):
+        mover = rng_for_trial(seed, 2)
+        V0 = random_stiefel(mover, V.ref, scale=0.3)
+        allowed = radius_r(V) / frame_unitary(V.Phi, V0.Phi, V.g).inv_h1_norm()
+        V1, _ = stiefel_near(V0, 1e3 * allowed, mover)
+        D = V1.Phi - V.Phi
+        miss = translated_section(V, V0, V1).displacement(V.Phi) - D
+        assert np.linalg.norm(miss) <= 1e-13 * np.linalg.norm(D), seed
+
+
+def test_translated_section_rejects_far_point():
+    # U^-1 is a weak isometry carrying range(V0) onto range(V), so a direction
+    # weakly orthogonal to range(V0) stays weakly orthogonal to range(V).
+    for n in (16, 128):
+        for seed, V in _seeded_points(n):
+            V0 = random_stiefel(rng_for_trial(seed, 2), V.ref, scale=0.3)
+            with pytest.raises(NeighborhoodViolation):
+                translated_section(V, V0, _turned_off_range(V0, rng_for_trial(seed, 0)))
 
 
 def test_tangent_projection_idempotent(g, V, rng):
