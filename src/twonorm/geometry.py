@@ -1,4 +1,4 @@
-"""Norms, tangent metrics and curve-length bounds on the strong space.
+"""Norms, Finsler tangent norms and curve-length bounds on the strong space.
 
 Singular values are always taken in the strong frame, so the Schatten family
 interpolates between the strong operator norm (p = inf) and the trace norm
@@ -11,14 +11,14 @@ Such operands, and tangent vectors, are passed as thin
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceFailure, LogUnavailable
 from .group import GroupElement, OneParameterGroup, SkewOperator, frame_unitary
 from .space import GramPair, LowRank, h1_operator_norm, h1_singular_values, h1_triangle, span_singular_values
-from .stiefel import StiefelOperator, point_difference
+from .stiefel import ReferenceFrame, StiefelOperator, point_difference
 
 __all__ = [
     "NormSpec",
@@ -28,7 +28,6 @@ __all__ = [
     "norm_sandwich_check",
     "finsler_norm_stiefel",
     "finsler_norm_grassmann",
-    "riemannian_inner_stiefel",
     "CurveSamples",
     "exp_curve",
     "curve_length",
@@ -133,45 +132,39 @@ def finsler_norm_grassmann(X: SkewOperator, P, spec: NormSpec) -> float:
     return schatten_norm(LowRank(np.hstack([X.apply(L), L]), np.hstack([R, -XhR])), spec, P.g)
 
 
-def riemannian_inner_stiefel(X: SkewOperator, Y: SkewOperator, V: StiefelOperator) -> float:
-    """Real trace pairing Re tr[XV (YV)^*] of tangent vectors, * the strong adjoint gh1^-1 (.)^H gh1.
-
-    With A = X Phi, B = Y Phi and R = gl2 Xi it is Re tr[(B^H gh1 A)(R^H gh1^-1 R)], of two N-by-N cores.
-    """
-    A, B, R = X.apply(V.Phi), Y.apply(V.Phi), V.ref.dual
-    return float(np.trace((B.conj().T @ V.g.h1(A)) @ (R.conj().T @ V.g.solve_h1(R))).real)
-
-
 @dataclass(frozen=True)
 class CurveSamples:
-    """Sampled curve on the manifold: parameters, image frames and velocities.
+    """Sampled curve on the manifold, in the form :func:`exp_curve` builds.
 
-    Parameters must increase strictly from 0 to 1; frames are the image frames
-    of the points and velocities operator-valued samples of the derivative.  A
-    velocity may be dense or, since it has rank at most N, a :class:`LowRank` pair.
-    A curve from :func:`exp_curve` also carries ``span`` = (Q, cores, ref): velocity
-    i is Q cores[i] (gl2 Xi)^H, so its norms share one pair of strong triangles.
+    Parameters must increase strictly from 0 to 1 and frames are the image
+    frames of the points.  Velocity i is Q cores[i] (gl2 Xi)^H, for the span Q
+    of the generator and the reference frame ``ref``, so all velocity norms
+    share one pair of strong triangles.
     """
 
     ts: tuple
     frames: tuple
-    velocities: tuple
-    span: tuple | None = field(default=None, repr=False, compare=False)
+    Q: np.ndarray
+    cores: np.ndarray
+    ref: ReferenceFrame
 
     def __post_init__(self):
         ts = tuple(float(t) for t in self.ts)
         if len(ts) < 2:
             raise ValueError("a curve needs at least two samples")
-        if len(self.frames) != len(ts) or len(self.velocities) != len(ts):
-            raise ValueError("frames, velocities and parameters must align")
+        if len(self.frames) != len(ts) or len(self.cores) != len(ts):
+            raise ValueError("frames, velocity cores and parameters must align")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("curve parameters must increase strictly")
         if abs(ts[0]) > 1e-12 or abs(ts[-1] - 1.0) > 1e-12:
             raise ValueError("curve parameters must run from 0 to 1")
         object.__setattr__(self, "ts", ts)
         object.__setattr__(self, "frames", tuple(np.asarray(F, dtype=np.complex128) for F in self.frames))
-        velocities = tuple(v if isinstance(v, LowRank) else np.asarray(v, dtype=np.complex128) for v in self.velocities)
-        object.__setattr__(self, "velocities", velocities)
+
+    @property
+    def velocities(self) -> tuple:
+        """The velocities as rank-N :class:`LowRank` factors (Q cores[i], gl2 Xi)."""
+        return tuple(LowRank(self.Q @ core, self.ref.dual) for core in self.cores)
 
 
 def exp_curve(V0: StiefelOperator, X: SkewOperator, steps: int) -> CurveSamples:
@@ -191,21 +184,16 @@ def exp_curve(V0: StiefelOperator, X: SkewOperator, steps: int) -> CurveSamples:
     moved = exp_tX.block(ts) @ c0
     frames = tuple(V0.Phi + X.Q @ d for d in moved[:-1]) + (V0.Phi + exp_tX(1.0).displacement(V0.Phi),)
     cores = X.S @ (c0 + moved)
-    velocities = tuple(LowRank(X.Q @ core, V0.ref.dual) for core in cores)
-    return CurveSamples(ts=tuple(ts), frames=frames, velocities=velocities, span=(X.Q, cores, V0.ref))
+    return CurveSamples(ts=tuple(ts), frames=frames, Q=X.Q, cores=cores, ref=V0.ref)
 
 
 def curve_length(c: CurveSamples, spec: NormSpec, g: GramPair) -> float:
     """Trapezoid-rule length of a sampled curve in the chosen norm.
 
-    A curve with a ``span`` takes every velocity norm from one strong triangle
-    of Q, the reference's dual triangle and one batched SVD of the k-by-N cores.
+    Every velocity norm comes from one strong triangle of Q, the reference's
+    dual triangle and one batched SVD of the k-by-N cores.
     """
-    if c.span is None:
-        norms = [schatten_norm(v, spec, g) for v in c.velocities]
-    else:
-        Q, cores, ref = c.span
-        norms = _norm_of(span_singular_values(h1_triangle(Q, g), ref.dual_triangle, cores), spec).tolist()
+    norms = _norm_of(span_singular_values(h1_triangle(c.Q, g), c.ref.dual_triangle, c.cores), spec).tolist()
     total = 0.0
     for (t0, t1), (n0, n1) in zip(zip(c.ts, c.ts[1:]), zip(norms, norms[1:])):
         total += 0.5 * (t1 - t0) * (n0 + n1)

@@ -4,8 +4,8 @@ Projections are the quotient picture of the isometric embeddings: two
 embeddings share a projection exactly when they differ by a group element
 fixing the reference subspace.  The module provides the quotient map and a
 local section of it, the conjugation action, equivalence testing with an
-explicit block unitary, and the tangent calculus built from the commutator
-map delta_P.
+explicit block unitary, the commutator map delta_P and the split of the
+algebra into a part commuting with P and an off-diagonal part.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "act_grassmann",
     "section_pi_p",
     "delta_p",
-    "tangent_project_grassmann",
     "lie_split_grassmann",
 ]
 
@@ -194,11 +193,6 @@ def delta_p(Y, P: ProjectionOperator) -> np.ndarray:
     """Commutator map Y -> Y P - P Y; cubes back to itself."""
     Y = as_operator(Y, P.n, "Y")
     return Y @ P.P - P.P @ Y
-
-
-def tangent_project_grassmann(Y, P: ProjectionOperator) -> np.ndarray:
-    """Idempotent E = delta_P applied twice; projects onto the tangent space."""
-    return delta_p(delta_p(Y, P), P)
 
 
 def lie_split_grassmann(X: SkewOperator, P: ProjectionOperator) -> tuple[SkewOperator, SkewOperator]:

@@ -7,7 +7,8 @@ orthonormal image frame Phi.  That frame is the orthonormal N-tuple of the
 frame presentation, so one validated value serves both.  The module provides
 the tuple and operator metrics, the transitive group action, local cross
 sections of that action gated by their contraction bounds, a series square
-root with a rigorous truncation bound, and the tangent-space calculus.
+root with a rigorous truncation bound, and the split of the algebra
+relative to the image projection.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ __all__ = [
     "SectionFactors",
     "section_factors",
     "translated_section",
-    "K_map",
-    "tangent_project",
     "lie_split_stiefel",
 ]
 
@@ -542,27 +541,16 @@ def translated_section(
 
 
 # ---------------------------------------------------------------------------
-# Tangent calculus
+# Algebra split
 
 
-def K_map(Y, V: StiefelOperator) -> np.ndarray:
-    """Right inverse of the tangent map: Y -> Y V*2, with V*2 = Xi (gl2 Phi)^H."""
-    Y = as_operator(Y, V.n, "Y")
-    return (Y @ V.ref.Xi) @ V.g.l2(V.Phi).conj().T
-
-
-def tangent_project(Y, V: StiefelOperator) -> np.ndarray:
-    """Idempotent projection E = delta_V after K onto the tangent space at V."""
-    return K_map(Y, V) @ V.V
-
-
-def lie_split_stiefel(X: SkewOperator, P) -> tuple[SkewOperator, SkewOperator]:
+def lie_split_stiefel(X: SkewOperator, P: "ProjectionOperator") -> tuple[SkewOperator, SkewOperator]:
     """Split X into isotropy and complement parts relative to the projection P.
 
     The isotropy part (I-P) X (I-P) kills range(P); the complement part has
     no (I-P)-corner.  Both stay in the algebra and they sum back to X.
     """
-    Pm = as_operator(getattr(P, "P", P), X.g.n, "P")
+    Pm = P.P
     eye = np.eye(X.g.n, dtype=np.complex128)
     ip = eye - Pm
     xg = ip @ X.data @ ip

@@ -23,6 +23,7 @@ from twonorm import (
     distance_upper,
     exp_curve,
     exp_skew,
+    finsler_norm_stiefel,
     frame_unitary,
     grassmann_equivalence,
     h1_operator_norm,
@@ -35,12 +36,9 @@ from twonorm import (
     phi,
     psi_section,
     radius_r,
-    riemannian_inner_stiefel,
     section_factors,
     section_pi_p,
     sqrt_F,
-    tangent_project,
-    tangent_project_grassmann,
 )
 from twonorm.basis import orthonormal_columns
 from twonorm.cli import main as cli_main
@@ -155,15 +153,15 @@ def test_06_tangent_space_identities(g, ref, capsys):
         V = random_stiefel(rng, ref, scale=0.4)
         P = phi(V)
         Y = random_complex(rng, g.n, g.n)
-        E = tangent_project(Y, V)
-        ok &= np.linalg.norm(tangent_project(E, V) - E) <= 1e-10 * max(1.0, np.linalg.norm(E))
         D = delta_p(Y, P)
         ok &= np.linalg.norm(delta_p(delta_p(D, P), P) - D) <= 1e-12 * max(1.0, np.linalg.norm(D))
-        Eg = tangent_project_grassmann(Y, P)
-        ok &= np.linalg.norm(tangent_project_grassmann(Eg, P) - Eg) <= 1e-10 * max(
-            1.0, np.linalg.norm(Eg)
-        )
+        # delta_P applied twice is idempotent.
+        Eg = delta_p(D, P)
+        ok &= np.linalg.norm(delta_p(delta_p(Eg, P), P) - Eg) <= 1e-10 * max(1.0, np.linalg.norm(Eg))
         X = random_skew(rng, g)
+        # X V is tangent at V: in frame form, Phi^H gl2 (X Phi) is skew-Hermitian.
+        M = V.Phi.conj().T @ g.l2(X.apply(V.Phi))
+        ok &= np.linalg.norm(M + M.conj().T) <= 1e-12 * max(1.0, np.linalg.norm(M))
         xg, xh = lie_split_stiefel(X, P)
         ok &= np.linalg.norm(xg.data + xh.data - X.data) <= 1e-12
         ok &= np.linalg.norm(xg.data @ P.P) <= 1e-12
@@ -203,10 +201,7 @@ def test_09_curves_and_distance(g, g_flat, ref, capsys):
     ok = True
     # Constant curves have exactly zero length.
     V = random_stiefel(rng_for_trial(42, 0), ref, scale=0.3)
-    from twonorm import CurveSamples
-
-    zero = np.zeros((g.n, g.n))
-    const = CurveSamples(ts=(0.0, 0.5, 1.0), frames=(V.Phi,) * 3, velocities=(zero,) * 3)
+    const = exp_curve(V, SkewOperator(V.Phi, np.zeros((ref.N, ref.N)), g), 3)
     ok &= curve_length(const, NormSpec.schatten(2.0), g) == 0.0
 
     # A plane rotation's length equals its angle.
@@ -217,12 +212,18 @@ def test_09_curves_and_distance(g, g_flat, ref, capsys):
     length = curve_length(exp_curve(V0, X, steps=65), NormSpec.schatten(2.0), g_flat)
     ok &= abs(length - theta) <= 1e-6
 
-    # Riemannian Gram matrices of tangent tuples are positive semidefinite.
+    # Riemannian Gram matrices of tangent tuples are positive semidefinite.  The
+    # inner product is the polarization of the p = 2 Finsler norm; random_skew
+    # draws share the span gl2^{-1/2}, so X +- Y are blocks on it.
     rng = rng_for_trial(42, 1)
     tangents = [random_skew(rng, g) for _ in range(4)]
-    gram = np.array(
-        [[riemannian_inner_stiefel(a, b, V) for b in tangents] for a in tangents]
-    )
+    two = NormSpec.schatten(2.0)
+
+    def inner(a, b):
+        plus, minus = (finsler_norm_stiefel(SkewOperator(a.Q, a.S + s * b.S, g), V, two) for s in (1, -1))
+        return 0.25 * (plus**2 - minus**2)
+
+    gram = np.array([[inner(a, b) for b in tangents] for a in tangents])
     ok &= float(np.linalg.eigvalsh(0.5 * (gram + gram.T))[0]) >= -1e-10
 
     # The explicit connecting curve bounds the chord and tightens as the

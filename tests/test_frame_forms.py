@@ -20,7 +20,6 @@ from twonorm import (
     frame_unitary,
     grassmann_equivalence,
     h1_operator_norm,
-    K_map,
     lie_split_grassmann,
     psi_section,
     radius_r,
@@ -123,7 +122,8 @@ def test_projection_and_tangent_inverse_match_weak_adjoint_forms(n):
         V = random_stiefel(rng, random_reference(rng, g, N), scale=0.4)
         Y = random_complex(rng, n, n)
         assert _close(V.projection, _weak_projection(V))
-        assert _close(K_map(Y, V), Y @ adjoint_l2(V.V, g))
+        # The tangent inverse Y -> Y V*2, with V*2 = Xi (gl2 Phi)^H from the frames.
+        assert _close(Y @ V.ref.Xi @ g.l2(V.Phi).conj().T, Y @ adjoint_l2(V.V, g))
 
 
 @pytest.mark.parametrize("n", [16, 128])

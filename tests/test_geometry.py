@@ -24,7 +24,6 @@ from twonorm import (
     h1_singular_values,
     norm_sandwich_check,
     phi,
-    riemannian_inner_stiefel,
     schatten_norm,
     skew_residual,
 )
@@ -118,28 +117,19 @@ def test_finsler_norms_match_defining_formulas(g, V, rng):
     )
 
 
-def test_riemannian_inner_products(g, V, rng):
-    X = random_skew(rng, g)
-    Y = random_skew(rng, g)
-    spec = NormSpec.schatten(2.0)
-    # Symmetric, positive on nonzero tangents, consistent with the 2-norm.
-    assert riemannian_inner_stiefel(X, Y, V) == pytest.approx(
-        riemannian_inner_stiefel(Y, X, V), abs=1e-10
-    )
-    xx = riemannian_inner_stiefel(X, X, V)
-    assert xx >= 0.0
-    assert np.sqrt(xx) == pytest.approx(finsler_norm_stiefel(X, V, spec))
-
-
-def test_curve_samples_validation(g, V):
+def test_curve_samples_validation(g, V, rng):
+    c = exp_curve(V, random_skew(rng, g, scale=0.3), steps=4)
+    span = dict(Q=c.Q, ref=c.ref)
     with pytest.raises(ValueError):
-        CurveSamples(ts=(0.0,), frames=(V.Phi,), velocities=(V.V,))
+        CurveSamples(ts=(0.0,), frames=c.frames[:1], cores=c.cores[:1], **span)
     with pytest.raises(ValueError):
-        CurveSamples(ts=(0.0, 0.5), frames=(V.Phi, V.Phi), velocities=(V.V, V.V))
+        CurveSamples(ts=(0.0, 0.5), frames=c.frames[:2], cores=c.cores[:2], **span)
     with pytest.raises(ValueError):
-        CurveSamples(ts=(0.0, 0.7, 0.3, 1.0), frames=(V.Phi,) * 4, velocities=(V.V,) * 4)
+        CurveSamples(ts=(0.0, 0.7, 0.3, 1.0), frames=c.frames, cores=c.cores, **span)
     with pytest.raises(ValueError):
-        CurveSamples(ts=(0.0, 1.0), frames=(V.Phi,), velocities=(V.V, V.V))
+        CurveSamples(ts=(0.0, 1.0), frames=c.frames[:1], cores=c.cores[:2], **span)
+    with pytest.raises(ValueError):
+        CurveSamples(ts=(0.0, 1.0), frames=c.frames[:2], cores=c.cores[:1], **span)
 
 
 def test_exp_curve_endpoints_and_membership(g, V, rng):
@@ -155,8 +145,7 @@ def test_exp_curve_endpoints_and_membership(g, V, rng):
 
 
 def test_constant_curve_has_zero_length(g, V):
-    zero = np.zeros((g.n, g.n))
-    c = CurveSamples(ts=(0.0, 0.5, 1.0), frames=(V.Phi,) * 3, velocities=(zero,) * 3)
+    c = exp_curve(V, SkewOperator(V.Phi, np.zeros((V.N, V.N)), g), steps=3)
     assert curve_length(c, NormSpec.schatten(2.0), g) == 0.0
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from twonorm import SpaceSpec, build_space, gram_pair_from_matrices, h1_singular_values
 from twonorm.cli import main
-from twonorm.geometry import riemannian_inner_stiefel
+from twonorm.geometry import NormSpec, finsler_norm_stiefel
 from twonorm.group import GroupElement, SkewOperator, frame_unitary
 from twonorm.sampling import random_complex, random_reference, random_span_skew, random_stiefel, rng_for_trial
 from twonorm.space import GridPair, h1_triangle, span_singular_values
@@ -119,7 +119,7 @@ def test_large_grids_build_no_dense_matrix(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_riemannian_inner_product_on_a_large_grid_builds_no_dense_operator(monkeypatch):
+def test_finsler_norm_on_a_large_grid_builds_no_dense_operator(monkeypatch):
     # Span generators at n = 4096: neither the Gram matrices nor the n-by-n
     # tangents X V and Y V are formed.
     def refuse(*args, **kwargs):
@@ -135,11 +135,11 @@ def test_riemannian_inner_product_on_a_large_grid_builds_no_dense_operator(monke
     monkeypatch.setattr(StiefelOperator, "V", property(refuse))
     tracemalloc.start()
     try:
-        value = riemannian_inner_stiefel(X, Y, V)
+        values = [finsler_norm_stiefel(Z, V, NormSpec.schatten(2.0)) for Z in (X, Y)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.isfinite(value)
+    assert all(np.isfinite(value) and value > 0 for value in values)
     assert peak < 4e6  # an n-by-n complex array is 268 MB
 
 

@@ -13,7 +13,7 @@ from twonorm import SpaceSpec, build_space, forward_difference, gram_pair_from_m
 from twonorm import campaigns, geometry, grassmann, sampling, space, stiefel
 from twonorm.cli import main
 from twonorm.config import config_from_mapping
-from twonorm.geometry import CurveSamples, NormSpec, curve_length, distance_upper, exp_curve, schatten_norm
+from twonorm.geometry import NormSpec, curve_length, distance_upper, exp_curve, finsler_norm_stiefel, schatten_norm
 from twonorm.grassmann import psi_section, quotient_radius
 from twonorm.group import GroupElement, SkewOperator, exp_skew, frame_unitary
 from twonorm.sampling import (
@@ -249,7 +249,7 @@ def _strong_scaled(X, size):
 )
 def test_curves_on_the_span_match_the_per_sample_evaluation(kind, n, N, spacing, spec, depth, seed):
     # Frames against exp(tX) V0 built one t at a time, velocities against X F_t,
-    # and the span length against the same curve with its velocities normed one by one.
+    # and the span length against the trapezoid sum of the velocities normed one by one.
     g = _pair(kind, n, spacing)
     rng = rng_for_trial(seed, 0)
     ref = random_reference(rng, g, N)
@@ -262,12 +262,9 @@ def test_curves_on_the_span_match_the_per_sample_evaluation(kind, n, N, spacing,
         assert np.linalg.norm(F - (V0.Phi + D)) <= 1e-12 * np.linalg.norm(D) + EPS * np.linalg.norm(F)
         XF = X.apply(F)
         assert np.linalg.norm(v.L - XF) <= 1e-12 * np.linalg.norm(XF)
-    one_by_one = CurveSamples(curve.ts, curve.frames, curve.velocities)
-    assert one_by_one.span is None
-    dense = curve_length(one_by_one, spec, g)
-    assert abs(curve_length(curve, spec, g) - dense) <= 1e-12 * dense
     norms = [schatten_norm(v, spec, g) for v in curve.velocities]
-    assert abs(dense - sum(0.5 * (a + b) for a, b in zip(norms, norms[1:])) / 8) <= 1e-12 * dense
+    per_sample = sum(0.5 * (a + b) for a, b in zip(norms, norms[1:])) / 8
+    assert abs(curve_length(curve, spec, g) - per_sample) <= 1e-12 * per_sample
 
 
 def test_distance_upper_takes_its_strong_triangles_once_per_curve():
@@ -398,14 +395,15 @@ def test_k_equals_n_blocks_equal_the_span_form_products(kind, rtol):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_riemannian_inner_product_matches_the_dense_trace_pairing(kind):
-    # Re tr[XV (YV)^*] with the strong adjoint, formed from the n-by-n tangents,
-    # for k = n and k = 2N generators.
+    # On the diagonal, ||XV||_2^2 = Re tr[XV (XV)^*] with the strong adjoint,
+    # formed from the n-by-n tangent, for k = n and k = 2N generators.
     g = PAIRS[kind, 16]
+    two = NormSpec.schatten(2.0)
     for seed in range(4):
         rng = rng_for_trial(seed, 0)
         V = random_stiefel(rng, random_reference(rng, g, 2), scale=0.4)
-        for X, Y in ((random_skew(rng, g), random_skew(rng, g)),
-                     (random_span_skew(rng, V.Phi, g), random_span_skew(rng, V.Phi, g))):
-            a, b = X.data @ V.V, Y.data @ V.V
-            dense = np.trace(a @ np.linalg.solve(g.gh1, b.conj().T @ g.gh1)).real
-            assert abs(geometry.riemannian_inner_stiefel(X, Y, V) - dense) <= 1e-12 * abs(dense)
+        for X in (random_skew(rng, g), random_skew(rng, g),
+                  random_span_skew(rng, V.Phi, g), random_span_skew(rng, V.Phi, g)):
+            a = X.data @ V.V
+            dense = np.trace(a @ np.linalg.solve(g.gh1, a.conj().T @ g.gh1)).real
+            assert abs(finsler_norm_stiefel(X, V, two) ** 2 - dense) <= 1e-12 * dense

@@ -24,7 +24,6 @@ from twonorm import (
     section_factors,
     series_tail_bound,
     sqrt_F,
-    tangent_project,
     translated_section,
     tuple_metric,
 )
@@ -342,17 +341,12 @@ def test_translated_section_rejects_far_point():
                 translated_section(V, V0, _turned_off_range(V0, rng_for_trial(seed, 0)))
 
 
-def test_tangent_projection_idempotent(g, V, rng):
-    Y = random_complex(rng, g.n, g.n)
-    E = tangent_project(Y, V)
-    E2 = tangent_project(E, V)
-    assert np.linalg.norm(E2 - E) <= 1e-10 * max(1.0, np.linalg.norm(E))
-
-
-def test_tangent_projection_fixes_generated_vectors(g, V, rng):
+def test_generated_tangents_satisfy_the_frame_identity(g, V, rng):
+    # Z = X V is tangent at V: Phi^H gl2 Z Xi = Phi^H gl2 (X Phi) is skew-Hermitian.
     X = random_skew(rng, g)
-    tangent = X.data @ V.V
-    assert np.linalg.norm(tangent_project(tangent, V) - tangent) <= 1e-10
+    M = V.Phi.conj().T @ g.l2(X.apply(V.Phi))
+    assert np.linalg.norm(M + M.conj().T) <= 1e-12 * max(1.0, np.linalg.norm(M))
+    assert np.linalg.norm(V.Phi.conj().T @ g.gl2 @ (X.data @ V.V) @ V.ref.Xi - M) <= 1e-12
 
 
 def test_lie_split_recombines(g, V, rng):
