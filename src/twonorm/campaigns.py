@@ -7,6 +7,7 @@ reproduces each artifact byte for byte.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import sys
@@ -60,12 +61,7 @@ def run_validate(cfg: RunConfig) -> int:
     results = run_suites(cfg)
     payload = {
         "seed": cfg.seed,
-        "space": {
-            "domain_dim": cfg.space.domain_dim,
-            "grid_points": cfg.space.grid_points,
-            "spacing": cfg.space.spacing,
-            "boundary": cfg.space.boundary,
-        },
+        "space": dataclasses.asdict(cfg.space),
         "subspace_dim": cfg.subspace_dim,
         "trials": cfg.trials,
         "suites": [

@@ -161,11 +161,6 @@ class CurveSamples:
         object.__setattr__(self, "ts", ts)
         object.__setattr__(self, "frames", tuple(np.asarray(F, dtype=np.complex128) for F in self.frames))
 
-    @property
-    def velocities(self) -> tuple:
-        """The velocities as rank-N :class:`LowRank` factors (Q cores[i], gl2 Xi)."""
-        return tuple(LowRank(self.Q @ core, self.ref.dual) for core in self.cores)
-
 
 def exp_curve(V0: StiefelOperator, X: SkewOperator, steps: int) -> CurveSamples:
     """One-parameter curve t -> exp(tX) V0 with its exact velocities.

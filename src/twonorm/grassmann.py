@@ -5,7 +5,8 @@ embeddings share a projection exactly when they differ by a group element
 fixing the reference subspace.  The module provides the quotient map and a
 local section of it, the conjugation action, equivalence testing with an
 explicit block unitary, the commutator map delta_P and the split of the
-algebra into a part commuting with P and an off-diagonal part.
+algebra into a part commuting with P and an off-diagonal part.  Distances and
+sections are taken on the joint span of two range frames, ``group._TwoFrames``.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import numpy as np
 
 from .basis import orthonormal_columns, require_orthonormal, require_weak_projection
 from .errors import NeighborhoodViolation
-from .group import GroupElement, SkewOperator
+from .group import GroupElement, SkewOperator, _TwoFrames
 from .space import GramPair, LowRank, as_operator, h1_operator_norm
-from .stiefel import ReferenceFrame, StiefelOperator, _overlap_rotation, _TwoFrames
+from .stiefel import ReferenceFrame, StiefelOperator
 
 __all__ = [
     "ProjectionOperator",
@@ -129,15 +130,13 @@ def psi_section(P: ProjectionOperator, P1: ProjectionOperator, ref: ReferenceFra
     with U Xi = H, where H is the frame P was built with; the partial
     isometry T1 then tilts range(P) onto range(P1).  The composition is the
     isometric embedding with image frame T1 H = H1 Z Y^H, for the range
-    frame H1 of P1 and the SVD Y diag(s) Z^H of the overlap H^H gl2 H1, and
-    its projection recovers P1.  P1 is gated as in ``section_pi_p``, by the
-    quotient radius and the four contraction bounds on the joint span.
+    frame H1 of P1 and the SVD Y diag(s) Z^H of the overlap H^H gl2 H1 on the
+    joint span, and its projection recovers P1.  P1 is gated as in
+    ``section_pi_p``, by the quotient radius and the four contraction bounds.
     """
     if P.N != ref.N:
         raise ValueError("projection rank and reference width differ")
-    _quotient_span(P, P1).bounds()
-    rot = _overlap_rotation(P.frame.conj().T @ P.g.l2(P1.frame))[2]
-    return StiefelOperator(P1.frame @ rot, ref)
+    return StiefelOperator(P1.frame @ _quotient_span(P, P1).direct_rotation()[1], ref)
 
 
 @dataclass(frozen=True)

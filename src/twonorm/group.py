@@ -3,7 +3,8 @@
 Membership is the quadratic identity U^H gl2 U = gl2; the corresponding
 algebra condition is X^H gl2 + gl2 X = 0.  An element moves the span of a
 weakly orthonormal n-by-k Q, fixes its weak complement and is stored as Q and
-a k-by-k block; dense input is the k = n case Q = gl2^{-1/2}.
+a k-by-k block; dense input is the k = n case Q = gl2^{-1/2}.  The joint span
+of two n-by-N frames, ``_TwoFrames``, is the one kernel of every section.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .basis import canonical_phase, complete_basis, require_orthonormal
-from .errors import MembershipDefect
-from .space import GramPair, as_operator
+from .errors import MembershipDefect, NeighborhoodViolation, RankDeficiency
+from .space import GramPair, as_operator, h1_triangle, span_singular_values
 
 __all__ = [
     "GroupElement",
@@ -31,6 +32,7 @@ __all__ = [
 
 CONSTRUCT_TOL = 1e-8
 RCOND_FLOOR = 1e-12
+RANGE_CUTOFF = 1e-12
 
 
 def membership_residual(A, g: GramPair) -> float:
@@ -188,23 +190,92 @@ def exp_skew(X: SkewOperator) -> GroupElement:
     return OneParameterGroup(X)(1.0)
 
 
-def _joint_span(F0, F1, g: GramPair):
-    """Orthonormal basis Q = [F0, C] of the span of both frames, and beta = Q^H gl2 (F1 - F0).
+class _TwoFrames:
+    """Two orthonormal N-frames F0 and F1 = Q b on their joint span Q = [F0, C], with b = E + beta.
 
-    F1 = Q (E + beta) for E the first N columns of I_k, and beta is as accurate as F1 - F0.
-    The basis is completed on D = F1 - F0 scaled to unit norm, so the drop rule of
-    ``complete_basis`` is relative to the displacement and keeps its small directions.
+    beta = Q^H gl2 (F1 - F0) is as accurate as F1 - F0.  The basis is completed
+    on D = F1 - F0 scaled to unit norm, so the drop rule of ``complete_basis``
+    is relative to the displacement and keeps its small directions.  The weak
+    projections onto the spans are P = Q E E^H (gl2 Q)^H and P1 = Q b b^H (gl2 Q)^H,
+    so a strong norm built from them is that of a k-by-k core between the
+    strong triangles TL and TR of Q and gl2 Q (``space.h1_triangle``), formed on first read.
     """
-    D = F1 - F0
-    scale = np.linalg.norm(D)
-    Q = np.hstack([F0, complete_basis(F0, D / scale if scale > 0 else D, g)])
-    return Q, Q.conj().T @ g.l2(D)
+
+    def __init__(self, F0, F1, g: GramPair):
+        D = F1 - F0
+        scale = np.linalg.norm(D)
+        self.g = g
+        self.Q = np.hstack([F0, complete_basis(F0, D / scale if scale > 0 else D, g)])
+        self.beta = self.Q.conj().T @ g.l2(D)
+        self.E = np.eye(*self.beta.shape, dtype=np.complex128)
+        self.b = self.E + self.beta
+
+    TL = cached_property(lambda self: h1_triangle(self.Q, self.g))
+    TR = cached_property(lambda self: h1_triangle(self.g.l2(self.Q), self.g, right=True))
+
+    @cached_property
+    def projection_distance(self) -> float:
+        """||P1 - P|| in the strong norm; ``section_factors`` does not need it."""
+        return self.conjugation_distance(self.TL, self.TR, self.E, self.beta)
+
+    @staticmethod
+    def conjugation_distance(TL, TR, c0, d) -> float:
+        """Strong norm of U P U^-1 - P on a span Q with strong triangles TL, TR of Q and gl2 Q.
+
+        P's range frame is H = Q c0 and U H - H = D = Q d.  As U^-H gl2 = gl2 U,
+        U P U^-1 - P = D (gl2 H)^H + (H + D)(gl2 D)^H = Q [d, c0 + d][c0, d]^H (gl2 Q)^H.
+        """
+        return float(span_singular_values(TL, TR, np.hstack([d, c0 + d]) @ np.hstack([c0, d]).conj().T)[0])
+
+    def bounds(self) -> tuple:
+        """The contraction bounds, strong norms of P (I - P1) P, P1 (I - P) P1, (I - P) P1 (I - P), (I - P1) P (I - P1).
+
+        All four below one is the domain of the direct rotation's inverse roots
+        and every section's one gate; else NeighborhoodViolation is raised.  As P
+        is idempotent, P (I - P1) P = P - P P1 P and (I - P) P1 (I - P) = (I - P) -
+        (I - P)(I - P1)(I - P).  For P = L L^H, P1 = L1 L1^H and A = L^H L1, the
+        first is L (I - A A^H) L^H and the third G G^H with G = L1 - L A.
+        """
+        inner, outer = [], []
+        for L, L1 in ((self.E, self.b), (self.b, self.E)):
+            A = L.conj().T @ L1
+            inner.append((L @ (np.eye(A.shape[0]) - A @ (L1.conj().T @ L))) @ L.conj().T)
+            G = L1 - L @ A
+            outer.append(G @ G.conj().T)
+        bounds = tuple(float(span_singular_values(self.TL, self.TR, M)[0]) for M in inner + outer)
+        if not max(bounds) < 1.0:
+            raise NeighborhoodViolation(
+                f"contraction bounds {tuple(round(b, 6) for b in bounds)} must stay below 1"
+            )
+        return bounds
+
+    def direct_rotation(self) -> tuple:
+        """The contraction bounds, Z Y^H, tau and the block T - I = [b Z Y^H - E, -tau] (``section_factors``).
+
+        T carries range(P) onto range(P1) and range(I - P) onto range(I - P1),
+        so T P T^-1 = P1, and T = I at P1 = P.  ``bounds`` gates it, and so does
+        RankDeficiency when an eigenvalue s^2 of P P1 P on range(P), for the SVD
+        Y diag(s) Z^H of the overlap I + beta[:N] = F0^H gl2 F1, is below ``RANGE_CUTOFF``.
+        """
+        bounds = self.bounds()
+        N = self.E.shape[1]
+        Y, s, Zh = np.linalg.svd(np.eye(N) + self.beta[:N])
+        if s[-1] ** 2 < RANGE_CUTOFF:
+            raise RankDeficiency(
+                f"restricted operator eigenvalue {s[-1] ** 2:.3e} below cutoff {RANGE_CUTOFF:.1e}"
+            )
+        Z = Zh.conj().T
+        rot = Z @ Y.conj().T
+        KZ = self.beta[N:] @ Z
+        tau = (self.b @ Z / s) @ KZ.conj().T
+        tau[N:] -= (KZ / (s + s * s)) @ KZ.conj().T
+        return bounds, rot, tau, np.hstack([self.b @ rot - self.E, -tau])
 
 
 def frame_unitary(F0, F1, g: GramPair) -> GroupElement:
     """Group element on the joint span Q of two orthonormal N-frames, mapping F0 to F1.
 
-    F1 = Q b with b = E + beta (``_joint_span``).  The last k - N columns of
+    F1 = Q b with b = E + beta (``_TwoFrames``).  The last k - N columns of
     the QR factor of [b, e_(N+1..k)], each with a canonical phase, complete b
     to a unitary u, so nearby frames give an element near the identity; the
     block is u - I, with first N columns beta.
@@ -215,13 +286,13 @@ def frame_unitary(F0, F1, g: GramPair) -> GroupElement:
         raise ValueError(f"frames must share shape ({g.n}, N), got {F0.shape} and {F1.shape}")
     for name, F in (("first", F0), ("second", F1)):
         require_orthonormal(F, g, CONSTRUCT_TOL, f"{name} frame is not orthonormal")
-    Q, beta = _joint_span(F0, F1, g)
-    N, k = F0.shape[1], Q.shape[1]
+    span = _TwoFrames(F0, F1, g)
+    N, k = F0.shape[1], span.Q.shape[1]
     eye_k = np.eye(k, dtype=np.complex128)
-    rest = np.linalg.qr(np.hstack([eye_k[:, :N] + beta, eye_k[:, N:]]))[0][:, N:]
-    B = np.hstack([beta] + [canonical_phase(c)[:, None] for c in rest.T])
+    rest = np.linalg.qr(np.hstack([span.b, eye_k[:, N:]]))[0][:, N:]
+    B = np.hstack([span.beta] + [canonical_phase(c)[:, None] for c in rest.T])
     B[N:, N:] -= eye_k[N:, N:]
-    return GroupElement(Q, B, g)
+    return GroupElement(span.Q, B, g)
 
 
 def algebraic_membership_residual(U, g: GramPair) -> float:

@@ -11,9 +11,9 @@ import numpy as np
 from .basis import orthonormal_columns
 from .errors import ConvergenceFailure, NeighborhoodViolation
 from .grassmann import ProjectionOperator, act_grassmann
-from .group import GroupElement, OneParameterGroup, SkewOperator, exp_skew
+from .group import GroupElement, OneParameterGroup, SkewOperator, _TwoFrames, exp_skew
 from .space import GramPair, h1_triangle, span_singular_values
-from .stiefel import ReferenceFrame, StiefelOperator, _TwoFrames, act
+from .stiefel import ReferenceFrame, StiefelOperator, act
 
 __all__ = [
     "rng_for_trial",

@@ -99,9 +99,9 @@ class GramPair:
     """Pair of Gram matrices (weak, strong), used through its operators.
 
     Invariants: both matrices are Hermitian positive definite and
-    ``gh1 - gl2`` is positive semidefinite.  When gl2 is exactly w I, as on
-    every :func:`build_space` grid, ``l2_weight`` is w and the weak-form
-    routines are scalar operations; otherwise it is None.  ``h1_half`` and
+    ``gh1 - gl2`` is positive semidefinite.  On a :class:`GridPair`, where
+    gl2 = w I, ``l2_weight`` is w and the weak-form routines are scalar
+    operations; a pair of explicit matrices keeps None.  ``h1_half`` and
     ``h1_ihalf`` give strong coordinates W gh1^{+-1/2} F for a unitary W, here I.
     """
 
@@ -131,10 +131,6 @@ class GramPair:
             arr.setflags(write=False)
         object.__setattr__(self, "gl2", gl2)
         object.__setattr__(self, "gh1", gh1)
-        w = gl2[0, 0]
-        # The diagonal is positive, so n nonzeros all equal to w mean gl2 = w I.
-        if np.count_nonzero(gl2) == self.n and np.all(np.diagonal(gl2) == w):
-            object.__setattr__(self, "l2_weight", float(w.real))
 
     # Factorizations are computed once per pair and reused by every operation.
 
@@ -167,15 +163,15 @@ class GramPair:
         return Q is self.__dict__.get("_sqrt_pair_l2", (None, None))[1]
 
     def l2(self, F):
-        """gl2 F, a scaling when gl2 is w I."""
+        """gl2 F, a scaling on a :class:`GridPair`."""
         return self.gl2 @ F if self.l2_weight is None else self.l2_weight * F
 
     def solve_l2(self, B):
-        """gl2^{-1} B, by one dense LU solve unless gl2 is w I."""
+        """gl2^{-1} B, by one dense LU solve except on a :class:`GridPair`."""
         return np.linalg.solve(self.gl2, B) if self.l2_weight is None else B / self.l2_weight
 
     def isqrt_l2_congruence(self, M):
-        """gl2^{-1/2} M gl2^{-1/2}, a scaling when gl2 is w I."""
+        """gl2^{-1/2} M gl2^{-1/2}, a scaling on a :class:`GridPair`."""
         return self.isqrt_l2 @ M @ self.isqrt_l2 if self.l2_weight is None else M / self.l2_weight
 
     def h1(self, F):

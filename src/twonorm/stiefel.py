@@ -6,9 +6,9 @@ and vanish on its weak orthocomplement; equivalently V = Phi Xi^H gl2 for an
 orthonormal image frame Phi.  That frame is the orthonormal N-tuple of the
 frame presentation, so one validated value serves both.  The module provides
 the tuple and operator metrics, the transitive group action, local cross
-sections of that action gated by their contraction bounds, a series square
-root with a rigorous truncation bound, and the split of the algebra
-relative to the image projection.
+sections gated by their contraction bounds and a series square root with a
+rigorous truncation bound, both on ``group._TwoFrames``, and the algebra
+split relative to the image projection.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from .basis import complete_basis, orthonormality_defect, require_orthonormal
-from .errors import ConvergenceFailure, NeighborhoodViolation, RankDeficiency
-from .group import GroupElement, SkewOperator, _joint_span, frame_unitary
+from .errors import ConvergenceFailure
+from .group import GroupElement, SkewOperator, _TwoFrames, frame_unitary
 from .space import GramPair, LowRank, as_operator, h1_operator_norm, h1_triangle, norm_h1, span_singular_values
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
 
 FRAME_TOL = 1e-10
 OPERATOR_TOL = 1e-8
-RANGE_CUTOFF = 1e-12
 METRIC_SLACK = 1e-10
 SERIES_TOL = 1e-10
 SERIES_KMAX = 200_000
@@ -367,7 +366,7 @@ def sqrt_F(V: StiefelOperator, W: StiefelOperator) -> np.ndarray:
     """((I-P)(I-Q)(I-P))^(1/2) for the image projections P of V and Q of W.
 
     On the joint span [Phi, C] of the image frames, with K = C^H gl2 Psi for
-    W's frame Psi (``group._joint_span``), the argument is 0 on range(P),
+    W's frame Psi (``group._TwoFrames``), the argument is 0 on range(P),
     I - K K^H on span C and I beyond.  So the series runs on the block -K K^H,
     the result is I - Phi (gl2 Phi)^H + C (S - I)(gl2 C)^H, and its weak error
     is the block's, below ``SERIES_TOL`` by the term count of ``binomial_sqrt``.
@@ -376,8 +375,8 @@ def sqrt_F(V: StiefelOperator, W: StiefelOperator) -> np.ndarray:
     """
     g = V.g
     N = V.N
-    Q, beta = _joint_span(V.Phi, W.Phi, g)
-    K = beta[N:]
+    span = _TwoFrames(V.Phi, W.Phi, g)
+    Q, K = span.Q, span.beta[N:]
     rho = min(1.0, float(np.linalg.norm(K, 2)) ** 2)
     (S,) = _partial_sums(-K @ K.conj().T, [_series_terms(rho, max(1.0, g.pencil_factor))])
     block = -np.eye(Q.shape[1], dtype=np.complex128)
@@ -402,87 +401,6 @@ def radius_r(V: StiefelOperator) -> float:
     return radius_formula(V.ref.C, V.N, V.h1_norm)
 
 
-def _overlap_rotation(M):
-    """SVD Y diag(s) Z^H of the overlap M = Phi^H gl2 Phi1 of two frames; returns s, Z and Z Y^H.
-
-    s are the cosines of the principal angles between the spans, and on
-    range(P) the eigenvalues of P P1 P are s^2; one below the cutoff signals
-    a breakdown of the neighborhood assumptions.
-    """
-    Y, s, Zh = np.linalg.svd(M)
-    if s[-1] ** 2 < RANGE_CUTOFF:
-        raise RankDeficiency(
-            f"restricted operator eigenvalue {s[-1] ** 2:.3e} below cutoff {RANGE_CUTOFF:.1e}"
-        )
-    Z = Zh.conj().T
-    return s, Z, Z @ Y.conj().T
-
-
-class _TwoFrames:
-    """Two orthonormal N-frames F0 and F1 = Q b on their joint span, with b = E + beta (``group._joint_span``).
-
-    The weak projections onto the spans are P = Q E E^H (gl2 Q)^H and P1 = Q b b^H (gl2 Q)^H,
-    so a strong norm built from them is that of a k-by-k core between the
-    strong triangles TL and TR of Q and gl2 Q (``space.h1_triangle``).
-    """
-
-    def __init__(self, F0, F1, g: GramPair):
-        self.Q, self.beta = _joint_span(F0, F1, g)
-        self.E = np.eye(*self.beta.shape, dtype=np.complex128)
-        self.b = self.E + self.beta
-        self.TL, self.TR = h1_triangle(self.Q, g), h1_triangle(g.l2(self.Q), g, right=True)
-
-    @cached_property
-    def projection_distance(self) -> float:
-        """||P1 - P|| in the strong norm; ``section_factors`` does not need it."""
-        return self.conjugation_distance(self.TL, self.TR, self.E, self.beta)
-
-    @staticmethod
-    def conjugation_distance(TL, TR, c0, d) -> float:
-        """Strong norm of U P U^-1 - P on a span Q with strong triangles TL, TR of Q and gl2 Q.
-
-        P's range frame is H = Q c0 and U H - H = D = Q d.  As U^-H gl2 = gl2 U,
-        U P U^-1 - P = D (gl2 H)^H + (H + D)(gl2 D)^H = Q [d, c0 + d][c0, d]^H (gl2 Q)^H.
-        """
-        return float(span_singular_values(TL, TR, np.hstack([d, c0 + d]) @ np.hstack([c0, d]).conj().T)[0])
-
-    def bounds(self) -> tuple:
-        """The contraction bounds, strong norms of P (I - P1) P, P1 (I - P) P1, (I - P) P1 (I - P), (I - P1) P (I - P1).
-
-        All four below one is the domain of the direct rotation's inverse roots
-        and every section's one gate; else NeighborhoodViolation is raised.  As P
-        is idempotent, P (I - P1) P = P - P P1 P and (I - P) P1 (I - P) = (I - P) -
-        (I - P)(I - P1)(I - P).  For P = L L^H, P1 = L1 L1^H and A = L^H L1, the
-        first is L (I - A A^H) L^H and the third G G^H with G = L1 - L A.
-        """
-        inner, outer = [], []
-        for L, L1 in ((self.E, self.b), (self.b, self.E)):
-            A = L.conj().T @ L1
-            inner.append((L @ (np.eye(A.shape[0]) - A @ (L1.conj().T @ L))) @ L.conj().T)
-            G = L1 - L @ A
-            outer.append(G @ G.conj().T)
-        bounds = tuple(float(span_singular_values(self.TL, self.TR, M)[0]) for M in inner + outer)
-        if not max(bounds) < 1.0:
-            raise NeighborhoodViolation(
-                f"contraction bounds {tuple(round(b, 6) for b in bounds)} must stay below 1"
-            )
-        return bounds
-
-    def direct_rotation(self) -> tuple:
-        """The contraction bounds, Z Y^H, tau and the block T - I = [b Z Y^H - E, -tau] (``section_factors``).
-
-        T carries range(P) onto range(P1) and range(I - P) onto range(I - P1),
-        so T P T^-1 = P1, and T = I at P1 = P.  ``bounds`` gates it.
-        """
-        bounds = self.bounds()
-        N = self.E.shape[1]
-        s, Z, rot = _overlap_rotation(np.eye(N) + self.beta[:N])
-        KZ = self.beta[N:] @ Z
-        tau = (self.b @ Z / s) @ KZ.conj().T
-        tau[N:] -= (KZ / (s + s * s)) @ KZ.conj().T
-        return bounds, rot, tau, np.hstack([self.b @ rot - self.E, -tau])
-
-
 @dataclass(frozen=True)
 class SectionFactors:
     """The cross section, the direct rotation and the correction, with the contraction bounds."""
@@ -501,7 +419,7 @@ def section_factors(V: StiefelOperator, V1: StiefelOperator) -> SectionFactors:
     for the complements, each inverse root taken on the range of its
     projection; with W = I + Phi1 (Y Z^H - I)(gl2 Phi1)^H, sigma = W T maps V
     to V1.  On the joint span Q = [Phi, C], where Phi1 = Q b with b = E + beta
-    (``group._joint_span``), M = I + beta[:N] = Y diag(s) Z^H and K = beta[N:]:
+    (``group._TwoFrames``), M = I + beta[:N] = Y diag(s) Z^H and K = beta[N:]:
 
         T - I = [b Z Y^H - E, -tau],    sigma - I = [beta, -tau],
         tau = b Z diag(1/s) Z^H K^H - (0; K Z diag(1/(s + s^2)) Z^H K^H),

@@ -40,6 +40,7 @@ from .grassmann import (
 )
 from .group import (
     SkewOperator,
+    _TwoFrames,
     algebraic_membership_residual,
     exp_skew,
     frame_unitary,
@@ -77,7 +78,6 @@ from .space import (
 from .stiefel import (
     ReferenceFrame,
     StiefelOperator,
-    _TwoFrames,
     act,
     lie_split_stiefel,
     metric_equivalence_report,

@@ -5,11 +5,9 @@ capture) and then asserts, so a full run reads as a checklist.  Tolerances
 are pinned literals; loosening one is an interface change, not a test fix.
 """
 
-import json
 import sys
 
 import numpy as np
-import pytest
 
 from twonorm import (
     NormSpec,
@@ -17,7 +15,6 @@ from twonorm import (
     ReferenceFrame,
     SkewOperator,
     StiefelOperator,
-    act,
     curve_length,
     delta_p,
     distance_upper,

@@ -149,9 +149,9 @@ def test_curve_velocities_are_factored_and_match_dense(n):
     X = random_skew(rng_for_trial(42, 0), g, scale=0.3)
     curve = exp_curve(V0, X, steps=9)
     assert np.array_equal(curve.frames[0], V0.Phi)
-    for frame, velocity in zip(curve.frames, curve.velocities):
+    for frame, core in zip(curve.frames, curve.cores):
         point = frame @ V0.ref.dual.conj().T
-        assert isinstance(velocity, LowRank)
+        velocity = LowRank(curve.Q @ core, curve.ref.dual)
         assert velocity.L.shape == (n, N)
         for spec in SPECS:
             dense = schatten_norm(X.data @ point, spec, g)

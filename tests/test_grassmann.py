@@ -4,7 +4,6 @@ import pytest
 from twonorm import (
     NeighborhoodViolation,
     ProjectionOperator,
-    SkewOperator,
     SpaceSpec,
     StiefelOperator,
     act_grassmann,

@@ -26,7 +26,7 @@ from twonorm import (
     section_factors,
 )
 from twonorm.grassmann import act_grassmann
-from twonorm.group import OneParameterGroup
+from twonorm.group import OneParameterGroup, _TwoFrames
 from twonorm.sampling import (
     SETUP_TRIAL,
     projection_near,
@@ -39,7 +39,7 @@ from twonorm.sampling import (
     stiefel_near,
 )
 from twonorm.space import adjoint_l2
-from twonorm.stiefel import StiefelOperator, _TwoFrames
+from twonorm.stiefel import StiefelOperator
 
 SPACES = {n: build_space(SpaceSpec(domain_dim=1, grid_points=n, spacing=0.25)) for n in (16, 128)}
 SPECS = (NormSpec.operator(), NormSpec.schatten(1.0), NormSpec.schatten(2.0))

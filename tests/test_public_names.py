@@ -37,6 +37,10 @@ RETIRED = (
     "tangent_project",
     "tangent_project_grassmann",
     "riemannian_inner_stiefel",
+    # The joint span of two frames has one home, group._TwoFrames, whose
+    # direct rotation takes the overlap's SVD.
+    "_joint_span",
+    "_overlap_rotation",
 )
 # Public names with no caller in the package, kept on purpose: the dense entry
 # for Gram matrices that do not come from a grid, the writer of the frame-file
@@ -58,26 +62,59 @@ def test_retired_names_are_gone(module):
     assert [name for name in RETIRED if hasattr(module, name)] == []
 
 
+PACKAGE = Path(twonorm.__file__).parent
+# A caller is a use as a name or an attribute anywhere outside __init__,
+# the defining module included; the re-exports in __init__ do not count.
+USED = {
+    node.id if isinstance(node, ast.Name) else node.attr
+    for path in PACKAGE.glob("*.py")
+    if path.name != "__init__.py"
+    for node in ast.walk(ast.parse(path.read_text()))
+    if isinstance(node, (ast.Name, ast.Attribute))
+}
+
+
 def test_every_public_name_has_a_caller_in_the_package():
-    # A caller is a use as a name or an attribute anywhere outside __init__,
-    # the defining module included; the re-exports in __init__ do not count.
-    package = Path(twonorm.__file__).parent
-    used = {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for path in package.glob("*.py")
-        if path.name != "__init__.py"
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, (ast.Name, ast.Attribute))
-    }
     exported = {
         name
         for module in MODULES[1:]
         if module.__name__ != "twonorm.oracles"
         for name in getattr(module, "__all__", ())
     }
-    assert sorted(exported - used - KEPT) == []
+    assert sorted(exported - USED - KEPT) == []
     # An exemption for a name that has gained a caller, or is gone, is stale.
-    assert sorted(KEPT - (exported - used)) == []
+    assert sorted(KEPT - (exported - USED)) == []
+
+
+def test_every_public_member_of_an_exported_class_has_a_caller_in_the_package():
+    # A method or property counts as reached, as a name does, when its name is used outside __init__.
+    members = {
+        f"{cls.name}.{node.name}"
+        for module in MODULES[1:]
+        for cls in ast.parse(Path(module.__file__).read_text()).body
+        if isinstance(cls, ast.ClassDef) and cls.name in getattr(module, "__all__", ())
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    assert sorted(m for m in members if m.split(".")[1] not in USED) == []
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text())
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_no_module_or_test_imports_a_name_it_does_not_use():
+    # __init__ imports to re-export.
+    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    paths += sorted(Path(__file__).parent.glob("*.py"))
+    assert {p.name: sorted(names) for p in paths if (names := _unused_imports(p))} == {}
 
 
 @pytest.mark.parametrize("owner, name", RETIRED_MEMBERS, ids=lambda x: getattr(x, "__name__", x))

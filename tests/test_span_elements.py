@@ -238,7 +238,7 @@ def test_joint_span_keeps_small_displacements(n):
         setup = rng_for_trial(seed, SETUP_TRIAL)
         V = random_stiefel(setup, random_reference(setup, g, 2), scale=0.4)
         V1, _ = stiefel_near(V, 1e-5 * radius_r(V), rng_for_trial(seed, 0))
-        Q, _ = group._joint_span(V.Phi, V1.Phi, g)
+        Q = group._TwoFrames(V.Phi, V1.Phi, g).Q
         D = V1.Phi - V.Phi
         moved = section_factors(V, V1).sigma.displacement(V.Phi)
         assert Q.shape[1] == 4, seed

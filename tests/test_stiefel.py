@@ -5,7 +5,6 @@ from twonorm import (
     ConvergenceFailure,
     NeighborhoodViolation,
     ReferenceFrame,
-    SkewOperator,
     StiefelOperator,
     act,
     adjoint_l2,

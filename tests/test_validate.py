@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from twonorm import grassmann, stiefel, validate
+from twonorm import grassmann, group, validate
 from twonorm.config import config_from_mapping
 from twonorm.group import OneParameterGroup, SkewOperator
 from twonorm.space import build_space
@@ -147,7 +147,7 @@ def test_grassmann_suite_fails_when_the_direct_rotation_tau_block_is_mutated(mon
     # section_factors shares.  One tau entry moved by 3e-9 sqrt(n) leaves T P
     # T^-1 alone and stays inside the GroupElement constructor's 1e-8, but its
     # form defect, about 4.2e-9, fails the suite's 1e-9 limit.
-    built = stiefel._TwoFrames.direct_rotation
+    built = group._TwoFrames.direct_rotation
 
     def mutated(span):
         bounds, rot, tau, t = built(span)
@@ -155,7 +155,7 @@ def test_grassmann_suite_fails_when_the_direct_rotation_tau_block_is_mutated(mon
         t[0, rot.shape[0]] -= 3e-9 * math.sqrt(span.Q.shape[0])
         return bounds, rot, tau, t
 
-    monkeypatch.setattr(stiefel._TwoFrames, "direct_rotation", mutated)
+    monkeypatch.setattr(group._TwoFrames, "direct_rotation", mutated)
     cfg = config_from_mapping({"seed": 42, "trials": 2, "space": {"grid_points": 16, "spacing": 0.25}})
     rec = _Recorder()
     _grassmann_suite(cfg, build_space(cfg.space), rec)
