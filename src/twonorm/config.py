@@ -77,6 +77,14 @@ def _integer(obj, key: str) -> int:
     return value
 
 
+def _number(obj, key: str) -> float:
+    """The value under key, which must be a JSON number (an integer or a float, not a boolean)."""
+    value = obj.get(key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _space_from_mapping(obj) -> SpaceSpec:
     if not isinstance(obj, dict):
         raise ValueError("space must be a mapping")
@@ -88,7 +96,7 @@ def _space_from_mapping(obj) -> SpaceSpec:
         if key in obj:
             kwargs[key] = _integer(obj, key)
     if "spacing" in obj:
-        kwargs["spacing"] = float(obj["spacing"])
+        kwargs["spacing"] = _number(obj, "spacing")
     if "boundary" in obj:
         kwargs["boundary"] = str(obj["boundary"])
     return SpaceSpec(**kwargs)
@@ -107,10 +115,7 @@ def _norm_from_mapping(obj) -> NormSpec:
             raise ValueError("operator_h1 takes no exponent")
         return NormSpec.operator()
     if kind == "schatten_p":
-        p = obj.get("p")
-        if isinstance(p, str) and p == "inf":
-            p = float("inf")
-        return NormSpec.schatten(float(p))
+        return NormSpec.schatten(float("inf") if obj.get("p") == "inf" else _number(obj, "p"))
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
@@ -130,7 +135,7 @@ def config_from_mapping(obj) -> RunConfig:
         tol = obj["tolerances"]
         if not isinstance(tol, dict):
             raise ValueError("tolerances must be a mapping")
-        kwargs["tolerances"] = {str(k): float(v) for k, v in tol.items()}
+        kwargs["tolerances"] = {str(k): _number(tol, k) for k in tol}
     if "norm" in obj:
         kwargs["norm"] = _norm_from_mapping(obj["norm"])
     if "output_dir" in obj:

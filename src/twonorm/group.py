@@ -3,8 +3,9 @@
 Membership is the quadratic identity U^H gl2 U = gl2; the corresponding
 algebra condition is X^H gl2 + gl2 X = 0.  An element moves the span of a
 weakly orthonormal n-by-k Q, fixes its weak complement and is stored as Q and
-a k-by-k block; dense input is the k = n case Q = gl2^{-1/2}.  The joint span
-of two n-by-N frames, ``_TwoFrames``, is the one kernel of every section.
+a k-by-k block; dense input is the k = n case Q = gl2^{-1/2}.  A span,
+``_Span``, is where strong norms of operators on it are taken, and the joint
+span of two n-by-N frames, ``_TwoFrames``, is the one kernel of every section.
 """
 
 from __future__ import annotations
@@ -190,42 +191,48 @@ def exp_skew(X: SkewOperator) -> GroupElement:
     return OneParameterGroup(X)(1.0)
 
 
-class _TwoFrames:
+class _Span:
+    """A weakly orthonormal n-by-k span Q, on which Q M (gl2 Q)^H has the strong norm of a k-by-k core.
+
+    The core sits between the strong triangles TL and TR of Q and gl2 Q
+    (``space.h1_triangle``), formed on first read.
+    """
+
+    def __init__(self, Q, g: GramPair):
+        self.Q, self.g = Q, g
+
+    TL = cached_property(lambda self: h1_triangle(self.Q, self.g))
+    TR = cached_property(lambda self: h1_triangle(self.g.l2(self.Q), self.g, right=True))
+
+    def conjugation_distance(self, c0, d) -> float:
+        """Strong norm of U P U^-1 - P, for P's range frame H = Q c0 and U H - H = D = Q d.
+
+        As U^-H gl2 = gl2 U, U P U^-1 - P = D (gl2 H)^H + (H + D)(gl2 D)^H = Q [d, c0 + d][c0, d]^H (gl2 Q)^H.
+        """
+        return float(span_singular_values(self.TL, self.TR, np.hstack([d, c0 + d]) @ np.hstack([c0, d]).conj().T)[0])
+
+
+class _TwoFrames(_Span):
     """Two orthonormal N-frames F0 and F1 = Q b on their joint span Q = [F0, C], with b = E + beta.
 
     beta = Q^H gl2 (F1 - F0) is as accurate as F1 - F0.  The basis is completed
     on D = F1 - F0 scaled to unit norm, so the drop rule of ``complete_basis``
     is relative to the displacement and keeps its small directions.  The weak
-    projections onto the spans are P = Q E E^H (gl2 Q)^H and P1 = Q b b^H (gl2 Q)^H,
-    so a strong norm built from them is that of a k-by-k core between the
-    strong triangles TL and TR of Q and gl2 Q (``space.h1_triangle``), formed on first read.
+    projections onto the spans are P = Q E E^H (gl2 Q)^H and P1 = Q b b^H (gl2 Q)^H.
     """
 
     def __init__(self, F0, F1, g: GramPair):
         D = F1 - F0
         scale = np.linalg.norm(D)
-        self.g = g
-        self.Q = np.hstack([F0, complete_basis(F0, D / scale if scale > 0 else D, g)])
+        super().__init__(np.hstack([F0, complete_basis(F0, D / scale if scale > 0 else D, g)]), g)
         self.beta = self.Q.conj().T @ g.l2(D)
         self.E = np.eye(*self.beta.shape, dtype=np.complex128)
         self.b = self.E + self.beta
 
-    TL = cached_property(lambda self: h1_triangle(self.Q, self.g))
-    TR = cached_property(lambda self: h1_triangle(self.g.l2(self.Q), self.g, right=True))
-
     @cached_property
     def projection_distance(self) -> float:
         """||P1 - P|| in the strong norm; ``section_factors`` does not need it."""
-        return self.conjugation_distance(self.TL, self.TR, self.E, self.beta)
-
-    @staticmethod
-    def conjugation_distance(TL, TR, c0, d) -> float:
-        """Strong norm of U P U^-1 - P on a span Q with strong triangles TL, TR of Q and gl2 Q.
-
-        P's range frame is H = Q c0 and U H - H = D = Q d.  As U^-H gl2 = gl2 U,
-        U P U^-1 - P = D (gl2 H)^H + (H + D)(gl2 D)^H = Q [d, c0 + d][c0, d]^H (gl2 Q)^H.
-        """
-        return float(span_singular_values(TL, TR, np.hstack([d, c0 + d]) @ np.hstack([c0, d]).conj().T)[0])
+        return self.conjugation_distance(self.E, self.beta)
 
     def bounds(self) -> tuple:
         """The contraction bounds, strong norms of P (I - P1) P, P1 (I - P) P1, (I - P) P1 (I - P), (I - P1) P (I - P1).

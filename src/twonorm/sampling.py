@@ -11,7 +11,7 @@ import numpy as np
 from .basis import orthonormal_columns
 from .errors import ConvergenceFailure, NeighborhoodViolation
 from .grassmann import ProjectionOperator, act_grassmann
-from .group import GroupElement, OneParameterGroup, SkewOperator, _TwoFrames, exp_skew
+from .group import GroupElement, OneParameterGroup, SkewOperator, _Span, _TwoFrames, exp_skew
 from .space import GramPair, h1_triangle, span_singular_values
 from .stiefel import ReferenceFrame, StiefelOperator, act
 
@@ -127,13 +127,14 @@ def _calibrated_scale(distance_at, target: float) -> float:
     raise ConvergenceFailure("perturbation scale calibration stalled")
 
 
-def _span_perturbation(F, g: GramPair, target: float, scale: float, rng, distance_on) -> GroupElement:
+def _span_perturbation(F, g: GramPair, target: float, scale: float, rng, distance) -> GroupElement:
     """exp(sX) with distance(exp(sX) F - F) = target, for X from ``random_span_skew``.
 
     exp(sX) F - F = Q B(s) c for the span Q and block B(s) of exp(sX) and c = Q^H gl2 F;
-    ``distance_on(Q, c)`` returns the distance as a function of the k-by-N B(s) c,
-    so only the chosen s builds an element.  A target below ``RESOLUTION_FACTOR``
-    machine epsilons of the point's strong norm ``scale`` raises NeighborhoodViolation.
+    ``distance(span, c, d)`` returns the distance for the ``_Span`` of Q and the
+    k-by-N d = B(s) c, so only the chosen s builds an element.  A target below
+    ``RESOLUTION_FACTOR`` machine epsilons of the point's strong norm ``scale``
+    raises NeighborhoodViolation.
     """
     if target <= 0:
         raise ValueError("target distance must be positive")
@@ -144,10 +145,9 @@ def _span_perturbation(F, g: GramPair, target: float, scale: float, rng, distanc
             f"of a point of strong norm {scale:.3e}"
         )
     exp_sX = OneParameterGroup(random_span_skew(rng, F, g))
-    Q = exp_sX.X.Q
-    c = Q.conj().T @ g.l2(F)
-    distance = distance_on(Q, c)
-    return exp_sX(_calibrated_scale(lambda s: distance(exp_sX.block(s) @ c), target))
+    span = _Span(exp_sX.X.Q, g)
+    c = span.Q.conj().T @ g.l2(F)
+    return exp_sX(_calibrated_scale(lambda s: distance(span, c, exp_sX.block(s) @ c), target))
 
 
 def stiefel_near(V: StiefelOperator, target: float, rng) -> tuple[StiefelOperator, float]:
@@ -158,16 +158,12 @@ def stiefel_near(V: StiefelOperator, target: float, rng) -> tuple[StiefelOperato
     ``RESOLUTION_FACTOR`` machine epsilons of ``||V||`` raises
     NeighborhoodViolation.
     """
-    g = V.g
-
-    def distance_on(Q, c):
-        # U V - V = (U Phi - Phi)(gl2 Xi)^H = Q d (gl2 Xi)^H for the coefficient d.
-        TL = h1_triangle(Q, g)
-        return lambda d: float(span_singular_values(TL, V.ref.dual_triangle, d)[0])
-
-    moved = act(_span_perturbation(V.Phi, g, target, V.h1_norm, rng, distance_on), V)
+    g, TR = V.g, V.ref.dual_triangle
+    # U V - V = (U Phi - Phi)(gl2 Xi)^H = Q d (gl2 Xi)^H for the coefficient d.
+    moved = act(_span_perturbation(V.Phi, g, target, V.h1_norm, rng,
+                                   lambda span, _, d: float(span_singular_values(span.TL, TR, d)[0])), V)
     # The norm of point_difference(moved, V), with the reference's cached right triangle.
-    return moved, float(span_singular_values(h1_triangle(moved.Phi - V.Phi, g), V.ref.dual_triangle)[0])
+    return moved, float(span_singular_values(h1_triangle(moved.Phi - V.Phi, g), TR)[0])
 
 
 def projection_near(P: ProjectionOperator, target: float, rng) -> tuple[ProjectionOperator, float]:
@@ -182,12 +178,6 @@ def projection_near(P: ProjectionOperator, target: float, rng) -> tuple[Projecti
         raise NeighborhoodViolation(
             f"the rank-{g.n} projection is the identity; every group element fixes it"
         )
-
-    def distance_on(Q, c0):
-        # On the span, H = Q c0 and U H - H = Q d.
-        TL, TR = h1_triangle(Q, g), h1_triangle(g.l2(Q), g, right=True)
-        return lambda d: _TwoFrames.conjugation_distance(TL, TR, c0, d)
-
     # P = H (gl2 H)^H and U^-H gl2 = gl2 U, so U P U^-1 = (U H)(gl2 U H)^H.
-    moved = act_grassmann(_span_perturbation(H, g, target, P.h1_norm, rng, distance_on), P)
+    moved = act_grassmann(_span_perturbation(H, g, target, P.h1_norm, rng, _Span.conjugation_distance), P)
     return moved, _TwoFrames(H, moved.frame, g).projection_distance

@@ -99,16 +99,15 @@ class GramPair:
     """Pair of Gram matrices (weak, strong), used through its operators.
 
     Invariants: both matrices are Hermitian positive definite and
-    ``gh1 - gl2`` is positive semidefinite.  On a :class:`GridPair`, where
-    gl2 = w I, ``l2_weight`` is w and the weak-form routines are scalar
-    operations; a pair of explicit matrices keeps None.  ``h1_half`` and
-    ``h1_ihalf`` give strong coordinates W gh1^{+-1/2} F for a unitary W, here I.
+    ``gh1 - gl2`` is positive semidefinite.  The weak-form routines are dense
+    products, even when gl2 is w I; a :class:`GridPair` makes them scalings.
+    ``h1_half`` and ``h1_ihalf`` give strong coordinates W gh1^{+-1/2} F for a
+    unitary W, here I.
     """
 
     n: int
     gl2: np.ndarray = field(repr=False)
     gh1: np.ndarray = field(repr=False)
-    l2_weight: float | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         gl2 = as_operator(self.gl2, self.n, "gl2")
@@ -163,16 +162,16 @@ class GramPair:
         return Q is self.__dict__.get("_sqrt_pair_l2", (None, None))[1]
 
     def l2(self, F):
-        """gl2 F, a scaling on a :class:`GridPair`."""
-        return self.gl2 @ F if self.l2_weight is None else self.l2_weight * F
+        """gl2 F."""
+        return self.gl2 @ F
 
     def solve_l2(self, B):
-        """gl2^{-1} B, by one dense LU solve except on a :class:`GridPair`."""
-        return np.linalg.solve(self.gl2, B) if self.l2_weight is None else B / self.l2_weight
+        """gl2^{-1} B, by one dense LU solve."""
+        return np.linalg.solve(self.gl2, B)
 
     def isqrt_l2_congruence(self, M):
-        """gl2^{-1/2} M gl2^{-1/2}, a scaling on a :class:`GridPair`."""
-        return self.isqrt_l2 @ M @ self.isqrt_l2 if self.l2_weight is None else M / self.l2_weight
+        """gl2^{-1/2} M gl2^{-1/2}."""
+        return self.isqrt_l2 @ M @ self.isqrt_l2
 
     def h1(self, F):
         return self.gh1 @ F
@@ -188,10 +187,10 @@ class GramPair:
 
     def to_l2_frame(self, A):
         """Congruence gl2^{1/2} A gl2^{-1/2}; Hermitian iff A is weakly self-adjoint."""
-        return self.sqrt_l2 @ A @ self.isqrt_l2 if self.l2_weight is None else np.array(A)
+        return self.sqrt_l2 @ A @ self.isqrt_l2
 
     def from_l2_frame(self, A):
-        return self.isqrt_l2 @ A @ self.sqrt_l2 if self.l2_weight is None else np.array(A)
+        return self.isqrt_l2 @ A @ self.sqrt_l2
 
     @cached_property
     def pencil_factor(self) -> float:
@@ -240,6 +239,10 @@ class GridPair(GramPair):
     solve_h1 = partialmethod(_apply, power=-1)
     h1_half = partialmethod(_apply, power=0.5, back=False)
     h1_ihalf = partialmethod(_apply, power=-0.5, back=False)
+    # gl2 = w I with w = ``l2_weight``, so the weak form is a scaling: the dense products up to rounding.
+    l2 = lambda self, F: self.l2_weight * F
+    solve_l2 = isqrt_l2_congruence = lambda self, B: B / self.l2_weight
+    to_l2_frame = from_l2_frame = lambda self, A: np.array(A)
 
     @cached_property
     def gl2(self):

@@ -145,6 +145,12 @@ def _setup_point(cfg: RunConfig, g: GramPair, scale: float):
     return setup, ref, random_stiefel(setup, ref, scale=scale)
 
 
+def _run_trials(cfg: RunConfig, body) -> None:
+    """body(rng) on each trial's stream, in a scope of its own, so a trial's values die with it."""
+    for trial in range(cfg.trials):
+        body(rng_for_trial(cfg.seed, trial))
+
+
 def _space_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
     n = g.n
     rec.residual(np.linalg.norm(g.gl2 - g.gl2.conj().T), 1e-12 * np.linalg.norm(g.gl2))
@@ -157,8 +163,7 @@ def _space_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
         np.max(np.abs(two.gh1 - np.array([[3.0, -2.0], [-2.0, 3.0]]))), 1e-12
     )
 
-    for trial in range(cfg.trials):
-        rng = rng_for_trial(cfg.seed, trial)
+    def trial(rng):
         A = random_complex(rng, n, n)
         x = random_complex(rng, n, 1)[:, 0]
         y = random_complex(rng, n, 1)[:, 0]
@@ -174,11 +179,11 @@ def _space_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
             (max(0.0, ratio - opn), opn),
         ):
             rec.residual(value / max(1.0, scale), 1e-9)
+    _run_trials(cfg, trial)
 
 
 def _group_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
-    for trial in range(cfg.trials):
-        rng = rng_for_trial(cfg.seed, trial)
+    def trial(rng):
         X = random_skew(rng, g, scale=1.0)
         rec.residual(skew_residual(X.data, g), 1e-12)
         U = exp_skew(X)
@@ -191,6 +196,7 @@ def _group_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
             np.linalg.norm(U.data @ back.data - np.eye(g.n)), 1e-11 * np.exp(2.0)
         )
         rec.residual(algebraic_membership_residual(U.data, g), 1e-8)
+    _run_trials(cfg, trial)
     drift = np.eye(g.n, dtype=np.complex128)
     drift[0, 0] = 2.0
     rec.require(algebraic_membership_residual(drift, g) > 0.1)
@@ -201,8 +207,7 @@ def _section_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
     P = V.projection
     r = radius_r(V)
     eye = np.eye(g.n, dtype=np.complex128)
-    for trial in range(cfg.trials):
-        rng = rng_for_trial(cfg.seed, trial)
+    def trial(rng):
         frac = 0.1 + 0.8 * rng.random()
         V1, _ = stiefel_near(V, frac * r, rng)
         fac = section_factors(V, V1)
@@ -220,6 +225,7 @@ def _section_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
         rec.residual(np.linalg.norm(t2s @ t2 - (eye - P)), 1e-8 * np.sqrt(g.n))
         rec.residual(np.linalg.norm(t2 @ t2s - (eye - P1)), 1e-8 * np.sqrt(g.n))
         rec.residual(membership_residual(fac.w.data, g), 1e-8)
+    _run_trials(cfg, trial)
     # The section translated along the group still maps base to target.
     mover = rng_for_trial(cfg.seed, SETUP_TRIAL - 1)
     V0 = random_stiefel(mover, ref, scale=0.3)
@@ -235,21 +241,20 @@ def _sqrt_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
     P = V.projection
     eye = np.eye(g.n, dtype=np.complex128)
     r = radius_r(V)
-    for trial in range(cfg.trials):
-        rng = rng_for_trial(cfg.seed, trial)
+    def trial(rng):
         W, _ = stiefel_near(V, (0.1 + 0.6 * rng.random()) * r, rng)
         Q = W.projection
         A = (eye - P) @ (eye - Q) @ (eye - P)
         R = sqrt_F(V, W)
         rec.residual(np.linalg.norm(R @ R - A) / max(1.0, np.linalg.norm(A)), 1e-9)
         rec.residual(np.linalg.norm(R - sqrt_eig(A, g)) / max(1.0, np.linalg.norm(R)), 1e-8)
+    _run_trials(cfg, trial)
 
 
 def _grassmann_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
     setup = rng_for_trial(cfg.seed, SETUP_TRIAL)
     ref = _reference_for(cfg, g, setup)
-    for trial in range(cfg.trials):
-        rng = rng_for_trial(cfg.seed, trial)
+    def trial(rng):
         P = random_projection(rng, g, cfg.subspace_dim)
         radius = quotient_radius(P)
         P1, _ = projection_near(P, (0.1 + 0.5 * rng.random()) * radius, rng)
@@ -299,6 +304,7 @@ def _grassmann_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
         rec.residual(
             np.linalg.norm(sg.data @ V.V), 1e-10 * max(1.0, np.linalg.norm(V.V))
         )
+    _run_trials(cfg, trial)
     # Pairs at half and twice the documented tolerance, from a stream of their own.
     straddle = rng_for_trial(cfg.seed, SETUP_TRIAL - 2)
     V = random_stiefel(straddle, ref, scale=0.4)

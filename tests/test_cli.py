@@ -118,6 +118,23 @@ def test_integer_fields_reject_non_integers(tmp_path, capsys, key, value):
     assert f"{key} must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {"space": {"grid_points": 4, "spacing": "0.25"}},
+        {"space": {"grid_points": 4, "spacing": True}},
+        {"space": {"grid_points": 4}, "tolerances": {"section": "1e-9"}},
+        {"space": {"grid_points": 4}, "norm": {"kind": "schatten_p", "p": True}},
+    ],
+    ids=["string-spacing", "bool-spacing", "string-tolerance", "bool-p"],
+)
+def test_number_fields_reject_strings_and_booleans(tmp_path, capsys, entries):
+    # One trial on a small space keeps the run short should the value be accepted.
+    cfg = write_config(tmp_path, trials=1, **entries)
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert "must be a number" in capsys.readouterr().err
+
+
 def test_load_config_bad_files(tmp_path):
     with pytest.raises(ValueError):
         load_config(str(tmp_path / "absent.json"))

@@ -58,12 +58,19 @@ PAIRS = {(kind, n): _pair(kind, n, 0.25) for kind in KINDS for n in (16, 64)}
 
 
 def test_only_a_grid_pair_has_a_scalar_weak_form():
-    # A pair of explicit matrices keeps the dense products even when gl2 is w I.
+    # A pair of explicit matrices takes the dense products even when gl2 is w I:
+    # with its matrices swapped after the checks, every weak-form result follows them.
+    g = gram_pair_from_matrices(0.25 * np.eye(3), np.eye(3))
+    M = np.diag([1.0, 2.0, 4.0]).astype(np.complex128)
+    object.__setattr__(g, "gl2", M)
+    g.__dict__["_sqrt_pair_l2"] = (M, M)
+    F = np.eye(3)
+    assert np.array_equal(g.l2(F), M)
+    assert np.array_equal(g.solve_l2(F), np.diag([1.0, 0.5, 0.25]))
+    for routed in (g.isqrt_l2_congruence(F), g.to_l2_frame(F), g.from_l2_frame(F)):
+        assert np.array_equal(routed, M @ M)
     assert PAIRS["grid", 16].l2_weight == 0.25
-    assert PAIRS["dense", 16].l2_weight is None
-    assert PAIRS["weighted", 16].l2_weight is None
     assert build_space(SpaceSpec(domain_dim=2, grid_points=4, spacing=0.3)).l2_weight == 0.3**2
-    assert gram_pair_from_matrices(0.25 * np.eye(3), np.eye(3)).l2_weight is None
 
 
 def _triangle_record():
@@ -119,6 +126,42 @@ def test_span_kernel_matches_the_dense_strong_norm(kind, n, N, spacing, depth, s
         floor = 2 * RESOLUTION_FACTOR * EPS * h1_operator_norm(P.factors, g)
         projection_near(P, max(quotient_radius(P) * 10.0**-depth, floor), rng)
     assert len(checked) >= 8
+
+
+@pytest.mark.parametrize("sampler", ["stiefel_near", "projection_near"])
+def test_the_samplers_measure_their_draw_on_the_kernel(sampler):
+    # Each triangle of the draw's span Q (and of gl2 Q for a projection) is
+    # formed once, by group._Span; sampling forms only the returned distance's.
+    g = PAIRS["grid", 16]
+    rng = rng_for_trial(5, 0)
+    ref = random_reference(rng, g, 2)
+    V, P = random_stiefel(rng, ref, scale=0.4), random_projection(rng, g, 2)
+    spans, made = [], []
+
+    def drawn(*args):
+        X = random_span_skew(*args)
+        spans.append(X.Q)
+        return X
+
+    def recorder(module):
+        def recorded(F, g, right=False):
+            made.append((module, right, np.array(F)))
+            return h1_triangle(F, g, right)
+
+        return recorded
+
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.object(sampling, "random_span_skew", drawn))
+        for module in (group, sampling):
+            stack.enter_context(mock.patch.object(module, "h1_triangle", recorder(module)))
+        if sampler == "stiefel_near":
+            stiefel_near(V, 0.1 * radius_r(V), rng)
+        else:
+            projection_near(P, 0.1 * quotient_radius(P), rng)
+    (Q,) = spans
+    factors = [(False, Q)] + ([(True, g.l2(Q))] if sampler == "projection_near" else [])
+    for right, F in factors:
+        assert [m for m, r, G in made if r == right and G.shape == F.shape and np.array_equal(G, F)] == [group]
 
 
 def _agree(factored, dense, scale):
