@@ -93,7 +93,7 @@ def orthonormality_defect(F, g: GramPair) -> float:
 def require_orthonormal(F, g: GramPair, tol: float, message: str) -> None:
     """Raise ValueError(message) unless the defect is within tol * max(1, sqrt(N))."""
     defect = orthonormality_defect(F, g)
-    if defect > tol * max(1.0, math.sqrt(np.shape(F)[1])):
+    if not defect <= tol * max(1.0, math.sqrt(np.shape(F)[1])):
         raise ValueError(f"{message} (defect {defect:.3e})")
 
 
@@ -104,9 +104,9 @@ def require_weak_projection(P, g: GramPair, tol: float, name: str) -> float:
     returned scale max(1, ||P||).
     """
     scale = max(1.0, float(np.linalg.norm(P)))
-    if np.linalg.norm(P @ P - P) > tol * scale:
+    if not np.linalg.norm(P @ P - P) <= tol * scale:
         raise ValueError(f"{name} is not idempotent")
     M = g.to_l2_frame(P)
-    if np.linalg.norm(M - M.conj().T) > tol * scale:
+    if not np.linalg.norm(M - M.conj().T) <= tol * scale:
         raise ValueError(f"{name} is not self-adjoint for the weak product")
     return scale

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -103,19 +104,18 @@ def _space_from_mapping(obj) -> SpaceSpec:
 
 
 def _norm_from_mapping(obj) -> NormSpec:
+    """The norm "operator_h1", {"kind": "operator_h1"} or {"kind": "schatten_p", "p": p or "inf"}."""
+    if obj in ("operator_h1", {"kind": "operator_h1"}):
+        return NormSpec.operator()
     if isinstance(obj, str):
-        if obj == "operator_h1":
-            return NormSpec.operator()
         raise ValueError(f"unknown norm {obj!r}")
     if not isinstance(obj, dict) or set(obj) - {"kind", "p"}:
         raise ValueError("norm must be 'operator_h1' or {kind, p}")
     kind = obj.get("kind")
     if kind == "operator_h1":
-        if "p" in obj:
-            raise ValueError("operator_h1 takes no exponent")
-        return NormSpec.operator()
+        raise ValueError("operator_h1 takes no exponent")
     if kind == "schatten_p":
-        return NormSpec.schatten(float("inf") if obj.get("p") == "inf" else _number(obj, "p"))
+        return NormSpec(math.inf if obj.get("p") == "inf" else _number(obj, "p"))
     raise ValueError(f"unknown norm kind {kind!r}")
 
 

@@ -40,45 +40,36 @@ SANDWICH_SLACK = 1e-10
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Choice of unitarily invariant norm on the strong space.
+    """The Schatten p-norm on the strong space, 1 <= p <= inf.
 
-    kind is "operator_h1" or "schatten_p"; the latter carries an exponent
-    p >= 1, with p = inf agreeing with the operator norm on singular values.
+    p = inf is the strong operator norm, labelled "operator_h1".
     """
 
-    kind: str
-    p: float | None = None
+    p: float
 
     def __post_init__(self):
-        if self.kind not in ("operator_h1", "schatten_p"):
-            raise ValueError(f"unknown norm kind {self.kind!r}")
-        if self.kind == "schatten_p":
-            if self.p is None or not (self.p >= 1):
-                raise ValueError("schatten_p requires an exponent p >= 1")
-        elif self.p is not None:
-            raise ValueError("operator_h1 takes no exponent")
+        if not self.p >= 1:
+            raise ValueError("schatten_p requires an exponent p >= 1")
 
     @property
     def label(self) -> str:
-        if self.kind == "operator_h1":
-            return "operator_h1"
-        if math.isinf(self.p):
-            return "schatten_inf"
         p = self.p
+        if math.isinf(p):
+            return "operator_h1"
         return f"schatten_{int(p)}" if float(p).is_integer() else f"schatten_{p}"
 
     @staticmethod
     def operator() -> "NormSpec":
-        return NormSpec(kind="operator_h1")
+        return NormSpec(math.inf)
 
     @staticmethod
     def schatten(p: float) -> "NormSpec":
-        return NormSpec(kind="schatten_p", p=float(p))
+        return NormSpec(float(p))
 
 
 def _norm_of(sv, spec: NormSpec):
     """The norm prescribed by ``spec`` of descending singular values, along the last axis."""
-    if spec.kind == "operator_h1" or math.isinf(spec.p):
+    if math.isinf(spec.p):
         return sv[..., 0]
     return np.sum(sv ** spec.p, axis=-1) ** (1.0 / spec.p)
 

@@ -69,7 +69,7 @@ class ProjectionOperator:
         P = as_operator(P, g.n, "P")
         require_weak_projection(P, g, PROJECTION_TOL, "operator")
         tr = float(np.trace(P).real)
-        if abs(tr - N) > TRACE_TOL * max(1.0, N):
+        if not abs(tr - N) <= TRACE_TOL * max(1.0, N):
             raise ValueError(f"trace {tr:.6f} does not match declared rank {N}")
         H = orthonormal_columns(P, g)
         if H.shape[1] != N:
@@ -189,16 +189,13 @@ def section_pi_p(P: ProjectionOperator, P1: ProjectionOperator) -> GroupElement:
 
 
 def delta_p(Y, P: ProjectionOperator) -> np.ndarray:
-    """Commutator map Y -> Y P - P Y; cubes back to itself."""
+    """Commutator map Y -> Y P - P Y = (Y H) G^H - H (G^H Y), for P = H G^H; cubes back to itself."""
     Y = as_operator(Y, P.n, "Y")
-    return Y @ P.P - P.P @ Y
+    H, G = P.factors.L, P.factors.R
+    return (Y @ H) @ G.conj().T - H @ (G.conj().T @ Y)
 
 
 def lie_split_grassmann(X: SkewOperator, P: ProjectionOperator) -> tuple[SkewOperator, SkewOperator]:
-    """Split X into a part commuting with P and a purely off-diagonal part."""
-    Pm = P.P
-    eye = np.eye(P.n, dtype=np.complex128)
-    ip = eye - Pm
-    xg = Pm @ X.data @ Pm + ip @ X.data @ ip
-    xh = X.data - xg
-    return SkewOperator.from_matrix(xg, X.g), SkewOperator.from_matrix(xh, X.g)
+    """Split X into a part commuting with P and the off-diagonal part delta_P^2(X) = X P + P X - 2 P X P."""
+    xh = delta_p(delta_p(X.data, P), P)
+    return SkewOperator.from_matrix(X.data - xh, X.g), SkewOperator.from_matrix(xh, X.g)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import orthonormal_columns
-from .errors import ConvergenceFailure, NeighborhoodViolation
+from .errors import ConvergenceFailure, NeighborhoodViolation, RankDeficiency
 from .grassmann import ProjectionOperator, act_grassmann
 from .group import GroupElement, OneParameterGroup, SkewOperator, _Span, _TwoFrames, exp_skew
 from .space import GramPair, h1_triangle, span_singular_values
@@ -80,7 +80,8 @@ def random_reference(rng, g: GramPair, N: int) -> ReferenceFrame:
     M = random_complex(rng, g.n, N)
     Xi = orthonormal_columns(M, g)
     if Xi.shape[1] != N:
-        raise ValueError("sampled columns were linearly dependent")
+        # Weak norms below basis.DROP_TOL (draws on a grid of tiny spacing) are dropped as dependent.
+        raise RankDeficiency("sampled columns were linearly dependent")
     return ReferenceFrame(Xi=Xi, g=g)
 
 

@@ -7,6 +7,8 @@ byte for byte.  All text artifacts use "\\n" line endings.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -39,12 +41,13 @@ def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
         width = len(row)
         entries = []
         for cell in row:
+            # json reads the NaN and Infinity tokens as floats, and a bool is an int.
             if (
                 not isinstance(cell, list)
                 or len(cell) != 2
-                or not all(isinstance(v, (int, float)) for v in cell)
+                or not all(type(v) in (int, float) and math.isfinite(v) for v in cell)
             ):
-                raise ValueError(f"{name} entries must be [re, im] pairs")
+                raise ValueError(f"{name} entries must be finite [re, im] pairs")
             entries.append(complex(cell[0], cell[1]))
         rows.append(entries)
     if width == 0:

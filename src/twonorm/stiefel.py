@@ -124,7 +124,7 @@ class StiefelOperator:
         scale = max(1.0, float(np.linalg.norm(V)))
         iso_defect = orthonormality_defect(Phi, ref.g)
         kernel_defect = np.linalg.norm(Phi @ ref.dual.conj().T - V)
-        if iso_defect > OPERATOR_TOL * scale or kernel_defect > OPERATOR_TOL * scale:
+        if not (iso_defect <= OPERATOR_TOL * scale and kernel_defect <= OPERATOR_TOL * scale):
             raise ValueError(
                 "operator is not an isometric embedding of the reference subspace "
                 f"(isometry defect {iso_defect:.3e}, kernel defect {kernel_defect:.3e})"
@@ -257,10 +257,10 @@ def _validated_series_argument(B, g: GramPair):
     """Check weak self-adjointness and spectrum in [-1, 0]; return eigenvalues."""
     B = as_operator(B, g.n, "B")
     M = g.to_l2_frame(B)
-    if np.linalg.norm(M - M.conj().T) > 1e-8 * max(1.0, np.linalg.norm(M)):
+    if not np.linalg.norm(M - M.conj().T) <= 1e-8 * max(1.0, np.linalg.norm(M)):
         raise ValueError("series argument is not self-adjoint for the weak product")
     lam = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
-    if lam[0] < -1.0 - 1e-10 or lam[-1] > 1e-10:
+    if not (lam[0] >= -1.0 - 1e-10 and lam[-1] <= 1e-10):
         raise ValueError(
             f"series argument has spectrum [{lam[0]:.6e}, {lam[-1]:.6e}] outside [-1, 0]"
         )
@@ -463,15 +463,13 @@ def translated_section(
 
 
 def lie_split_stiefel(X: SkewOperator, P: "ProjectionOperator") -> tuple[SkewOperator, SkewOperator]:
-    """Split X into isotropy and complement parts relative to the projection P.
+    """Split X into isotropy and complement parts relative to the projection P = H G^H.
 
-    The isotropy part (I-P) X (I-P) kills range(P); the complement part has
-    no (I-P)-corner.  Both stay in the algebra and they sum back to X.
+    The isotropy part (I-P) X (I-P) kills range(P); the complement part
+    P X + X P - P X P = H (G^H X) + (X H - H (G^H X H)) G^H has no
+    (I-P)-corner.  Both stay in the algebra and they sum back to X.
     """
-    Pm = P.P
-    eye = np.eye(X.g.n, dtype=np.complex128)
-    ip = eye - Pm
-    xg = ip @ X.data @ ip
-    xh = X.data - xg
-    return SkewOperator.from_matrix(xg, X.g), SkewOperator.from_matrix(xh, X.g)
-
+    H, G = P.factors.L, P.factors.R
+    XH = X.data @ H
+    xh = H @ (G.conj().T @ X.data) + (XH - H @ (G.conj().T @ XH)) @ G.conj().T
+    return SkewOperator.from_matrix(X.data - xh, X.g), SkewOperator.from_matrix(xh, X.g)

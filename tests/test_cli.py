@@ -3,11 +3,12 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from twonorm import GroupElement, LogUnavailable, SpaceSpec, build_space, cli
+from twonorm import GroupElement, LogUnavailable, NormSpec, SpaceSpec, build_space, cli
 from twonorm.basis import orthonormal_columns
 from twonorm import campaigns, config, group, validate
 from twonorm.cli import main
@@ -77,10 +78,12 @@ def test_mapping_parses_norms():
         config_from_mapping({"norm": {"kind": "schatten_p", "p": 1}}).norm.label
         == "schatten_1"
     )
+    # p = inf is the operator norm, whichever way it is spelled.
     assert (
         config_from_mapping({"norm": {"kind": "schatten_p", "p": "inf"}}).norm.label
-        == "schatten_inf"
+        == "operator_h1"
     )
+    assert config_from_mapping({"norm": {"kind": "operator_h1"}}).norm == NormSpec.operator()
     with pytest.raises(ValueError):
         config_from_mapping({"norm": {"kind": "nuclear"}})
     with pytest.raises(ValueError):
@@ -311,6 +314,55 @@ def test_non_orthonormal_frame_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path, frame_file=str(frame))
     assert main(["validate", "--config", cfg]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [[True, False], [float("nan"), 0.0], [float("inf"), 0.0], [0.0, float("-inf")]],
+    ids=["bool", "nan", "inf", "minus-inf"],
+)
+def test_frame_entries_must_be_finite_numbers(tmp_path, capsys, entry):
+    # json reads true as an int and the NaN and Infinity tokens as floats.
+    payload = orthonormal_frame_payload()
+    payload[1][0] = entry
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps(payload))
+    cfg = write_config(tmp_path, trials=1, frame_file=str(frame))
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert "frame entries must be finite [re, im] pairs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "section-demo", "geometry"])
+def test_a_nan_frame_fails_the_orthonormality_gate(tmp_path, capsys, monkeypatch, command):
+    # With a reader that lets NaN through, the frame reaches the weak
+    # orthonormality gate, which must reject it rather than pass it on.
+    def lenient(obj, name):
+        return np.array([[complex(*cell) for cell in row] for row in obj])
+
+    monkeypatch.setattr(config, "matrix_from_json", lenient)
+    payload = orthonormal_frame_payload()
+    payload[1][0] = [float("nan"), 0.0]
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps(payload))
+    cfg = write_config(tmp_path, trials=1, frame_file=str(frame))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "frame file columns are not orthonormal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "section-demo", "geometry"])
+def test_vanishing_draws_are_a_named_numerical_failure(tmp_path, capsys, command):
+    # At spacing 1e-30 a draw has weak norms near 1e-15, below the drop tolerance
+    # of the Gram-Schmidt completion, so the reference sample is rank deficient.
+    cfg = write_config(tmp_path, space={"grid_points": 16, "spacing": 1e-30}, trials=1)
+    out = tmp_path / "run"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "RankDeficiency: sampled columns were linearly dependent" in err
+    assert "configuration error" not in err
+    assert (out / "validate.json").exists() == (command == "validate")
 
 
 @pytest.mark.parametrize("command", ["validate", "section-demo", "geometry"])

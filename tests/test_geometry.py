@@ -34,11 +34,12 @@ from twonorm.sampling import base_point, random_complex, random_skew, random_sti
 def test_norm_spec_labels_and_validation():
     assert NormSpec.operator().label == "operator_h1"
     assert NormSpec.schatten(2.0).label == "schatten_2"
-    assert NormSpec.schatten(float("inf")).label == "schatten_inf"
+    # The operator norm is the Schatten norm at p = inf: one spec, one label.
+    assert NormSpec.schatten(float("inf")) == NormSpec.operator()
     with pytest.raises(ValueError):
         NormSpec.schatten(0.5)
     with pytest.raises(ValueError):
-        NormSpec(kind="frobenius", p=2.0)
+        NormSpec(float("nan"))
 
 
 def test_h1_singular_values_shape(g, rng):

@@ -11,9 +11,11 @@ from twonorm import (
     delta_p,
     exp_skew,
     frame_unitary,
+    gram_pair_from_matrices,
     grassmann_equivalence,
     h1_operator_norm,
     lie_split_grassmann,
+    lie_split_stiefel,
     phi,
     psi_section,
     quotient_radius,
@@ -190,3 +192,40 @@ def test_lie_split_grassmann_structure(g, V, rng):
     ip = np.eye(g.n) - P.P
     assert np.linalg.norm(P.P @ xh.data @ P.P) <= 1e-12
     assert np.linalg.norm(ip @ xh.data @ ip) <= 1e-12
+
+
+def _weighted_pair(n):
+    # A Gram pair that is not a grid: Hermitian positive definite gl2 of condition 10.
+    Q, _ = np.linalg.qr(random_complex(np.random.default_rng(n), n, n))
+    gl2 = (Q * np.logspace(0.0, -1.0, n)) @ Q.conj().T
+    return gram_pair_from_matrices(gl2, 2.0 * gl2 + np.eye(n))
+
+
+PAIRS = {
+    "grid": lambda n: build_space(SpaceSpec(domain_dim=1, grid_points=n, spacing=0.25)),
+    "weighted": _weighted_pair,
+}
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("n", [16, 128])
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+def test_tangent_calculus_agrees_with_the_dense_projection(pair, n, seed):
+    # The routines apply P through its frame; the references form P, I - P and the products densely.
+    g = PAIRS[pair](n)
+    rng = rng_for_trial(seed, 0)
+    P = random_projection(rng, g, 2)
+    Y = random_complex(rng, n, n)
+    X = random_skew(rng, g)
+    Pm, ip, x = P.P, np.eye(n) - P.P, X.data
+
+    def close(value, reference):
+        return np.linalg.norm(value - reference) <= 1e-13 * np.linalg.norm(reference)
+
+    assert close(delta_p(Y, P), Y @ Pm - Pm @ Y)
+    xg, xh = lie_split_grassmann(X, P)
+    assert close(xg.data, Pm @ x @ Pm + ip @ x @ ip)
+    assert close(xh.data, x - (Pm @ x @ Pm + ip @ x @ ip))
+    sg, sh = lie_split_stiefel(X, P)
+    assert close(sg.data, ip @ x @ ip)
+    assert close(sh.data, x - ip @ x @ ip)

@@ -120,3 +120,31 @@ def test_no_module_or_test_imports_a_name_it_does_not_use():
 @pytest.mark.parametrize("owner, name", RETIRED_MEMBERS, ids=lambda x: getattr(x, "__name__", x))
 def test_retired_members_are_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+# Dense operators are read only by the validation campaign and the oracles;
+# every other routine applies a point or a projection through its frame.
+DENSE_ATTRIBUTES = {"P", "projection", "V"}
+
+
+def _dense_readers(path):
+    """The top-level statements and class members of a module that read a dense operator attribute.
+
+    Each is named by its function, method or class, or by its line when it has no name.
+    """
+    tree = ast.parse(path.read_text())
+    units = [(None, node) for node in tree.body if not isinstance(node, ast.ClassDef)]
+    units += [(cls.name, node) for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body]
+    return [
+        ".".join(filter(None, (path.stem, owner, getattr(node, "name", f"line {node.lineno}"))))
+        for owner, node in units
+        if any(
+            isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) and n.attr in DENSE_ATTRIBUTES
+            for n in ast.walk(node)
+        )
+    ]
+
+
+def test_no_library_routine_reads_a_dense_operator():
+    paths = sorted(p for p in PACKAGE.glob("*.py") if p.name not in ("validate.py", "oracles.py"))
+    assert [name for path in paths for name in _dense_readers(path)] == []

@@ -4,6 +4,7 @@ import pytest
 from twonorm import (
     ConvergenceFailure,
     NeighborhoodViolation,
+    ProjectionOperator,
     ReferenceFrame,
     StiefelOperator,
     act,
@@ -357,3 +358,28 @@ def test_lie_split_recombines(g, V, rng):
     assert np.linalg.norm(xg.data @ P.P) <= 1e-12
     assert np.linalg.norm(P.P @ xg.data) <= 1e-12
 
+
+
+def _with_nan(A):
+    A = np.array(A, dtype=np.complex128)
+    A[1, 0] = np.nan
+    return A
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda g, ref, V: ReferenceFrame(_with_nan(ref.Xi), g), "reference frame is not orthonormal"),
+        (lambda g, ref, V: StiefelOperator(_with_nan(V.Phi), ref), "image frame is not orthonormal"),
+        (lambda g, ref, V: StiefelOperator.from_matrix(_with_nan(V.V), ref), "not an isometric embedding"),
+        (lambda g, ref, V: ProjectionOperator(_with_nan(V.Phi), g), "range frame is not orthonormal"),
+        (lambda g, ref, V: ProjectionOperator.from_matrix(_with_nan(phi(V).P), V.N, g), "operator is not idempotent"),
+        (lambda g, ref, V: binomial_sqrt(_with_nan(-0.5 * np.eye(g.n)), g), "not self-adjoint for the weak product"),
+    ],
+    ids=["ReferenceFrame", "StiefelOperator", "StiefelOperator.from_matrix", "ProjectionOperator",
+         "ProjectionOperator.from_matrix", "binomial_sqrt"],
+)
+def test_construction_gates_reject_nan(g, ref, V, build, message):
+    # A gate written value > limit would pass NaN, since every comparison with NaN is false.
+    with pytest.raises(ValueError, match=message):
+        build(g, ref, V)
