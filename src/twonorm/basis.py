@@ -85,9 +85,13 @@ def orthonormal_columns(M, g: GramPair):
 
 
 def orthonormality_defect(F, g: GramPair) -> float:
-    """Frobenius norm of F^H gl2 F - I; zero iff the columns are weakly orthonormal."""
+    """Frobenius norm of F^H gl2 F - I; zero iff the columns are weakly orthonormal.
+
+    Entries too large for their Gram matrix give an infinite or NaN defect, with no warning.
+    """
     F = np.asarray(F, dtype=np.complex128)
-    return float(np.linalg.norm(F.conj().T @ g.l2(F) - np.eye(F.shape[1])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(F.conj().T @ g.l2(F) - np.eye(F.shape[1])))
 
 
 def require_orthonormal(F, g: GramPair, tol: float, message: str) -> None:

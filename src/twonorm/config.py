@@ -79,11 +79,14 @@ def _integer(obj, key: str) -> int:
 
 
 def _number(obj, key: str) -> float:
-    """The value under key, which must be a JSON number (an integer or a float, not a boolean)."""
+    """The value under key, which must be a JSON number (an integer or a float, not a boolean) a float can hold."""
     value = obj.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{key} must be a number a float can hold") from None
 
 
 def _space_from_mapping(obj) -> SpaceSpec:

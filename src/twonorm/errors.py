@@ -13,10 +13,6 @@ class RankDeficiency(TwoNormError):
     """A restricted operator has an eigenvalue below the trusted cutoff."""
 
 
-class LogUnavailable(TwoNormError):
-    """The principal logarithm is not defined for the given group element."""
-
-
 class ConvergenceFailure(TwoNormError):
     """An iterative routine exhausted its budget before reaching tolerance."""
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, LogUnavailable
+from .errors import ConvergenceFailure
 from .group import GroupElement, OneParameterGroup, SkewOperator, frame_unitary
-from .space import GramPair, LowRank, h1_operator_norm, h1_singular_values, h1_triangle, span_singular_values
+from .space import GramPair, LowRank, h1_singular_values, h1_triangle, span_singular_values
 from .stiefel import ReferenceFrame, StiefelOperator, point_difference
 
 __all__ = [
@@ -186,20 +186,25 @@ def curve_length(c: CurveSamples, spec: NormSpec, g: GramPair) -> float:
     return float(total)
 
 
-def group_log(U: GroupElement) -> SkewOperator:
-    """Principal logarithm of a group element near the identity, on the same span.
+# Eigenphases within this many rounding units of -pi are taken at +pi, so
+# every eigenvalue at -1 lands on one branch.
+_BRANCH_ULPS = 64
 
-    With I + B unitary, H = -i B (2I + B)^{-1} is Hermitian and
-    log(I + B) = 2 atanh(iH) = W diag(2i arctan mu) W^H for H = W diag(mu) W^H
-    (Higham 2008, ch. 11), relatively accurate when B is small.  Requires
-    ||U - I|| = ||Q B (gl2 Q)^H|| < 1 in the strong norm, which keeps 2I + B
-    well conditioned; the result is checked to lie in the Lie algebra.
+
+def group_log(U: GroupElement) -> SkewOperator:
+    """Principal logarithm of a group element, on the same span.
+
+    The block u = I + B is unitary, so for B = W diag(mu) W^-1 its eigenvalues
+    1 + mu have phases theta = atan2(Im mu, 1 + Re mu) in (-pi, pi] and
+    log u = W diag(i theta) W^-1 (Higham 2008, ch. 11).  Decomposing B rather
+    than I + B keeps elements near the identity relatively accurate.  A phase
+    at -pi to rounding is taken at +pi, and the result is made exactly skew.
     """
-    if h1_operator_norm(LowRank(U.Q @ U.B, U.g.l2(U.Q)), U.g) >= 1.0:
-        raise LogUnavailable("element is too far from the identity for the principal logarithm")
-    H = -1j * np.linalg.solve(2.0 * np.eye(U.B.shape[0]) + U.B, U.B)
-    mu, W = np.linalg.eigh(0.5 * (H + H.conj().T))
-    return SkewOperator(U.Q, (W * (2j * np.arctan(mu))) @ W.conj().T, U.g)
+    mu, W = np.linalg.eig(U.B)
+    theta = np.arctan2(mu.imag, 1.0 + mu.real)
+    theta[theta <= _BRANCH_ULPS * np.finfo(float).eps - np.pi] += 2.0 * np.pi
+    L = (W * (1j * theta)) @ np.linalg.inv(W)
+    return SkewOperator(U.Q, 0.5 * (L - L.conj().T), U.g)
 
 
 def distance_upper(
@@ -209,8 +214,7 @@ def distance_upper(
 
     A group element carrying V0 to V1 is built from their image frames, its
     principal logarithm generates the one-parameter curve, and the trapezoid
-    length of that curve is returned.  Raises LogUnavailable when the
-    connecting element is too far from the identity.
+    length of that curve is returned.
     """
     g = V0.g
     curve = exp_curve(V0, group_log(frame_unitary(V0.Phi, V1.Phi, g)), steps)

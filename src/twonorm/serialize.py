@@ -41,12 +41,15 @@ def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
         width = len(row)
         entries = []
         for cell in row:
-            # json reads the NaN and Infinity tokens as floats, and a bool is an int.
-            if (
-                not isinstance(cell, list)
-                or len(cell) != 2
-                or not all(type(v) in (int, float) and math.isfinite(v) for v in cell)
-            ):
+            # json reads the NaN and Infinity tokens as floats, a bool is an int,
+            # and isfinite overflows on an integer beyond the float range.
+            try:
+                ok = isinstance(cell, list) and len(cell) == 2 and all(
+                    type(v) in (int, float) and math.isfinite(v) for v in cell
+                )
+            except OverflowError:
+                ok = False
+            if not ok:
                 raise ValueError(f"{name} entries must be finite [re, im] pairs")
             entries.append(complex(cell[0], cell[1]))
         rows.append(entries)

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from twonorm import GroupElement, LogUnavailable, NormSpec, SpaceSpec, build_space, cli
+from twonorm import ConvergenceFailure, GroupElement, NormSpec, SpaceSpec, build_space, cli
 from twonorm.basis import orthonormal_columns
 from twonorm import campaigns, config, group, validate
 from twonorm.cli import main
@@ -136,6 +136,43 @@ def test_number_fields_reject_strings_and_booleans(tmp_path, capsys, entries):
     cfg = write_config(tmp_path, trials=1, **entries)
     assert main(["validate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
     assert "must be a number" in capsys.readouterr().err
+
+
+HUGE = 10**400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {"space": {"grid_points": 4, "spacing": HUGE}},
+        {"space": {"grid_points": 4}, "tolerances": {"section": HUGE}},
+        {"space": {"grid_points": 4}, "norm": {"kind": "schatten_p", "p": HUGE}},
+        {"frame": [HUGE, 0]},
+    ],
+    ids=["spacing", "tolerance", "p", "frame-entry"],
+)
+def test_integers_beyond_the_float_range_are_configuration_errors(tmp_path, capsys, entries):
+    if "frame" in entries:
+        payload = orthonormal_frame_payload()
+        payload[1][0] = entries.pop("frame")
+        frame = tmp_path / "frame.json"
+        frame.write_text(json.dumps(payload))
+        entries["frame_file"] = str(frame)
+    cfg = write_config(tmp_path, trials=1, **entries)
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+
+
+def test_a_frame_too_large_for_its_gram_matrix_is_rejected_without_warnings(tmp_path, capsys):
+    # Entries of 1e200 overflow F^H gl2 F; under the RuntimeWarning filter a warning fails this test.
+    payload = orthonormal_frame_payload()
+    payload[0][0], payload[1][1] = [1e200, 0.0], [-1e200, 1e200]
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps(payload))
+    cfg = write_config(tmp_path, trials=1, frame_file=str(frame))
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert "frame file columns are not orthonormal" in capsys.readouterr().err
 
 
 def test_load_config_bad_files(tmp_path):
@@ -487,12 +524,11 @@ def test_validate_writes_report_when_a_suite_raises(tmp_path, capsys):
     assert report["all_passed"] is False
 
 
-def test_validate_records_unavailable_log_and_writes_report(tmp_path, capsys, monkeypatch):
-    # A round trip that leaves the domain of the principal logarithm is one
-    # failed check, not an abort.  The suite's generators have strong norm 0.2,
-    # inside that domain at every spacing, so the log is made to refuse here.
+def test_validate_records_a_raising_log_and_writes_report(tmp_path, capsys, monkeypatch):
+    # A package error inside the geometry suite fails that suite, not the run.
+    # The principal logarithm is defined on the whole group, so it is made to raise here.
     def refuse(U):
-        raise LogUnavailable("probe")
+        raise ConvergenceFailure("probe")
 
     monkeypatch.setattr(validate, "group_log", refuse)
     cfg = write_config(tmp_path, subspace_dim=1, space={"grid_points": 2}, trials=10)

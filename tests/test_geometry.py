@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from twonorm import (
     CurveSamples,
     GroupElement,
-    LogUnavailable,
+    LowRank,
     NormSpec,
     ReferenceFrame,
     SkewOperator,
@@ -25,10 +25,23 @@ from twonorm import (
     norm_sandwich_check,
     phi,
     schatten_norm,
+    SpaceSpec,
+    build_space,
+    frame_unitary,
     skew_residual,
 )
 from twonorm import geometry
-from twonorm.sampling import base_point, random_complex, random_skew, random_stiefel, rng_for_trial
+from twonorm.basis import orthonormal_columns
+from twonorm.sampling import (
+    SETUP_TRIAL,
+    base_point,
+    random_complex,
+    random_reference,
+    random_skew,
+    random_span_skew,
+    random_stiefel,
+    rng_for_trial,
+)
 
 
 def test_norm_spec_labels_and_validation():
@@ -170,9 +183,67 @@ def test_group_log_inverts_exponential(g, rng):
     assert skew_residual(Y.data, g) <= 1e-8
 
 
-def test_group_log_refuses_far_elements(g):
-    with pytest.raises(LogUnavailable):
-        group_log(GroupElement.from_matrix(-np.eye(g.n), g))
+def _span(g, k, seed):
+    """A weakly orthonormal n-by-k span drawn on the stream of the given trial."""
+    return orthonormal_columns(random_complex(rng_for_trial(42, seed), g.n, k), g)
+
+
+def _unitary(k, seed):
+    return np.linalg.qr(random_complex(rng_for_trial(43, seed), k, k))[0]
+
+
+def test_group_log_of_minus_identity_is_i_pi_on_its_span(g):
+    # -I exactly, and -I reached from below as the block exp(-i pi) - 1, whose
+    # eigenphases round to -pi: both take the +pi branch.
+    Q = _span(g, 3, 0)
+    for U in (GroupElement.from_matrix(-np.eye(g.n), g), GroupElement(Q, (np.exp(-1j * np.pi) - 1.0) * np.eye(3), g)):
+        X = group_log(U)
+        k = X.S.shape[0]
+        assert X.Q is U.Q
+        assert np.linalg.norm(X.S - 1j * np.pi * np.eye(k)) <= 1e-14 * k
+        assert np.linalg.norm(exp_skew(X).B + 2.0 * np.eye(k)) <= 1e-14 * k
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_group_log_keeps_a_repeated_phase_at_pi_on_one_branch(g, seed):
+    # Phases {pi, pi, theta} in a random eigenbasis, with the repeated
+    # eigenvalue at -1 built as exp(i pi) and exp(-i pi), so rounding puts it
+    # on both sides of the branch cut.
+    theta = 2.0 * np.pi * (seed / 5.0 - 0.4)
+    W = _unitary(3, seed)
+    u = (W * np.exp(1j * np.array([np.pi, -np.pi, theta]))) @ W.conj().T
+    U = GroupElement(_span(g, 3, seed), u - np.eye(3), g)
+    X = group_log(U)
+    assert np.abs(np.linalg.eigvalsh(-1j * X.S) - np.sort([np.pi, np.pi, theta])).max() <= 1e-14
+    assert np.linalg.norm(exp_skew(X).B - U.B) <= 1e-14
+
+
+@pytest.mark.parametrize("size", [1e-12, 1e-6, 1e-2, 1.0])
+def test_group_log_round_trip_is_relatively_accurate_near_the_identity(g, size):
+    for trial in range(10):
+        X = random_span_skew(rng_for_trial(42, trial), _span(g, 2, trial), g)
+        X = SkewOperator(X.Q, X.S * (size / np.linalg.norm(X.S)), g)
+        assert np.linalg.norm(group_log(exp_skew(X)).S - X.S) <= 1e-13 * size
+
+
+def _end_point_miss(V0, V1):
+    """Relative weak miss of exp(log U) V0 from V1, for U = frame_unitary(V0, V1)."""
+    end = exp_curve(V0, group_log(frame_unitary(V0.Phi, V1.Phi, V0.g)), 2).frames[-1]
+    return LowRank(end - V1.Phi, V1.ref.dual).frobenius_norm() / V1.factors.frobenius_norm()
+
+
+@pytest.mark.parametrize("n", [16, 128])
+def test_connecting_curves_reach_every_pair(n):
+    # Random pairs at block scales 0.3 to 16, and the far pair -V0.
+    g = build_space(SpaceSpec(domain_dim=1, grid_points=n, spacing=0.25))
+    ref = random_reference(rng_for_trial(42, SETUP_TRIAL), g, 2)
+    misses = []
+    for trial in range(100):
+        rng = rng_for_trial(42, trial)
+        V0 = random_stiefel(rng, ref, scale=0.3)
+        misses.append(_end_point_miss(V0, random_stiefel(rng, ref, scale=rng.uniform(0.3, 16.0))))
+    misses.append(_end_point_miss(V0, StiefelOperator(-V0.Phi, ref)))
+    assert max(misses) <= 1e-14
 
 
 def test_distance_upper_bounds_chord(g, ref, rng):

@@ -41,6 +41,8 @@ RETIRED = (
     # direct rotation takes the overlap's SVD.
     "_joint_span",
     "_overlap_rotation",
+    # The principal logarithm is defined on the whole group.
+    "LogUnavailable",
 )
 # Public names with no caller in the package, kept on purpose: the dense entry
 # for Gram matrices that do not come from a grid, the writer of the frame-file
@@ -84,6 +86,19 @@ def test_every_public_name_has_a_caller_in_the_package():
     assert sorted(exported - USED - KEPT) == []
     # An exemption for a name that has gained a caller, or is gone, is stale.
     assert sorted(KEPT - (exported - USED)) == []
+
+
+def test_every_error_but_the_base_is_raised_in_the_package():
+    # A retired failure mode must not linger as a type that is caught but never raised.
+    errors = {node.name for node in ast.parse((PACKAGE / "errors.py").read_text()).body if isinstance(node, ast.ClassDef)}
+    raised = {
+        getattr(exc, "id", getattr(exc, "attr", None))
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise) and node.exc is not None
+        for exc in [node.exc.func if isinstance(node.exc, ast.Call) else node.exc]
+    }
+    assert sorted(errors - raised - {"TwoNormError"}) == []
 
 
 def test_every_public_member_of_an_exported_class_has_a_caller_in_the_package():
