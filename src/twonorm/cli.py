@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 on success, 1 when a campaign detects a failed check, 2 for
-configuration or usage errors.
+Exit codes: 0 on success, 1 when a campaign detects a failed check or runs
+out of memory, 2 for configuration or usage errors.
 """
 
 from __future__ import annotations
@@ -64,6 +64,9 @@ def main(argv=None) -> int:
         return int(runner(cfg))
     except TwoNormError as exc:
         print(f"twonorm: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy raises a private subclass; name the public one
+        print(f"twonorm: MemoryError: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"twonorm: configuration error: {exc}", file=sys.stderr)

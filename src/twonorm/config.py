@@ -159,7 +159,7 @@ def load_config(path: str) -> RunConfig:
     cfg = config_from_mapping(obj)
     if cfg.frame_file is not None:  # a bad file fails here, before any campaign work
         msg = "frame file columns are not orthonormal for the weak product"
-        require_orthonormal(load_frame_matrix(cfg), build_space(cfg.space), 1e-10, msg)
+        require_orthonormal(load_frame_matrix(cfg), build_space(cfg.space), msg)
     return cfg
 
 

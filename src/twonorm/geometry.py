@@ -22,7 +22,6 @@ from .stiefel import ReferenceFrame, StiefelOperator, point_difference
 
 __all__ = [
     "NormSpec",
-    "h1_singular_values",
     "schatten_norm",
     "SandwichReport",
     "norm_sandwich_check",

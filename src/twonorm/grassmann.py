@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import orthonormal_columns, require_orthonormal, require_weak_projection
+from .basis import FRAME_TOL, orthonormal_columns, require_orthonormal
 from .errors import NeighborhoodViolation
 from .group import GroupElement, SkewOperator, _TwoFrames
 from .space import GramPair, LowRank, as_operator, h1_operator_norm
@@ -35,7 +35,6 @@ __all__ = [
     "lie_split_grassmann",
 ]
 
-PROJECTION_TOL = 1e-10
 TRACE_TOL = 1e-8
 EQUIVALENCE_TOL = 1e-8
 
@@ -55,7 +54,7 @@ class ProjectionOperator:
         H = np.asarray(self.frame, dtype=np.complex128)
         if H.ndim != 2 or H.shape[0] != self.g.n or H.shape[1] < 1:
             raise ValueError(f"range frame must be n-by-N with N >= 1, got {H.shape}")
-        require_orthonormal(H, self.g, PROJECTION_TOL, "range frame is not orthonormal")
+        require_orthonormal(H, self.g, "range frame is not orthonormal")
         H.setflags(write=False)
         object.__setattr__(self, "frame", H)
 
@@ -63,11 +62,18 @@ class ProjectionOperator:
     def from_matrix(cls, P, N: int, g: GramPair) -> "ProjectionOperator":
         """Validate a dense projection of declared rank N; keep a deterministic range frame.
 
-        The frame is the pivoted Gram-Schmidt basis of the columns of P, each
-        with a canonical phase, so equal input gives an equal frame.
+        P must be idempotent and weakly self-adjoint, each defect within
+        FRAME_TOL max(1, ||P||_F).  The frame is the pivoted Gram-Schmidt basis
+        of the columns of P, each with a canonical phase, so equal input gives
+        an equal frame.
         """
         P = as_operator(P, g.n, "P")
-        require_weak_projection(P, g, PROJECTION_TOL, "operator")
+        tol = FRAME_TOL * max(1.0, float(np.linalg.norm(P)))
+        if not np.linalg.norm(P @ P - P) <= tol:
+            raise ValueError("operator is not idempotent")
+        M = g.to_l2_frame(P)
+        if not np.linalg.norm(M - M.conj().T) <= tol:
+            raise ValueError("operator is not self-adjoint for the weak product")
         tr = float(np.trace(P).real)
         if not abs(tr - N) <= TRACE_TOL * max(1.0, N):
             raise ValueError(f"trace {tr:.6f} does not match declared rank {N}")

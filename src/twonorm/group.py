@@ -67,7 +67,7 @@ def _span_form(element, block: str, defect, identity: str) -> None:
     if Q.ndim != 2 or Q.shape[0] != g.n or M.shape != (Q.shape[1],) * 2:
         raise ValueError(f"need an {g.n}-by-k span and a k-by-k block, got {Q.shape} and {M.shape}")
     if not g.is_isqrt_l2(Q):
-        require_orthonormal(Q, g, CONSTRUCT_TOL, "span is not orthonormal")
+        require_orthonormal(Q, g, "span is not orthonormal")
     res = float(np.linalg.norm(defect(M)) / math.sqrt(g.n))
     if not res <= CONSTRUCT_TOL:
         raise MembershipDefect(f"{identity} residual {res:.3e} exceeds tolerance {CONSTRUCT_TOL:.1e}")
@@ -292,7 +292,7 @@ def frame_unitary(F0, F1, g: GramPair) -> GroupElement:
     if F0.shape != F1.shape or F0.ndim != 2 or F0.shape[0] != g.n:
         raise ValueError(f"frames must share shape ({g.n}, N), got {F0.shape} and {F1.shape}")
     for name, F in (("first", F0), ("second", F1)):
-        require_orthonormal(F, g, CONSTRUCT_TOL, f"{name} frame is not orthonormal")
+        require_orthonormal(F, g, f"{name} frame is not orthonormal")
     span = _TwoFrames(F0, F1, g)
     N, k = F0.shape[1], span.Q.shape[1]
     eye_k = np.eye(k, dtype=np.complex128)
@@ -308,12 +308,14 @@ def algebraic_membership_residual(U, g: GramPair) -> float:
     The value is sup |<U*2 U phi, phi> - 1| over weakly normalized phi, where
     U*2 is the weak adjoint; for members the adjoint equals the inverse, so
     it vanishes up to rounding.  The supremum is exactly the largest
-    |eigenvalue| of the Hermitian gl2^{-1/2} (U^H gl2 U - gl2) gl2^{-1/2}.
+    |eigenvalue| of the Hermitian gl2^{-1/2} (U^H gl2 U - gl2) gl2^{-1/2} = M^H M - I
+    for M = gl2^{1/2} U gl2^{-1/2}.
     """
     U = as_operator(U, g.n, "U")
     sv = np.linalg.svd(U, compute_uv=False)
     if sv[-1] <= RCOND_FLOOR * max(sv[0], 1.0):
         raise ValueError("element is numerically singular")
-    D = g.isqrt_l2_congruence(U.conj().T @ g.l2(U) - g.gl2)
+    M = g.to_l2_frame(U)
+    D = M.conj().T @ M - np.eye(g.n)
     lam = np.linalg.eigvalsh(0.5 * (D + D.conj().T))
     return float(np.max(np.abs(lam)))

@@ -48,13 +48,13 @@ def random_complex(rng, rows: int, cols: int) -> np.ndarray:
 
 
 def random_skew(rng, g: GramPair, scale: float = 1.0) -> SkewOperator:
-    """Random skew X with k = n block gl2^{-1/2} (A - A^H) gl2^{-1/2} of Frobenius norm ``scale``.
+    """Random skew X with k = n block A - A^H scaled to Frobenius norm ``scale``.
 
-    On build_space grids gl2 is a multiple of I, so that is also ||X||_F and
-    the congruence is a scaling; no solve and no from_matrix are involved.
+    On build_space grids gl2 is a multiple of I, so that is also ||X||_F;
+    no solve and no from_matrix are involved.
     """
     A = random_complex(rng, g.n, g.n)
-    S = g.isqrt_l2_congruence(A - A.conj().T)
+    S = A - A.conj().T
     nrm = np.linalg.norm(S)
     if nrm > 0:
         S = S * (scale / nrm)

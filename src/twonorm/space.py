@@ -169,10 +169,6 @@ class GramPair:
         """gl2^{-1} B, by one dense LU solve."""
         return np.linalg.solve(self.gl2, B)
 
-    def isqrt_l2_congruence(self, M):
-        """gl2^{-1/2} M gl2^{-1/2}."""
-        return self.isqrt_l2 @ M @ self.isqrt_l2
-
     def h1(self, F):
         return self.gh1 @ F
 
@@ -241,7 +237,7 @@ class GridPair(GramPair):
     h1_ihalf = partialmethod(_apply, power=-0.5, back=False)
     # gl2 = w I with w = ``l2_weight``, so the weak form is a scaling: the dense products up to rounding.
     l2 = lambda self, F: self.l2_weight * F
-    solve_l2 = isqrt_l2_congruence = lambda self, B: B / self.l2_weight
+    solve_l2 = lambda self, B: B / self.l2_weight
     to_l2_frame = from_l2_frame = lambda self, A: np.array(A)
 
     @cached_property

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import complete_basis, orthonormality_defect, require_orthonormal
+from .basis import complete_basis, require_orthonormal
 from .errors import ConvergenceFailure
 from .group import GroupElement, SkewOperator, _TwoFrames, frame_unitary
 from .space import GramPair, LowRank, as_operator, h1_operator_norm, h1_triangle, norm_h1, span_singular_values
@@ -35,7 +35,6 @@ __all__ = [
     "act",
     "projection_lipschitz_report",
     "binomial_coefficients",
-    "binomial_sqrt",
     "binomial_sqrt_truncated",
     "series_tail_bound",
     "sqrt_F",
@@ -47,7 +46,6 @@ __all__ = [
     "lie_split_stiefel",
 ]
 
-FRAME_TOL = 1e-10
 OPERATOR_TOL = 1e-8
 METRIC_SLACK = 1e-10
 SERIES_TOL = 1e-10
@@ -70,7 +68,7 @@ class ReferenceFrame:
         Xi = np.asarray(self.Xi, dtype=np.complex128)
         if Xi.ndim != 2 or Xi.shape[0] != self.g.n or Xi.shape[1] < 1:
             raise ValueError(f"reference frame must be n-by-N with N >= 1, got {Xi.shape}")
-        require_orthonormal(Xi, self.g, FRAME_TOL, "reference frame is not orthonormal")
+        require_orthonormal(Xi, self.g, "reference frame is not orthonormal")
         Xi.setflags(write=False)
         object.__setattr__(self, "Xi", Xi)
         object.__setattr__(self, "C", max(norm_h1(Xi[:, i], self.g) for i in range(Xi.shape[1])))
@@ -112,7 +110,7 @@ class StiefelOperator:
         Phi = np.asarray(self.Phi, dtype=np.complex128)
         if Phi.shape != self.ref.Xi.shape:
             raise ValueError(f"image frame must have shape {self.ref.Xi.shape}, got {Phi.shape}")
-        require_orthonormal(Phi, self.ref.g, OPERATOR_TOL, "image frame is not orthonormal")
+        require_orthonormal(Phi, self.ref.g, "image frame is not orthonormal")
         Phi.setflags(write=False)
         object.__setattr__(self, "Phi", Phi)
 
@@ -121,13 +119,10 @@ class StiefelOperator:
         """Validate a dense operator as an isometric embedding of S; keep its frame V Xi."""
         V = as_operator(V, ref.n, "V")
         Phi = V @ ref.Xi
-        scale = max(1.0, float(np.linalg.norm(V)))
-        iso_defect = orthonormality_defect(Phi, ref.g)
         kernel_defect = np.linalg.norm(Phi @ ref.dual.conj().T - V)
-        if not (iso_defect <= OPERATOR_TOL * scale and kernel_defect <= OPERATOR_TOL * scale):
+        if not kernel_defect <= OPERATOR_TOL * max(1.0, float(np.linalg.norm(V))):
             raise ValueError(
-                "operator is not an isometric embedding of the reference subspace "
-                f"(isometry defect {iso_defect:.3e}, kernel defect {kernel_defect:.3e})"
+                f"operator is not an isometric embedding of the reference subspace (kernel defect {kernel_defect:.3e})"
             )
         return cls(Phi, ref)
 
@@ -149,11 +144,6 @@ class StiefelOperator:
     @property
     def N(self) -> int:
         return self.ref.N
-
-    @cached_property
-    def projection(self) -> np.ndarray:
-        """Weak orthogonal projection V V*2 = Phi (gl2 Phi)^H onto the image subspace."""
-        return self.Phi @ self.g.l2(self.Phi).conj().T
 
     @property
     def factors(self) -> LowRank:
@@ -223,7 +213,7 @@ class LipschitzReport:
 
     @property
     def ok(self) -> bool:
-        return self.lhs <= self.bound + 1e-10
+        return self.lhs <= self.bound + METRIC_SLACK
 
 
 def projection_lipschitz_report(V1: StiefelOperator, V2: StiefelOperator) -> LipschitzReport:
@@ -251,20 +241,6 @@ def binomial_coefficients(count: int) -> np.ndarray:
     if count < 1:
         raise ValueError("count must be positive")
     return np.fromiter(itertools.islice(_coefficient_stream(), count), float, count)
-
-
-def _validated_series_argument(B, g: GramPair):
-    """Check weak self-adjointness and spectrum in [-1, 0]; return eigenvalues."""
-    B = as_operator(B, g.n, "B")
-    M = g.to_l2_frame(B)
-    if not np.linalg.norm(M - M.conj().T) <= 1e-8 * max(1.0, np.linalg.norm(M)):
-        raise ValueError("series argument is not self-adjoint for the weak product")
-    lam = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
-    if not (lam[0] >= -1.0 - 1e-10 and lam[-1] <= 1e-10):
-        raise ValueError(
-            f"series argument has spectrum [{lam[0]:.6e}, {lam[-1]:.6e}] outside [-1, 0]"
-        )
-    return B, lam
 
 
 def _partial_sums(Bw, counts) -> list[np.ndarray]:
@@ -319,33 +295,23 @@ def _series_terms(rho: float, amp: float) -> int:
     )
 
 
-def binomial_sqrt(B, g: GramPair) -> np.ndarray:
-    """Square root of I + B by the binomial series, for -I <= B <= 0 weakly.
-
-    The truncation error after s terms is a scalar function of the weakly
-    self-adjoint argument, so its weak norm is at most the scalar tail
-    sum_(k>s) |c_k| rho^k on the spectrum, with rho the weak spectral radius;
-    switching to the strong norm costs the Gram pencil factor.  The series
-    stops at the first s whose geometric majorant of that tail, the value
-    ``series_tail_bound`` reports, is below ``SERIES_TOL``.  At rho = 1 the
-    majorant is infinite and ConvergenceFailure is raised at once.
-    """
-    B, lam = _validated_series_argument(B, g)
-    rho = min(1.0, float(np.max(np.abs(lam))))
-    (total,) = _partial_sums(B, [_series_terms(rho, max(1.0, g.pencil_factor))])
-    return total
-
-
 def binomial_sqrt_truncated(B, g: GramPair, terms) -> list[np.ndarray]:
-    """Plain partial sums of the series after each of the given term counts.
+    """Plain partial sums of the series of (I + B)^(1/2) after each of the given term counts.
 
-    ``terms`` is a strictly increasing sequence of positive counts; one pass
-    of the series up to the last count yields every requested partial sum.
+    B must be weakly self-adjoint with spectrum in [-1, 0].  ``terms`` is a
+    strictly increasing sequence of positive counts; one pass of the series
+    up to the last count yields every requested partial sum.
     """
     terms = tuple(terms)
     if not terms or terms[0] < 1 or any(b <= a for a, b in zip(terms, terms[1:])):
         raise ValueError(f"terms must be strictly increasing positive counts, got {terms}")
-    B, _ = _validated_series_argument(B, g)
+    B = as_operator(B, g.n, "B")
+    M = g.to_l2_frame(B)
+    if not np.linalg.norm(M - M.conj().T) <= 1e-8 * max(1.0, np.linalg.norm(M)):
+        raise ValueError("series argument is not self-adjoint for the weak product")
+    lam = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
+    if not (lam[0] >= -1.0 - 1e-10 and lam[-1] <= 1e-10):
+        raise ValueError(f"series argument has spectrum [{lam[0]:.6e}, {lam[-1]:.6e}] outside [-1, 0]")
     return _partial_sums(B, terms)
 
 
@@ -369,9 +335,13 @@ def sqrt_F(V: StiefelOperator, W: StiefelOperator) -> np.ndarray:
     W's frame Psi (``group._TwoFrames``), the argument is 0 on range(P),
     I - K K^H on span C and I beyond.  So the series runs on the block -K K^H,
     the result is I - Phi (gl2 Phi)^H + C (S - I)(gl2 C)^H, and its weak error
-    is the block's, below ``SERIES_TOL`` by the term count of ``binomial_sqrt``.
-    The radius ||K||_2^2 is the largest squared sine of the principal angles
-    between the images; at 1 ConvergenceFailure is raised.
+    is the block's.  That error is a scalar function of the Hermitian block, so
+    its weak norm is at most the scalar tail sum_(k>s) |c_k| rho^k on the
+    spectrum, and the strong norm costs the Gram pencil factor.  The series
+    stops at the first s whose geometric majorant of that tail, the value
+    ``series_tail_bound`` reports, is below ``SERIES_TOL``.  The radius
+    rho = ||K||_2^2 is the largest squared sine of the principal angles between
+    the images; at 1 the majorant is infinite and ConvergenceFailure is raised.
     """
     g = V.g
     N = V.N

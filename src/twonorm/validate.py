@@ -204,14 +204,14 @@ def _group_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
 
 def _section_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
     _, ref, V = _setup_point(cfg, g, 0.4)
-    P = V.projection
+    P = phi(V).P
     r = radius_r(V)
     eye = np.eye(g.n, dtype=np.complex128)
     def trial(rng):
         frac = 0.1 + 0.8 * rng.random()
         V1, _ = stiefel_near(V, frac * r, rng)
         fac = section_factors(V, V1)
-        P1 = V1.projection
+        P1 = phi(V1).P
         rec.residual(
             np.linalg.norm(fac.sigma.data @ V.V - V1.V), 1e-9 * np.linalg.norm(V1.V)
         )
@@ -238,12 +238,12 @@ def _section_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
 
 def _sqrt_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
     V = _setup_point(cfg, g, 0.4)[2]
-    P = V.projection
+    P = phi(V).P
     eye = np.eye(g.n, dtype=np.complex128)
     r = radius_r(V)
     def trial(rng):
         W, _ = stiefel_near(V, (0.1 + 0.6 * rng.random()) * r, rng)
-        Q = W.projection
+        Q = phi(W).P
         A = (eye - P) @ (eye - Q) @ (eye - P)
         R = sqrt_F(V, W)
         rec.residual(np.linalg.norm(R @ R - A) / max(1.0, np.linalg.norm(A)), 1e-9)

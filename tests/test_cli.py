@@ -471,6 +471,17 @@ def test_calibration_stall_exits_one(tmp_path, capsys, monkeypatch):
     assert "configuration error" not in err
 
 
+def test_an_allocation_failure_exits_one_on_one_line(tmp_path, capsys, monkeypatch):
+    # A campaign too large for memory is a named failure, not a traceback.
+    def runner(cfg):
+        raise MemoryError("Unable to allocate 14.6 TiB for an array with shape (1000000, 1000000)")
+
+    monkeypatch.setitem(cli._COMMANDS, "validate", (runner, "probe"))
+    assert main(["validate", "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err == "twonorm: MemoryError: Unable to allocate 14.6 TiB for an array with shape (1000000, 1000000)\n"
+
+
 def test_nearly_full_subspace_validates(tmp_path, capsys):
     # N = 15 of n = 16 puts the safe radius near 5e-10; the perturbations
     # still calibrate and every suite passes.

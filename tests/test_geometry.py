@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twonorm import (
+    ConvergenceFailure,
     CurveSamples,
     GroupElement,
     LowRank,
@@ -255,6 +256,23 @@ def test_distance_upper_bounds_chord(g, ref, rng):
     upper = distance_upper(V0, V1, spec)
     chord = h1_operator_norm(V1.V - V0.V, g)
     assert chord <= upper + 1e-6
+
+
+def test_distance_upper_refuses_a_curve_that_misses_the_target(ref, rng, monkeypatch):
+    # A generator 1% too long carries V0 past V1; the end-point check names the miss.
+    V0 = random_stiefel(rng, ref, scale=0.3)
+    V1 = random_stiefel(rng, ref, scale=0.3)
+    spec = NormSpec.schatten(2.0)
+    distance_upper(V0, V1, spec)
+    principal = geometry.group_log
+
+    def overshoot(U):
+        X = principal(U)
+        return SkewOperator(X.Q, 1.01 * X.S, X.g)
+
+    monkeypatch.setattr(geometry, "group_log", overshoot)
+    with pytest.raises(ConvergenceFailure, match="does not reach the target point"):
+        distance_upper(V0, V1, spec)
 
 
 def test_distance_upper_recovers_rotation(g_flat):

@@ -104,7 +104,7 @@ def test_low_rank_rejects_mismatched_factors(g):
 def test_factors_rebuild_their_operators(g, V, rng):
     assert np.linalg.norm(_dense(V.factors) - V.V) <= TOL * np.linalg.norm(V.V)
     VV2 = V.V @ adjoint_l2(V.V, g)
-    assert np.linalg.norm(V.projection - VV2) <= TOL * np.linalg.norm(VV2)
+    assert np.linalg.norm(phi(V).P - VV2) <= TOL * np.linalg.norm(VV2)
     P = random_projection(rng, g, N)
     assert np.linalg.norm(_dense(P.factors) - P.P) <= TOL * np.linalg.norm(P.P)
     W = random_stiefel(rng, V.ref, scale=0.4)
@@ -143,7 +143,7 @@ def test_stiefel_call_sites_match_dense(pair):
     assert radius_r(V) == pytest.approx(radius_formula(ref.C, N, scale), rel=TOL)
     _agree(h1_operator_norm(point_difference(V1, V), g), h1_operator_norm(V1.V - V.V, g), scale)
 
-    P, P1 = V.projection, V1.projection
+    P, P1 = phi(V).P, phi(V1).P
     ip, ip1 = np.eye(g.n) - P, np.eye(g.n) - P1
     dense_bounds = (P - P @ P1 @ P, P1 - P1 @ P @ P1, ip - ip @ ip1 @ ip, ip1 - ip1 @ ip @ ip1)
     pscale = h1_operator_norm(P, g) ** 3

@@ -44,6 +44,36 @@ def test_calibration_raises_when_it_stalls():
         _calibrated_scale(lambda s: 0.505, 0.5)
 
 
+def test_calibration_doubles_the_scale_while_the_distance_vanishes():
+    # The distance is 0 below s = 0.3: each such evaluation doubles the scale,
+    # and the proportional update then lands on the target.
+    calls = []
+
+    def distance(s):
+        calls.append(s)
+        return s if s >= 0.3 else 0.0
+
+    assert _calibrated_scale(distance, 0.4) == pytest.approx(0.4, rel=1e-9)
+    assert calls[:2] == [0.25, 0.5]
+    # A distance that never leaves 0 doubles the scale past its cap.
+    with pytest.raises(ConvergenceFailure, match="cannot reach"):
+        _calibrated_scale(lambda s: 0.0, 0.4)
+
+
+def test_calibration_falls_back_to_the_closest_scale():
+    # Every evaluation misses the target by more than CALIBRATION_TOL but
+    # within 1e-6 of it; once the evaluations run out, the scale with the
+    # smallest gap is returned, here the third one.
+    calls = []
+
+    def distance(s):
+        calls.append(s)
+        return 0.5 * (1.0 + (2e-8 if len(calls) == 3 else 1e-7))
+
+    assert _calibrated_scale(distance, 0.5) == calls[2]
+    assert len(calls) == 60 and len(set(calls)) == 60
+
+
 @pytest.mark.parametrize("n", [16, 128])
 def test_tiny_targets_calibrate(n):
     # The distance is measured on the frame displacement exp(sX) F - F, which

@@ -12,10 +12,10 @@ from twonorm import (
     ConvergenceFailure,
     SpaceSpec,
     StiefelOperator,
-    binomial_sqrt,
     binomial_sqrt_truncated,
     build_space,
     h1_operator_norm,
+    phi,
     radius_r,
     series_tail_bound,
     sqrt_F,
@@ -32,7 +32,7 @@ SPACES = {
     144: build_space(SpaceSpec(domain_dim=2, grid_points=12, spacing=0.25)),
 }
 # Traced peaks of the one-term-per-product loop this evaluator replaced, in
-# n-by-n complex arrays at n = 144 (binomial_sqrt, binomial_sqrt_truncated).
+# n-by-n complex arrays at n = 144 (one automatic term count, the counts of BENCH_TERMS).
 PLAIN_LOOP_PEAKS = (3.4, 8.0)
 
 
@@ -83,7 +83,8 @@ def test_binomial_sqrt_near_unit_radius_agrees_with_oracle():
     rho = 0.999
     assert _series_terms(rho, max(1.0, g.pencil_factor)) > 1000
     B = _argument(g, rho, seed=3)
-    err = h1_operator_norm(binomial_sqrt(B, g) - sqrt_eig(np.eye(g.n) + B, g), g)
+    (R,) = binomial_sqrt_truncated(B, g, [_series_terms(rho, max(1.0, g.pencil_factor))])
+    err = h1_operator_norm(R - sqrt_eig(np.eye(g.n) + B, g), g)
     assert err <= SERIES_TOL
 
 
@@ -129,7 +130,8 @@ def test_series_memory_does_not_grow_with_the_degree(rho):
     array = g.n * g.n * 16
     extra = SERIES_BLOCK + 2
     sqrt_peak, truncated_peak = PLAIN_LOOP_PEAKS
-    assert _traced_peak(lambda: binomial_sqrt(B, g)) <= (sqrt_peak + extra) * array
+    terms = [_series_terms(rho, max(1.0, g.pencil_factor))]
+    assert _traced_peak(lambda: binomial_sqrt_truncated(B, g, terms)) <= (sqrt_peak + extra) * array
     assert _traced_peak(lambda: binomial_sqrt_truncated(B, g, BENCH_TERMS)) <= (truncated_peak + extra) * array
 
 
@@ -156,11 +158,11 @@ def test_sqrt_f_matches_oracle_on_equal_near_and_far_pairs(n, N, kind, fraction,
     V, W = _pair(n, N, kind, fraction, seed)
     g = V.g
     eye = np.eye(g.n)
-    ip = eye - V.projection
-    exact = sqrt_eig(ip @ (eye - W.projection) @ ip, g)
+    ip = eye - phi(V).P
+    exact = sqrt_eig(ip @ (eye - phi(W).P) @ ip, g)
     R = sqrt_F(V, W)
     assert h1_operator_norm(R - exact, g) <= SERIES_TOL + 1e-12 * max(1.0, h1_operator_norm(exact, g))
-    assert np.linalg.norm(R @ V.projection) <= 1e-12
+    assert np.linalg.norm(R @ phi(V).P) <= 1e-12
 
 
 def test_sqrt_f_builds_no_dense_array_but_its_result():

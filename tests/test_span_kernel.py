@@ -67,7 +67,7 @@ def test_only_a_grid_pair_has_a_scalar_weak_form():
     F = np.eye(3)
     assert np.array_equal(g.l2(F), M)
     assert np.array_equal(g.solve_l2(F), np.diag([1.0, 0.5, 0.25]))
-    for routed in (g.isqrt_l2_congruence(F), g.to_l2_frame(F), g.from_l2_frame(F)):
+    for routed in (g.to_l2_frame(F), g.from_l2_frame(F)):
         assert np.array_equal(routed, M @ M)
     assert PAIRS["grid", 16].l2_weight == 0.25
     assert build_space(SpaceSpec(domain_dim=2, grid_points=4, spacing=0.3)).l2_weight == 0.3**2
@@ -394,10 +394,10 @@ def test_translated_section_applies_the_inverse_on_the_frame(n, monkeypatch):
 
 
 def _span_form_products(g, seed):
-    """random_skew's block, X, exp(X), its inverse and the congruence: span products Q M (gl2 Q)^H, then the pair's."""
+    """random_skew's block, X, exp(X) and its inverse: span products Q M (gl2 Q)^H, then the pair's."""
     Q = g.isqrt_l2
     A = random_complex(rng_for_trial(seed, 0), g.n, g.n)
-    S = Q @ (A - A.conj().T) @ Q
+    S = A - A.conj().T
     S = S / np.linalg.norm(S)
     X = random_skew(rng_for_trial(seed, 0), g)
     U = exp_skew(X)
@@ -407,9 +407,8 @@ def _span_form_products(g, seed):
         "X": (Q @ X.S) @ (g.gl2 @ Q).conj().T,
         "data": eye + (Q @ U.B) @ (g.gl2 @ Q).conj().T,
         "inv": eye + (Q @ U.B.conj().T) @ (g.gl2 @ Q).conj().T,
-        "congruence": Q @ A @ Q,
     }
-    routed = {"block": X.S, "X": X.data, "data": U.data, "inv": U.inv, "congruence": g.isqrt_l2_congruence(A)}
+    routed = {"block": X.S, "X": X.data, "data": U.data, "inv": U.inv}
     return reference, routed
 
 

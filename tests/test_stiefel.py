@@ -9,7 +9,6 @@ from twonorm import (
     StiefelOperator,
     act,
     adjoint_l2,
-    binomial_sqrt,
     binomial_sqrt_truncated,
     exp_skew,
     frame_unitary,
@@ -29,7 +28,7 @@ from twonorm import (
 )
 from twonorm.basis import complete_basis
 from twonorm.oracles import pinv_on_range, sqrt_eig
-from twonorm.stiefel import binomial_coefficients
+from twonorm.stiefel import _series_terms, binomial_coefficients
 from twonorm.sampling import (
     SETUP_TRIAL,
     base_point,
@@ -118,39 +117,47 @@ def test_binomial_coefficients_frozen():
     assert np.allclose(c, [0.5, -0.125, 0.0625, -0.0390625], atol=1e-15)
 
 
-def test_binomial_sqrt_closed_form(g):
+def _rank_one_projection(g, i):
     v = np.zeros(g.n, dtype=np.complex128)
-    v[0] = 1.0
+    v[i] = 1.0
     v /= np.sqrt((v.conj() @ g.gl2 @ v).real)
-    P = np.outer(v, v.conj()) @ g.gl2
-    R = binomial_sqrt(-0.75 * P, g)
+    return np.outer(v, v.conj()) @ g.gl2
+
+
+def _series_at_radius(B, g, rho):
+    """The series at the term count that ``sqrt_F`` takes for weak spectral radius rho."""
+    (R,) = binomial_sqrt_truncated(B, g, [_series_terms(rho, max(1.0, g.pencil_factor))])
+    return R
+
+
+def test_binomial_sqrt_closed_form(g):
+    P = _rank_one_projection(g, 0)
+    R = _series_at_radius(-0.75 * P, g, 0.75)
     assert np.linalg.norm(R - (np.eye(g.n) - 0.5 * P)) <= 1e-9
 
 
 def test_binomial_sqrt_rejects_bad_spectrum(g):
     with pytest.raises(ValueError):
-        binomial_sqrt(0.5 * np.eye(g.n), g)
+        binomial_sqrt_truncated(0.5 * np.eye(g.n), g, [1])
     with pytest.raises(ValueError):
-        binomial_sqrt(-1.5 * np.eye(g.n), g)
+        binomial_sqrt_truncated(-1.5 * np.eye(g.n), g, [1])
 
 
 def test_binomial_sqrt_deflates_known_kernel(g, V):
     # I - P has an exact kernel on range(P), where the plain series would
     # crawl; sqrt_F leaves it out of the block the series runs on.
     R = sqrt_F(V, V)
-    assert np.linalg.norm(R - (np.eye(g.n) - V.projection)) <= 1e-13
+    assert np.linalg.norm(R - (np.eye(g.n) - phi(V).P)) <= 1e-13
     assert np.linalg.norm(R @ V.Phi) <= 1e-13
 
 
 def test_binomial_sqrt_at_spectral_radius_one_names_it(g):
     # -P has weak spectral radius 1: the tail bound decays like 1/sqrt(s)
     # and cannot reach the tolerance within kmax terms.
-    v = np.zeros(g.n, dtype=np.complex128)
-    v[2] = 1.0
-    v /= np.sqrt((v.conj() @ g.gl2 @ v).real)
-    P = np.outer(v, v.conj()) @ g.gl2
+    P = _rank_one_projection(g, 2)
+    rho = float(np.max(np.abs(np.linalg.eigvalsh(g.to_l2_frame(-P)))))
     with pytest.raises(ConvergenceFailure, match="spectral radius 1"):
-        binomial_sqrt(-P, g)
+        _series_at_radius(-P, g, min(1.0, rho))
 
 
 def test_truncated_series_first_order(g):
@@ -165,7 +172,7 @@ def test_truncated_series_one_pass_matches_single_counts(g, V, rng):
     B = g.from_l2_frame(-0.8 * M / float(np.linalg.eigvalsh(M)[-1]))
     # The second counts end inside top blocks and share full blocks below them.
     for counts in ((1, 4, 8, 16), (3, 8, 20, 24, 40, 129)):
-        for B_ in (B, -0.5 * V.projection):
+        for B_ in (B, -0.5 * phi(V).P):
             sums = binomial_sqrt_truncated(B_, g, counts)
             assert len(sums) == len(counts)
             for s, total in zip(counts, sums):
@@ -208,12 +215,12 @@ def test_sqrt_f_matches_oracle(g, ref, rng):
     W = random_stiefel(rng, ref, scale=0.4)
     R = sqrt_F(V, W)
     eye = np.eye(g.n)
-    ip = eye - V.projection
-    arg = ip @ (eye - W.projection) @ ip
+    ip = eye - phi(V).P
+    arg = ip @ (eye - phi(W).P) @ ip
     assert np.linalg.norm(R @ R - arg) <= 1e-9
     assert np.linalg.norm(R - sqrt_eig(arg, g)) <= 1e-8
     # Exactly zero on the image of V by construction.
-    assert np.linalg.norm(R @ V.projection) <= 1e-12
+    assert np.linalg.norm(R @ phi(V).P) <= 1e-12
 
 
 def test_radius_formula_frozen_values():
@@ -240,8 +247,8 @@ def test_section_reproduces_target(g, V, rng):
 def test_section_partial_isometries(g, V, rng):
     V1, _ = stiefel_near(V, 0.25 * radius_r(V), rng)
     fac = section_factors(V, V1)
-    P = V.projection
-    P1 = V1.projection
+    P = phi(V).P
+    P1 = phi(V1).P
     ip = np.eye(g.n) - P
     # T1 = T P maps range(P) isometrically onto range(P1), T2 = T (I - P) the complements.
     t1, t2 = fac.t.data @ P, fac.t.data @ ip
@@ -264,7 +271,7 @@ def test_section_factors_match_restricted_inverse_roots(n, frac):
     V1, _ = stiefel_near(V, frac * radius_r(V), rng_for_trial(42, 1))
     fac = section_factors(V, V1)
     eye = np.eye(n)
-    P, P1 = V.projection, V1.projection
+    P, P1 = phi(V).P, phi(V1).P
     ip, ip1 = eye - P, eye - P1
     t1 = P1 @ pinv_on_range(P, sqrt_eig(P @ P1 @ P, g), g)
     t2 = ip1 @ pinv_on_range(ip, sqrt_eig(ip @ ip1 @ ip, g), g)
@@ -374,10 +381,11 @@ def _with_nan(A):
         (lambda g, ref, V: StiefelOperator.from_matrix(_with_nan(V.V), ref), "not an isometric embedding"),
         (lambda g, ref, V: ProjectionOperator(_with_nan(V.Phi), g), "range frame is not orthonormal"),
         (lambda g, ref, V: ProjectionOperator.from_matrix(_with_nan(phi(V).P), V.N, g), "operator is not idempotent"),
-        (lambda g, ref, V: binomial_sqrt(_with_nan(-0.5 * np.eye(g.n)), g), "not self-adjoint for the weak product"),
+        (lambda g, ref, V: binomial_sqrt_truncated(_with_nan(-0.5 * np.eye(g.n)), g, [1]),
+         "not self-adjoint for the weak product"),
     ],
     ids=["ReferenceFrame", "StiefelOperator", "StiefelOperator.from_matrix", "ProjectionOperator",
-         "ProjectionOperator.from_matrix", "binomial_sqrt"],
+         "ProjectionOperator.from_matrix", "binomial_sqrt_truncated"],
 )
 def test_construction_gates_reject_nan(g, ref, V, build, message):
     # A gate written value > limit would pass NaN, since every comparison with NaN is false.
