@@ -14,17 +14,18 @@ import sys
 
 import numpy as np
 
+from .basis import complete_basis
 from .config import RunConfig
+from .errors import NeighborhoodViolation
 from .geometry import (
     curve_length,
     distance_upper,
     exp_curve,
     norm_sandwich_check,
 )
-from .group import SkewOperator, exp_skew
-from .oracles import sqrt_eig
+from .group import SkewOperator, _Span, _TwoFrames, exp_skew
 from .sampling import random_complex, random_span_skew, rng_for_trial, stiefel_near
-from .space import LowRank, build_space, h1_operator_norm
+from .space import LowRank, build_space, span_singular_values
 from .stiefel import (
     StiefelOperator,
     act,
@@ -110,30 +111,50 @@ def run_section_demo(cfg: RunConfig) -> int:
     return 0 if worst <= cfg.tolerance("section") else 1
 
 
+def _bench_pair(Phi, g, rng) -> np.ndarray:
+    """Psi = Phi X_a cos(Theta) + C X_b sin(Theta), for C weakly orthonormal and orthogonal to Phi.
+
+    The min(N, n - N) sines have largest sqrt(BENCH_RHO), the rest uniform in
+    (0, sqrt(BENCH_RHO)], and X_a, X_b are random unitaries.  The sines are the
+    singular values of K = beta[N:] of the pair's ``_TwoFrames``, so the series
+    argument -K K^H of ((I - P)(I - Q)(I - P))^(1/2) has spectral radius BENCH_RHO.
+    """
+    N = Phi.shape[1]
+    C = complete_basis(Phi, random_complex(rng, g.n, N), g)
+    m = C.shape[1]
+    if m == 0:
+        raise NeighborhoodViolation(f"a frame of width n = {g.n} has no weak complement to place the angles on")
+    s = np.sqrt(BENCH_RHO) * np.concatenate([[1.0], 1.0 - rng.random(m - 1)])
+    Xa, Xb = (np.linalg.qr(random_complex(rng, k, k))[0] for k in (N, m))
+    Psi = (Phi @ Xa) * np.sqrt(1.0 - np.pad(s, (0, N - m)) ** 2)
+    Psi[:, :m] += (C @ Xb) * s
+    return Psi
+
+
 def run_sqrt_bench(cfg: RunConfig) -> int:
     outdir = _ensure_outdir(cfg)
     g = build_space(cfg.space)
-    n = g.n
-    eye = np.eye(n, dtype=np.complex128)
-    max_err = {s: 0.0 for s in BENCH_TERMS}
-    amp = g.pencil_factor
+    Phi = _setup_point(cfg, g, 0.4)[2].Phi
+    N = Phi.shape[1]
+    max_err = np.zeros(len(BENCH_TERMS))
     for trial in range(cfg.trials):
-        rng = rng_for_trial(cfg.seed, trial)
-        C = random_complex(rng, n, n)
-        H = C @ C.conj().T
-        H /= float(np.linalg.eigvalsh(H)[-1])
-        B = g.from_l2_frame(-BENCH_RHO * H)
-        target = sqrt_eig(eye + B, g)
-        for s, approx in zip(BENCH_TERMS, binomial_sqrt_truncated(B, g, BENCH_TERMS)):
-            max_err[s] = max(max_err[s], h1_operator_norm(approx - target, g))
-    rows = [(s, series_tail_bound(s, BENCH_RHO, amp), max_err[s]) for s in BENCH_TERMS]
+        pair = _TwoFrames(Phi, _bench_pair(Phi, g, rng_for_trial(cfg.seed, trial)), g)
+        K = pair.beta[N:]
+        # I - K K^H = Z diag(1 - s^2) Z^H, so its exact root is Z diag(sqrt(1 - s^2)) Z^H.
+        Z, sines, _ = np.linalg.svd(K, full_matrices=False)
+        oracle = (Z * np.sqrt(1.0 - sines**2)) @ Z.conj().T
+        sums = np.array(binomial_sqrt_truncated(-K @ K.conj().T, BENCH_TERMS))
+        # Each error C (S - oracle)(gl2 C)^H has the strong norm of its core on the span C.
+        span = _Span(pair.Q[:, N:], g)
+        max_err = np.maximum(max_err, span_singular_values(span.TL, span.TR, sums - oracle)[:, 0])
+    rows = [(s, series_tail_bound(s, BENCH_RHO, g.pencil_factor), err) for s, err in zip(BENCH_TERMS, max_err)]
     lines = ["s,tail_bound,max_error_vs_oracle\n"] + [csv_line(row) for row in rows]
     write_text(os.path.join(outdir, "sqrt_bench.csv"), "".join(lines))
     # Observed error carries oracle and summation roundoff on top of the
     # truncation bound, hence the absolute floor.
     failures = [f"{s} terms: error {err:.3e} exceeds bound {bound:.3e} + 1e-12 by {err - bound - 1e-12:.3e}"
                 for s, bound, err in rows if not err <= bound + 1e-12]
-    final = max_err[BENCH_TERMS[-1]]
+    final = max_err[-1]
     print(
         f"sqrt-bench: {cfg.trials} instances, final truncation error {final:.3e}"
         f" at {BENCH_TERMS[-1]} terms"

@@ -34,6 +34,8 @@ CALIBRATION_TOL = 1e-9
 # Targets below this many machine epsilons of the point's strong norm are
 # not resolved by the distance computed from the moved point.
 RESOLUTION_FACTOR = 1e3
+# Directions a sampler draws at most, while the distance along each saturates below its target.
+MAX_DIRECTIONS = 4
 
 
 def rng_for_trial(seed: int, trial: int) -> np.random.Generator:
@@ -105,6 +107,10 @@ def random_projection(rng, g: GramPair, N: int) -> ProjectionOperator:
     return ProjectionOperator(random_reference(rng, g, N).Xi, g)
 
 
+class _OutOfReach(ConvergenceFailure):
+    """The distance along one drawn direction saturates below the target."""
+
+
 def _calibrated_scale(distance_at, target: float) -> float:
     # distance_at(s) vanishes at s = 0 and is nearly linear for small s, so
     # proportional updates converge in a handful of evaluations.
@@ -122,7 +128,7 @@ def _calibrated_scale(distance_at, target: float) -> float:
         else:
             s *= min(4.0, max(0.25, target / d))
         if s > 64.0:
-            raise ConvergenceFailure("perturbation cannot reach the requested distance")
+            raise _OutOfReach("perturbation cannot reach the requested distance")
     if best_gap <= 1e-6 * target:
         return best_s
     raise ConvergenceFailure("perturbation scale calibration stalled")
@@ -135,7 +141,8 @@ def _span_perturbation(F, g: GramPair, target: float, scale: float, rng, distanc
     ``distance(span, c, d)`` returns the distance for the ``_Span`` of Q and the
     k-by-N d = B(s) c, so only the chosen s builds an element.  A target below
     ``RESOLUTION_FACTOR`` machine epsilons of the point's strong norm ``scale``
-    raises NeighborhoodViolation.
+    raises NeighborhoodViolation.  Where the distance along X saturates below
+    the target, X is redrawn from ``rng``, up to ``MAX_DIRECTIONS`` directions in all.
     """
     if target <= 0:
         raise ValueError("target distance must be positive")
@@ -145,10 +152,16 @@ def _span_perturbation(F, g: GramPair, target: float, scale: float, rng, distanc
             f"target distance {target:.3e} is below the resolution {floor:.3e} "
             f"of a point of strong norm {scale:.3e}"
         )
-    exp_sX = OneParameterGroup(random_span_skew(rng, F, g))
-    span = _Span(exp_sX.X.Q, g)
-    c = span.Q.conj().T @ g.l2(F)
-    return exp_sX(_calibrated_scale(lambda s: distance(span, c, exp_sX.block(s) @ c), target))
+    for _ in range(MAX_DIRECTIONS):
+        exp_sX = OneParameterGroup(random_span_skew(rng, F, g))
+        span = _Span(exp_sX.X.Q, g)
+        c = span.Q.conj().T @ g.l2(F)
+        try:
+            s = _calibrated_scale(lambda s: distance(span, c, exp_sX.block(s) @ c), target)
+        except _OutOfReach:
+            continue
+        return exp_sX(s)
+    raise ConvergenceFailure(f"perturbation cannot reach the requested distance along {MAX_DIRECTIONS} drawn directions")
 
 
 def stiefel_near(V: StiefelOperator, target: float, rng) -> tuple[StiefelOperator, float]:

@@ -243,37 +243,6 @@ def binomial_coefficients(count: int) -> np.ndarray:
     return np.fromiter(itertools.islice(_coefficient_stream(), count), float, count)
 
 
-def _partial_sums(Bw, counts) -> list[np.ndarray]:
-    """I + sum_(j<=s) c_j Bw^j for each s in the strictly increasing ``counts``.
-
-    Descending Paterson-Stockmeyer (SIAM J. Comput. 1973) in blocks of
-    m = SERIES_BLOCK terms over the stored powers Bw^1..Bw^m: Horner's rule
-    acc <- Bw^m acc + sum_r c_(qm+r) Bw^r runs from a count's top block q down
-    to 0.  A full block's sum is formed once and shared by every count that
-    covers it; a count ending inside a block sums its own part.  So each sum
-    depends on its own count alone and costs ceil(s/m) - 1 products after the
-    m - 1 powers, and memory does not grow with the degree.
-    """
-    m = SERIES_BLOCK
-    coeffs = binomial_coefficients(counts[-1])
-    powers = np.empty((min(m, counts[-1]),) + Bw.shape, dtype=np.complex128)
-    powers[0] = Bw
-    for r in range(1, len(powers)):
-        np.matmul(powers[r - 1], Bw, out=powers[r])
-    sums = [None] * len(counts)
-    for q in reversed(range((counts[-1] - 1) // m + 1)):
-        lo, hi = q * m, q * m + m
-        full = np.tensordot(coeffs[lo:hi], powers, axes=1) if counts[-1] >= hi else None
-        for i, s in enumerate(counts):
-            if s > lo:
-                block = full if s >= hi else np.tensordot(coeffs[lo:s], powers[: s - lo], axes=1)
-                # A sum starts from a copy, so adding I leaves the shared block alone.
-                sums[i] = block.copy() if sums[i] is None else powers[-1] @ sums[i] + block
-    for total in sums:
-        total[np.diag_indices(Bw.shape[0])] += 1.0
-    return sums
-
-
 def _tail_bounds(rho: float, amp: float):
     """|c_(s+1)| rho^(s+1) / (1 - rho) max(1, amp) for s = 1, 2, ...
 
@@ -295,24 +264,48 @@ def _series_terms(rho: float, amp: float) -> int:
     )
 
 
-def binomial_sqrt_truncated(B, g: GramPair, terms) -> list[np.ndarray]:
-    """Plain partial sums of the series of (I + B)^(1/2) after each of the given term counts.
+def binomial_sqrt_truncated(M, terms) -> list[np.ndarray]:
+    """I + sum_(j<=s) c_j M^j, the partial sums of the series of (I + M)^(1/2), for each s in ``terms``.
 
-    B must be weakly self-adjoint with spectrum in [-1, 0].  ``terms`` is a
-    strictly increasing sequence of positive counts; one pass of the series
-    up to the last count yields every requested partial sum.
+    M is the argument in a weakly orthonormal basis, so it must be Hermitian
+    with spectrum in [-1, 0]; on a grid pair, whose gl2 is w I, that is the
+    operator itself.  ``terms`` is a strictly increasing sequence of positive
+    counts, all summed in one pass of descending Paterson-Stockmeyer (SIAM J.
+    Comput. 1973) in blocks of m = SERIES_BLOCK terms over the stored powers
+    M^1..M^m: Horner's rule acc <- M^m acc + sum_r c_(qm+r) M^r runs from a
+    count's top block q down to 0.  A full block's sum is formed once and
+    shared by every count that covers it; a count ending inside a block sums
+    its own part.  So each sum depends on its own count alone and costs
+    ceil(s/m) - 1 products after the m - 1 powers, and memory does not grow
+    with the degree.
     """
     terms = tuple(terms)
     if not terms or terms[0] < 1 or any(b <= a for a, b in zip(terms, terms[1:])):
         raise ValueError(f"terms must be strictly increasing positive counts, got {terms}")
-    B = as_operator(B, g.n, "B")
-    M = g.to_l2_frame(B)
+    M = as_operator(M, name="series argument")
     if not np.linalg.norm(M - M.conj().T) <= 1e-8 * max(1.0, np.linalg.norm(M)):
         raise ValueError("series argument is not self-adjoint for the weak product")
     lam = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
-    if not (lam[0] >= -1.0 - 1e-10 and lam[-1] <= 1e-10):
+    if not np.all((lam >= -1.0 - 1e-10) & (lam <= 1e-10)):
         raise ValueError(f"series argument has spectrum [{lam[0]:.6e}, {lam[-1]:.6e}] outside [-1, 0]")
-    return _partial_sums(B, terms)
+    m = SERIES_BLOCK
+    coeffs = binomial_coefficients(terms[-1])
+    powers = np.empty((min(m, terms[-1]),) + M.shape, dtype=np.complex128)
+    powers[0] = M
+    for r in range(1, len(powers)):
+        np.matmul(powers[r - 1], M, out=powers[r])
+    sums = [None] * len(terms)
+    for q in reversed(range((terms[-1] - 1) // m + 1)):
+        lo, hi = q * m, q * m + m
+        full = np.tensordot(coeffs[lo:hi], powers, axes=1) if terms[-1] >= hi else None
+        for i, s in enumerate(terms):
+            if s > lo:
+                block = full if s >= hi else np.tensordot(coeffs[lo:s], powers[: s - lo], axes=1)
+                # A sum starts from a copy, so adding I leaves the shared block alone.
+                sums[i] = block.copy() if sums[i] is None else powers[-1] @ sums[i] + block
+    for total in sums:
+        total[np.diag_indices(M.shape[0])] += 1.0
+    return sums
 
 
 def series_tail_bound(terms: int, rho: float, amp: float = 1.0) -> float:
@@ -348,7 +341,7 @@ def sqrt_F(V: StiefelOperator, W: StiefelOperator) -> np.ndarray:
     span = _TwoFrames(V.Phi, W.Phi, g)
     Q, K = span.Q, span.beta[N:]
     rho = min(1.0, float(np.linalg.norm(K, 2)) ** 2)
-    (S,) = _partial_sums(-K @ K.conj().T, [_series_terms(rho, max(1.0, g.pencil_factor))])
+    (S,) = binomial_sqrt_truncated(-K @ K.conj().T, [_series_terms(rho, max(1.0, g.pencil_factor))])
     block = -np.eye(Q.shape[1], dtype=np.complex128)
     block[N:, N:] += S
     R = (Q @ block) @ g.l2(Q).conj().T

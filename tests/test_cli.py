@@ -10,7 +10,7 @@ import pytest
 
 from twonorm import ConvergenceFailure, GroupElement, NormSpec, SpaceSpec, build_space, cli
 from twonorm.basis import orthonormal_columns
-from twonorm import campaigns, config, group, validate
+from twonorm import campaigns, config, group, stiefel, validate
 from twonorm.cli import main
 from twonorm.config import (
     DEFAULT_TOLERANCES,
@@ -280,12 +280,12 @@ def test_validate_report_is_standard_json_with_shortest_floats(tmp_path, capsys)
     assert [s for s in floats if s != repr(float(s))] == []
 
 
-@pytest.mark.parametrize("command", ["section-demo", "geometry"])
+@pytest.mark.parametrize("command", ["section-demo", "geometry", "sqrt-bench"])
 def test_campaign_base_point_leaves_the_reference_subspace(tmp_path, capsys, monkeypatch, command):
     # The base point's random block is drawn after the reference on one setup
     # stream. Drawn from a second copy of that stream, it would repeat the
     # reference's candidates, and exp(X) would only rotate inside span Xi.
-    # Both campaigns draw it through validate._setup_point.
+    # Every campaign draws it through validate._setup_point.
     drawn, draw = [], validate.random_stiefel
 
     def recording(*args, **kwargs):
@@ -369,7 +369,7 @@ def test_frame_entries_must_be_finite_numbers(tmp_path, capsys, entry):
     assert "frame entries must be finite [re, im] pairs" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["validate", "section-demo", "geometry"])
+@pytest.mark.parametrize("command", ["validate", "section-demo", "geometry", "sqrt-bench"])
 def test_a_nan_frame_fails_the_orthonormality_gate(tmp_path, capsys, monkeypatch, command):
     # With a reader that lets NaN through, the frame reaches the weak
     # orthonormality gate, which must reject it rather than pass it on.
@@ -389,7 +389,7 @@ def test_a_nan_frame_fails_the_orthonormality_gate(tmp_path, capsys, monkeypatch
     assert "frame file columns are not orthonormal" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["validate", "section-demo", "geometry"])
+@pytest.mark.parametrize("command", ["validate", "section-demo", "geometry", "sqrt-bench"])
 def test_vanishing_draws_are_a_named_numerical_failure(tmp_path, capsys, command):
     # At spacing 1e-30 a draw has weak norms near 1e-15, below the drop tolerance
     # of the Gram-Schmidt completion, so the reference sample is rank deficient.
@@ -402,7 +402,7 @@ def test_vanishing_draws_are_a_named_numerical_failure(tmp_path, capsys, command
     assert (out / "validate.json").exists() == (command == "validate")
 
 
-@pytest.mark.parametrize("command", ["validate", "section-demo", "geometry"])
+@pytest.mark.parametrize("command", ["validate", "section-demo", "geometry", "sqrt-bench"])
 def test_a_frame_file_is_checked_early_and_builds_the_configured_pair_at_most_twice(
     tmp_path, capsys, monkeypatch, command
 ):
@@ -447,15 +447,42 @@ def test_unattainable_tolerance_exits_one(tmp_path, capsys):
     assert "exceeds the sqrt tolerance 1.0e-18" in capsys.readouterr().err
 
 
-def test_sqrt_bench_names_the_failing_term_counts(tmp_path, capsys):
-    # At spacing 1e-3 the 128-term error exceeds its tail bound plus the 1e-12
-    # roundoff floor; the failure names each term count, error, bound and excess.
-    cfg = write_config(tmp_path, space={"spacing": 1e-3}, trials=10)
-    assert main(["sqrt-bench", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+def test_sqrt_bench_names_the_failing_term_counts(tmp_path, capsys, monkeypatch):
+    # With c_5 off by 1e-3 every partial sum of five or more terms misses the
+    # root by about 1e-3 rho^5; each count whose error then exceeds its tail
+    # bound plus the 1e-12 roundoff floor is named with its error, bound and excess.
+    exact = stiefel.binomial_coefficients
+
+    def mutated(count):
+        c = exact(count)
+        c[4:5] += 1e-3
+        return c
+
+    monkeypatch.setattr(stiefel, "binomial_coefficients", mutated)
+    out = tmp_path / "run"
+    assert main(["sqrt-bench", "--config", write_config(tmp_path, trials=10), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("sqrt-bench: 128 terms: error ")
-    assert " exceeds bound " in err and " + 1e-12 by " in err
-    assert "sqrt tolerance" not in err
+    _, *rows = (out / "sqrt_bench.csv").read_text().splitlines()
+    failing = [(int(s), float(b), float(e)) for s, b, e in (row.split(",") for row in rows) if float(e) > float(b) + 1e-12]
+    assert [s for s, _, _ in failing] == [32, 64, 128]
+    assert err.startswith("".join(
+        f"sqrt-bench: {s} terms: error {e:.3e} exceeds bound {b:.3e} + 1e-12 by {e - b - 1e-12:.3e}\n"
+        for s, b, e in failing
+    ))
+    assert "exceeds the sqrt tolerance" in err
+
+
+@pytest.mark.parametrize("N, code", [(15, 0), (16, 1)])
+def test_sqrt_bench_places_the_angles_on_the_complement_the_frame_allows(tmp_path, capsys, N, code):
+    # At 2N > n a complement of the base frame has n - N columns, which carry
+    # the angles; a frame of width n has none, a named numerical failure.
+    cfg = write_config(tmp_path, subspace_dim=N, trials=3)
+    assert main(["sqrt-bench", "--config", cfg, "--out", str(tmp_path / "run")]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("twonorm: NeighborhoodViolation: ") and "no weak complement" in err
+    else:
+        assert err == ""
 
 
 def test_calibration_stall_exits_one(tmp_path, capsys, monkeypatch):

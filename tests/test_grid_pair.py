@@ -1,6 +1,7 @@
 """The grid pair applies gh1 through its Fourier symbol and agrees with the dense pair of the same matrices."""
 
 import json
+import time
 import tracemalloc
 from unittest import mock
 
@@ -141,6 +142,30 @@ def test_finsler_norm_on_a_large_grid_builds_no_dense_operator(monkeypatch):
         tracemalloc.stop()
     assert all(np.isfinite(value) and value > 0 for value in values)
     assert peak < 4e6  # an n-by-n complex array is 268 MB
+
+
+def test_sqrt_bench_on_a_large_grid_builds_no_dense_operator(tmp_path, capsys, monkeypatch):
+    # The series runs on the k - N block of two frames at n = 4096, where an
+    # n-by-n complex array is 268 MB: no Gram matrix or root is read, and the
+    # campaign's traced peak stays far below one such array.
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense Gram matrix or root on a grid pair")
+
+    for name in ("gl2", "gh1", "_sqrt_pair_l2", "_sqrt_pair_h1"):
+        monkeypatch.setattr(GridPair, name, property(refuse))
+    config = tmp_path / "grid-64.json"
+    config.write_text(json.dumps({"space": {"domain_dim": 2, "grid_points": 64, "spacing": 0.25}, "trials": 10}))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert main(["sqrt-bench", "--config", str(config), "--out", str(tmp_path)]) == 0
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert elapsed < 1.0
+    assert peak < 16e6
 
 
 def test_dense_strong_norms_and_sqrt_bench_read_no_dense_root(tmp_path, capsys, monkeypatch):

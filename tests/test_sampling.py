@@ -7,16 +7,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twonorm import ConvergenceFailure, NeighborhoodViolation, SpaceSpec, build_space
+from twonorm import ConvergenceFailure, NeighborhoodViolation, SpaceSpec, build_space, sampling
 from twonorm.cli import main
 from twonorm.grassmann import quotient_radius
 from twonorm.sampling import (
+    MAX_DIRECTIONS,
     RESOLUTION_FACTOR,
     SETUP_TRIAL,
     _calibrated_scale,
     projection_near,
     random_projection,
     random_reference,
+    random_span_skew,
     random_stiefel,
     rng_for_trial,
     stiefel_near,
@@ -72,6 +74,34 @@ def test_calibration_falls_back_to_the_closest_scale():
 
     assert _calibrated_scale(distance, 0.5) == calls[2]
     assert len(calls) == 60 and len(set(calls)) == 60
+
+
+def test_a_direction_that_cannot_reach_the_target_is_redrawn(tmp_path, capsys):
+    # At spacing 4.0 with N = 1 a grassmann trial of seed 42 draws a direction
+    # along which the conjugation distance saturates below its target; the
+    # sampler draws another from the trial stream instead of failing the suite.
+    config = tmp_path / "coarse.json"
+    space = {"domain_dim": 1, "grid_points": 128, "spacing": 4.0}
+    config.write_text(json.dumps({"space": space, "subspace_dim": 1, "seed": 42, "trials": 2}))
+    assert main(["validate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_an_unreachable_target_fails_after_every_direction(monkeypatch):
+    # No conjugation moves P by 1e4 in the strong norm: each of the
+    # MAX_DIRECTIONS draws saturates, and the sampler names the plain cause.
+    g, _, P = _start(16)
+    drawn = []
+
+    def counted(*args):
+        drawn.append(args)
+        return random_span_skew(*args)
+
+    monkeypatch.setattr(sampling, "random_span_skew", counted)
+    with pytest.raises(ConvergenceFailure, match="cannot reach the requested distance along") as info:
+        projection_near(P, 1e4, rng_for_trial(0, 0))
+    assert type(info.value) is ConvergenceFailure
+    assert len(drawn) == MAX_DIRECTIONS
 
 
 @pytest.mark.parametrize("n", [16, 128])

@@ -21,10 +21,13 @@ from twonorm import (
     sqrt_F,
 )
 from twonorm.basis import complete_basis
-from twonorm.campaigns import BENCH_TERMS
+from twonorm.campaigns import BENCH_RHO, BENCH_TERMS, _bench_pair
+from twonorm.config import RunConfig
+from twonorm.group import _TwoFrames
 from twonorm.oracles import sqrt_eig
 from twonorm.sampling import random_complex, random_reference, random_stiefel, rng_for_trial, stiefel_near
 from twonorm.stiefel import SERIES_BLOCK, SERIES_TOL, _series_terms, binomial_coefficients
+from twonorm.validate import _setup_point
 
 SPACES = {
     16: build_space(SpaceSpec(domain_dim=1, grid_points=16, spacing=0.25)),
@@ -37,12 +40,12 @@ PLAIN_LOOP_PEAKS = (3.4, 8.0)
 
 
 def _argument(g, rho, seed):
-    """Weakly self-adjoint B with spectrum in [-rho, 0]."""
+    """Hermitian B with spectrum in [-rho, 0]: on a grid pair, the series argument and its weak-frame form."""
     rng = rng_for_trial(seed, 0)
     C = random_complex(rng, g.n, g.n)
     H = C @ C.conj().T
     H /= float(np.linalg.eigvalsh(H)[-1])
-    return g.from_l2_frame(-rho * H)
+    return -rho * H
 
 
 def _power_loop(Bw, counts):
@@ -72,7 +75,7 @@ def test_partial_sums_match_power_loop(n, rho, drawn, block_end, mid_block, seed
     g = SPACES[n]
     counts = sorted(set(drawn) | {SERIES_BLOCK * block_end, mid_block})
     B = _argument(g, rho, seed)
-    sums = binomial_sqrt_truncated(B, g, counts)
+    sums = binomial_sqrt_truncated(B, counts)
     for s, total, plain in zip(counts, sums, _power_loop(B, counts)):
         assert np.linalg.norm(total - plain) <= 1e-13 * np.linalg.norm(plain), s
 
@@ -83,7 +86,7 @@ def test_binomial_sqrt_near_unit_radius_agrees_with_oracle():
     rho = 0.999
     assert _series_terms(rho, max(1.0, g.pencil_factor)) > 1000
     B = _argument(g, rho, seed=3)
-    (R,) = binomial_sqrt_truncated(B, g, [_series_terms(rho, max(1.0, g.pencil_factor))])
+    (R,) = binomial_sqrt_truncated(B, [_series_terms(rho, max(1.0, g.pencil_factor))])
     err = h1_operator_norm(R - sqrt_eig(np.eye(g.n) + B, g), g)
     assert err <= SERIES_TOL
 
@@ -131,8 +134,8 @@ def test_series_memory_does_not_grow_with_the_degree(rho):
     extra = SERIES_BLOCK + 2
     sqrt_peak, truncated_peak = PLAIN_LOOP_PEAKS
     terms = [_series_terms(rho, max(1.0, g.pencil_factor))]
-    assert _traced_peak(lambda: binomial_sqrt_truncated(B, g, terms)) <= (sqrt_peak + extra) * array
-    assert _traced_peak(lambda: binomial_sqrt_truncated(B, g, BENCH_TERMS)) <= (truncated_peak + extra) * array
+    assert _traced_peak(lambda: binomial_sqrt_truncated(B, terms)) <= (sqrt_peak + extra) * array
+    assert _traced_peak(lambda: binomial_sqrt_truncated(B, BENCH_TERMS)) <= (truncated_peak + extra) * array
 
 
 def _pair(n, N, kind, fraction, seed):
@@ -186,3 +189,26 @@ def test_sqrt_f_raises_when_the_images_are_weakly_orthogonal_in_a_direction():
     W = StiefelOperator(np.hstack([V.Phi[:, :1], away]), V.ref)
     with pytest.raises(ConvergenceFailure):
         sqrt_F(V, W)
+
+
+def test_bench_pairs_have_the_bench_radius_and_the_dense_root():
+    # The sqrt-bench pairs at the series-2d space: the largest squared sine of
+    # K is BENCH_RHO, and the exact block root and the 128-term sum, built as
+    # n-by-n operators, are the dense oracle's root of (I - P)(I - Q)(I - P).
+    cfg = RunConfig(space=SpaceSpec(domain_dim=2, grid_points=12, spacing=0.25), trials=10)
+    g = SPACES[144]
+    V = _setup_point(cfg, g, 0.4)[2]
+    N, eye = V.N, np.eye(g.n)
+    ip = eye - phi(V).P
+    for trial in range(cfg.trials):
+        W = StiefelOperator(_bench_pair(V.Phi, g, rng_for_trial(cfg.seed, trial)), V.ref)
+        pair = _TwoFrames(V.Phi, W.Phi, g)
+        K = pair.beta[N:]
+        Z, sines, _ = np.linalg.svd(K, full_matrices=False)
+        assert abs(sines[0] ** 2 - BENCH_RHO) <= 1e-14 * BENCH_RHO
+        exact = sqrt_eig(ip @ (eye - phi(W).P) @ ip, g)
+        C = pair.Q[:, N:]
+        (series,) = binomial_sqrt_truncated(-K @ K.conj().T, [BENCH_TERMS[-1]])
+        for root in ((Z * np.sqrt(1.0 - sines**2)) @ Z.conj().T, series):
+            R = ip + (C @ (root - np.eye(len(root)))) @ g.l2(C).conj().T
+            assert h1_operator_norm(R - exact, g) <= 1e-12
