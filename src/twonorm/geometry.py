@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConvergenceFailure
 from .group import GroupElement, OneParameterGroup, SkewOperator, frame_unitary
 from .space import GramPair, LowRank, h1_singular_values, h1_triangle, span_singular_values
-from .stiefel import ReferenceFrame, StiefelOperator, point_difference
+from .stiefel import ReferenceFrame, StiefelOperator, _require_same_reference, point_difference
 
 __all__ = [
     "NormSpec",
@@ -122,7 +122,7 @@ def finsler_norm_grassmann(X: SkewOperator, P, spec: NormSpec) -> float:
     return schatten_norm(LowRank(np.hstack([X.apply(L), L]), np.hstack([R, -XhR])), spec, P.g)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurveSamples:
     """Sampled curve on the manifold, in the form :func:`exp_curve` builds.
 
@@ -216,6 +216,7 @@ def distance_upper(
     length of that curve is returned.
     """
     g = V0.g
+    _require_same_reference(V0, V1)
     curve = exp_curve(V0, group_log(frame_unitary(V0.Phi, V1.Phi, g)), steps)
     miss = LowRank(curve.frames[-1] - V1.Phi, V1.ref.dual).frobenius_norm()
     if miss > 1e-8 * max(1.0, V1.factors.frobenius_norm()):

@@ -20,7 +20,7 @@ from .basis import FRAME_TOL, orthonormal_columns, require_orthonormal
 from .errors import NeighborhoodViolation
 from .group import GroupElement, SkewOperator, _TwoFrames
 from .space import GramPair, LowRank, as_operator, h1_operator_norm
-from .stiefel import ReferenceFrame, StiefelOperator
+from .stiefel import ReferenceFrame, StiefelOperator, _require_same_reference
 
 __all__ = [
     "ProjectionOperator",
@@ -39,7 +39,7 @@ TRACE_TOL = 1e-8
 EQUIVALENCE_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectionOperator:
     """Weak orthogonal projection P = H (gl2 H)^H, stored as its range frame H.
 
@@ -145,7 +145,7 @@ def psi_section(P: ProjectionOperator, P1: ProjectionOperator, ref: ReferenceFra
     return StiefelOperator(P1.frame @ _quotient_span(P, P1).direct_rotation()[1], ref)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquivalenceResult:
     """Outcome of testing whether two embeddings share their image subspace."""
 
@@ -163,6 +163,7 @@ def grassmann_equivalence(V: StiefelOperator, V1: StiefelOperator) -> Equivalenc
     its complement; the reported residual is V1 U - V = (Phi1 Phi1^H gl2 Phi - Phi)(gl2 Xi)^H.
     """
     g = V.g
+    _require_same_reference(V, V1)
     dist = _TwoFrames(V.Phi, V1.Phi, g).projection_distance
     if dist > EQUIVALENCE_TOL:
         return EquivalenceResult(equivalent=False, projection_distance=dist)

@@ -82,14 +82,14 @@ def _operator(element, M) -> np.ndarray:
     return g.from_l2_frame(M) if g.is_isqrt_l2(Q) else (Q @ M) @ g.l2(Q).conj().T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupElement:
     """Validated member of the weak-isometry group, I + Q B (gl2 Q)^H with I + B unitary."""
 
     Q: np.ndarray
     B: np.ndarray
     g: GramPair
-    defect: float = field(init=False, repr=False, compare=False)  # set by _span_form
+    defect: float = field(init=False, repr=False)  # set by _span_form
 
     def __post_init__(self):
         _span_form(self, "B", lambda B: B + B.conj().T + B.conj().T @ B, "form-preservation")
@@ -107,20 +107,21 @@ class GroupElement:
         return _frozen(np.eye(self.g.n) + _operator(self, self.B))
 
     @cached_property
-    def inv(self) -> np.ndarray:
-        """The dense inverse I + Q B^H (gl2 Q)^H, since (I + B)^-1 = (I + B)^H."""
-        return np.eye(self.g.n) + _operator(self, self.B.conj().T)
+    def inverse(self) -> "GroupElement":
+        """U^-1 = I + Q B^H (gl2 Q)^H on the same span, since (I + B)^-1 = (I + B)^H."""
+        return GroupElement(self.Q, self.B.conj().T, self.g)
 
-    def inv_h1_norm(self) -> float:
-        """Strong operator norm of U^-1 = I + Q B^H (gl2 Q)^H, from the span.
+    @cached_property
+    def h1_norm(self) -> float:
+        """Strong operator norm of U = I + Q B (gl2 Q)^H, from the span.
 
-        In strong coordinates U^-1 - I = L R^H with L = gh1^{1/2} Q B^H and
-        R = gh1^{-1/2} gl2 Q.  For the thin QR [L, R] = W [T1, T2], U^-1 acts as
+        In strong coordinates U - I = L R^H with L = gh1^{1/2} Q B and
+        R = gh1^{-1/2} gl2 Q.  For the thin QR [L, R] = W [T1, T2], U acts as
         I + T1 T2^H on the m <= 2k columns of W and as the identity beyond them,
         so the norm is max(1, ||I_m + T1 T2^H||_2), without the 1 when m = n.
         """
         g, k = self.g, self.Q.shape[1]
-        T = np.linalg.qr(np.hstack([g.h1_half(self.Q @ self.B.conj().T), g.h1_ihalf(g.l2(self.Q))]), mode="r")
+        T = np.linalg.qr(np.hstack([g.h1_half(self.Q @ self.B), g.h1_ihalf(g.l2(self.Q))]), mode="r")
         top = float(np.linalg.norm(np.eye(T.shape[0]) + T[:, :k] @ T[:, k:].conj().T, 2))
         return top if T.shape[0] == g.n else max(1.0, top)
 
@@ -132,19 +133,15 @@ class GroupElement:
         """
         return self.Q @ (self.B @ (self.Q.conj().T @ self.g.l2(F)))
 
-    def inv_displacement(self, F) -> np.ndarray:
-        """U^-1 F - F = Q B^H (Q^H gl2 F), without the dense inverse."""
-        return self.Q @ (self.B.conj().T @ (self.Q.conj().T @ self.g.l2(F)))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SkewOperator:
     """Validated member of the corresponding Lie algebra, Q S (gl2 Q)^H with S skew-Hermitian."""
 
     Q: np.ndarray
     S: np.ndarray
     g: GramPair
-    defect: float = field(init=False, repr=False, compare=False)  # set by _span_form
+    defect: float = field(init=False, repr=False)  # set by _span_form
 
     def __post_init__(self):
         _span_form(self, "S", lambda S: S + S.conj().T, "skewness")
@@ -309,13 +306,10 @@ def algebraic_membership_residual(U, g: GramPair) -> float:
     U*2 is the weak adjoint; for members the adjoint equals the inverse, so
     it vanishes up to rounding.  The supremum is exactly the largest
     |eigenvalue| of the Hermitian gl2^{-1/2} (U^H gl2 U - gl2) gl2^{-1/2} = M^H M - I
-    for M = gl2^{1/2} U gl2^{-1/2}.
+    for M = gl2^{1/2} U gl2^{-1/2}, max(s_1^2 - 1, 1 - s_n^2) for the singular
+    values s of M, which also gate a numerically singular U.
     """
-    U = as_operator(U, g.n, "U")
-    sv = np.linalg.svd(U, compute_uv=False)
-    if sv[-1] <= RCOND_FLOOR * max(sv[0], 1.0):
+    s = np.linalg.svd(g.to_l2_frame(as_operator(U, g.n, "U")), compute_uv=False)
+    if s[-1] <= RCOND_FLOOR * max(s[0], 1.0):
         raise ValueError("element is numerically singular")
-    M = g.to_l2_frame(U)
-    D = M.conj().T @ M - np.eye(g.n)
-    lam = np.linalg.eigvalsh(0.5 * (D + D.conj().T))
-    return float(np.max(np.abs(lam)))
+    return float(max(s[0] ** 2 - 1.0, 1.0 - s[-1] ** 2))

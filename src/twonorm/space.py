@@ -94,7 +94,7 @@ class SpaceSpec:
         return self.grid_points**self.domain_dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramPair:
     """Pair of Gram matrices (weak, strong), used through its operators.
 
@@ -264,7 +264,7 @@ class GridPair(GramPair):
         return float(np.sqrt(self.mu.max() / self.mu.min()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LowRank:
     """Operator A = L R^H given by its n-by-k factors, for small k.
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -53,7 +53,7 @@ SERIES_KMAX = 200_000
 SERIES_BLOCK = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceFrame:
     """Orthonormal basis of the reference subspace, with its strong-norm bound.
 
@@ -73,7 +73,7 @@ class ReferenceFrame:
         object.__setattr__(self, "Xi", Xi)
         object.__setattr__(self, "C", max(norm_h1(Xi[:, i], self.g) for i in range(Xi.shape[1])))
 
-    C: float = 0.0  # filled in __post_init__
+    C: float = field(init=False)  # set by __post_init__
 
     @property
     def n(self) -> int:
@@ -94,7 +94,7 @@ class ReferenceFrame:
         return h1_triangle(self.dual, self.g, right=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StiefelOperator:
     """Isometric embedding of S, stored as its orthonormal image frame Phi.
 
@@ -157,12 +157,14 @@ class StiefelOperator:
 
 
 def _require_same_reference(V: StiefelOperator, V1: StiefelOperator) -> None:
-    if V1.ref is not V.ref and not np.allclose(V1.ref.Xi, V.ref.Xi, atol=1e-12):
+    """Two points meet only over one reference frame: the same one, or an equal Xi on the same pair."""
+    if V1.ref is not V.ref and not (V1.ref.g is V.ref.g and np.array_equal(V1.ref.Xi, V.ref.Xi)):
         raise ValueError("points use different reference frames")
 
 
 def point_difference(V1: StiefelOperator, V0: StiefelOperator) -> LowRank:
     """V1 - V0 = (Phi1 - Phi0)(gl2 Xi)^H for two points over one reference frame."""
+    _require_same_reference(V1, V0)
     return LowRank(V1.Phi - V0.Phi, V0.ref.dual)
 
 
@@ -364,7 +366,7 @@ def radius_r(V: StiefelOperator) -> float:
     return radius_formula(V.ref.C, V.N, V.h1_norm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectionFactors:
     """The cross section, the direct rotation and the correction, with the contraction bounds."""
 
@@ -414,8 +416,9 @@ def translated_section(
     maps V to V1 and lives on the joint span of both factors.
     """
     g = V.g
+    _require_same_reference(V, V0)
     U = frame_unitary(V.Phi, V0.Phi, g)
-    sigma = section_factors(V, StiefelOperator(V1.Phi + U.inv_displacement(V1.Phi), V.ref)).sigma
+    sigma = section_factors(V, act(U.inverse, V1)).sigma
     Q = np.hstack([U.Q, complete_basis(U.Q, sigma.Q, g)])
     D = sigma.displacement(Q)
     return GroupElement(Q, Q.conj().T @ g.l2(D + U.displacement(Q + D)), g)

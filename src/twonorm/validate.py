@@ -190,7 +190,7 @@ def _group_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
         rec.residual(membership_residual(U.data, g), 1e-10)
         V = random_group_member(rng, g, scale=0.7)
         rec.residual(membership_residual(U.data @ V.data, g), 1e-9)
-        rec.residual(membership_residual(U.inv, g), 1e-9)
+        rec.residual(membership_residual(U.inverse.data, g), 1e-9)
         back = exp_skew(SkewOperator(X.Q, -X.S, g))
         rec.residual(
             np.linalg.norm(U.data @ back.data - np.eye(g.n)), 1e-11 * np.exp(2.0)
@@ -229,7 +229,7 @@ def _section_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
     # The section translated along the group still maps base to target.
     mover = rng_for_trial(cfg.seed, SETUP_TRIAL - 1)
     V0 = random_stiefel(mover, ref, scale=0.3)
-    allowed = r / frame_unitary(V.Phi, V0.Phi, g).inv_h1_norm()
+    allowed = r / frame_unitary(V.Phi, V0.Phi, g).inverse.h1_norm
     V1, _ = stiefel_near(V0, 0.3 * allowed, mover)
     moved = translated_section(V, V0, V1)
     rec.residual(np.linalg.norm(moved.data @ V.V - V1.V), 1e-9 * np.linalg.norm(V1.V))

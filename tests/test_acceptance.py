@@ -66,8 +66,8 @@ def test_01_group_axioms(g, capsys):
         W = exp_skew(random_skew(rng, g, scale=1.0))
         ok &= membership_residual(U.data, g) <= 1e-10
         ok &= membership_residual(U.data @ W.data, g) <= 1e-10
-        ok &= membership_residual(U.inv, g) <= 1e-10
-        ok &= np.linalg.norm(U.data @ U.inv - np.eye(g.n)) <= 1e-10
+        ok &= membership_residual(U.inverse.data, g) <= 1e-10
+        ok &= np.linalg.norm(U.data @ U.inverse.data - np.eye(g.n)) <= 1e-10
     ok &= membership_residual(np.eye(g.n), g) == 0.0
     report(capsys, "01 group-axioms", bool(ok))
 
@@ -128,7 +128,7 @@ def test_05_quotient_sections_and_equivalence(g, ref, capsys):
 
         P2, _ = projection_near(P, 0.3 * quotient_radius, rng)
         U = section_pi_p(P, P2)
-        ok &= np.linalg.norm(U.data @ P.P @ U.inv - P2.P) <= 1e-9
+        ok &= np.linalg.norm(U.data @ P.P @ U.inverse.data - P2.P) <= 1e-9
 
         X = random_skew(rng, g, scale=0.4)
         P_S = ProjectionOperator(ref.Xi, g)

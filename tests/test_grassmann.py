@@ -122,7 +122,7 @@ def test_connecting_unitary_conjugates(g, rng):
     P = random_projection(rng, g, 2)
     P1 = random_projection(rng, g, 2)
     U = frame_unitary(P.frame, P1.frame, g)
-    moved = U.data @ P.P @ U.inv
+    moved = U.data @ P.P @ U.inverse.data
     assert np.linalg.norm(moved - P1.P) <= 1e-9
 
 
@@ -131,7 +131,7 @@ def test_section_pi_p_conjugates_nearby(g, V, rng):
     target = 0.3 * quotient_radius(P)
     P1, _ = projection_near(P, target, rng)
     U = section_pi_p(P, P1)
-    moved = U.data @ P.P @ U.inv
+    moved = U.data @ P.P @ U.inverse.data
     assert np.linalg.norm(moved - P1.P) <= 1e-9
 
 
@@ -152,7 +152,7 @@ def test_section_pi_p_conjugates_across_the_quotient_radius(n):
         P = random_projection(rng, g, 2)
         P1, _ = projection_near(P, 0.9 * quotient_radius(P), rng)
         U = section_pi_p(P, P1)
-        moved = U.data @ P.P @ U.inv
+        moved = U.data @ P.P @ U.inverse.data
         assert h1_operator_norm(moved - P1.P, g) <= 1e-13 * max(1.0, P1.h1_norm), seed
 
 

@@ -42,7 +42,7 @@ def _disagreement(grid, dense, seed):
         "triangles": _relative(span_sv(grid), span_sv(dense)),
         "pencil_factor": _relative(grid.pencil_factor, dense.pencil_factor),
         "dense_singular_values": _relative(h1_singular_values(A, grid), h1_singular_values(A, dense)),
-        "inv_h1_norm": _relative(U.inv_h1_norm(), GroupElement(U.Q, U.B, dense).inv_h1_norm()),
+        "h1_norm": _relative(U.h1_norm, GroupElement(U.Q, U.B, dense).h1_norm),
     }
 
 

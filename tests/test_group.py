@@ -10,11 +10,13 @@ from twonorm import (
     build_space,
     exp_skew,
     frame_unitary,
+    gram_pair_from_matrices,
+    h1_operator_norm,
     membership_residual,
     skew_residual,
 )
 from twonorm.basis import orthonormal_columns
-from twonorm.group import OneParameterGroup
+from twonorm.group import OneParameterGroup, _operator
 from twonorm.sampling import random_complex, random_group_member, random_skew, rng_for_trial
 
 
@@ -34,8 +36,8 @@ def test_group_operations_stay_in_group(g, rng):
     U = random_group_member(rng, g, scale=0.8)
     W = random_group_member(rng, g, scale=0.8)
     assert membership_residual(U.data @ W.data, g) <= 1e-9
-    assert membership_residual(U.inv, g) <= 1e-9
-    assert np.allclose(U.data @ U.inv, np.eye(g.n), atol=1e-10)
+    assert membership_residual(U.inverse.data, g) <= 1e-9
+    assert np.allclose(U.data @ U.inverse.data, np.eye(g.n), atol=1e-10)
 
 
 def test_exponential_one_parameter_property(g, rng):
@@ -170,3 +172,68 @@ def test_algebraic_membership_is_exact_at_n128():
             v = v / np.sqrt((v.conj() @ (g.gl2 @ v)).real)
             defect = abs((v.conj() @ (M.conj().T @ g.gl2 @ M @ v)).real - 1.0)
             assert defect <= sup + 1e-12
+
+
+def _weighted_pair(n=16, spacing=0.25):
+    """A pair whose weak form is a non-scalar Hermitian matrix, so every weak-form product is dense."""
+    A = random_complex(rng_for_trial(7, 0), n, n)
+    gl2 = spacing * np.eye(n) + 0.05 * (A @ A.conj().T) / n
+    D = np.roll(np.eye(n), 1, axis=1) - np.eye(n)
+    return gram_pair_from_matrices(gl2, gl2 + D.T @ gl2 @ D / spacing**2)
+
+
+PAIRS = {
+    "grid": build_space(SpaceSpec(domain_dim=1, grid_points=16, spacing=0.25)),
+    "weighted": _weighted_pair(),
+}
+
+
+def _elements(g, seed):
+    """A frame unitary (k <= 2N), a random member (k = n) and a dense member (k = n, Q = gl2^-1/2)."""
+    rng = rng_for_trial(seed, 0)
+    F0 = orthonormal_columns(random_complex(rng, g.n, 2), g)
+    F1 = orthonormal_columns(F0 + 0.3 * random_complex(rng, g.n, 2), g)
+    member = random_group_member(rng, g, scale=0.7)
+    return frame_unitary(F0, F1, g), member, GroupElement.from_matrix(member.data.copy(), g)
+
+
+@pytest.mark.parametrize("kind", PAIRS)
+def test_the_inverse_element_is_the_retired_inverse_formulas_bit_for_bit(kind):
+    g = PAIRS[kind]
+    F = random_complex(rng_for_trial(3, 1), g.n, 3)
+    for U in _elements(g, 3):
+        # The retired inv, inv_displacement and inv_h1_norm, as they were written.
+        Bh, k = U.B.conj().T, U.Q.shape[1]
+        dense = np.eye(g.n) + _operator(U, Bh)
+        moved = U.Q @ (Bh @ (U.Q.conj().T @ g.l2(F)))
+        T = np.linalg.qr(np.hstack([g.h1_half(U.Q @ Bh), g.h1_ihalf(g.l2(U.Q))]), mode="r")
+        top = float(np.linalg.norm(np.eye(T.shape[0]) + T[:, :k] @ T[:, k:].conj().T, 2))
+        assert U.inverse is U.inverse and U.inverse.Q is U.Q
+        assert np.array_equal(U.inverse.data, dense)
+        assert np.array_equal(U.inverse.displacement(F), moved)
+        assert U.inverse.h1_norm == (top if T.shape[0] == g.n else max(1.0, top))
+        # h1_norm is the strong operator norm of any element, U itself included.
+        for W in (U, U.inverse):
+            norm = h1_operator_norm(W.data, g)
+            assert abs(W.h1_norm - norm) <= 1e-12 * norm
+
+
+@pytest.mark.parametrize("kind", PAIRS)
+def test_the_one_svd_membership_residual_is_the_eigenvalue_form(kind):
+    g = PAIRS[kind]
+    eye = np.eye(g.n, dtype=np.complex128)
+    drift = eye.copy()
+    drift[0, 0] = 2.0
+    for seed in range(4):
+        for A in [U.data for U in _elements(g, seed)] + [drift]:
+            # The retired value: the largest |eigenvalue| of M^H M - I.
+            M = g.to_l2_frame(A)
+            D = M.conj().T @ M - eye
+            parent = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (D + D.conj().T)))))
+            assert abs(algebraic_membership_residual(A, g) - parent) <= 1e-14 * max(1.0, parent)
+    if kind == "grid":
+        assert algebraic_membership_residual(drift, g) == pytest.approx(3.0, abs=1e-12)
+    singular = eye.copy()
+    singular[:, 0] = 0.0
+    with pytest.raises(ValueError, match="singular"):
+        algebraic_membership_residual(singular, g)

@@ -57,13 +57,17 @@ KEPT = {"gram_pair_from_matrices", "matrix_to_json"}
 # Members folded into their callers: projection distances and contraction
 # bounds are taken on the joint span of the range frames.  A point's image
 # projection is phi(V).P, and random_skew and algebraic_membership_residual
-# need no congruence by gl2^{-1/2}.
+# need no congruence by gl2^{-1/2}.  An element's inverse is the element
+# U.inverse on the same span, with its own data, displacement and h1_norm.
 RETIRED_MEMBERS = (
     (twonorm.LowRank, "__sub__"),
     (twonorm.StiefelOperator, "projection_factors"),
     (twonorm.StiefelOperator, "projection"),
     (twonorm.GramPair, "isqrt_l2_congruence"),
     (twonorm.space.GridPair, "isqrt_l2_congruence"),
+    (twonorm.GroupElement, "inv"),
+    (twonorm.GroupElement, "inv_displacement"),
+    (twonorm.GroupElement, "inv_h1_norm"),
 )
 
 

@@ -90,7 +90,7 @@ def test_span_exponential_agrees_with_pade(case):
     F = orthonormal_columns(random_complex(rng_for_trial(seed, 1), n, N), g)
     assert U.Q.shape == (n, k) and U.B.shape == (k, k)
     assert _rel(U.data, E) <= TOL
-    assert _rel(U.inv, np.linalg.inv(E)) <= TOL
+    assert _rel(U.inverse.data, np.linalg.inv(E)) <= TOL
     assert _rel(U.displacement(F), E @ F - F) <= TOL
     assert _rel(X.apply(F), X.data @ F) <= TOL
     # Dense input is the k = n case of the same type and acts the same way.

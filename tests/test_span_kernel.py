@@ -224,8 +224,8 @@ def test_inverse_norm_from_the_span_matches_the_dense_norm(d, m, h):
         U = frame_unitary(V.Phi, V0.Phi, g)
         if g.n == 6:
             assert 2 * U.Q.shape[1] >= g.n
-        dense = h1_operator_norm(U.inv, g)
-        assert abs(U.inv_h1_norm() - dense) <= 1e-12 * dense
+        dense = h1_operator_norm(U.inverse.data, g)
+        assert abs(U.inverse.h1_norm - dense) <= 1e-12 * dense
 
 
 class _RefusingGram(np.ndarray):
@@ -373,21 +373,21 @@ def test_grassmann_suite_builds_each_joint_span_once():
 @pytest.mark.parametrize("n", [16, 128])
 def test_translated_section_applies_the_inverse_on_the_frame(n, monkeypatch):
     # U^-1 F = F + Q B^H (Q^H gl2 F) agrees with the dense inverse, and the
-    # translated section never builds that inverse.
+    # translated section builds no dense element, that inverse included.
     g = build_space(SpaceSpec(domain_dim=1, grid_points=n, spacing=0.25))
     setup, mover = rng_for_trial(42, SETUP_TRIAL), rng_for_trial(42, SETUP_TRIAL - 1)
     ref = random_reference(setup, g, 2)
     V = random_stiefel(setup, ref, scale=0.4)
     V0 = random_stiefel(mover, ref, scale=0.3)
     U = frame_unitary(V.Phi, V0.Phi, g)
-    V1, _ = stiefel_near(V0, 0.3 * radius_r(V) / U.inv_h1_norm(), mover)
-    dense = U.inv @ V1.Phi
-    assert np.linalg.norm(V1.Phi + U.inv_displacement(V1.Phi) - dense) <= 1e-14 * np.linalg.norm(dense)
+    V1, _ = stiefel_near(V0, 0.3 * radius_r(V) / U.inverse.h1_norm, mover)
+    dense = U.inverse.data @ V1.Phi
+    assert np.linalg.norm(V1.Phi + U.inverse.displacement(V1.Phi) - dense) <= 1e-14 * np.linalg.norm(dense)
 
     def refuse(_):
-        raise AssertionError("dense inverse")
+        raise AssertionError("dense element")
 
-    monkeypatch.setattr(GroupElement, "inv", property(refuse))
+    monkeypatch.setattr(GroupElement, "data", property(refuse))
     moved = translated_section(V, V0, V1)
     D = V1.Phi - V.Phi
     assert np.linalg.norm(moved.displacement(V.Phi) - D) <= 1e-12 * np.linalg.norm(D)
@@ -408,7 +408,7 @@ def _span_form_products(g, seed):
         "data": eye + (Q @ U.B) @ (g.gl2 @ Q).conj().T,
         "inv": eye + (Q @ U.B.conj().T) @ (g.gl2 @ Q).conj().T,
     }
-    routed = {"block": X.S, "X": X.data, "data": U.data, "inv": U.inv}
+    routed = {"block": X.S, "X": X.data, "data": U.data, "inv": U.inverse.data}
     return reference, routed
 
 

@@ -317,7 +317,7 @@ def test_section_rejects_far_point():
 def test_translated_section_moves_base_point(g, V, rng):
     mover = exp_skew(random_skew(rng, g, scale=0.2))
     V0 = act(mover, V)
-    shrink = h1_operator_norm(mover.inv, g)
+    shrink = h1_operator_norm(mover.inverse.data, g)
     V1, _ = stiefel_near(V0, 0.25 * radius_r(V) / shrink, rng)
     sigma = translated_section(V, V0, V1)
     assert np.linalg.norm(sigma.data @ V.V - V1.V) <= 1e-8
@@ -330,7 +330,7 @@ def test_translated_section_reaches_far_beyond_the_translated_radius(n):
     for seed, V in _seeded_points(n):
         mover = rng_for_trial(seed, 2)
         V0 = random_stiefel(mover, V.ref, scale=0.3)
-        allowed = radius_r(V) / frame_unitary(V.Phi, V0.Phi, V.g).inv_h1_norm()
+        allowed = radius_r(V) / frame_unitary(V.Phi, V0.Phi, V.g).inverse.h1_norm
         V1, _ = stiefel_near(V0, 1e3 * allowed, mover)
         D = V1.Phi - V.Phi
         miss = translated_section(V, V0, V1).displacement(V.Phi) - D
