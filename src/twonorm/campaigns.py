@@ -24,7 +24,7 @@ from .geometry import (
     norm_sandwich_check,
 )
 from .group import SkewOperator, _Span, _TwoFrames, exp_skew
-from .sampling import random_complex, random_span_skew, rng_for_trial, stiefel_near
+from .sampling import random_complex, random_skew, rng_for_trial, stiefel_near
 from .space import LowRank, build_space, span_singular_values
 from .stiefel import (
     StiefelOperator,
@@ -200,7 +200,7 @@ def run_geometry(cfg: RunConfig) -> int:
     zero = SkewOperator(V0.Phi, np.zeros((ref.N, ref.N)), g)
     emit("constant", curve_length(exp_curve(V0, zero, steps), spec, g), V0)
 
-    X = _strong_scaled(random_span_skew(setup, V0.Phi, g), 0.05)
+    X = _strong_scaled(random_skew(setup, V0.Phi, g), 0.05)
     V_rot = act(exp_skew(X), V0)
     emit("rotation", curve_length(exp_curve(V0, X, steps), spec, g), V_rot)
 

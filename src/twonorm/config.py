@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from .basis import require_orthonormal
 from .geometry import NormSpec
 from .serialize import matrix_from_json
-from .space import SpaceSpec, build_space
+from .space import SpaceSpec, _require_integers, build_space
 
 __all__ = ["RunConfig", "DEFAULT_TOLERANCES", "config_from_mapping", "load_config"]
 
@@ -22,7 +22,7 @@ DEFAULT_TOLERANCES = {
     "geometry": 1e-6,
 }
 
-_SPACE_KEYS = {"domain_dim", "grid_points", "spacing", "boundary"}
+_SPACE_KEYS = {"domain_dim", "grid_points", "spacing"}
 _CONFIG_KEYS = {
     "seed",
     "space",
@@ -47,6 +47,7 @@ class RunConfig:
     frame_file: str | None = None
 
     def __post_init__(self):
+        _require_integers(self, "seed", "subspace_dim", "trials")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 bits")
         if self.subspace_dim < 1:
@@ -70,14 +71,6 @@ class RunConfig:
         return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))
 
 
-def _integer(obj, key: str) -> int:
-    """The value under key, which must be a JSON integer (not a float or a boolean)."""
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def _number(obj, key: str) -> float:
     """The value under key, which must be a JSON number (an integer or a float, not a boolean) a float can hold."""
     value = obj.get(key)
@@ -95,14 +88,10 @@ def _space_from_mapping(obj) -> SpaceSpec:
     unknown = set(obj) - _SPACE_KEYS
     if unknown:
         raise ValueError(f"unknown space keys: {sorted(unknown)}")
-    kwargs = {}
-    for key in ("domain_dim", "grid_points"):
-        if key in obj:
-            kwargs[key] = _integer(obj, key)
+    # The integer fields are checked by SpaceSpec itself.
+    kwargs = {key: obj[key] for key in ("domain_dim", "grid_points") if key in obj}
     if "spacing" in obj:
         kwargs["spacing"] = _number(obj, "spacing")
-    if "boundary" in obj:
-        kwargs["boundary"] = str(obj["boundary"])
     return SpaceSpec(**kwargs)
 
 
@@ -128,10 +117,8 @@ def config_from_mapping(obj) -> RunConfig:
     unknown = set(obj) - _CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
-    kwargs = {}
-    for key in ("seed", "subspace_dim", "trials"):
-        if key in obj:
-            kwargs[key] = _integer(obj, key)
+    # The integer fields are checked by RunConfig itself.
+    kwargs = {key: obj[key] for key in ("seed", "subspace_dim", "trials") if key in obj}
     if "space" in obj:
         kwargs["space"] = _space_from_mapping(obj["space"])
     if "tolerances" in obj:

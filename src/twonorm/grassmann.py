@@ -18,7 +18,7 @@ import numpy as np
 
 from .basis import FRAME_TOL, orthonormal_columns, require_orthonormal
 from .errors import NeighborhoodViolation
-from .group import GroupElement, SkewOperator, _TwoFrames
+from .group import GroupElement, SkewOperator, _TwoFrames, _lie_split
 from .space import GramPair, LowRank, as_operator, h1_operator_norm
 from .stiefel import ReferenceFrame, StiefelOperator, _require_same_reference
 
@@ -203,6 +203,8 @@ def delta_p(Y, P: ProjectionOperator) -> np.ndarray:
 
 
 def lie_split_grassmann(X: SkewOperator, P: ProjectionOperator) -> tuple[SkewOperator, SkewOperator]:
-    """Split X into a part commuting with P and the off-diagonal part delta_P^2(X) = X P + P X - 2 P X P."""
-    xh = delta_p(delta_p(X.data, P), P)
-    return SkewOperator.from_matrix(X.data - xh, X.g), SkewOperator.from_matrix(xh, X.g)
+    """Split X into a part commuting with P and the off-diagonal part delta_P^2(X) = X P + P X - 2 P X P.
+
+    Both parts live on the joint span of X's span and P's range frame, k <= k_X + N.
+    """
+    return _lie_split(X, P.frame, 2.0)

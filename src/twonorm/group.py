@@ -3,7 +3,8 @@
 Membership is the quadratic identity U^H gl2 U = gl2; the corresponding
 algebra condition is X^H gl2 + gl2 X = 0.  An element moves the span of a
 weakly orthonormal n-by-k Q, fixes its weak complement and is stored as Q and
-a k-by-k block; dense input is the k = n case Q = gl2^{-1/2}.  A span,
+a k-by-k block; every library routine builds its spans from a few frames, so
+k is a small multiple of their width and never n.  A span,
 ``_Span``, is where strong norms of operators on it are taken, and the joint
 span of two n-by-N frames, ``_TwoFrames``, is the one kernel of every section.
 """
@@ -56,8 +57,6 @@ def _frozen(A: np.ndarray) -> np.ndarray:
 def _span_form(element, block: str, defect, identity: str) -> None:
     """Check and freeze the weakly orthonormal span Q and the k-by-k block of an element.
 
-    The pair's own factor gl2^{-1/2} is orthonormal by construction and known
-    without building it (``GramPair.is_isqrt_l2``); any other span is checked.
     The block residual ||defect||_F / sqrt(n), the dense one where gl2 is w I,
     is kept as the element's ``defect``.
     """
@@ -66,8 +65,7 @@ def _span_form(element, block: str, defect, identity: str) -> None:
     M = np.asarray(getattr(element, block), dtype=np.complex128)
     if Q.ndim != 2 or Q.shape[0] != g.n or M.shape != (Q.shape[1],) * 2:
         raise ValueError(f"need an {g.n}-by-k span and a k-by-k block, got {Q.shape} and {M.shape}")
-    if not g.is_isqrt_l2(Q):
-        require_orthonormal(Q, g, "span is not orthonormal")
+    require_orthonormal(Q, g, "span is not orthonormal")
     res = float(np.linalg.norm(defect(M)) / math.sqrt(g.n))
     if not res <= CONSTRUCT_TOL:
         raise MembershipDefect(f"{identity} residual {res:.3e} exceeds tolerance {CONSTRUCT_TOL:.1e}")
@@ -77,9 +75,8 @@ def _span_form(element, block: str, defect, identity: str) -> None:
 
 
 def _operator(element, M) -> np.ndarray:
-    """The n-by-n Q M (gl2 Q)^H; for k = n that is gl2^{-1/2} M gl2^{1/2}, which is M when gl2 is w I."""
-    Q, g = element.Q, element.g
-    return g.from_l2_frame(M) if g.is_isqrt_l2(Q) else (Q @ M) @ g.l2(Q).conj().T
+    """The n-by-n Q M (gl2 Q)^H."""
+    return (element.Q @ M) @ element.g.l2(element.Q).conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,14 +90,6 @@ class GroupElement:
 
     def __post_init__(self):
         _span_form(self, "B", lambda B: B + B.conj().T + B.conj().T @ B, "form-preservation")
-
-    @classmethod
-    def from_matrix(cls, U, g: GramPair) -> "GroupElement":
-        """Dense U as the k = n case, B = gl2^{1/2} U gl2^{-1/2} - I; U is kept as data."""
-        U = as_operator(U, g.n, "group element")
-        element = cls(g.isqrt_l2, g.to_l2_frame(U) - np.eye(g.n), g)
-        object.__setattr__(element, "data", _frozen(U))
-        return element
 
     @cached_property
     def data(self) -> np.ndarray:
@@ -146,14 +135,6 @@ class SkewOperator:
     def __post_init__(self):
         _span_form(self, "S", lambda S: S + S.conj().T, "skewness")
 
-    @classmethod
-    def from_matrix(cls, X, g: GramPair) -> "SkewOperator":
-        """Dense X as the k = n case, S = gl2^{1/2} X gl2^{-1/2}; X is kept as data."""
-        X = as_operator(X, g.n, "skew operator")
-        element = cls(g.isqrt_l2, g.to_l2_frame(X), g)
-        object.__setattr__(element, "data", _frozen(X))
-        return element
-
     @cached_property
     def data(self) -> np.ndarray:
         return _frozen(_operator(self, self.S))
@@ -161,6 +142,24 @@ class SkewOperator:
     def apply(self, F) -> np.ndarray:
         """X F = Q S (Q^H gl2 F)."""
         return self.Q @ (self.S @ (self.Q.conj().T @ self.g.l2(F)))
+
+
+def _lie_split(X: SkewOperator, H, c: float) -> tuple[SkewOperator, SkewOperator]:
+    """X = (X - D) + D on the joint span Q' = [Q, complete_basis(Q, H)] of X and the range frame H of P.
+
+    With E = Q'^H gl2 H, P acts on Q' as p = E E^H, and for X's block S'
+    padded to Q' the part D has block p S' + S' p - c p S' p: the off-diagonal
+    part delta_P^2(X) = X P + P X - 2 P X P at c = 2, and P X + X P - P X P at c = 1.
+    """
+    g, k = X.g, X.Q.shape[1]
+    Q = np.hstack([X.Q, complete_basis(X.Q, H, g)])
+    S = np.zeros((Q.shape[1],) * 2, dtype=np.complex128)
+    S[:k, :k] = X.S
+    E = Q.conj().T @ g.l2(H)
+    p = E @ E.conj().T
+    pS = p @ S
+    D = pS + S @ p - c * (pS @ p)
+    return SkewOperator(Q, S - D, g), SkewOperator(Q, D, g)
 
 
 class OneParameterGroup:

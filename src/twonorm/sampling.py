@@ -1,7 +1,9 @@
 """Deterministic random generators for tests and campaign runs.
 
 Each (seed, trial index) pair keys its own counter-based stream, so
-campaigns reproduce byte for byte and trials can run in any order.
+campaigns reproduce byte for byte and trials can run in any order.  The one
+algebra draw, ``random_skew``, is a generator on span[F, G] for a frame F
+and a random block G of its width, so no draw forms an n-by-n array.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ __all__ = [
     "rng_for_trial",
     "random_complex",
     "random_skew",
-    "random_span_skew",
-    "random_group_member",
     "random_reference",
     "base_point",
     "random_stiefel",
@@ -49,21 +49,7 @@ def random_complex(rng, rows: int, cols: int) -> np.ndarray:
     ) / np.sqrt(2.0)
 
 
-def random_skew(rng, g: GramPair, scale: float = 1.0) -> SkewOperator:
-    """Random skew X with k = n block A - A^H scaled to Frobenius norm ``scale``.
-
-    On build_space grids gl2 is a multiple of I, so that is also ||X||_F;
-    no solve and no from_matrix are involved.
-    """
-    A = random_complex(rng, g.n, g.n)
-    S = A - A.conj().T
-    nrm = np.linalg.norm(S)
-    if nrm > 0:
-        S = S * (scale / nrm)
-    return SkewOperator(g.isqrt_l2, S, g)
-
-
-def random_span_skew(rng, F, g: GramPair) -> SkewOperator:
+def random_skew(rng, F, g: GramPair) -> SkewOperator:
     """Random skew X = Q (A - A^H)(gl2 Q)^H on span[F, G], for G a random n-by-N block.
 
     Q is an orthonormal basis of the span, so k = min(2N, n); the k-by-k
@@ -74,8 +60,9 @@ def random_span_skew(rng, F, g: GramPair) -> SkewOperator:
     return SkewOperator(Q, A - A.conj().T, g)
 
 
-def random_group_member(rng, g: GramPair, scale: float = 1.0) -> GroupElement:
-    return exp_skew(random_skew(rng, g, scale))
+def _frobenius_scaled(X: SkewOperator, norm: float) -> SkewOperator:
+    """X with its block rescaled to the given Frobenius norm; on build_space grids that is also ||X||_F."""
+    return SkewOperator(X.Q, X.S * (norm / np.linalg.norm(X.S)), X.g)
 
 
 def random_reference(rng, g: GramPair, N: int) -> ReferenceFrame:
@@ -93,13 +80,8 @@ def base_point(ref: ReferenceFrame) -> StiefelOperator:
 
 
 def random_stiefel(rng, ref: ReferenceFrame, scale: float = 0.5) -> StiefelOperator:
-    """The base point moved by exp(X), for X from ``random_span_skew`` on span[Xi, G].
-
-    The block of X has Frobenius norm ``scale``; on build_space grids that is
-    also ||X||_F.
-    """
-    X = random_span_skew(rng, ref.Xi, ref.g)
-    return act(exp_skew(SkewOperator(X.Q, X.S * (scale / np.linalg.norm(X.S)), X.g)), base_point(ref))
+    """The base point moved by exp(X), for X from ``random_skew`` on span[Xi, G] with block of Frobenius norm ``scale``."""
+    return act(exp_skew(_frobenius_scaled(random_skew(rng, ref.Xi, ref.g), scale)), base_point(ref))
 
 
 def random_projection(rng, g: GramPair, N: int) -> ProjectionOperator:
@@ -135,7 +117,7 @@ def _calibrated_scale(distance_at, target: float) -> float:
 
 
 def _span_perturbation(F, g: GramPair, target: float, scale: float, rng, distance) -> GroupElement:
-    """exp(sX) with distance(exp(sX) F - F) = target, for X from ``random_span_skew``.
+    """exp(sX) with distance(exp(sX) F - F) = target, for X from ``random_skew``.
 
     exp(sX) F - F = Q B(s) c for the span Q and block B(s) of exp(sX) and c = Q^H gl2 F;
     ``distance(span, c, d)`` returns the distance for the ``_Span`` of Q and the
@@ -153,7 +135,7 @@ def _span_perturbation(F, g: GramPair, target: float, scale: float, rng, distanc
             f"of a point of strong norm {scale:.3e}"
         )
     for _ in range(MAX_DIRECTIONS):
-        exp_sX = OneParameterGroup(random_span_skew(rng, F, g))
+        exp_sX = OneParameterGroup(random_skew(rng, F, g))
         span = _Span(exp_sX.X.Q, g)
         c = span.Q.conj().T @ g.l2(F)
         try:

@@ -64,6 +64,14 @@ def as_vector(x, n, name="vector"):
     return x
 
 
+def _require_integers(spec, *names) -> None:
+    """Raise ValueError unless each named field of ``spec`` is an integer (not a float or a boolean)."""
+    for name in names:
+        value = getattr(spec, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SpaceSpec:
     """Periodic uniform grid description.
@@ -71,23 +79,20 @@ class SpaceSpec:
     domain_dim  -- spatial dimension, 1, 2 or 3
     grid_points -- points per axis, at least 2
     spacing     -- positive grid spacing h
-    boundary    -- only "periodic" is supported
     """
 
     domain_dim: int = 1
     grid_points: int = 16
     spacing: float = 0.25
-    boundary: str = "periodic"
 
     def __post_init__(self):
+        _require_integers(self, "domain_dim", "grid_points")
         if self.domain_dim not in (1, 2, 3):
             raise ValueError(f"domain_dim must be 1, 2 or 3, got {self.domain_dim}")
         if self.grid_points < 2:
             raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
         if not (self.spacing > 0):
             raise ValueError(f"spacing must be positive, got {self.spacing}")
-        if self.boundary != "periodic":
-            raise ValueError(f"unsupported boundary {self.boundary!r}")
 
     @property
     def n(self) -> int:
@@ -156,10 +161,6 @@ class GramPair:
     @property
     def isqrt_h1(self):
         return self._sqrt_pair_h1[1]
-
-    def is_isqrt_l2(self, Q) -> bool:
-        """Whether Q is this pair's own gl2^{-1/2}, the span of k = n elements; never builds it."""
-        return Q is self.__dict__.get("_sqrt_pair_l2", (None, None))[1]
 
     def l2(self, F):
         """gl2 F."""

@@ -22,7 +22,7 @@ import numpy as np
 
 from .basis import complete_basis, require_orthonormal
 from .errors import ConvergenceFailure
-from .group import GroupElement, SkewOperator, _TwoFrames, frame_unitary
+from .group import GroupElement, SkewOperator, _TwoFrames, _lie_split, frame_unitary
 from .space import GramPair, LowRank, as_operator, h1_operator_norm, h1_triangle, norm_h1, span_singular_values
 
 __all__ = [
@@ -429,13 +429,10 @@ def translated_section(
 
 
 def lie_split_stiefel(X: SkewOperator, P: "ProjectionOperator") -> tuple[SkewOperator, SkewOperator]:
-    """Split X into isotropy and complement parts relative to the projection P = H G^H.
+    """Split X into isotropy and complement parts relative to the projection P.
 
     The isotropy part (I-P) X (I-P) kills range(P); the complement part
-    P X + X P - P X P = H (G^H X) + (X H - H (G^H X H)) G^H has no
-    (I-P)-corner.  Both stay in the algebra and they sum back to X.
+    P X + X P - P X P has no (I-P)-corner.  Both stay in the algebra, sum back
+    to X and live on the joint span of X's span and P's range frame, k <= k_X + N.
     """
-    H, G = P.factors.L, P.factors.R
-    XH = X.data @ H
-    xh = H @ (G.conj().T @ X.data) + (XH - H @ (G.conj().T @ XH)) @ G.conj().T
-    return SkewOperator.from_matrix(X.data - xh, X.g), SkewOperator.from_matrix(xh, X.g)
+    return _lie_split(X, P.frame, 1.0)

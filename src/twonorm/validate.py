@@ -50,13 +50,12 @@ from .group import (
 from .oracles import adjoint_by_definition, sqrt_eig
 from .sampling import (
     SETUP_TRIAL,
+    _frobenius_scaled,
     projection_near,
     random_complex,
-    random_group_member,
     random_projection,
     random_reference,
     random_skew,
-    random_span_skew,
     random_stiefel,
     rng_for_trial,
     stiefel_near,
@@ -183,14 +182,18 @@ def _space_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
 
 
 def _group_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
+    # The identities are checked on the n-by-n data of elements on span[Xi, G].
+    Xi = _reference_for(cfg, g, rng_for_trial(cfg.seed, SETUP_TRIAL)).Xi
     def trial(rng):
-        X = random_skew(rng, g, scale=1.0)
+        X = _frobenius_scaled(random_skew(rng, Xi, g), 1.0)
         rec.residual(skew_residual(X.data, g), 1e-12)
         U = exp_skew(X)
         rec.residual(membership_residual(U.data, g), 1e-10)
-        V = random_group_member(rng, g, scale=0.7)
+        V = exp_skew(_frobenius_scaled(random_skew(rng, Xi, g), 0.7))
         rec.residual(membership_residual(U.data @ V.data, g), 1e-9)
         rec.residual(membership_residual(U.inverse.data, g), 1e-9)
+        # exp(-X) from a decomposition of its own: reading it from U's at t = -1
+        # would test only the eigensolver's orthogonality.
         back = exp_skew(SkewOperator(X.Q, -X.S, g))
         rec.residual(
             np.linalg.norm(U.data @ back.data - np.eye(g.n)), 1e-11 * np.exp(2.0)
@@ -278,7 +281,7 @@ def _grassmann_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
         # generator is drawn on span[Xi, G].  With E = Q^H gl2 Xi, J = 2 E E^H - I
         # reflects across span(Xi), and S + J S J is twice the part of the block
         # that commutes with J, so T fixes span(Xi) and V T Xi = Phi (gl2 Xi)^H T Xi.
-        Z = random_span_skew(rng, ref.Xi, g)
+        Z = random_skew(rng, ref.Xi, g)
         E = Z.Q.conj().T @ ref.dual
         J = 2.0 * E @ E.conj().T - np.eye(len(E))
         S = Z.S + J @ Z.S @ J
@@ -295,7 +298,8 @@ def _grassmann_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
         d3 = delta_p(delta_p(d1, P), P)
         # The cube identity and the split sums are recorded relative to max(1, scale).
         rec.residual(np.linalg.norm(d3 - d1) / max(1.0, np.linalg.norm(d1)), 1e-12)
-        X = random_skew(rng, g, scale=1.0)
+        # The split generator lives on span[Phi, G]: P adds N columns to its span, phi(V) none.
+        X = _frobenius_scaled(random_skew(rng, V.Phi, g), 1.0)
         xg, xh = lie_split_grassmann(X, P)
         rec.residual(np.linalg.norm(xg.data + xh.data - X.data) / max(1.0, np.linalg.norm(X.data)), 1e-12)
         rec.residual(np.linalg.norm(delta_p(xg.data, P)), 1e-10 * max(1.0, np.linalg.norm(xg.data)))
@@ -330,7 +334,7 @@ def _geometry_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
         rng = rng_for_trial(cfg.seed, trial)
         # A generator of strong norm 0.2 on span[V0.Phi, G] has its phases
         # inside (-pi, pi] at any spacing, so the principal logarithm returns it.
-        X = _strong_scaled(random_span_skew(rng, V0.Phi, g), 0.2)
+        X = _strong_scaled(random_skew(rng, V0.Phi, g), 0.2)
         # The log keeps the span, so both generators are Q S (gl2 Q)^H on one Q.
         back = group_log(exp_skew(X))
         rec.require(back.Q is X.Q)
@@ -343,7 +347,7 @@ def _geometry_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
             (finsler_norm_grassmann(X, P0, spec), finsler_norm_grassmann(X, P0, NormSpec.operator()), 2 * ref.N),
         ):
             rec.residual(max(0.0, op - f, f - rank * op), 1e-10 * max(1.0, op))
-        W = act(exp_skew(_strong_scaled(random_span_skew(rng, V0.Phi, g), 0.02)), V0)
+        W = act(exp_skew(_strong_scaled(random_skew(rng, V0.Phi, g), 0.02)), V0)
         report = norm_sandwich_check(V0, W, spec)
         rec.require(report.ok)
         # distance_upper checks that its curve reaches W; it is no shorter than the chord.

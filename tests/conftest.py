@@ -1,8 +1,20 @@
 import numpy as np
 import pytest
 
-from twonorm import SpaceSpec, build_space, gram_pair_from_matrices
-from twonorm.sampling import SETUP_TRIAL, random_reference, random_stiefel, rng_for_trial
+from twonorm import SkewOperator, SpaceSpec, build_space, gram_pair_from_matrices
+from twonorm.sampling import SETUP_TRIAL, random_complex, random_reference, random_stiefel, rng_for_trial
+
+
+def dense_skew(rng, g, scale=1.0):
+    """A k = n generator on the span gl2^{-1/2}: block A - A^H scaled to Frobenius norm ``scale``.
+
+    A is an n-by-n complex Gaussian.  Where gl2 is w I, the block is also the
+    dense X and ``scale`` is ||X||_F.  The library draws on spans of k <= 2N
+    columns only, so the full-rank case is built here, for the dense checks.
+    """
+    A = random_complex(rng, g.n, g.n)
+    S = A - A.conj().T
+    return SkewOperator(g.isqrt_l2, S * (scale / np.linalg.norm(S)), g)
 
 
 @pytest.fixture(scope="session")

@@ -44,11 +44,12 @@ from twonorm.sampling import (
     base_point,
     projection_near,
     random_complex,
-    random_skew,
     random_stiefel,
     rng_for_trial,
     stiefel_near,
 )
+
+from conftest import dense_skew
 
 
 def report(capsys, name: str, ok: bool):
@@ -62,8 +63,8 @@ def test_01_group_axioms(g, capsys):
     ok = True
     for trial in range(25):
         rng = rng_for_trial(42, trial)
-        U = exp_skew(random_skew(rng, g, scale=1.0))
-        W = exp_skew(random_skew(rng, g, scale=1.0))
+        U = exp_skew(dense_skew(rng, g, scale=1.0))
+        W = exp_skew(dense_skew(rng, g, scale=1.0))
         ok &= membership_residual(U.data, g) <= 1e-10
         ok &= membership_residual(U.data @ W.data, g) <= 1e-10
         ok &= membership_residual(U.inverse.data, g) <= 1e-10
@@ -130,7 +131,7 @@ def test_05_quotient_sections_and_equivalence(g, ref, capsys):
         U = section_pi_p(P, P2)
         ok &= np.linalg.norm(U.data @ P.P @ U.inverse.data - P2.P) <= 1e-9
 
-        X = random_skew(rng, g, scale=0.4)
+        X = dense_skew(rng, g, scale=0.4)
         P_S = ProjectionOperator(ref.Xi, g)
         xdiag, _ = lie_split_grassmann(X, P_S)
         V_re = StiefelOperator.from_matrix(V.V @ exp_skew(xdiag).data, ref)
@@ -155,7 +156,7 @@ def test_06_tangent_space_identities(g, ref, capsys):
         # delta_P applied twice is idempotent.
         Eg = delta_p(D, P)
         ok &= np.linalg.norm(delta_p(delta_p(Eg, P), P) - Eg) <= 1e-10 * max(1.0, np.linalg.norm(Eg))
-        X = random_skew(rng, g)
+        X = dense_skew(rng, g)
         # X V is tangent at V: in frame form, Phi^H gl2 (X Phi) is skew-Hermitian.
         M = V.Phi.conj().T @ g.l2(X.apply(V.Phi))
         ok &= np.linalg.norm(M + M.conj().T) <= 1e-12 * max(1.0, np.linalg.norm(M))
@@ -205,15 +206,15 @@ def test_09_curves_and_distance(g, g_flat, ref, capsys):
     theta = 0.4
     flat_ref = ReferenceFrame(np.array([[1.0], [0.0]]), g_flat)
     V0 = base_point(flat_ref)
-    X = SkewOperator.from_matrix(np.array([[0.0, -theta], [theta, 0.0]]), g_flat)
+    X = SkewOperator(np.eye(2), np.array([[0.0, -theta], [theta, 0.0]]), g_flat)
     length = curve_length(exp_curve(V0, X, steps=65), NormSpec.schatten(2.0), g_flat)
     ok &= abs(length - theta) <= 1e-6
 
     # Riemannian Gram matrices of tangent tuples are positive semidefinite.  The
-    # inner product is the polarization of the p = 2 Finsler norm; random_skew
+    # inner product is the polarization of the p = 2 Finsler norm; dense_skew
     # draws share the span gl2^{-1/2}, so X +- Y are blocks on it.
     rng = rng_for_trial(42, 1)
-    tangents = [random_skew(rng, g) for _ in range(4)]
+    tangents = [dense_skew(rng, g) for _ in range(4)]
     two = NormSpec.schatten(2.0)
 
     def inner(a, b):
@@ -227,7 +228,7 @@ def test_09_curves_and_distance(g, g_flat, ref, capsys):
     # points approach each other.
     spec = NormSpec.schatten(2.0)
     rng = rng_for_trial(42, 2)
-    Y = random_skew(rng, g)
+    Y = dense_skew(rng, g)
     uppers = []
     for target in (1e-3, 1e-5, 1e-7):
         Vt, achieved = stiefel_near(V, target, rng)

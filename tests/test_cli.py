@@ -63,6 +63,21 @@ def test_config_rejects_bad_fields():
         RunConfig(tolerances={"sqrt": 2.0})
 
 
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "3"], ids=["float", "integral-float", "bool", "string"])
+@pytest.mark.parametrize("key", ["seed", "subspace_dim", "trials"])
+def test_config_integer_fields_reject_non_integers(key, value):
+    # Checked by the constructor itself, as on the JSON path.
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        RunConfig(**{key: value})
+
+
+def test_a_config_naming_boundary_is_a_usage_error(tmp_path, capsys):
+    # Every grid is periodic; boundary was a key with one legal value and is now unknown.
+    cfg = write_config(tmp_path, space={"grid_points": 4, "boundary": "periodic"}, trials=1)
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert "unknown space keys: ['boundary']" in capsys.readouterr().err
+
+
 def test_mapping_rejects_unknown_keys():
     with pytest.raises(ValueError):
         config_from_mapping({"sede": 1})
@@ -537,7 +552,7 @@ def test_membership_defect_exits_one(tmp_path, capsys, monkeypatch):
     # defect, named on stderr, not a configuration error.
     def runner(cfg):
         g = build_space(cfg.space)
-        GroupElement.from_matrix(2.0 * np.eye(g.n), g)
+        GroupElement(g.isqrt_l2, np.eye(g.n), g)  # the k = n element 2 I
         return 0
 
     monkeypatch.setitem(cli._COMMANDS, "validate", (runner, "probe"))

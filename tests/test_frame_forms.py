@@ -36,11 +36,12 @@ from twonorm.sampling import (
     random_complex,
     random_projection,
     random_reference,
-    random_skew,
     random_stiefel,
     rng_for_trial,
 )
 from twonorm.stiefel import StiefelOperator
+
+from conftest import dense_skew
 
 SPACES = {n: build_space(SpaceSpec(domain_dim=1, grid_points=n, spacing=0.25)) for n in (16, 128)}
 SPECS = (NormSpec.operator(), NormSpec.schatten(1.0), NormSpec.schatten(2.0))
@@ -61,7 +62,7 @@ def _base(n):
 
 def _moved_to(V, target, seed):
     """V carried along a random one-parameter group to a strong distance of about target."""
-    X = random_skew(rng_for_trial(seed, 1), V.g, 1.0)
+    X = dense_skew(rng_for_trial(seed, 1), V.g, 1.0)
     rate = h1_operator_norm(LowRank(X.data @ V.Phi, V.ref.dual), V.g)
     return StiefelOperator.from_matrix(OneParameterGroup(X)(target / rate).data @ V.V, V.ref)
 
@@ -136,7 +137,7 @@ def test_equivalence_witness_matches_weak_adjoint_form(n):
         V = random_stiefel(rng, ref, scale=0.4)
         # A split-preserving right translation keeps the image subspace.
         span = ProjectionOperator(ref.Xi, g)
-        Xd, _ = lie_split_grassmann(random_skew(rng, g, scale=0.5), span)
+        Xd, _ = lie_split_grassmann(dense_skew(rng, g, scale=0.5), span)
         reparam = StiefelOperator.from_matrix(V.V @ exp_skew(Xd).data, ref)
         res = grassmann_equivalence(reparam, V)
         assert res.equivalent
@@ -147,7 +148,7 @@ def test_equivalence_witness_matches_weak_adjoint_form(n):
 @pytest.mark.parametrize("n", [16, 128])
 def test_curve_velocities_are_factored_and_match_dense(n):
     g, _, V0 = _base(n)
-    X = random_skew(rng_for_trial(42, 0), g, scale=0.3)
+    X = dense_skew(rng_for_trial(42, 0), g, scale=0.3)
     curve = exp_curve(V0, X, steps=9)
     assert np.array_equal(curve.frames[0], V0.Phi)
     for frame, core in zip(curve.frames, curve.cores):

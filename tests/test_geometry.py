@@ -39,10 +39,11 @@ from twonorm.sampling import (
     random_complex,
     random_reference,
     random_skew,
-    random_span_skew,
     random_stiefel,
     rng_for_trial,
 )
+
+from conftest import dense_skew
 
 
 def test_norm_spec_labels_and_validation():
@@ -121,7 +122,7 @@ def test_difference_has_low_rank(g, ref, rng):
 
 
 def test_finsler_norms_match_defining_formulas(g, V, rng):
-    X = random_skew(rng, g)
+    X = dense_skew(rng, g)
     spec = NormSpec.schatten(2.0)
     assert finsler_norm_stiefel(X, V, spec) == pytest.approx(
         schatten_norm(X.data @ V.V, spec, g)
@@ -133,7 +134,7 @@ def test_finsler_norms_match_defining_formulas(g, V, rng):
 
 
 def test_curve_samples_validation(g, V, rng):
-    c = exp_curve(V, random_skew(rng, g, scale=0.3), steps=4)
+    c = exp_curve(V, dense_skew(rng, g, scale=0.3), steps=4)
     span = dict(Q=c.Q, ref=c.ref)
     with pytest.raises(ValueError):
         CurveSamples(ts=(0.0,), frames=c.frames[:1], cores=c.cores[:1], **span)
@@ -148,7 +149,7 @@ def test_curve_samples_validation(g, V, rng):
 
 
 def test_exp_curve_endpoints_and_membership(g, V, rng):
-    X = random_skew(rng, g, scale=0.3)
+    X = dense_skew(rng, g, scale=0.3)
     c = exp_curve(V, X, steps=9)
     assert len(c.ts) == 9
     points = [F @ V.ref.dual.conj().T for F in c.frames]
@@ -170,14 +171,14 @@ def test_rotation_length_matches_angle(g_flat):
     theta = 0.4
     ref = ReferenceFrame(np.array([[1.0], [0.0]]), g_flat)
     V0 = base_point(ref)
-    X = SkewOperator.from_matrix(np.array([[0.0, -theta], [theta, 0.0]]), g_flat)
+    X = SkewOperator(np.eye(2), np.array([[0.0, -theta], [theta, 0.0]]), g_flat)
     c = exp_curve(V0, X, steps=33)
     length = curve_length(c, NormSpec.schatten(2.0), g_flat)
     assert length == pytest.approx(theta, abs=1e-12)
 
 
 def test_group_log_inverts_exponential(g, rng):
-    X = random_skew(rng, g, scale=0.05)
+    X = dense_skew(rng, g, scale=0.05)
     U = exp_skew(X)
     Y = group_log(U)
     assert np.linalg.norm(Y.data - X.data) <= 1e-8 * max(1.0, np.linalg.norm(X.data))
@@ -197,7 +198,7 @@ def test_group_log_of_minus_identity_is_i_pi_on_its_span(g):
     # -I exactly, and -I reached from below as the block exp(-i pi) - 1, whose
     # eigenphases round to -pi: both take the +pi branch.
     Q = _span(g, 3, 0)
-    for U in (GroupElement.from_matrix(-np.eye(g.n), g), GroupElement(Q, (np.exp(-1j * np.pi) - 1.0) * np.eye(3), g)):
+    for U in (GroupElement(g.isqrt_l2, -2.0 * np.eye(g.n), g), GroupElement(Q, (np.exp(-1j * np.pi) - 1.0) * np.eye(3), g)):
         X = group_log(U)
         k = X.S.shape[0]
         assert X.Q is U.Q
@@ -222,7 +223,7 @@ def test_group_log_keeps_a_repeated_phase_at_pi_on_one_branch(g, seed):
 @pytest.mark.parametrize("size", [1e-12, 1e-6, 1e-2, 1.0])
 def test_group_log_round_trip_is_relatively_accurate_near_the_identity(g, size):
     for trial in range(10):
-        X = random_span_skew(rng_for_trial(42, trial), _span(g, 2, trial), g)
+        X = random_skew(rng_for_trial(42, trial), _span(g, 2, trial), g)
         X = SkewOperator(X.Q, X.S * (size / np.linalg.norm(X.S)), g)
         assert np.linalg.norm(group_log(exp_skew(X)).S - X.S) <= 1e-13 * size
 
@@ -249,8 +250,8 @@ def test_connecting_curves_reach_every_pair(n):
 
 def test_distance_upper_bounds_chord(g, ref, rng):
     V0 = random_stiefel(rng, ref, scale=0.2)
-    Y = random_skew(rng, g)
-    Ys = SkewOperator.from_matrix(0.05 * Y.data / h1_operator_norm(Y.data, g), g)
+    Y = dense_skew(rng, g)
+    Ys = SkewOperator(Y.Q, 0.05 * Y.S / h1_operator_norm(Y.data, g), g)
     V1 = StiefelOperator.from_matrix(exp_skew(Ys).data @ V0.V, ref)
     spec = NormSpec.schatten(2.0)
     upper = distance_upper(V0, V1, spec)
@@ -279,7 +280,7 @@ def test_distance_upper_recovers_rotation(g_flat):
     theta = 0.3
     ref = ReferenceFrame(np.array([[1.0], [0.0]]), g_flat)
     V0 = base_point(ref)
-    X = SkewOperator.from_matrix(np.array([[0.0, -theta], [theta, 0.0]]), g_flat)
+    X = SkewOperator(np.eye(2), np.array([[0.0, -theta], [theta, 0.0]]), g_flat)
     V1 = StiefelOperator.from_matrix(exp_skew(X).data @ V0.V, ref)
     upper = distance_upper(V0, V1, NormSpec.schatten(2.0), steps=128)
     assert upper == pytest.approx(theta, abs=1e-8)

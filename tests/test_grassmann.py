@@ -4,6 +4,7 @@ import pytest
 from twonorm import (
     NeighborhoodViolation,
     ProjectionOperator,
+    SkewOperator,
     SpaceSpec,
     StiefelOperator,
     act_grassmann,
@@ -29,6 +30,8 @@ from twonorm.sampling import (
     random_stiefel,
     rng_for_trial,
 )
+
+from conftest import dense_skew
 
 
 def test_projection_operator_rejects_defects(g):
@@ -89,7 +92,7 @@ def test_psi_rejects_far_projection(g, V, ref, rng):
 
 def test_equivalence_accepts_reparameterized_point(g, V, ref, rng):
     # Right translation by an isotropy element keeps the image subspace.
-    X = random_skew(rng, g, scale=0.4)
+    X = dense_skew(rng, g, scale=0.4)
     P_S = ProjectionOperator(ref.Xi, g)
     xdiag, _ = lie_split_grassmann(X, P_S)
     V1 = StiefelOperator.from_matrix(V.V @ exp_skew(xdiag).data, ref)
@@ -112,7 +115,7 @@ def test_equivalence_rejects_different_images(g, ref, rng):
 def test_act_grassmann_matches_point_action(g, V, rng):
     from twonorm import act
 
-    U = exp_skew(random_skew(rng, g, scale=0.6))
+    U = exp_skew(dense_skew(rng, g, scale=0.6))
     left = act_grassmann(U, phi(V))
     right = phi(act(U, V))
     assert np.linalg.norm(left.P - right.P) <= 1e-10
@@ -184,7 +187,7 @@ def test_delta_p_squared_is_idempotent(g, V, rng):
 
 def test_lie_split_grassmann_structure(g, V, rng):
     P = phi(V)
-    X = random_skew(rng, g)
+    X = dense_skew(rng, g)
     xg, xh = lie_split_grassmann(X, P)
     assert np.linalg.norm(xg.data + xh.data - X.data) <= 1e-12
     # Commuting part commutes; complement part has no diagonal blocks.
@@ -216,16 +219,27 @@ def test_tangent_calculus_agrees_with_the_dense_projection(pair, n, seed):
     rng = rng_for_trial(seed, 0)
     P = random_projection(rng, g, 2)
     Y = random_complex(rng, n, n)
-    X = random_skew(rng, g)
-    Pm, ip, x = P.P, np.eye(n) - P.P, X.data
+    Pm, ip = P.P, np.eye(n) - P.P
 
     def close(value, reference):
         return np.linalg.norm(value - reference) <= 1e-13 * np.linalg.norm(reference)
 
     assert close(delta_p(Y, P), Y @ Pm - Pm @ Y)
-    xg, xh = lie_split_grassmann(X, P)
-    assert close(xg.data, Pm @ x @ Pm + ip @ x @ ip)
-    assert close(xh.data, x - (Pm @ x @ Pm + ip @ x @ ip))
-    sg, sh = lie_split_stiefel(X, P)
-    assert close(sg.data, ip @ x @ ip)
-    assert close(sh.data, x - ip @ x @ ip)
+    # A k = n generator, one on span[F, G] for an unrelated frame F, and one
+    # whose span already holds range(P), so the joint span adds no column.
+    generators = [dense_skew(rng, g), random_skew(rng, random_projection(rng, g, 2).frame, g)]
+    generators.append(random_skew(rng, P.frame, g))
+    for X in generators:
+        x, k = X.data, X.Q.shape[1]
+        for (inner, outer), dense in (
+            (lie_split_grassmann(X, P), Pm @ x @ Pm + ip @ x @ ip),
+            (lie_split_stiefel(X, P), ip @ x @ ip),
+        ):
+            assert isinstance(inner, SkewOperator) and isinstance(outer, SkewOperator)
+            assert inner.Q is outer.Q and k <= inner.Q.shape[1] <= min(k + P.N, n)
+            assert np.array_equal(inner.Q[:, :k], X.Q)
+            assert close(inner.data + outer.data, x)
+            assert close(inner.data, dense)
+            assert close(outer.data, x - dense)
+    assert generators[0].Q.shape[1] == n and generators[1].Q.shape[1] == 4
+    assert lie_split_grassmann(generators[2], P)[0].Q.shape[1] == generators[2].Q.shape[1]

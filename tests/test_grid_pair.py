@@ -14,7 +14,7 @@ from twonorm import SpaceSpec, build_space, gram_pair_from_matrices, h1_singular
 from twonorm.cli import main
 from twonorm.geometry import NormSpec, finsler_norm_stiefel
 from twonorm.group import GroupElement, SkewOperator, frame_unitary
-from twonorm.sampling import random_complex, random_reference, random_span_skew, random_stiefel, rng_for_trial
+from twonorm.sampling import random_complex, random_reference, random_skew, random_stiefel, rng_for_trial
 from twonorm.space import GridPair, h1_triangle, span_singular_values
 from twonorm.stiefel import StiefelOperator
 
@@ -129,7 +129,7 @@ def test_finsler_norm_on_a_large_grid_builds_no_dense_operator(monkeypatch):
     g = build_space(SpaceSpec(domain_dim=1, grid_points=4096, spacing=0.25))
     rng = rng_for_trial(3, 0)
     V = random_stiefel(rng, random_reference(rng, g, 2), scale=0.4)
-    X, Y = random_span_skew(rng, V.Phi, g), random_span_skew(rng, V.Phi, g)
+    X, Y = random_skew(rng, V.Phi, g), random_skew(rng, V.Phi, g)
     for name in ("gl2", "gh1", "_sqrt_pair_l2", "_sqrt_pair_h1"):
         monkeypatch.setattr(GridPair, name, property(refuse))
     monkeypatch.setattr(SkewOperator, "data", property(refuse))

@@ -17,38 +17,40 @@ from twonorm import (
 )
 from twonorm.basis import orthonormal_columns
 from twonorm.group import OneParameterGroup, _operator
-from twonorm.sampling import random_complex, random_group_member, random_skew, rng_for_trial
+from twonorm.sampling import random_complex, rng_for_trial
+
+from conftest import dense_skew
 
 
 def test_skew_parameterization_is_exact(g, rng):
-    X = random_skew(rng, g)
+    X = dense_skew(rng, g)
     assert skew_residual(X.data, g) <= 1e-13
 
 
 def test_exponential_lands_in_group(g, rng):
-    X = random_skew(rng, g, scale=1.5)
+    X = dense_skew(rng, g, scale=1.5)
     U = exp_skew(X)
     assert membership_residual(U.data, g) <= 1e-10
     assert np.linalg.cond(U.data) < 1e12
 
 
 def test_group_operations_stay_in_group(g, rng):
-    U = random_group_member(rng, g, scale=0.8)
-    W = random_group_member(rng, g, scale=0.8)
+    U = exp_skew(dense_skew(rng, g, scale=0.8))
+    W = exp_skew(dense_skew(rng, g, scale=0.8))
     assert membership_residual(U.data @ W.data, g) <= 1e-9
     assert membership_residual(U.inverse.data, g) <= 1e-9
     assert np.allclose(U.data @ U.inverse.data, np.eye(g.n), atol=1e-10)
 
 
 def test_exponential_one_parameter_property(g, rng):
-    X = random_skew(rng, g, scale=0.6)
+    X = dense_skew(rng, g, scale=0.6)
     U = lambda t: exp_skew(SkewOperator(X.Q, t * X.S, g)).data
     assert np.allclose(U(0.7) @ U(0.3), U(1.0), atol=1e-12)
     assert np.allclose(U(1.0) @ U(-1.0), np.eye(g.n), atol=1e-12)
 
 
 def test_displacement_keeps_relative_accuracy_for_tiny_steps(g, rng):
-    X = random_skew(rng, g)
+    X = dense_skew(rng, g)
     curve = OneParameterGroup(X)
     F = orthonormal_columns(random_complex(rng, g.n, 2), g)
     assert np.allclose(curve(0.3).displacement(F), curve(0.3).data @ F - F, atol=1e-13)
@@ -60,9 +62,10 @@ def test_displacement_keeps_relative_accuracy_for_tiny_steps(g, rng):
 
 
 def test_bracket_closes(g, rng):
-    X = random_skew(rng, g)
-    Y = random_skew(rng, g)
-    Z = SkewOperator.from_matrix(X.data @ Y.data - Y.data @ X.data, g)
+    X = dense_skew(rng, g)
+    Y = dense_skew(rng, g)
+    # Both generators are on the span gl2^{-1/2}, so the bracket is that of their blocks.
+    Z = SkewOperator(X.Q, X.S @ Y.S - Y.S @ X.S, g)
     assert skew_residual(Z.data, g) <= 1e-12
 
 
@@ -70,15 +73,15 @@ def test_group_element_rejects_non_member(g):
     bad = np.eye(g.n, dtype=np.complex128)
     bad[0, 0] = 2.0
     with pytest.raises(ValueError):
-        GroupElement.from_matrix(bad, g)
+        GroupElement(g.isqrt_l2, g.to_l2_frame(bad) - np.eye(g.n), g)
     with pytest.raises(ValueError):
-        SkewOperator.from_matrix(np.eye(g.n), g)
+        SkewOperator(g.isqrt_l2, np.eye(g.n), g)
 
 
 def test_membership_rejects_singular(g):
     # On a grid the residual of a singular matrix is at least 1/sqrt(n).
     with pytest.raises(MembershipDefect):
-        GroupElement.from_matrix(np.zeros((g.n, g.n)), g)
+        GroupElement(g.isqrt_l2, -np.eye(g.n), g)
 
 
 def test_frame_unitary_swaps_axes(g_flat):
@@ -137,7 +140,7 @@ def test_frame_unitary_is_well_conditioned_near_coincidence(n):
 
 
 def test_algebraic_membership_detects_stretch(g, rng):
-    U = random_group_member(rng, g, scale=0.8)
+    U = exp_skew(dense_skew(rng, g, scale=0.8))
     assert algebraic_membership_residual(U.data, g) <= 1e-8
     stretch = np.eye(g.n, dtype=np.complex128)
     stretch[0, 0] = 2.0
@@ -147,7 +150,7 @@ def test_algebraic_membership_detects_stretch(g, rng):
 
 
 def test_algebraic_membership_is_deterministic(g, rng):
-    U = random_group_member(rng, g, scale=0.5)
+    U = exp_skew(dense_skew(rng, g, scale=0.5))
     r1 = algebraic_membership_residual(U.data, g)
     r2 = algebraic_membership_residual(U.data, g)
     assert r1 == r2
@@ -160,7 +163,7 @@ def test_algebraic_membership_is_exact_at_n128():
     drift = np.eye(g.n, dtype=np.complex128)
     drift[0, 0] = 2.0
     assert algebraic_membership_residual(drift, g) == pytest.approx(3.0, rel=1e-12)
-    U = random_group_member(rng_for_trial(1, 0), g, scale=0.7)
+    U = exp_skew(dense_skew(rng_for_trial(1, 0), g, scale=0.7))
     value = algebraic_membership_residual(U.data, g)
     assert value <= 1e-12
     # The value is a supremum: no weakly normalized vector exceeds it.
@@ -188,13 +191,38 @@ PAIRS = {
 }
 
 
+@pytest.mark.parametrize("n", [16, 128])
+@pytest.mark.parametrize("kind", ["grid", "weighted"])
+def test_the_dense_group_identities_hold_for_k_equals_n_elements(kind, n):
+    # validate's group suite checks these on span[Xi, G]; here X and V are full rank.
+    g = build_space(SpaceSpec(domain_dim=1, grid_points=n, spacing=0.25)) if kind == "grid" else _weighted_pair(n)
+    eye = np.eye(n)
+    for seed in range(3):
+        rng = rng_for_trial(seed, 0)
+        X = dense_skew(rng, g, scale=1.0)
+        assert X.Q.shape == (n, n)
+        assert skew_residual(X.data, g) <= 1e-12
+        U = exp_skew(X)
+        assert membership_residual(U.data, g) <= 1e-10
+        V = exp_skew(dense_skew(rng, g, scale=0.7))
+        assert membership_residual(U.data @ V.data, g) <= 1e-9
+        assert membership_residual(U.inverse.data, g) <= 1e-9
+        # exp(-X) from a decomposition of its own.
+        back = exp_skew(SkewOperator(X.Q, -X.S, g))
+        assert np.linalg.norm(U.data @ back.data - eye) <= 1e-11 * np.exp(2.0)
+        assert algebraic_membership_residual(U.data, g) <= 1e-8
+    drift = eye.astype(np.complex128)
+    drift[0, 0] = 2.0
+    assert algebraic_membership_residual(drift, g) > 0.1
+
+
 def _elements(g, seed):
-    """A frame unitary (k <= 2N), a random member (k = n) and a dense member (k = n, Q = gl2^-1/2)."""
+    """A frame unitary (k <= 2N), a random member (k = n) and its dense data taken back as a k = n element."""
     rng = rng_for_trial(seed, 0)
     F0 = orthonormal_columns(random_complex(rng, g.n, 2), g)
     F1 = orthonormal_columns(F0 + 0.3 * random_complex(rng, g.n, 2), g)
-    member = random_group_member(rng, g, scale=0.7)
-    return frame_unitary(F0, F1, g), member, GroupElement.from_matrix(member.data.copy(), g)
+    member = exp_skew(dense_skew(rng, g, scale=0.7))
+    return frame_unitary(F0, F1, g), member, GroupElement(g.isqrt_l2, g.to_l2_frame(member.data) - np.eye(g.n), g)
 
 
 @pytest.mark.parametrize("kind", PAIRS)

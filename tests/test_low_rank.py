@@ -33,13 +33,14 @@ from twonorm.sampling import (
     random_complex,
     random_projection,
     random_reference,
-    random_skew,
     random_stiefel,
     rng_for_trial,
     stiefel_near,
 )
 from twonorm.space import adjoint_l2
 from twonorm.stiefel import StiefelOperator
+
+from conftest import dense_skew
 
 SPACES = {n: build_space(SpaceSpec(domain_dim=1, grid_points=n, spacing=0.25)) for n in (16, 128)}
 SPECS = (NormSpec.operator(), NormSpec.schatten(1.0), NormSpec.schatten(2.0))
@@ -53,7 +54,7 @@ def _dense(A):
 
 def _moved_point(V, eps, seed):
     """V carried a strong distance of order eps along a random one-parameter group."""
-    exp_sX = OneParameterGroup(random_skew(rng_for_trial(seed, 1), V.g, 1.0))
+    exp_sX = OneParameterGroup(dense_skew(rng_for_trial(seed, 1), V.g, 1.0))
     return StiefelOperator.from_matrix(exp_sX(eps).data @ V.V, V.ref)
 
 
@@ -187,7 +188,7 @@ def test_projection_call_sites_match_dense(pair):
     P = phi(V)
     # A conjugated copy at the pair's separation, as projection_near makes.
     eps = h1_operator_norm(point_difference(V1, V), g)
-    U = OneParameterGroup(random_skew(rng_for_trial(3, 7), g, 1.0))(eps)
+    U = OneParameterGroup(dense_skew(rng_for_trial(3, 7), g, 1.0))(eps)
     P1 = act_grassmann(U, P)
     pscale = h1_operator_norm(P.P, g)
     _agree(h1_operator_norm(P.factors, g), pscale)
@@ -200,7 +201,7 @@ def test_projection_call_sites_match_dense(pair):
         _agree(inner, h1_operator_norm(A.P - A.P @ B.P @ A.P, g), pscale**3)
         _agree(outer, h1_operator_norm(ia @ B.P @ ia, g), pscale**3)
 
-    X = random_skew(rng_for_trial(3, 8), g, 1.0)
+    X = dense_skew(rng_for_trial(3, 8), g, 1.0)
     xscale = h1_operator_norm(X.data, g)
     for spec in SPECS:
         _agree(

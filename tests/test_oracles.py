@@ -26,12 +26,13 @@ from twonorm.sampling import (
     random_complex,
     random_projection,
     random_reference,
-    random_skew,
     random_stiefel,
     rng_for_trial,
     stiefel_near,
 )
 from twonorm.stiefel import radius_r
+
+from conftest import dense_skew
 
 
 def rank_one_projection(g):
@@ -147,7 +148,7 @@ def g_n(request):
 
 
 def test_exp_skew_agrees_with_pade(g_n, rng):
-    X = random_skew(rng, g_n, scale=1.0)
+    X = dense_skew(rng, g_n, scale=1.0)
     E = exp_pade(X.data, g_n)
     assert np.linalg.norm(exp_skew(X).data - E) <= 1e-12 * np.linalg.norm(E)
 
@@ -155,7 +156,7 @@ def test_exp_skew_agrees_with_pade(g_n, rng):
 def test_exp_curve_points_agree_with_pade(g_n, rng):
     ref = random_reference(rng_for_trial(42, SETUP_TRIAL), g_n, 2)
     V0 = random_stiefel(rng, ref, scale=0.4)
-    X = random_skew(rng, g_n, scale=1.0)
+    X = dense_skew(rng, g_n, scale=1.0)
     c = exp_curve(V0, X, steps=9)
     for t, frame in zip(c.ts, c.frames):
         expected = exp_pade(t * X.data, g_n) @ V0.Phi
@@ -163,7 +164,7 @@ def test_exp_curve_points_agree_with_pade(g_n, rng):
 
 
 def test_group_log_agrees_with_pade(g_n, rng):
-    X = random_skew(rng, g_n, scale=1.0)
+    X = dense_skew(rng, g_n, scale=1.0)
     # Strong norm 0.3 keeps exp(X) inside the domain of the principal logarithm.
     X = SkewOperator(X.Q, X.S * (0.3 / h1_operator_norm(X.data, g_n)), g_n)
     U = exp_skew(X)

@@ -9,6 +9,7 @@ from twonorm import (
     StiefelOperator,
     act_grassmann,
     build_space,
+    exp_skew,
     frame_unitary,
     h1_operator_norm,
     psi_section,
@@ -18,13 +19,14 @@ from twonorm import (
 from twonorm.sampling import (
     SETUP_TRIAL,
     projection_near,
-    random_group_member,
     random_projection,
     random_reference,
     random_stiefel,
     rng_for_trial,
     stiefel_near,
 )
+
+from conftest import dense_skew
 
 TOL = 1e-12
 
@@ -85,7 +87,7 @@ def test_act_grassmann_matches_dense_conjugation(n):
     g = _space(n)
     rng = rng_for_trial(7, 1)
     P = random_projection(rng, g, 2)
-    U = random_group_member(rng, g, scale=0.6)
+    U = exp_skew(dense_skew(rng, g, scale=0.6))
     assert _rel(act_grassmann(U, P).P, U.data @ P.P @ U.inverse.data) <= TOL
 
 

@@ -18,7 +18,7 @@ from twonorm.sampling import (
     projection_near,
     random_projection,
     random_reference,
-    random_span_skew,
+    random_skew,
     random_stiefel,
     rng_for_trial,
     stiefel_near,
@@ -95,9 +95,9 @@ def test_an_unreachable_target_fails_after_every_direction(monkeypatch):
 
     def counted(*args):
         drawn.append(args)
-        return random_span_skew(*args)
+        return random_skew(*args)
 
-    monkeypatch.setattr(sampling, "random_span_skew", counted)
+    monkeypatch.setattr(sampling, "random_skew", counted)
     with pytest.raises(ConvergenceFailure, match="cannot reach the requested distance along") as info:
         projection_near(P, 1e4, rng_for_trial(0, 0))
     assert type(info.value) is ConvergenceFailure

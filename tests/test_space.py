@@ -29,9 +29,20 @@ def test_spec_validation():
         SpaceSpec(domain_dim=1, grid_points=1, spacing=0.5)
     with pytest.raises(ValueError):
         SpaceSpec(domain_dim=1, grid_points=4, spacing=-1.0)
-    with pytest.raises(ValueError):
-        SpaceSpec(domain_dim=1, grid_points=4, spacing=0.5, boundary="dirichlet")
+    # Every grid is periodic; there is no boundary field to set.
+    with pytest.raises(TypeError):
+        SpaceSpec(domain_dim=1, grid_points=4, spacing=0.5, boundary="periodic")
     assert SpaceSpec(domain_dim=2, grid_points=3, spacing=0.5).n == 9
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "3"], ids=["float", "integral-float", "bool", "string"])
+@pytest.mark.parametrize("key", ["domain_dim", "grid_points"])
+def test_spec_integer_fields_reject_non_integers(key, value):
+    # Checked by the constructor itself, not only on the JSON path: a float
+    # grid_points would give a pair with a float n.
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        SpaceSpec(**{key: value})
+    assert getattr(SpaceSpec(**{key: np.int64(2)}), key) == 2  # a numpy integer is an integer
 
 
 def test_two_point_strong_gram(g_small):

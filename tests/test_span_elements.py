@@ -93,11 +93,11 @@ def test_span_exponential_agrees_with_pade(case):
     assert _rel(U.inverse.data, np.linalg.inv(E)) <= TOL
     assert _rel(U.displacement(F), E @ F - F) <= TOL
     assert _rel(X.apply(F), X.data @ F) <= TOL
-    # Dense input is the k = n case of the same type and acts the same way.
-    dense = GroupElement.from_matrix(E, g)
+    # Dense input is the k = n case Q = gl2^{-1/2} of the same type and acts the same way.
+    dense = GroupElement(g.isqrt_l2, g.to_l2_frame(E) - np.eye(n), g)
     assert dense.Q.shape == (n, n)
     assert _rel(dense.displacement(F), U.displacement(F)) <= TOL
-    assert _rel(SkewOperator.from_matrix(X.data, g).apply(F), X.apply(F)) <= TOL
+    assert _rel(SkewOperator(g.isqrt_l2, g.to_l2_frame(X.data), g).apply(F), X.apply(F)) <= TOL
 
 
 @settings(max_examples=30, deadline=None)

@@ -24,7 +24,6 @@ from twonorm.sampling import (
     random_projection,
     random_reference,
     random_skew,
-    random_span_skew,
     random_stiefel,
     rng_for_trial,
     stiefel_near,
@@ -32,6 +31,8 @@ from twonorm.sampling import (
 from twonorm.space import LowRank, h1_triangle, span_singular_values
 from twonorm.stiefel import act, radius_r, section_factors, translated_section
 from twonorm.validate import _grassmann_suite, _Recorder, _section_suite
+
+from conftest import dense_skew
 
 EPS = np.finfo(float).eps
 
@@ -139,7 +140,7 @@ def test_the_samplers_measure_their_draw_on_the_kernel(sampler):
     spans, made = [], []
 
     def drawn(*args):
-        X = random_span_skew(*args)
+        X = random_skew(*args)
         spans.append(X.Q)
         return X
 
@@ -151,7 +152,7 @@ def test_the_samplers_measure_their_draw_on_the_kernel(sampler):
         return recorded
 
     with ExitStack() as stack:
-        stack.enter_context(mock.patch.object(sampling, "random_span_skew", drawn))
+        stack.enter_context(mock.patch.object(sampling, "random_skew", drawn))
         for module in (group, sampling):
             stack.enter_context(mock.patch.object(module, "h1_triangle", recorder(module)))
         if sampler == "stiefel_near":
@@ -295,7 +296,7 @@ def test_curves_on_the_span_match_the_per_sample_evaluation(kind, n, N, spacing,
     rng = rng_for_trial(seed, 0)
     ref = random_reference(rng, g, N)
     V0 = random_stiefel(rng, ref, scale=0.3)
-    X = _strong_scaled(random_span_skew(rng, V0.Phi, g), 0.5 * 10.0**-depth)
+    X = _strong_scaled(random_skew(rng, V0.Phi, g), 0.5 * 10.0**-depth)
     curve = exp_curve(V0, X, 9)
     velocities = [LowRank(curve.Q @ core, curve.ref.dual) for core in curve.cores]
     for t, F, v in zip(curve.ts, curve.frames, velocities):
@@ -315,7 +316,7 @@ def test_distance_upper_takes_its_strong_triangles_once_per_curve():
     g = PAIRS["grid", 16]
     rng = rng_for_trial(0, SETUP_TRIAL)
     V0 = random_stiefel(rng, random_reference(rng, g, 2), scale=0.3)
-    W = act(exp_skew(_strong_scaled(random_span_skew(rng, V0.Phi, g), 0.02)), V0)
+    W = act(exp_skew(_strong_scaled(random_skew(rng, V0.Phi, g), 0.02)), V0)
     factors, recorded = _triangle_record()
     with ExitStack() as stack:
         for module in (space, geometry, stiefel):
@@ -394,12 +395,12 @@ def test_translated_section_applies_the_inverse_on_the_frame(n, monkeypatch):
 
 
 def _span_form_products(g, seed):
-    """random_skew's block, X, exp(X) and its inverse: span products Q M (gl2 Q)^H, then the pair's."""
+    """dense_skew's block, X, exp(X) and its inverse: span products Q M (gl2 Q)^H, then the pair's."""
     Q = g.isqrt_l2
     A = random_complex(rng_for_trial(seed, 0), g.n, g.n)
     S = A - A.conj().T
     S = S / np.linalg.norm(S)
-    X = random_skew(rng_for_trial(seed, 0), g)
+    X = dense_skew(rng_for_trial(seed, 0), g)
     U = exp_skew(X)
     eye = np.eye(g.n)
     reference = {
@@ -443,8 +444,8 @@ def test_riemannian_inner_product_matches_the_dense_trace_pairing(kind):
     for seed in range(4):
         rng = rng_for_trial(seed, 0)
         V = random_stiefel(rng, random_reference(rng, g, 2), scale=0.4)
-        for X in (random_skew(rng, g), random_skew(rng, g),
-                  random_span_skew(rng, V.Phi, g), random_span_skew(rng, V.Phi, g)):
+        for X in (dense_skew(rng, g), dense_skew(rng, g),
+                  random_skew(rng, V.Phi, g), random_skew(rng, V.Phi, g)):
             a = X.data @ V.V
             dense = np.trace(a @ np.linalg.solve(g.gh1, a.conj().T @ g.gh1)).real
             assert abs(finsler_norm_stiefel(X, V, two) ** 2 - dense) <= 1e-12 * dense

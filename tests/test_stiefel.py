@@ -34,12 +34,13 @@ from twonorm.sampling import (
     base_point,
     random_complex,
     random_reference,
-    random_skew,
     random_stiefel,
     rng_for_trial,
     stiefel_near,
 )
 from twonorm.space import SpaceSpec, build_space
+
+from conftest import dense_skew
 
 
 def test_reference_frame_reports_column_bound(ref):
@@ -91,7 +92,7 @@ def test_metric_equivalence_two_sided(g, ref, rng):
 
 
 def test_action_stays_on_manifold(g, V, rng):
-    U = exp_skew(random_skew(rng, g, scale=0.7))
+    U = exp_skew(dense_skew(rng, g, scale=0.7))
     moved = act(U, V)
     assert np.linalg.norm(moved.Phi - U.data @ V.Phi) <= 1e-14 * np.linalg.norm(V.Phi)
     assert np.linalg.norm(moved.V - U.data @ V.V) <= 1e-14 * np.linalg.norm(V.V)
@@ -315,7 +316,7 @@ def test_section_rejects_far_point():
 
 
 def test_translated_section_moves_base_point(g, V, rng):
-    mover = exp_skew(random_skew(rng, g, scale=0.2))
+    mover = exp_skew(dense_skew(rng, g, scale=0.2))
     V0 = act(mover, V)
     shrink = h1_operator_norm(mover.inverse.data, g)
     V1, _ = stiefel_near(V0, 0.25 * radius_r(V) / shrink, rng)
@@ -349,14 +350,14 @@ def test_translated_section_rejects_far_point():
 
 def test_generated_tangents_satisfy_the_frame_identity(g, V, rng):
     # Z = X V is tangent at V: Phi^H gl2 Z Xi = Phi^H gl2 (X Phi) is skew-Hermitian.
-    X = random_skew(rng, g)
+    X = dense_skew(rng, g)
     M = V.Phi.conj().T @ g.l2(X.apply(V.Phi))
     assert np.linalg.norm(M + M.conj().T) <= 1e-12 * max(1.0, np.linalg.norm(M))
     assert np.linalg.norm(V.Phi.conj().T @ g.gl2 @ (X.data @ V.V) @ V.ref.Xi - M) <= 1e-12
 
 
 def test_lie_split_recombines(g, V, rng):
-    X = random_skew(rng, g)
+    X = dense_skew(rng, g)
     P = phi(V)
     xg, xh = lie_split_stiefel(X, P)
     assert np.linalg.norm(xg.data + xh.data - X.data) <= 1e-12

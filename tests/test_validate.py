@@ -5,7 +5,7 @@ import pytest
 
 from twonorm import grassmann, group, validate
 from twonorm.config import config_from_mapping
-from twonorm.group import OneParameterGroup, SkewOperator
+from twonorm.group import SkewOperator
 from twonorm.space import build_space
 from twonorm.validate import _Recorder, _geometry_suite, _grassmann_suite, _space_suite, _sqrt_suite
 
@@ -91,19 +91,17 @@ def test_geometry_suite_fails_when_the_stiefel_finsler_norm_is_inflated(monkeypa
     assert not rec.result("geometry").passed
 
 
-def test_only_the_group_suite_exponentiates_dense_generators(monkeypatch):
-    # Points, sampler moves, the geometry suite's generators and the grassmann
-    # suite's reparameterization live on spans of k <= 2N columns; the group
-    # suite checks the dense group by design.
-    cfg = config_from_mapping({"seed": 42, "trials": 2, "space": {"grid_points": 16, "spacing": 0.25}})
-    n = cfg.space.n
-    counts, current = {}, []
-    init = OneParameterGroup.__init__
+def test_every_span_the_suites_build_has_at_most_4N_columns(monkeypatch):
+    # On the validate-1d space every element and generator lives on a span of a
+    # few frames: draws and sections k <= 2N, Lie splits k <= 3N and translated
+    # sections k <= 4N.  The dense identities are read from their n-by-n data.
+    cfg = config_from_mapping({"seed": 42, "trials": 3, "space": {"grid_points": 128, "spacing": 0.25}})
+    N, widths, current = cfg.subspace_dim, {}, []
+    span_form = group._span_form
 
-    def counted(self, X):
-        if X.Q.shape[1] == n:
-            counts[current[-1]] = counts.get(current[-1], 0) + 1
-        init(self, X)
+    def recorded(element, *args):
+        widths.setdefault(current[-1], []).append(element.Q.shape[1])
+        span_form(element, *args)
 
     def tagged(name, suite):
         def run(*args):
@@ -112,10 +110,11 @@ def test_only_the_group_suite_exponentiates_dense_generators(monkeypatch):
 
         return run
 
-    monkeypatch.setattr(OneParameterGroup, "__init__", counted)
+    monkeypatch.setattr(group, "_span_form", recorded)
     monkeypatch.setattr(validate, "_SUITES", tuple(map(tagged, validate.SUITE_NAMES, validate._SUITES)))
     assert all(result.passed for result in validate.run_suites(cfg))
-    assert counts == {"group": 3 * cfg.trials}
+    assert sorted(widths) == sorted(set(validate.SUITE_NAMES) - {"space"})
+    assert {name: max(ks) for name, ks in widths.items() if max(ks) > 4 * N} == {}
 
 
 def test_geometry_suite_checks_the_log_round_trip_on_the_span(monkeypatch):
