@@ -25,7 +25,7 @@ from .geometry import (
 )
 from .group import SkewOperator, _Span, _TwoFrames, exp_skew
 from .sampling import random_complex, random_skew, rng_for_trial, stiefel_near
-from .space import LowRank, build_space, span_singular_values
+from .space import build_space, span_singular_values
 from .stiefel import (
     StiefelOperator,
     act,
@@ -35,7 +35,7 @@ from .stiefel import (
     series_tail_bound,
 )
 from .serialize import csv_line, write_text
-from .validate import _setup_point, _strong_scaled, run_suites
+from .validate import _reach, _setup_point, _strong_scaled, run_suites
 
 __all__ = [
     "run_validate",
@@ -85,7 +85,7 @@ def run_validate(cfg: RunConfig) -> int:
 def run_section_demo(cfg: RunConfig) -> int:
     outdir = _ensure_outdir(cfg)
     g = build_space(cfg.space)
-    _, ref, V = _setup_point(cfg, g, 0.4)
+    V = _setup_point(cfg, g, 0.4)[2]
     r = radius_r(V)
     rows = []
     worst = 0.0
@@ -94,9 +94,7 @@ def run_section_demo(cfg: RunConfig) -> int:
         for frac in SECTION_FRACTIONS:
             V1, achieved = stiefel_near(V, frac * r, rng)
             fac = section_factors(V, V1)
-            # sigma V - V1 = (sigma Phi - Phi1)(gl2 Xi)^H, from the displacement.
-            miss = fac.sigma.displacement(V.Phi) - (V1.Phi - V.Phi)
-            sigma_res = LowRank(miss, ref.dual).frobenius_norm() / max(1.0, V1.factors.frobenius_norm())
+            sigma_res = _reach(fac.sigma, V, V1) / max(1.0, V1.factors.frobenius_norm())
             # The defect of the validated block; where gl2 is a multiple of I,
             # as on build_space grids, it equals the dense relative defect.
             mem = fac.sigma.defect

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from .basis import require_orthonormal
 from .geometry import NormSpec
 from .serialize import matrix_from_json
-from .space import SpaceSpec, _require_integers, build_space
+from .space import SpaceSpec, _real, _require_integers, build_space
 
 __all__ = ["RunConfig", "DEFAULT_TOLERANCES", "config_from_mapping", "load_config"]
 
@@ -71,28 +71,14 @@ class RunConfig:
         return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))
 
 
-def _number(obj, key: str) -> float:
-    """The value under key, which must be a JSON number (an integer or a float, not a boolean) a float can hold."""
-    value = obj.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError(f"{key} must be a number a float can hold") from None
-
-
 def _space_from_mapping(obj) -> SpaceSpec:
     if not isinstance(obj, dict):
         raise ValueError("space must be a mapping")
     unknown = set(obj) - _SPACE_KEYS
     if unknown:
         raise ValueError(f"unknown space keys: {sorted(unknown)}")
-    # The integer fields are checked by SpaceSpec itself.
-    kwargs = {key: obj[key] for key in ("domain_dim", "grid_points") if key in obj}
-    if "spacing" in obj:
-        kwargs["spacing"] = _number(obj, "spacing")
-    return SpaceSpec(**kwargs)
+    # Every field is checked by SpaceSpec itself.
+    return SpaceSpec(**obj)
 
 
 def _norm_from_mapping(obj) -> NormSpec:
@@ -107,7 +93,7 @@ def _norm_from_mapping(obj) -> NormSpec:
     if kind == "operator_h1":
         raise ValueError("operator_h1 takes no exponent")
     if kind == "schatten_p":
-        return NormSpec(math.inf if obj.get("p") == "inf" else _number(obj, "p"))
+        return NormSpec(math.inf if obj.get("p") == "inf" else _real(obj.get("p"), "p"))
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
@@ -125,7 +111,7 @@ def config_from_mapping(obj) -> RunConfig:
         tol = obj["tolerances"]
         if not isinstance(tol, dict):
             raise ValueError("tolerances must be a mapping")
-        kwargs["tolerances"] = {str(k): _number(tol, k) for k in tol}
+        kwargs["tolerances"] = {str(k): _real(v, k) for k, v in tol.items()}
     if "norm" in obj:
         kwargs["norm"] = _norm_from_mapping(obj["norm"])
     if "output_dir" in obj:

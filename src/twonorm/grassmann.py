@@ -195,11 +195,13 @@ def section_pi_p(P: ProjectionOperator, P1: ProjectionOperator) -> GroupElement:
     return GroupElement(span.Q, span.direct_rotation()[3], P.g)
 
 
-def delta_p(Y, P: ProjectionOperator) -> np.ndarray:
-    """Commutator map Y -> Y P - P Y = (Y H) G^H - H (G^H Y), for P = H G^H; cubes back to itself."""
-    Y = as_operator(Y, P.n, "Y")
+def delta_p(Y: LowRank, P: ProjectionOperator) -> LowRank:
+    """Commutator map Y -> Y P - P Y for Y = L R^H and P = H G^H; cubes back to itself.
+
+    Y P - P Y = [L (R^H H), H][G, -R (L^H G)]^H, of rank at most 2N whatever the rank of Y.
+    """
     H, G = P.factors.L, P.factors.R
-    return (Y @ H) @ G.conj().T - H @ (G.conj().T @ Y)
+    return LowRank(np.hstack([Y.L @ (Y.R.conj().T @ H), H]), np.hstack([G, -Y.R @ (Y.L.conj().T @ G)]))
 
 
 def lie_split_grassmann(X: SkewOperator, P: ProjectionOperator) -> tuple[SkewOperator, SkewOperator]:

@@ -4,7 +4,8 @@ Membership is the quadratic identity U^H gl2 U = gl2; the corresponding
 algebra condition is X^H gl2 + gl2 X = 0.  An element moves the span of a
 weakly orthonormal n-by-k Q, fixes its weak complement and is stored as Q and
 a k-by-k block; every library routine builds its spans from a few frames, so
-k is a small multiple of their width and never n.  A span,
+k is a small multiple of their width and never n, and a product of two
+elements, ``_product``, lives on their joint span.  A span,
 ``_Span``, is where strong norms of operators on it are taken, and the joint
 span of two n-by-N frames, ``_TwoFrames``, is the one kernel of every section.
 """
@@ -19,21 +20,18 @@ import numpy as np
 
 from .basis import canonical_phase, complete_basis, require_orthonormal
 from .errors import MembershipDefect, NeighborhoodViolation, RankDeficiency
-from .space import GramPair, as_operator, h1_triangle, span_singular_values
+from .space import GramPair, LowRank, as_operator, h1_triangle, span_singular_values
 
 __all__ = [
     "GroupElement",
     "SkewOperator",
     "membership_residual",
-    "skew_residual",
     "OneParameterGroup",
     "exp_skew",
     "frame_unitary",
-    "algebraic_membership_residual",
 ]
 
 CONSTRUCT_TOL = 1e-8
-RCOND_FLOOR = 1e-12
 RANGE_CUTOFF = 1e-12
 
 
@@ -41,12 +39,6 @@ def membership_residual(A, g: GramPair) -> float:
     """Relative Frobenius defect of the form-preservation identity."""
     A = as_operator(A, g.n, "A")
     return float(np.linalg.norm(A.conj().T @ g.l2(A) - g.gl2) / np.linalg.norm(g.gl2))
-
-
-def skew_residual(X, g: GramPair) -> float:
-    X = as_operator(X, g.n, "X")
-    gX = g.l2(X)
-    return float(np.linalg.norm(gX.conj().T + gX) / np.linalg.norm(g.gl2))
 
 
 def _frozen(A: np.ndarray) -> np.ndarray:
@@ -123,6 +115,14 @@ class GroupElement:
         return self.Q @ (self.B @ (self.Q.conj().T @ self.g.l2(F)))
 
 
+def _product(U: GroupElement, V: GroupElement) -> GroupElement:
+    """U V on the joint span Q of both elements; its block comes from D = V Q - Q and U (Q + D) - (Q + D)."""
+    g = U.g
+    Q = np.hstack([U.Q, complete_basis(U.Q, V.Q, g)])
+    D = V.displacement(Q)
+    return GroupElement(Q, Q.conj().T @ g.l2(D + U.displacement(Q + D)), g)
+
+
 @dataclass(frozen=True, eq=False)
 class SkewOperator:
     """Validated member of the corresponding Lie algebra, Q S (gl2 Q)^H with S skew-Hermitian."""
@@ -138,6 +138,11 @@ class SkewOperator:
     @cached_property
     def data(self) -> np.ndarray:
         return _frozen(_operator(self, self.S))
+
+    @cached_property
+    def factors(self) -> LowRank:
+        """X = (Q S)(gl2 Q)^H as thin factors."""
+        return LowRank(self.Q @ self.S, self.g.l2(self.Q))
 
     def apply(self, F) -> np.ndarray:
         """X F = Q S (Q^H gl2 F)."""
@@ -297,18 +302,3 @@ def frame_unitary(F0, F1, g: GramPair) -> GroupElement:
     B[N:, N:] -= eye_k[N:, N:]
     return GroupElement(span.Q, B, g)
 
-
-def algebraic_membership_residual(U, g: GramPair) -> float:
-    """Largest defect of the quadratic membership identity over all unit vectors.
-
-    The value is sup |<U*2 U phi, phi> - 1| over weakly normalized phi, where
-    U*2 is the weak adjoint; for members the adjoint equals the inverse, so
-    it vanishes up to rounding.  The supremum is exactly the largest
-    |eigenvalue| of the Hermitian gl2^{-1/2} (U^H gl2 U - gl2) gl2^{-1/2} = M^H M - I
-    for M = gl2^{1/2} U gl2^{-1/2}, max(s_1^2 - 1, 1 - s_n^2) for the singular
-    values s of M, which also gate a numerically singular U.
-    """
-    s = np.linalg.svd(g.to_l2_frame(as_operator(U, g.n, "U")), compute_uv=False)
-    if s[-1] <= RCOND_FLOOR * max(s[0], 1.0):
-        raise ValueError("element is numerically singular")
-    return float(max(s[0] ** 2 - 1.0, 1.0 - s[-1] ** 2))

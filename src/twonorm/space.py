@@ -7,10 +7,10 @@ discretizes scalar fields on a periodic uniform grid: the weak form is the
 quadrature weight h^d times the identity and the strong form adds
 forward-difference derivative energy, applied by FFT (:class:`GridPair`).
 
-Vectors are plain length-n complex ndarrays and operators are n-by-n complex
-ndarrays acting on coefficients.  Operators of small rank k, such as
-differences of embeddings, may instead be given as a :class:`LowRank` pair of
-n-by-k factors; strong norms then cost two thin QRs instead of an n-by-n SVD.
+Vectors are plain length-n complex ndarrays.  The operators the library builds
+have small rank k, or are I plus one, and are given as a :class:`LowRank` pair
+of n-by-k factors, whose strong norms cost two thin QRs instead of an n-by-n
+SVD; n-by-n ndarrays enter only at the API boundary and in the oracles.
 Operators L M R^H on fixed factors share that n-sized work: each factor is
 reduced once to a k-by-k triangle (:func:`h1_triangle`), and the norm of any
 core M comes from the triangles alone (:func:`span_singular_values`).
@@ -35,7 +35,6 @@ __all__ = [
     "norm_l2",
     "norm_h1",
     "adjoint_l2",
-    "adjoint_h1",
     "h1_singular_values",
     "h1_operator_norm",
     "h1_triangle",
@@ -64,6 +63,16 @@ def as_vector(x, n, name="vector"):
     return x
 
 
+def _real(value, name: str) -> float:
+    """value as a float; ValueError naming ``name`` unless it is a real number (not a boolean) a float can hold."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{name} must be a number a float can hold") from None
+
+
 def _require_integers(spec, *names) -> None:
     """Raise ValueError unless each named field of ``spec`` is an integer (not a float or a boolean)."""
     for name in names:
@@ -87,6 +96,7 @@ class SpaceSpec:
 
     def __post_init__(self):
         _require_integers(self, "domain_dim", "grid_points")
+        object.__setattr__(self, "spacing", _real(self.spacing, "spacing"))
         if self.domain_dim not in (1, 2, 3):
             raise ValueError(f"domain_dim must be 1, 2 or 3, got {self.domain_dim}")
         if self.grid_points < 2:
@@ -350,12 +360,6 @@ def adjoint_l2(A, g: GramPair) -> np.ndarray:
     """Adjoint with respect to the weak product: gl2^{-1} A^H gl2 = gl2^{-1} (gl2 A)^H."""
     A = as_operator(A, g.n, "A")
     return g.solve_l2(g.l2(A).conj().T)
-
-
-def adjoint_h1(A, g: GramPair) -> np.ndarray:
-    """Adjoint with respect to the strong product: gh1^{-1} A^H gh1."""
-    A = as_operator(A, g.n, "A")
-    return g.solve_h1(g.h1(A).conj().T)
 
 
 def h1_singular_values(A, g: GramPair) -> np.ndarray:

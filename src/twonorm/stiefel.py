@@ -20,9 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import complete_basis, require_orthonormal
+from .basis import require_orthonormal
 from .errors import ConvergenceFailure
-from .group import GroupElement, SkewOperator, _TwoFrames, _lie_split, frame_unitary
+from .group import GroupElement, SkewOperator, _TwoFrames, _lie_split, _product, frame_unitary
 from .space import GramPair, LowRank, as_operator, h1_operator_norm, h1_triangle, norm_h1, span_singular_values
 
 __all__ = [
@@ -323,16 +323,17 @@ def series_tail_bound(terms: int, rho: float, amp: float = 1.0) -> float:
     return next(itertools.islice(_tail_bounds(rho, amp), terms - 1, None))
 
 
-def sqrt_F(V: StiefelOperator, W: StiefelOperator) -> np.ndarray:
-    """((I-P)(I-Q)(I-P))^(1/2) for the image projections P of V and Q of W.
+def sqrt_F(V: StiefelOperator, W: StiefelOperator) -> LowRank:
+    """R - I for R = ((I-P)(I-Q)(I-P))^(1/2) and the image projections P of V and Q of W.
 
     On the joint span [Phi, C] of the image frames, with K = C^H gl2 Psi for
     W's frame Psi (``group._TwoFrames``), the argument is 0 on range(P),
     I - K K^H on span C and I beyond.  So the series runs on the block -K K^H,
-    the result is I - Phi (gl2 Phi)^H + C (S - I)(gl2 C)^H, and its weak error
-    is the block's.  That error is a scalar function of the Hermitian block, so
-    its weak norm is at most the scalar tail sum_(k>s) |c_k| rho^k on the
-    spectrum, and the strong norm costs the Gram pencil factor.  The series
+    and R - I = -Phi (gl2 Phi)^H + C (S - I)(gl2 C)^H is returned on the joint
+    span Q = [Phi, C], as Q times its block against gl2 Q; no n-by-n array is
+    formed.  Its weak error is the block's, a scalar function of the Hermitian
+    block, so its weak norm is at most the scalar tail sum_(k>s) |c_k| rho^k on
+    the spectrum, and the strong norm costs the Gram pencil factor.  The series
     stops at the first s whose geometric majorant of that tail, the value
     ``series_tail_bound`` reports, is below ``SERIES_TOL``.  The radius
     rho = ||K||_2^2 is the largest squared sine of the principal angles between
@@ -346,9 +347,7 @@ def sqrt_F(V: StiefelOperator, W: StiefelOperator) -> np.ndarray:
     (S,) = binomial_sqrt_truncated(-K @ K.conj().T, [_series_terms(rho, max(1.0, g.pencil_factor))])
     block = -np.eye(Q.shape[1], dtype=np.complex128)
     block[N:, N:] += S
-    R = (Q @ block) @ g.l2(Q).conj().T
-    R[np.diag_indices(g.n)] += 1.0
-    return R
+    return LowRank(Q @ block, g.l2(Q))
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +414,9 @@ def translated_section(
     The returned element U sigma, for the section sigma from V to U^-1 V1,
     maps V to V1 and lives on the joint span of both factors.
     """
-    g = V.g
     _require_same_reference(V, V0)
-    U = frame_unitary(V.Phi, V0.Phi, g)
-    sigma = section_factors(V, act(U.inverse, V1)).sigma
-    Q = np.hstack([U.Q, complete_basis(U.Q, sigma.Q, g)])
-    D = sigma.displacement(Q)
-    return GroupElement(Q, Q.conj().T @ g.l2(D + U.displacement(Q + D)), g)
+    U = frame_unitary(V.Phi, V0.Phi, V.g)
+    return _product(U, section_factors(V, act(U.inverse, V1)).sigma)
 
 
 # ---------------------------------------------------------------------------

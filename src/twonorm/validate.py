@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig, load_frame_matrix
-from .errors import TwoNormError
+from .errors import MembershipDefect, TwoNormError
 from .geometry import (
     NormSpec,
     curve_length,
@@ -38,16 +38,7 @@ from .grassmann import (
     quotient_radius,
     section_pi_p,
 )
-from .group import (
-    SkewOperator,
-    _TwoFrames,
-    algebraic_membership_residual,
-    exp_skew,
-    frame_unitary,
-    membership_residual,
-    skew_residual,
-)
-from .oracles import adjoint_by_definition, sqrt_eig
+from .group import GroupElement, SkewOperator, _TwoFrames, _product, exp_skew, frame_unitary
 from .sampling import (
     SETUP_TRIAL,
     _frobenius_scaled,
@@ -64,8 +55,6 @@ from .space import (
     GramPair,
     LowRank,
     SpaceSpec,
-    adjoint_h1,
-    adjoint_l2,
     build_space,
     h1_operator_norm,
     inner_h1,
@@ -151,83 +140,101 @@ def _run_trials(cfg: RunConfig, body) -> None:
 
 
 def _space_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
-    n = g.n
-    rec.residual(np.linalg.norm(g.gl2 - g.gl2.conj().T), 1e-12 * np.linalg.norm(g.gl2))
-    rec.residual(np.linalg.norm(g.gh1 - g.gh1.conj().T), 1e-12 * np.linalg.norm(g.gh1))
-    gap = np.linalg.eigvalsh(g.gh1 - g.gl2)
-    rec.residual(max(0.0, -float(gap[0])), 1e-10 * float(np.linalg.eigvalsh(g.gh1)[-1]))
+    # The pair is checked through the operators every routine applies: its
+    # forms compressed to a random n-by-2N block are Hermitian, and there the
+    # strong form dominates the weak one.  Each residual is recorded divided by
+    # the scale of its limit.
+    F = random_complex(rng_for_trial(cfg.seed, SETUP_TRIAL), g.n, 2 * cfg.subspace_dim)
+    weak, strong = F.conj().T @ g.l2(F), F.conj().T @ g.h1(F)
+    for G in (weak, strong):
+        rec.residual(np.linalg.norm(G - G.conj().T) / np.linalg.norm(G), 1e-12)
+    gap = np.linalg.eigvalsh(strong - weak)
+    rec.residual(max(0.0, -float(gap[0])) / float(np.linalg.eigvalsh(strong)[-1]), 1e-10)
 
     two = build_space(SpaceSpec(domain_dim=1, grid_points=2, spacing=1.0))
-    rec.residual(
-        np.max(np.abs(two.gh1 - np.array([[3.0, -2.0], [-2.0, 3.0]]))), 1e-12
-    )
+    rec.residual(np.max(np.abs(two.h1(np.eye(2)) - np.array([[3.0, -2.0], [-2.0, 3.0]]))), 1e-12)
 
     def trial(rng):
-        A = random_complex(rng, n, n)
-        x = random_complex(rng, n, 1)[:, 0]
-        y = random_complex(rng, n, 1)[:, 0]
-        A2 = adjoint_l2(A, g)
-        AH = adjoint_h1(A, g)
+        A = LowRank(random_complex(rng, g.n, cfg.subspace_dim), random_complex(rng, g.n, cfg.subspace_dim))
+        x = random_complex(rng, g.n, 1)[:, 0]
+        y = random_complex(rng, g.n, 1)[:, 0]
+        Ax = A.L @ (A.R.conj().T @ x)
+        # The weak and strong adjoints of L R^H are gl2^{-1} R (gl2 L)^H and gh1^{-1} R (gh1 L)^H.
+        A2y = g.solve_l2(A.R) @ (g.l2(A.L).conj().T @ y)
+        AHy = g.solve_h1(A.R) @ (g.h1(A.L).conj().T @ y)
         opn = h1_operator_norm(A, g)
-        ratio = norm_h1(A @ x, g) / max(norm_h1(x, g), 1e-300)
+        ratio = norm_h1(Ax, g) / max(norm_h1(x, g), 1e-300)
         # Each residual is recorded relative to max(1, scale) of its own operands.
         for value, scale in (
-            (abs(inner_l2(A @ x, y, g) - inner_l2(x, A2 @ y, g)), norm_l2(A @ x, g) * norm_l2(y, g)),
-            (abs(inner_h1(A @ x, y, g) - inner_h1(x, AH @ y, g)), norm_h1(A @ x, g) * norm_h1(y, g)),
-            (np.linalg.norm(A2 - adjoint_by_definition(A, g)), np.linalg.norm(A2)),
+            (abs(inner_l2(Ax, y, g) - inner_l2(x, A2y, g)), norm_l2(Ax, g) * norm_l2(y, g)),
+            (abs(inner_h1(Ax, y, g) - inner_h1(x, AHy, g)), norm_h1(Ax, g) * norm_h1(y, g)),
             (max(0.0, ratio - opn), opn),
         ):
             rec.residual(value / max(1.0, scale), 1e-9)
     _run_trials(cfg, trial)
 
 
+def _sup_defect(U: GroupElement) -> float:
+    """sup |<U*2 U phi, phi> - 1| over unit phi: max(s_1^2 - 1, 1 - s_k^2) for the singular values s of I + B.
+
+    On any pair that is the dense supremum, as gl2^{1/2} U gl2^{-1/2} = I + Q' B Q'^H for Q' = gl2^{1/2} Q.
+    """
+    s = np.linalg.svd(np.eye(len(U.B)) + U.B, compute_uv=False)
+    return float(max(s[0] ** 2 - 1.0, 1.0 - s[-1] ** 2))
+
+
 def _group_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
-    # The identities are checked on the n-by-n data of elements on span[Xi, G].
+    # The identities are checked on the blocks of elements on span[Xi, G]; each
+    # block residual is the dense one where gl2 is w I.
     Xi = _reference_for(cfg, g, rng_for_trial(cfg.seed, SETUP_TRIAL)).Xi
     def trial(rng):
         X = _frobenius_scaled(random_skew(rng, Xi, g), 1.0)
-        rec.residual(skew_residual(X.data, g), 1e-12)
+        rec.residual(X.defect, 1e-12)
         U = exp_skew(X)
-        rec.residual(membership_residual(U.data, g), 1e-10)
+        rec.residual(U.defect, 1e-10)
         V = exp_skew(_frobenius_scaled(random_skew(rng, Xi, g), 0.7))
-        rec.residual(membership_residual(U.data @ V.data, g), 1e-9)
-        rec.residual(membership_residual(U.inverse.data, g), 1e-9)
+        rec.residual(_product(U, V).defect, 1e-9)
+        rec.residual(U.inverse.defect, 1e-9)
         # exp(-X) from a decomposition of its own: reading it from U's at t = -1
         # would test only the eigensolver's orthogonality.
         back = exp_skew(SkewOperator(X.Q, -X.S, g))
-        rec.residual(
-            np.linalg.norm(U.data @ back.data - np.eye(g.n)), 1e-11 * np.exp(2.0)
-        )
-        rec.residual(algebraic_membership_residual(U.data, g), 1e-8)
+        rec.residual(np.linalg.norm(_product(U, back).B), 1e-11 * np.exp(2.0))
+        rec.residual(_sup_defect(U), 1e-8)
     _run_trials(cfg, trial)
-    drift = np.eye(g.n, dtype=np.complex128)
-    drift[0, 0] = 2.0
-    rec.require(algebraic_membership_residual(drift, g) > 0.1)
+    # A block stretching one direction by 2 is off the group and refused.
+    try:
+        GroupElement(Xi, np.diag(np.eye(Xi.shape[1])[0]), g)
+    except MembershipDefect:
+        rec.require(True)
+    else:
+        rec.require(False)
+
+
+def _reach(U: GroupElement, V: StiefelOperator, V1: StiefelOperator) -> float:
+    """||U V - V1||_F, with U V - V1 = (U Phi - Phi1)(gl2 Xi)^H from U's displacement."""
+    return LowRank(U.displacement(V.Phi) - (V1.Phi - V.Phi), V.ref.dual).frobenius_norm()
 
 
 def _section_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
     _, ref, V = _setup_point(cfg, g, 0.4)
-    P = phi(V).P
     r = radius_r(V)
-    eye = np.eye(g.n, dtype=np.complex128)
     def trial(rng):
         frac = 0.1 + 0.8 * rng.random()
         V1, _ = stiefel_near(V, frac * r, rng)
         fac = section_factors(V, V1)
-        P1 = phi(V1).P
-        rec.residual(
-            np.linalg.norm(fac.sigma.data @ V.V - V1.V), 1e-9 * np.linalg.norm(V1.V)
-        )
-        rec.residual(membership_residual(fac.sigma.data, g), 1e-9)
+        rec.residual(_reach(fac.sigma, V, V1), 1e-9 * V1.factors.frobenius_norm())
+        rec.residual(fac.sigma.defect, 1e-9)
         # T1 = T P and T2 = T (I - P) are the partial isometries of the direct rotation.
-        t1, t2 = fac.t.data @ P, fac.t.data @ (eye - P)
-        t1s = adjoint_l2(t1, g)
-        rec.residual(np.linalg.norm(t1s @ t1 - P), 1e-8 * max(1.0, np.linalg.norm(P)))
-        rec.residual(np.linalg.norm(t1 @ t1s - P1), 1e-8 * max(1.0, np.linalg.norm(P1)))
-        t2s = adjoint_l2(t2, g)
-        rec.residual(np.linalg.norm(t2s @ t2 - (eye - P)), 1e-8 * np.sqrt(g.n))
-        rec.residual(np.linalg.norm(t2 @ t2s - (eye - P1)), 1e-8 * np.sqrt(g.n))
-        rec.residual(membership_residual(fac.w.data, g), 1e-8)
+        # On T's span Q, T, P and P1 are I + Q (u - I)(gl2 Q)^H, Q p (gl2 Q)^H and
+        # Q q (gl2 Q)^H, the weak adjoint takes M to M^H, and beyond Q all is exact.
+        E, b = (fac.t.Q.conj().T @ g.l2(F) for F in (V.Phi, V1.Phi))
+        eye = np.eye(len(E))
+        p, q, u = E @ E.conj().T, b @ b.conj().T, eye + fac.t.B
+        rec.residual(np.linalg.norm(p @ u.conj().T @ u @ p - p), 1e-8 * max(1.0, np.linalg.norm(p)))
+        rec.residual(np.linalg.norm(u @ p @ u.conj().T - q), 1e-8 * max(1.0, np.linalg.norm(q)))
+        rec.residual(np.linalg.norm((eye - p) @ u.conj().T @ u @ (eye - p) - (eye - p)), 1e-8 * np.sqrt(g.n))
+        rec.residual(np.linalg.norm(u @ (eye - p) @ u.conj().T - (eye - q)), 1e-8 * np.sqrt(g.n))
+        rec.residual(fac.w.defect, 1e-8)
     _run_trials(cfg, trial)
     # The section translated along the group still maps base to target.
     mover = rng_for_trial(cfg.seed, SETUP_TRIAL - 1)
@@ -235,23 +242,42 @@ def _section_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
     allowed = r / frame_unitary(V.Phi, V0.Phi, g).inverse.h1_norm
     V1, _ = stiefel_near(V0, 0.3 * allowed, mover)
     moved = translated_section(V, V0, V1)
-    rec.residual(np.linalg.norm(moved.data @ V.V - V1.V), 1e-9 * np.linalg.norm(V1.V))
-    rec.residual(membership_residual(moved.data, g), 1e-8)
+    rec.residual(_reach(moved, V, V1), 1e-9 * V1.factors.frobenius_norm())
+    rec.residual(moved.defect, 1e-8)
 
 
 def _sqrt_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
     V = _setup_point(cfg, g, 0.4)[2]
-    P = phi(V).P
-    eye = np.eye(g.n, dtype=np.complex128)
-    r = radius_r(V)
+    N, r = V.N, radius_r(V)
     def trial(rng):
         W, _ = stiefel_near(V, (0.1 + 0.6 * rng.random()) * r, rng)
-        Q = phi(W).P
-        A = (eye - P) @ (eye - Q) @ (eye - P)
         R = sqrt_F(V, W)
-        rec.residual(np.linalg.norm(R @ R - A) / max(1.0, np.linalg.norm(A)), 1e-9)
-        rec.residual(np.linalg.norm(R - sqrt_eig(A, g)) / max(1.0, np.linalg.norm(R)), 1e-8)
+        # On the joint span Q = [Phi, C], A = (I - P)(I - P_W)(I - P) is I + Q a (gl2 Q)^H
+        # with a = c (I - b b^H) c - I, c = I - E E^H, and its root has block 0 on Phi
+        # and Z diag(sqrt(1 - s^2)) Z^H on C, for the SVD Z diag(s) Y^H of K = beta[N:].
+        span = _TwoFrames(V.Phi, W.Phi, g)
+        eye = np.eye(len(span.E), dtype=np.complex128)
+        c = eye - span.E @ span.E.conj().T
+        A = LowRank(span.Q @ (c @ (eye - span.b @ span.b.conj().T) @ c - eye), g.l2(span.Q))
+        Z, sines, _ = np.linalg.svd(span.beta[N:], full_matrices=False)
+        root = -eye
+        root[N:, N:] += (Z * np.sqrt(1.0 - sines**2)) @ Z.conj().T
+        # R^2 - I = 2 (R - I) + (R - I)^2, in factored form.
+        square = LowRank(2.0 * R.L + R.L @ (R.R.conj().T @ R.L), R.R)
+        rec.residual(_distance(square, A) / max(1.0, _identity_plus_norm(A)), 1e-9)
+        rec.residual(_distance(R, LowRank(span.Q @ root, A.R)) / max(1.0, _identity_plus_norm(R)), 1e-8)
     _run_trials(cfg, trial)
+
+
+def _distance(A: LowRank, B: LowRank) -> float:
+    """||A - B||_F, from the factors [A.L, -B.L] and [A.R, B.R]."""
+    return LowRank(np.hstack([A.L, -B.L]), np.hstack([A.R, B.R])).frobenius_norm()
+
+
+def _identity_plus_norm(A: LowRank) -> float:
+    """||I + L R^H||_F, from ||I + L R^H||_F^2 = n + 2 Re tr(R^H L) + ||L R^H||_F^2."""
+    square = len(A.L) + 2.0 * np.trace(A.R.conj().T @ A.L).real + A.frobenius_norm() ** 2
+    return float(np.sqrt(max(square, 0.0)))
 
 
 def _grassmann_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
@@ -262,9 +288,7 @@ def _grassmann_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
         radius = quotient_radius(P)
         P1, _ = projection_near(P, (0.1 + 0.5 * rng.random()) * radius, rng)
         V1 = psi_section(P, P1, ref)
-        rec.residual(
-            np.linalg.norm(phi(V1).P - P1.P), 1e-9 * max(1.0, np.linalg.norm(P1.P))
-        )
+        rec.residual(_distance(phi(V1).factors, P1.factors), 1e-9 * max(1.0, P1.factors.frobenius_norm()))
         # The direct rotation conjugates P onto P2 across the quotient radius.
         # Both checks stay on spans: the strong distance of T P T^-1 from P2,
         # relative to ||P2||_h1, and the block's form defect, which is the
@@ -289,24 +313,29 @@ def _grassmann_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
         reparam = StiefelOperator(V.Phi @ (ref.dual.conj().T @ (ref.Xi + T.displacement(ref.Xi))), ref)
         res = grassmann_equivalence(reparam, V)
         rec.require(res.equivalent)
-        rec.residual(res.map_residual, 1e-7 * max(1.0, np.linalg.norm(V.V)))
+        rec.residual(res.map_residual, 1e-7 * max(1.0, V.factors.frobenius_norm()))
         other = random_stiefel(rng, ref, scale=0.4)
         same = grassmann_equivalence(V, other).projection_distance <= EQUIVALENCE_TOL
         rec.require(grassmann_equivalence(other, V).equivalent == same)
-        Y = random_complex(rng, g.n, g.n)
+        Y = LowRank(random_complex(rng, g.n, cfg.subspace_dim), random_complex(rng, g.n, cfg.subspace_dim))
         d1 = delta_p(Y, P)
         d3 = delta_p(delta_p(d1, P), P)
         # The cube identity and the split sums are recorded relative to max(1, scale).
-        rec.residual(np.linalg.norm(d3 - d1) / max(1.0, np.linalg.norm(d1)), 1e-12)
+        rec.residual(_distance(d3, d1) / max(1.0, d1.frobenius_norm()), 1e-12)
         # The split generator lives on span[Phi, G]: P adds N columns to its span, phi(V) none.
+        # Each pair of parts shares one span Q', on which X has block c S c^H for c = Q'^H gl2 Q.
         X = _frobenius_scaled(random_skew(rng, V.Phi, g), 1.0)
-        xg, xh = lie_split_grassmann(X, P)
-        rec.residual(np.linalg.norm(xg.data + xh.data - X.data) / max(1.0, np.linalg.norm(X.data)), 1e-12)
-        rec.residual(np.linalg.norm(delta_p(xg.data, P)), 1e-10 * max(1.0, np.linalg.norm(xg.data)))
-        sg, sh = lie_split_stiefel(X, phi(V))
-        rec.residual(np.linalg.norm(sg.data + sh.data - X.data) / max(1.0, np.linalg.norm(X.data)), 1e-12)
+        (xg, xh), (sg, sh) = lie_split_grassmann(X, P), lie_split_stiefel(X, phi(V))
+        for first, second in ((xg, xh), (sg, sh)):
+            c = first.Q.conj().T @ g.l2(X.Q)
+            total = first.S + second.S - c @ X.S @ c.conj().T
+            rec.residual(np.linalg.norm(total) / max(1.0, X.factors.frobenius_norm()), 1e-12)
+        # xg commutes with P, delta_P^2 fixes the off-diagonal xh, and sg kills V.
+        rec.residual(delta_p(xg.factors, P).frobenius_norm(), 1e-10 * max(1.0, xg.factors.frobenius_norm()))
+        twice = delta_p(delta_p(xh.factors, P), P)
+        rec.residual(_distance(twice, xh.factors), 1e-10 * max(1.0, xh.factors.frobenius_norm()))
         rec.residual(
-            np.linalg.norm(sg.data @ V.V), 1e-10 * max(1.0, np.linalg.norm(V.V))
+            LowRank(sg.apply(V.Phi), ref.dual).frobenius_norm(), 1e-10 * max(1.0, V.factors.frobenius_norm())
         )
     _run_trials(cfg, trial)
     # Pairs at half and twice the documented tolerance, from a stream of their own.
@@ -321,7 +350,7 @@ def _grassmann_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
 
 def _strong_scaled(X: SkewOperator, norm: float) -> SkewOperator:
     """X rescaled to the given strong operator norm."""
-    return SkewOperator(X.Q, X.S * (norm / h1_operator_norm(LowRank(X.Q @ X.S, X.g.l2(X.Q)), X.g)), X.g)
+    return SkewOperator(X.Q, X.S * (norm / h1_operator_norm(X.factors, X.g)), X.g)
 
 
 def _geometry_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
@@ -338,7 +367,7 @@ def _geometry_suite(cfg: RunConfig, g: GramPair, rec: _Recorder) -> None:
         # The log keeps the span, so both generators are Q S (gl2 Q)^H on one Q.
         back = group_log(exp_skew(X))
         rec.require(back.Q is X.Q)
-        size = LowRank(X.Q @ X.S, g.l2(X.Q)).frobenius_norm()
+        size = X.factors.frobenius_norm()
         rec.residual(LowRank(X.Q @ (back.S - X.S), g.l2(X.Q)).frobenius_norm(), 1e-8 * max(1.0, size))
         # The Finsler norms of the tangents X V0 (rank N) and [X, P0] (rank 2N)
         # lie between their strong operator norm and rank times that norm.

@@ -17,6 +17,28 @@ def dense_skew(rng, g, scale=1.0):
     return SkewOperator(g.isqrt_l2, S * (scale / np.linalg.norm(S)), g)
 
 
+def dense(A):
+    """The n-by-n operator L R^H of a LowRank A."""
+    return A.L @ A.R.conj().T
+
+
+def skew_residual(X, g):
+    """Relative Frobenius defect of the algebra identity X^H gl2 + gl2 X = 0 for an n-by-n X."""
+    gX = g.gl2 @ X
+    return float(np.linalg.norm(gX.conj().T + gX) / np.linalg.norm(g.gl2))
+
+
+def membership_sup(U, g):
+    """sup |<U*2 U phi, phi> - 1| over weakly normalized phi, for an n-by-n U.
+
+    U*2 is the weak adjoint, so the supremum is the largest |eigenvalue| of
+    the Hermitian gl2^{-1/2} (U^H gl2 U - gl2) gl2^{-1/2}, taken by ``eigvalsh``.
+    """
+    M = g.to_l2_frame(U)
+    D = M.conj().T @ M - np.eye(g.n)
+    return float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (D + D.conj().T)))))
+
+
 @pytest.fixture(scope="session")
 def g():
     """Default periodic grid space: 16 points, spacing 0.25."""

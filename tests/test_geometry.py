@@ -29,7 +29,6 @@ from twonorm import (
     SpaceSpec,
     build_space,
     frame_unitary,
-    skew_residual,
 )
 from twonorm import geometry
 from twonorm.basis import orthonormal_columns
@@ -43,7 +42,7 @@ from twonorm.sampling import (
     rng_for_trial,
 )
 
-from conftest import dense_skew
+from conftest import dense_skew, skew_residual
 
 
 def test_norm_spec_labels_and_validation():

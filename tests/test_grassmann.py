@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from twonorm import (
+    LowRank,
     NeighborhoodViolation,
     ProjectionOperator,
     SkewOperator,
@@ -31,7 +32,7 @@ from twonorm.sampling import (
     rng_for_trial,
 )
 
-from conftest import dense_skew
+from conftest import dense, dense_skew
 
 
 def test_projection_operator_rejects_defects(g):
@@ -171,18 +172,19 @@ def test_section_pi_p_rejects_just_outside_the_quotient_radius(n):
 
 def test_delta_p_cubes_to_itself(g, V, rng):
     P = phi(V)
-    Y = random_complex(rng, g.n, g.n)
+    Y = LowRank(random_complex(rng, g.n, 3), random_complex(rng, g.n, 3))
     once = delta_p(Y, P)
     thrice = delta_p(delta_p(once, P), P)
-    assert np.linalg.norm(thrice - once) <= 1e-12 * max(1.0, np.linalg.norm(once))
+    assert once.L.shape[1] == thrice.L.shape[1] == 2 * P.N
+    assert np.linalg.norm(dense(thrice) - dense(once)) <= 1e-12 * max(1.0, np.linalg.norm(dense(once)))
 
 
 def test_delta_p_squared_is_idempotent(g, V, rng):
     P = phi(V)
-    Y = random_complex(rng, g.n, g.n)
+    Y = LowRank(random_complex(rng, g.n, 3), random_complex(rng, g.n, 3))
     E = delta_p(delta_p(Y, P), P)
     E2 = delta_p(delta_p(E, P), P)
-    assert np.linalg.norm(E2 - E) <= 1e-12 * max(1.0, np.linalg.norm(E))
+    assert np.linalg.norm(dense(E2) - dense(E)) <= 1e-12 * max(1.0, np.linalg.norm(dense(E)))
 
 
 def test_lie_split_grassmann_structure(g, V, rng):
@@ -218,20 +220,20 @@ def test_tangent_calculus_agrees_with_the_dense_projection(pair, n, seed):
     g = PAIRS[pair](n)
     rng = rng_for_trial(seed, 0)
     P = random_projection(rng, g, 2)
-    Y = random_complex(rng, n, n)
+    Y = LowRank(random_complex(rng, n, 3), random_complex(rng, n, 3))
     Pm, ip = P.P, np.eye(n) - P.P
 
     def close(value, reference):
         return np.linalg.norm(value - reference) <= 1e-13 * np.linalg.norm(reference)
 
-    assert close(delta_p(Y, P), Y @ Pm - Pm @ Y)
+    assert close(dense(delta_p(Y, P)), dense(Y) @ Pm - Pm @ dense(Y))
     # A k = n generator, one on span[F, G] for an unrelated frame F, and one
     # whose span already holds range(P), so the joint span adds no column.
     generators = [dense_skew(rng, g), random_skew(rng, random_projection(rng, g, 2).frame, g)]
     generators.append(random_skew(rng, P.frame, g))
     for X in generators:
         x, k = X.data, X.Q.shape[1]
-        for (inner, outer), dense in (
+        for (inner, outer), reference in (
             (lie_split_grassmann(X, P), Pm @ x @ Pm + ip @ x @ ip),
             (lie_split_stiefel(X, P), ip @ x @ ip),
         ):
@@ -239,7 +241,7 @@ def test_tangent_calculus_agrees_with_the_dense_projection(pair, n, seed):
             assert inner.Q is outer.Q and k <= inner.Q.shape[1] <= min(k + P.N, n)
             assert np.array_equal(inner.Q[:, :k], X.Q)
             assert close(inner.data + outer.data, x)
-            assert close(inner.data, dense)
-            assert close(outer.data, x - dense)
+            assert close(inner.data, reference)
+            assert close(outer.data, x - reference)
     assert generators[0].Q.shape[1] == n and generators[1].Q.shape[1] == 4
     assert lie_split_grassmann(generators[2], P)[0].Q.shape[1] == generators[2].Q.shape[1]

@@ -6,20 +6,19 @@ from twonorm import (
     MembershipDefect,
     SpaceSpec,
     SkewOperator,
-    algebraic_membership_residual,
     build_space,
     exp_skew,
     frame_unitary,
     gram_pair_from_matrices,
     h1_operator_norm,
     membership_residual,
-    skew_residual,
 )
 from twonorm.basis import orthonormal_columns
 from twonorm.group import OneParameterGroup, _operator
 from twonorm.sampling import random_complex, rng_for_trial
+from twonorm.validate import _sup_defect
 
-from conftest import dense_skew
+from conftest import dense_skew, membership_sup, skew_residual
 
 
 def test_skew_parameterization_is_exact(g, rng):
@@ -141,18 +140,21 @@ def test_frame_unitary_is_well_conditioned_near_coincidence(n):
 
 def test_algebraic_membership_detects_stretch(g, rng):
     U = exp_skew(dense_skew(rng, g, scale=0.8))
-    assert algebraic_membership_residual(U.data, g) <= 1e-8
+    assert membership_sup(U.data, g) <= 1e-8
     stretch = np.eye(g.n, dtype=np.complex128)
     stretch[0, 0] = 2.0
-    assert algebraic_membership_residual(stretch, g) > 0.1
-    with pytest.raises(ValueError):
-        algebraic_membership_residual(np.zeros((g.n, g.n)), g)
+    assert membership_sup(stretch, g) > 0.1
+    # A singular operator sends some unit vector to 0: the defect is 1.
+    assert membership_sup(np.zeros((g.n, g.n)), g) == 1.0
+    # The stretched block is refused as a group element.
+    with pytest.raises(MembershipDefect):
+        GroupElement(g.isqrt_l2, g.to_l2_frame(stretch) - np.eye(g.n), g)
 
 
 def test_algebraic_membership_is_deterministic(g, rng):
     U = exp_skew(dense_skew(rng, g, scale=0.5))
-    r1 = algebraic_membership_residual(U.data, g)
-    r2 = algebraic_membership_residual(U.data, g)
+    r1 = membership_sup(U.data, g)
+    r2 = membership_sup(U.data, g)
     assert r1 == r2
 
 
@@ -162,14 +164,14 @@ def test_algebraic_membership_is_exact_at_n128():
     g = build_space(SpaceSpec(domain_dim=1, grid_points=128, spacing=0.25))
     drift = np.eye(g.n, dtype=np.complex128)
     drift[0, 0] = 2.0
-    assert algebraic_membership_residual(drift, g) == pytest.approx(3.0, rel=1e-12)
+    assert membership_sup(drift, g) == pytest.approx(3.0, rel=1e-12)
     U = exp_skew(dense_skew(rng_for_trial(1, 0), g, scale=0.7))
-    value = algebraic_membership_residual(U.data, g)
+    value = membership_sup(U.data, g)
     assert value <= 1e-12
     # The value is a supremum: no weakly normalized vector exceeds it.
     rng = rng_for_trial(1, 1)
     for M in (U.data, drift):
-        sup = algebraic_membership_residual(M, g)
+        sup = membership_sup(M, g)
         for _ in range(8):
             v = random_complex(rng, g.n, 1)[:, 0]
             v = v / np.sqrt((v.conj() @ (g.gl2 @ v)).real)
@@ -194,7 +196,8 @@ PAIRS = {
 @pytest.mark.parametrize("n", [16, 128])
 @pytest.mark.parametrize("kind", ["grid", "weighted"])
 def test_the_dense_group_identities_hold_for_k_equals_n_elements(kind, n):
-    # validate's group suite checks these on span[Xi, G]; here X and V are full rank.
+    # validate's group suite checks these on the blocks of elements on span[Xi, G];
+    # here X and V are full rank and the identities are read from the n-by-n data.
     g = build_space(SpaceSpec(domain_dim=1, grid_points=n, spacing=0.25)) if kind == "grid" else _weighted_pair(n)
     eye = np.eye(n)
     for seed in range(3):
@@ -210,10 +213,10 @@ def test_the_dense_group_identities_hold_for_k_equals_n_elements(kind, n):
         # exp(-X) from a decomposition of its own.
         back = exp_skew(SkewOperator(X.Q, -X.S, g))
         assert np.linalg.norm(U.data @ back.data - eye) <= 1e-11 * np.exp(2.0)
-        assert algebraic_membership_residual(U.data, g) <= 1e-8
+        assert membership_sup(U.data, g) <= 1e-8
     drift = eye.astype(np.complex128)
     drift[0, 0] = 2.0
-    assert algebraic_membership_residual(drift, g) > 0.1
+    assert membership_sup(drift, g) > 0.1
 
 
 def _elements(g, seed):
@@ -248,20 +251,16 @@ def test_the_inverse_element_is_the_retired_inverse_formulas_bit_for_bit(kind):
 
 @pytest.mark.parametrize("kind", PAIRS)
 def test_the_one_svd_membership_residual_is_the_eigenvalue_form(kind):
+    # validate's span form, from the singular values of the k-by-k I + B, is
+    # the oracle's dense supremum, from the eigenvalues of M^H M - I, on any
+    # pair: for members, and for blocks scaled off the group by 1e-9, whose
+    # supremum is about 1e-9.  The dense congruence alone rounds to 2e-14.
     g = PAIRS[kind]
-    eye = np.eye(g.n, dtype=np.complex128)
-    drift = eye.copy()
-    drift[0, 0] = 2.0
     for seed in range(4):
-        for A in [U.data for U in _elements(g, seed)] + [drift]:
-            # The retired value: the largest |eigenvalue| of M^H M - I.
-            M = g.to_l2_frame(A)
-            D = M.conj().T @ M - eye
-            parent = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (D + D.conj().T)))))
-            assert abs(algebraic_membership_residual(A, g) - parent) <= 1e-14 * max(1.0, parent)
+        for U in _elements(g, seed):
+            for W in (U, GroupElement(U.Q, U.B * (1.0 + 1e-9), g)):
+                assert abs(_sup_defect(W) - membership_sup(W.data, g)) <= 5e-14
+    drift = np.eye(g.n, dtype=np.complex128)
+    drift[0, 0] = 2.0
     if kind == "grid":
-        assert algebraic_membership_residual(drift, g) == pytest.approx(3.0, abs=1e-12)
-    singular = eye.copy()
-    singular[:, 0] = 0.0
-    with pytest.raises(ValueError, match="singular"):
-        algebraic_membership_residual(singular, g)
+        assert membership_sup(drift, g) == pytest.approx(3.0, abs=1e-12)

@@ -29,6 +29,8 @@ from twonorm.sampling import random_complex, random_reference, random_stiefel, r
 from twonorm.stiefel import SERIES_BLOCK, SERIES_TOL, _series_terms, binomial_coefficients
 from twonorm.validate import _setup_point
 
+from conftest import dense
+
 SPACES = {
     16: build_space(SpaceSpec(domain_dim=1, grid_points=16, spacing=0.25)),
     128: build_space(SpaceSpec(domain_dim=1, grid_points=128, spacing=0.25)),
@@ -163,20 +165,22 @@ def test_sqrt_f_matches_oracle_on_equal_near_and_far_pairs(n, N, kind, fraction,
     eye = np.eye(g.n)
     ip = eye - phi(V).P
     exact = sqrt_eig(ip @ (eye - phi(W).P) @ ip, g)
-    R = sqrt_F(V, W)
+    R = eye + dense(sqrt_F(V, W))
     assert h1_operator_norm(R - exact, g) <= SERIES_TOL + 1e-12 * max(1.0, h1_operator_norm(exact, g))
     assert np.linalg.norm(R @ phi(V).P) <= 1e-12
 
 
 def test_sqrt_f_builds_no_dense_array_but_its_result():
-    # The series runs on a block of width at most N, so the returned operator
-    # is the only n-by-n array.
+    # The series runs on a block of width at most N, and R - I is returned as
+    # n-by-k factors on the joint span, k <= 2N: no n-by-n array is formed.
     g = build_space(SpaceSpec(domain_dim=1, grid_points=256, spacing=0.25))
     g.pencil_factor  # cached factorizations are built before tracing
     rng = rng_for_trial(5, 0)
     ref = random_reference(rng, g, 2)
     V, W = random_stiefel(rng, ref, scale=0.4), random_stiefel(rng, ref, scale=0.4)
-    assert _traced_peak(lambda: sqrt_F(V, W)) < 4 * g.n * g.n * 16
+    R = sqrt_F(V, W)
+    assert R.L.shape == R.R.shape == (g.n, 4)
+    assert _traced_peak(lambda: sqrt_F(V, W)) < g.n * g.n * 16 / 8
 
 
 def test_sqrt_f_raises_when_the_images_are_weakly_orthogonal_in_a_direction():

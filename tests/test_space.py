@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from twonorm import (
     SpaceSpec,
-    adjoint_h1,
     adjoint_l2,
     build_space,
     forward_difference,
@@ -19,6 +18,7 @@ from twonorm import (
     norm_l2,
 )
 from twonorm.basis import complete_basis, orthonormal_columns
+from twonorm.oracles import adjoint_by_definition
 from twonorm.sampling import random_complex, rng_for_trial
 
 
@@ -43,6 +43,16 @@ def test_spec_integer_fields_reject_non_integers(key, value):
     with pytest.raises(ValueError, match=f"{key} must be an integer"):
         SpaceSpec(**{key: value})
     assert getattr(SpaceSpec(**{key: np.int64(2)}), key) == 2  # a numpy integer is an integer
+
+
+@pytest.mark.parametrize("value", [True, "0.25", 1 + 0j, 10**400], ids=["bool", "string", "complex", "beyond-float"])
+def test_spec_spacing_rejects_non_real_numbers(value):
+    # Checked by the constructor itself: a boolean would build a pair with
+    # w = 1.0, and a string or a complex would fail the sign check with a TypeError.
+    with pytest.raises(ValueError, match="spacing must be a number"):
+        SpaceSpec(spacing=value)
+    assert SpaceSpec(spacing=np.float32(0.5)).spacing == 0.5
+    assert type(SpaceSpec(spacing=1).spacing) is float
 
 
 def test_two_point_strong_gram(g_small):
@@ -130,7 +140,9 @@ def test_adjoint_identities(g, rng):
     x = random_complex(rng, g.n, 1)[:, 0]
     y = random_complex(rng, g.n, 1)[:, 0]
     assert inner_l2(A @ x, y, g) == pytest.approx(inner_l2(x, adjoint_l2(A, g) @ y, g), abs=1e-8)
-    assert inner_h1(A @ x, y, g) == pytest.approx(inner_h1(x, adjoint_h1(A, g) @ y, g), abs=1e-8)
+    # The strong adjoint is the weak adjoint of the pair whose both forms are gh1.
+    strong = adjoint_by_definition(A, gram_pair_from_matrices(g.gh1, g.gh1))
+    assert inner_h1(A @ x, y, g) == pytest.approx(inner_h1(x, strong @ y, g), abs=1e-8)
     # Adjoint of the adjoint comes back.
     assert np.allclose(adjoint_l2(adjoint_l2(A, g), g), A, atol=1e-10)
 

@@ -394,47 +394,6 @@ def test_translated_section_applies_the_inverse_on_the_frame(n, monkeypatch):
     assert np.linalg.norm(moved.displacement(V.Phi) - D) <= 1e-12 * np.linalg.norm(D)
 
 
-def _span_form_products(g, seed):
-    """dense_skew's block, X, exp(X) and its inverse: span products Q M (gl2 Q)^H, then the pair's."""
-    Q = g.isqrt_l2
-    A = random_complex(rng_for_trial(seed, 0), g.n, g.n)
-    S = A - A.conj().T
-    S = S / np.linalg.norm(S)
-    X = dense_skew(rng_for_trial(seed, 0), g)
-    U = exp_skew(X)
-    eye = np.eye(g.n)
-    reference = {
-        "block": S,
-        "X": (Q @ X.S) @ (g.gl2 @ Q).conj().T,
-        "data": eye + (Q @ U.B) @ (g.gl2 @ Q).conj().T,
-        "inv": eye + (Q @ U.B.conj().T) @ (g.gl2 @ Q).conj().T,
-    }
-    routed = {"block": X.S, "X": X.data, "data": U.data, "inv": U.inverse.data}
-    return reference, routed
-
-
-@pytest.mark.parametrize(
-    "kind, rtol",
-    [(0.25, 0.0), (0.3, 1e-15), ("weighted", 1e-14)],
-    ids=["grid-0.25-exact", "grid-0.3", "weighted"],
-)
-def test_k_equals_n_blocks_equal_the_span_form_products(kind, rtol):
-    # gl2 = w I makes a k = n element I + B and its generator S; at spacing
-    # 0.25, w^-1/2 = 2 and the span-form products are exact.  A non-scalar pair
-    # agrees with them to rounding.
-    if kind == "weighted":
-        g = PAIRS["weighted", 16]
-    else:
-        g = build_space(SpaceSpec(domain_dim=1, grid_points=16, spacing=kind))
-    for seed in range(4):
-        reference, routed = _span_form_products(g, seed)
-        for name, value in reference.items():
-            if rtol == 0.0:
-                assert np.array_equal(routed[name], value), name
-            else:
-                assert np.linalg.norm(routed[name] - value) <= rtol * np.linalg.norm(value), name
-
-
 @pytest.mark.parametrize("kind", KINDS)
 def test_riemannian_inner_product_matches_the_dense_trace_pairing(kind):
     # On the diagonal, ||XV||_2^2 = Re tr[XV (XV)^*] with the strong adjoint,

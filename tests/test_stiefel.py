@@ -40,7 +40,7 @@ from twonorm.sampling import (
 )
 from twonorm.space import SpaceSpec, build_space
 
-from conftest import dense_skew
+from conftest import dense, dense_skew
 
 
 def test_reference_frame_reports_column_bound(ref):
@@ -147,7 +147,7 @@ def test_binomial_sqrt_rejects_bad_spectrum(g):
 def test_binomial_sqrt_deflates_known_kernel(g, V):
     # I - P has an exact kernel on range(P), where the plain series would
     # crawl; sqrt_F leaves it out of the block the series runs on.
-    R = sqrt_F(V, V)
+    R = np.eye(g.n) + dense(sqrt_F(V, V))
     assert np.linalg.norm(R - (np.eye(g.n) - phi(V).P)) <= 1e-13
     assert np.linalg.norm(R @ V.Phi) <= 1e-13
 
@@ -213,8 +213,8 @@ def test_series_tail_bound_rejects_bad_args():
 def test_sqrt_f_matches_oracle(g, ref, rng):
     V = random_stiefel(rng, ref, scale=0.4)
     W = random_stiefel(rng, ref, scale=0.4)
-    R = sqrt_F(V, W)
     eye = np.eye(g.n)
+    R = eye + dense(sqrt_F(V, W))
     ip = eye - phi(V).P
     arg = ip @ (eye - phi(W).P) @ ip
     assert np.linalg.norm(R @ R - arg) <= 1e-9
@@ -255,6 +255,7 @@ def test_section_partial_isometries(g, V, rng):
     assert np.linalg.norm(adjoint_l2(t1, g) @ t1 - P) <= 1e-8
     assert np.linalg.norm(t1 @ adjoint_l2(t1, g) - P1) <= 1e-8
     assert np.linalg.norm(adjoint_l2(t2, g) @ t2 - ip) <= 1e-8
+    assert np.linalg.norm(t2 @ adjoint_l2(t2, g) - (np.eye(g.n) - P1)) <= 1e-8
 
 
 @pytest.mark.parametrize("frac", [0.9, 1e-4, 1e5])

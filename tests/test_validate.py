@@ -1,13 +1,21 @@
 import math
+import tracemalloc
 
-import numpy as np
 import pytest
 
-from twonorm import grassmann, group, validate
+from twonorm import grassmann, group, stiefel, validate
 from twonorm.config import config_from_mapping
-from twonorm.group import SkewOperator
-from twonorm.space import build_space
-from twonorm.validate import _Recorder, _geometry_suite, _grassmann_suite, _space_suite, _sqrt_suite
+from twonorm.group import GroupElement, SkewOperator
+from twonorm.space import GridPair, build_space
+from twonorm.validate import (
+    _Recorder,
+    _geometry_suite,
+    _grassmann_suite,
+    _group_suite,
+    _section_suite,
+    _space_suite,
+    _sqrt_suite,
+)
 
 
 def test_recorder_keeps_nan_as_worst_residual():
@@ -42,22 +50,25 @@ def test_space_suite_records_residuals_on_the_scale_of_their_limits():
     assert result.passed and result.max_residual <= 1e-13, result
 
 
-def test_space_suite_takes_one_dense_svd_per_trial(monkeypatch):
-    # The PSD floor's scale is the top eigenvalue of the definite gh1, its
-    # 2-norm, so the only n-by-n SVD left is the strong operator norm's.
-    cfg = config_from_mapping({"seed": 42, "trials": 1, "space": {"grid_points": 16, "spacing": 0.25}})
-    n, shapes, svd = cfg.space.n, [], np.linalg.svd
+def test_the_suites_read_no_dense_operator_of_a_large_grid(monkeypatch):
+    # Every suite reads the span form of what it checks: at 1D n = 4096 no Gram
+    # matrix or root of the pair is read, and the traced peak stays far below
+    # one n-by-n complex array, 268 MB.
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense Gram matrix or root on a grid pair")
 
-    def counted(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    monkeypatch.setattr(np.linalg._linalg, "svd", counted)
-    rec = _Recorder()
-    _space_suite(cfg, build_space(cfg.space), rec)
-    assert rec.result("space").passed
-    assert shapes.count((n, n)) == 1
+    for name in ("gl2", "gh1", "sqrt_l2", "isqrt_l2", "sqrt_h1", "isqrt_h1", "_sqrt_pair_l2", "_sqrt_pair_h1"):
+        monkeypatch.setattr(GridPair, name, property(refuse))
+    space = {"grid_points": 4096, "spacing": 0.25}
+    cfg = config_from_mapping({"seed": 42, "subspace_dim": 2, "trials": 2, "space": space})
+    tracemalloc.start()
+    try:
+        results = validate.run_suites(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.suite for r in results if not r.passed] == []
+    assert peak < 64e6
 
 
 def test_grassmann_suite_records_residuals_on_the_scale_of_their_limits():
@@ -93,8 +104,8 @@ def test_geometry_suite_fails_when_the_stiefel_finsler_norm_is_inflated(monkeypa
 
 def test_every_span_the_suites_build_has_at_most_4N_columns(monkeypatch):
     # On the validate-1d space every element and generator lives on a span of a
-    # few frames: draws and sections k <= 2N, Lie splits k <= 3N and translated
-    # sections k <= 4N.  The dense identities are read from their n-by-n data.
+    # few frames: draws and sections k <= 2N, Lie splits and products k <= 3N and
+    # translated sections k <= 4N.  The identities are read from their k-by-k blocks.
     cfg = config_from_mapping({"seed": 42, "trials": 3, "space": {"grid_points": 128, "spacing": 0.25}})
     N, widths, current = cfg.subspace_dim, {}, []
     span_form = group._span_form
@@ -156,6 +167,82 @@ def test_grassmann_suite_fails_when_the_direct_rotation_tau_block_is_mutated(mon
 
     monkeypatch.setattr(group._TwoFrames, "direct_rotation", mutated)
     cfg = config_from_mapping({"seed": 42, "trials": 2, "space": {"grid_points": 16, "spacing": 0.25}})
+    rec = _Recorder()
+    _grassmann_suite(cfg, build_space(cfg.space), rec)
+    assert not rec.result("grassmann").passed
+
+
+SMALL = {"seed": 42, "trials": 2, "space": {"grid_points": 16, "spacing": 0.25}}
+
+
+def test_group_suite_fails_when_the_product_block_is_mutated(monkeypatch):
+    # 1e-8 on one entry of the product's block stays inside the GroupElement
+    # constructor's 1e-8 / sqrt(n) but fails the suite's 1e-9 and exp(X) exp(-X) = I.
+    built = group._product
+
+    def mutated(U, V):
+        W = built(U, V)
+        B = W.B.copy()
+        B[0, 0] += 1e-8
+        return GroupElement(W.Q, B, W.g)
+
+    monkeypatch.setattr(validate, "_product", mutated)
+    cfg = config_from_mapping(SMALL)
+    rec = _Recorder()
+    _group_suite(cfg, build_space(cfg.space), rec)
+    assert not rec.result("group").passed
+
+
+@pytest.mark.parametrize("block", ["sigma", "t"])
+def test_section_suite_fails_when_a_section_block_is_mutated(monkeypatch, block):
+    # sigma's block is [beta, -tau] and T's is [b Z Y^H - E, -tau]: tau moved
+    # by 3e-9 sqrt(n) breaks sigma's form, and 1e-8 on T's first entry breaks
+    # the partial isometry T P, each past its limit but inside the constructor's.
+    built = group._TwoFrames.direct_rotation
+
+    def mutated(span):
+        bounds, rot, tau, t = built(span)
+        tau, t = tau.copy(), t.copy()
+        if block == "sigma":
+            tau[0, 0] += 3e-9 * math.sqrt(span.Q.shape[0])
+        else:
+            t[0, 0] += 1e-8
+        return bounds, rot, tau, t
+
+    monkeypatch.setattr(group._TwoFrames, "direct_rotation", mutated)
+    cfg = config_from_mapping(SMALL)
+    rec = _Recorder()
+    _section_suite(cfg, build_space(cfg.space), rec)
+    assert not rec.result("section").passed
+
+
+def test_sqrt_suite_fails_when_a_series_term_is_dropped(monkeypatch):
+    # Dropping c_1 leaves the block of K K^H out of the root, so R^2 - A is
+    # about the squared sines rho.  At spacing 1.0 the draws reach rho ~ 1e-8,
+    # past the 1e-9 limit; at spacing 0.25 they stay near 1e-13, below any limit.
+    coefficients = stiefel.binomial_coefficients
+
+    def dropped(count):
+        c = coefficients(count).copy()
+        c[0] = 0.0
+        return c
+
+    monkeypatch.setattr(stiefel, "binomial_coefficients", dropped)
+    cfg = config_from_mapping({"seed": 42, "trials": 10, "space": {"grid_points": 16, "spacing": 1.0}})
+    rec = _Recorder()
+    _sqrt_suite(cfg, build_space(cfg.space), rec)
+    assert not rec.result("sqrt").passed
+
+
+@pytest.mark.parametrize("split", ["grassmann", "stiefel"])
+def test_grassmann_suite_fails_when_a_split_coefficient_is_mutated(monkeypatch, split):
+    # c = 2 gives delta_P^2(X) and c = 1 the complement part P X + X P - P X P.
+    # Moved by 1e-6, c adds 1e-6 P X P to the isotropy part, which then no
+    # longer kills V, or to the off-diagonal part, which delta_P^2 then no longer fixes.
+    module = grassmann if split == "grassmann" else stiefel
+    built = module._lie_split
+    monkeypatch.setattr(module, "_lie_split", lambda X, H, c: built(X, H, c + 1e-6))
+    cfg = config_from_mapping(SMALL)
     rec = _Recorder()
     _grassmann_suite(cfg, build_space(cfg.space), rec)
     assert not rec.result("grassmann").passed
