@@ -138,10 +138,10 @@ def run_sqrt_bench(cfg: RunConfig) -> int:
     for trial in range(cfg.trials):
         pair = _TwoFrames(Phi, _bench_pair(Phi, g, rng_for_trial(cfg.seed, trial)), g)
         K = pair.beta[N:]
-        # I - K K^H = Z diag(1 - s^2) Z^H, so its exact root is Z diag(sqrt(1 - s^2)) Z^H.
+        # The exact sum is Z diag(sqrt(1 - s^2) - 1) Z^H, here written without cancellation.
         Z, sines, _ = np.linalg.svd(K, full_matrices=False)
-        oracle = (Z * np.sqrt(1.0 - sines**2)) @ Z.conj().T
-        sums = np.array(binomial_sqrt_truncated(-K @ K.conj().T, BENCH_TERMS))
+        oracle = (Z * (-(sines**2) / (1.0 + np.sqrt(1.0 - sines**2)))) @ Z.conj().T
+        sums = np.array(binomial_sqrt_truncated(K, BENCH_TERMS))
         # Each error C (S - oracle)(gl2 C)^H has the strong norm of its core on the span C.
         span = _Span(pair.Q[:, N:], g)
         max_err = np.maximum(max_err, span_singular_values(span.TL, span.TR, sums - oracle)[:, 0])

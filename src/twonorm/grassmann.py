@@ -18,7 +18,7 @@ import numpy as np
 
 from .basis import FRAME_TOL, orthonormal_columns, require_orthonormal
 from .errors import NeighborhoodViolation
-from .group import GroupElement, SkewOperator, _TwoFrames, _lie_split
+from .group import GroupElement, SkewOperator, _TwoFrames, _act, _lie_split
 from .space import GramPair, LowRank, as_operator, h1_operator_norm
 from .stiefel import ReferenceFrame, StiefelOperator, _require_same_reference
 
@@ -179,7 +179,7 @@ def grassmann_equivalence(V: StiefelOperator, V1: StiefelOperator) -> Equivalenc
 
 def act_grassmann(U: GroupElement, P: ProjectionOperator) -> ProjectionOperator:
     """Conjugation action U . P = U P U^-1, the projection onto the span of U H."""
-    return ProjectionOperator(P.frame + U.displacement(P.frame), P.g)
+    return _act(U, P.frame, lambda H: ProjectionOperator(H, P.g))
 
 
 def section_pi_p(P: ProjectionOperator, P1: ProjectionOperator) -> GroupElement:

@@ -115,6 +115,17 @@ class GroupElement:
         return self.Q @ (self.B @ (self.Q.conj().T @ self.g.l2(F)))
 
 
+def _act(U: GroupElement, F, build):
+    """build(F + (U F - F)), the frame F moved by U and validated by ``build``.
+
+    U's defect, up to CONSTRUCT_TOL, can move F beyond FRAME_TOL: a numerical MembershipDefect, not a bad input.
+    """
+    try:
+        return build(F + U.displacement(F))
+    except ValueError as exc:
+        raise MembershipDefect(f"{exc}, as moved by an element of defect {U.defect:.3e}") from exc
+
+
 def _product(U: GroupElement, V: GroupElement) -> GroupElement:
     """U V on the joint span Q of both elements; its block comes from D = V Q - Q and U (Q + D) - (Q + D)."""
     g = U.g

@@ -22,7 +22,7 @@ import numpy as np
 
 from .basis import require_orthonormal
 from .errors import ConvergenceFailure
-from .group import GroupElement, SkewOperator, _TwoFrames, _lie_split, _product, frame_unitary
+from .group import GroupElement, SkewOperator, _TwoFrames, _act, _lie_split, _product, frame_unitary
 from .space import GramPair, LowRank, as_operator, h1_operator_norm, h1_triangle, norm_h1, span_singular_values
 
 __all__ = [
@@ -50,7 +50,6 @@ OPERATOR_TOL = 1e-8
 METRIC_SLACK = 1e-10
 SERIES_TOL = 1e-10
 SERIES_KMAX = 200_000
-SERIES_BLOCK = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +204,7 @@ def metric_equivalence_report(V: StiefelOperator, W: StiefelOperator) -> MetricE
 
 def act(U: GroupElement, V: StiefelOperator) -> StiefelOperator:
     """Left action U . V, with image frame Phi + (U Phi - Phi); the result stays on the manifold."""
-    return StiefelOperator(V.Phi + U.displacement(V.Phi), V.ref)
+    return _act(U, V.Phi, lambda Phi: StiefelOperator(Phi, V.ref))
 
 
 @dataclass(frozen=True)
@@ -266,47 +265,30 @@ def _series_terms(rho: float, amp: float) -> int:
     )
 
 
-def binomial_sqrt_truncated(M, terms) -> list[np.ndarray]:
-    """I + sum_(j<=s) c_j M^j, the partial sums of the series of (I + M)^(1/2), for each s in ``terms``.
+def binomial_sqrt_truncated(K, terms) -> list[np.ndarray]:
+    """sum_(j<=s) c_j (-K K^H)^j, the partial sums of (I - K K^H)^(1/2) - I, for each s in ``terms``.
 
-    M is the argument in a weakly orthonormal basis, so it must be Hermitian
-    with spectrum in [-1, 0]; on a grid pair, whose gl2 is w I, that is the
-    operator itself.  ``terms`` is a strictly increasing sequence of positive
-    counts, all summed in one pass of descending Paterson-Stockmeyer (SIAM J.
-    Comput. 1973) in blocks of m = SERIES_BLOCK terms over the stored powers
-    M^1..M^m: Horner's rule acc <- M^m acc + sum_r c_(qm+r) M^r runs from a
-    count's top block q down to 0.  A full block's sum is formed once and
-    shared by every count that covers it; a count ending inside a block sums
-    its own part.  So each sum depends on its own count alone and costs
-    ceil(s/m) - 1 products after the m - 1 powers, and memory does not grow
-    with the degree.
+    K is the factor of the argument -K K^H in a weakly orthonormal basis, with
+    ||K||_2 <= 1; ``terms`` are strictly increasing positive counts.  Each sum
+    is Z diag(p_s(-sigma^2)) Z^H, from one thin SVD K = Z diag(sigma) Y^H and
+    the scalar partial sums p_s, taken by Horner's rule: a sum depends on its
+    own count alone, and memory does not grow with the degree beyond the
+    coefficients.  The I is left out, so a small sum keeps its relative accuracy.
     """
     terms = tuple(terms)
     if not terms or terms[0] < 1 or any(b <= a for a, b in zip(terms, terms[1:])):
         raise ValueError(f"terms must be strictly increasing positive counts, got {terms}")
-    M = as_operator(M, name="series argument")
-    if not np.linalg.norm(M - M.conj().T) <= 1e-8 * max(1.0, np.linalg.norm(M)):
-        raise ValueError("series argument is not self-adjoint for the weak product")
-    lam = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
-    if not np.all((lam >= -1.0 - 1e-10) & (lam <= 1e-10)):
-        raise ValueError(f"series argument has spectrum [{lam[0]:.6e}, {lam[-1]:.6e}] outside [-1, 0]")
-    m = SERIES_BLOCK
-    coeffs = binomial_coefficients(terms[-1])
-    powers = np.empty((min(m, terms[-1]),) + M.shape, dtype=np.complex128)
-    powers[0] = M
-    for r in range(1, len(powers)):
-        np.matmul(powers[r - 1], M, out=powers[r])
-    sums = [None] * len(terms)
-    for q in reversed(range((terms[-1] - 1) // m + 1)):
-        lo, hi = q * m, q * m + m
-        full = np.tensordot(coeffs[lo:hi], powers, axes=1) if terms[-1] >= hi else None
-        for i, s in enumerate(terms):
-            if s > lo:
-                block = full if s >= hi else np.tensordot(coeffs[lo:s], powers[: s - lo], axes=1)
-                # A sum starts from a copy, so adding I leaves the shared block alone.
-                sums[i] = block.copy() if sums[i] is None else powers[-1] @ sums[i] + block
-    for total in sums:
-        total[np.diag_indices(M.shape[0])] += 1.0
+    if not np.isfinite(K).all():
+        raise ValueError("series factor has non-finite entries")
+    Z, sigma, _ = np.linalg.svd(K, full_matrices=False)
+    if not np.all(sigma**2 <= 1.0 + 1e-10):
+        raise ValueError(f"series factor has squared 2-norm {sigma[0] ** 2:.6e} above 1")
+    z, sums = -sigma**2, []
+    for s in terms:
+        p = np.zeros_like(z)  # p_s(z) / z by Horner's rule, from c_s down to c_1
+        for c in binomial_coefficients(s)[::-1]:
+            p = c + z * p
+        sums.append((Z * (z * p)) @ Z.conj().T)
     return sums
 
 
@@ -326,16 +308,15 @@ def series_tail_bound(terms: int, rho: float, amp: float = 1.0) -> float:
 def sqrt_F(V: StiefelOperator, W: StiefelOperator) -> LowRank:
     """R - I for R = ((I-P)(I-Q)(I-P))^(1/2) and the image projections P of V and Q of W.
 
-    On the joint span [Phi, C] of the image frames, with K = C^H gl2 Psi for
-    W's frame Psi (``group._TwoFrames``), the argument is 0 on range(P),
-    I - K K^H on span C and I beyond.  So the series runs on the block -K K^H,
-    and R - I = -Phi (gl2 Phi)^H + C (S - I)(gl2 C)^H is returned on the joint
-    span Q = [Phi, C], as Q times its block against gl2 Q; no n-by-n array is
-    formed.  Its weak error is the block's, a scalar function of the Hermitian
-    block, so its weak norm is at most the scalar tail sum_(k>s) |c_k| rho^k on
-    the spectrum, and the strong norm costs the Gram pencil factor.  The series
-    stops at the first s whose geometric majorant of that tail, the value
-    ``series_tail_bound`` reports, is below ``SERIES_TOL``.  The radius
+    On the joint span Q = [Phi, C] of the image frames, with K = C^H gl2 Psi
+    for W's frame Psi (``group._TwoFrames``), the argument is 0 on range(P),
+    I - K K^H on span C and I beyond.  So R - I = -Phi (gl2 Phi)^H + C S (gl2 C)^H
+    for the series sum S of (I - K K^H)^(1/2) - I on the factor K, returned as
+    Q times its block against gl2 Q; no n-by-n array is formed.  The weak error
+    of S, a scalar function of K's singular values, is at most the scalar tail
+    sum_(k>s) |c_k| rho^k, and the strong norm costs the Gram pencil factor.
+    The series stops at the first s whose geometric majorant of that tail, the
+    value ``series_tail_bound`` reports, is below ``SERIES_TOL``.  The radius
     rho = ||K||_2^2 is the largest squared sine of the principal angles between
     the images; at 1 the majorant is infinite and ConvergenceFailure is raised.
     """
@@ -344,9 +325,8 @@ def sqrt_F(V: StiefelOperator, W: StiefelOperator) -> LowRank:
     span = _TwoFrames(V.Phi, W.Phi, g)
     Q, K = span.Q, span.beta[N:]
     rho = min(1.0, float(np.linalg.norm(K, 2)) ** 2)
-    (S,) = binomial_sqrt_truncated(-K @ K.conj().T, [_series_terms(rho, max(1.0, g.pencil_factor))])
     block = -np.eye(Q.shape[1], dtype=np.complex128)
-    block[N:, N:] += S
+    block[N:, N:] = binomial_sqrt_truncated(K, [_series_terms(rho, max(1.0, g.pencil_factor))])[0]
     return LowRank(Q @ block, g.l2(Q))
 
 

@@ -562,6 +562,25 @@ def test_membership_defect_exits_one(tmp_path, capsys, monkeypatch):
     assert "configuration error" not in err
 
 
+def test_a_frame_moved_off_orthonormality_fails_its_suite(tmp_path, capsys, monkeypatch):
+    # A direct rotation off by 1e-8 on its diagonal passes CONSTRUCT_TOL, but the
+    # range frame it moves misses FRAME_TOL: the grassmann suite fails, exit 1.
+    built = validate.section_pi_p
+
+    def skewed(P, P1):
+        T = built(P, P1)
+        return GroupElement(T.Q, T.B + 1e-8 * np.eye(len(T.B)), T.g)
+
+    monkeypatch.setattr(validate, "section_pi_p", skewed)
+    out = tmp_path / "run"
+    assert main(["validate", "--config", write_config(tmp_path, trials=2), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "grassmann: MembershipDefect: range frame is not orthonormal" in err
+    assert "configuration error" not in err
+    suites = json.loads((out / "validate.json").read_text())["suites"]
+    assert [s["suite"] for s in suites if not s["passed"]] == ["grassmann"]
+
+
 def test_validate_writes_report_when_a_suite_raises(tmp_path, capsys):
     # At spacing 1e-3 the section suite's perturbation target is below
     # resolution; that suite is recorded as failed and the others still run.

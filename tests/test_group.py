@@ -6,12 +6,15 @@ from twonorm import (
     MembershipDefect,
     SpaceSpec,
     SkewOperator,
+    act,
+    act_grassmann,
     build_space,
     exp_skew,
     frame_unitary,
     gram_pair_from_matrices,
     h1_operator_norm,
     membership_residual,
+    phi,
 )
 from twonorm.basis import orthonormal_columns
 from twonorm.group import OneParameterGroup, _operator
@@ -81,6 +84,16 @@ def test_membership_rejects_singular(g):
     # On a grid the residual of a singular matrix is at least 1/sqrt(n).
     with pytest.raises(MembershipDefect):
         GroupElement(g.isqrt_l2, -np.eye(g.n), g)
+
+
+@pytest.mark.parametrize("action", ["act", "act_grassmann"])
+def test_an_action_names_the_element_that_moves_a_frame_off_orthonormality(g, V, action):
+    # The block 1e-8 I has defect 7.1e-9 < CONSTRUCT_TOL at n = 16, but the
+    # frame it stretches by 1 + 1e-8 misses FRAME_TOL: a numerical failure.
+    U = GroupElement(V.Phi, 1e-8 * np.eye(V.N), g)
+    assert 0.0 < U.defect <= 1e-8
+    with pytest.raises(MembershipDefect, match=f"moved by an element of defect {U.defect:.3e}"):
+        act(U, V) if action == "act" else act_grassmann(U, phi(V))
 
 
 def test_frame_unitary_swaps_axes(g_flat):

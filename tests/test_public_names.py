@@ -46,6 +46,8 @@ RETIRED = (
     # The series is run at its automatic term count by sqrt_F alone, and
     # binomial_sqrt_truncated takes explicit counts.
     "binomial_sqrt",
+    # The series runs on the singular values of its factor, with no stored powers.
+    "SERIES_BLOCK",
     # A dense projection is checked where it enters, in ProjectionOperator.from_matrix.
     "require_weak_projection",
     # The one algebra draw is random_skew(rng, F, g), on span[F, G]; the full-rank

@@ -1,4 +1,4 @@
-"""The blocked series evaluator and sqrt_F against a plain power loop, the oracle and their memory budgets."""
+"""The spectral series evaluator and sqrt_F against a plain power loop, the oracle and their memory budgets."""
 
 import tracemalloc
 from fractions import Fraction
@@ -19,6 +19,7 @@ from twonorm import (
     radius_r,
     series_tail_bound,
     sqrt_F,
+    stiefel,
 )
 from twonorm.basis import complete_basis
 from twonorm.campaigns import BENCH_RHO, BENCH_TERMS, _bench_pair
@@ -26,7 +27,7 @@ from twonorm.config import RunConfig
 from twonorm.group import _TwoFrames
 from twonorm.oracles import sqrt_eig
 from twonorm.sampling import random_complex, random_reference, random_stiefel, rng_for_trial, stiefel_near
-from twonorm.stiefel import SERIES_BLOCK, SERIES_TOL, _series_terms, binomial_coefficients
+from twonorm.stiefel import SERIES_TOL, _series_terms, binomial_coefficients
 from twonorm.validate import _setup_point
 
 from conftest import dense
@@ -36,28 +37,23 @@ SPACES = {
     128: build_space(SpaceSpec(domain_dim=1, grid_points=128, spacing=0.25)),
     144: build_space(SpaceSpec(domain_dim=2, grid_points=12, spacing=0.25)),
 }
-# Traced peaks of the one-term-per-product loop this evaluator replaced, in
-# n-by-n complex arrays at n = 144 (one automatic term count, the counts of BENCH_TERMS).
-PLAIN_LOOP_PEAKS = (3.4, 8.0)
 
 
-def _argument(g, rho, seed):
-    """Hermitian B with spectrum in [-rho, 0]: on a grid pair, the series argument and its weak-frame form."""
-    rng = rng_for_trial(seed, 0)
-    C = random_complex(rng, g.n, g.n)
-    H = C @ C.conj().T
-    H /= float(np.linalg.eigvalsh(H)[-1])
-    return -rho * H
+def _factor(rows, cols, rho, seed):
+    """A random rows-by-cols K with ||K||_2^2 = rho: on a grid pair, the series factor and its weak-frame form."""
+    C = random_complex(rng_for_trial(seed, 0), rows, cols)
+    return np.sqrt(rho) * C / np.linalg.norm(C, 2)
 
 
-def _power_loop(Bw, counts):
-    """I + sum_(j<=s) c_j Bw^j for each s in counts, one product per term."""
+def _power_loop(K, counts):
+    """sum_(j<=s) c_j M^j for M = -K K^H and each s in counts, one product per term."""
+    M = -K @ K.conj().T
     coeffs = binomial_coefficients(counts[-1])
-    total = np.eye(Bw.shape[0], dtype=np.complex128)
-    power = np.eye(Bw.shape[0], dtype=np.complex128)
+    total = np.zeros_like(M)
+    power = np.eye(len(M), dtype=np.complex128)
     sums = []
     for k in range(1, counts[-1] + 1):
-        power = power @ Bw
+        power = power @ M
         total = total + coeffs[k - 1] * power
         if k in counts:
             sums.append(total)
@@ -66,19 +62,18 @@ def _power_loop(Bw, counts):
 
 @settings(max_examples=12, deadline=None)
 @given(
-    n=st.sampled_from((16, 144)),
-    rho=st.floats(0.0, 1.0),
-    drawn=st.lists(st.integers(1, 300), max_size=4),
-    block_end=st.integers(1, 300 // SERIES_BLOCK),
-    mid_block=st.integers(1, 300).filter(lambda s: s % SERIES_BLOCK),
+    rows=st.sampled_from((1, 2, 16, 144)),
+    cols=st.sampled_from((1, 2, 16, 144)),
+    # Below 1e-100 the loop's products of K's entries leave the normal range.
+    rho=st.floats(0.0, 1.0).filter(lambda r: r == 0.0 or r >= 1e-100),
+    drawn=st.lists(st.integers(1, 300), min_size=1, max_size=5),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_partial_sums_match_power_loop(n, rho, drawn, block_end, mid_block, seed):
-    g = SPACES[n]
-    counts = sorted(set(drawn) | {SERIES_BLOCK * block_end, mid_block})
-    B = _argument(g, rho, seed)
-    sums = binomial_sqrt_truncated(B, counts)
-    for s, total, plain in zip(counts, sums, _power_loop(B, counts)):
+def test_partial_sums_match_power_loop(rows, cols, rho, drawn, seed):
+    counts = sorted(set(drawn))
+    K = _factor(rows, cols, rho, seed)
+    sums = binomial_sqrt_truncated(K, counts)
+    for s, total, plain in zip(counts, sums, _power_loop(K, counts)):
         assert np.linalg.norm(total - plain) <= 1e-13 * np.linalg.norm(plain), s
 
 
@@ -87,9 +82,10 @@ def test_binomial_sqrt_near_unit_radius_agrees_with_oracle():
     g = SPACES[16]
     rho = 0.999
     assert _series_terms(rho, max(1.0, g.pencil_factor)) > 1000
-    B = _argument(g, rho, seed=3)
-    (R,) = binomial_sqrt_truncated(B, [_series_terms(rho, max(1.0, g.pencil_factor))])
-    err = h1_operator_norm(R - sqrt_eig(np.eye(g.n) + B, g), g)
+    K = _factor(g.n, g.n, rho, seed=3)
+    (S,) = binomial_sqrt_truncated(K, [_series_terms(rho, max(1.0, g.pencil_factor))])
+    eye = np.eye(g.n)
+    err = h1_operator_norm(eye + S - sqrt_eig(eye - K @ K.conj().T, g), g)
     assert err <= SERIES_TOL
 
 
@@ -125,19 +121,17 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("rho", [0.3, 0.99])
+@pytest.mark.parametrize("rho", [0.3, 0.99, 0.999])
 def test_series_memory_does_not_grow_with_the_degree(rho):
-    # The power stack and the running block are the only additions to the
-    # plain loop: SERIES_BLOCK + 2 arrays, whatever the term count.
+    # The SVD, the scalar sums and the result take about five arrays of K's
+    # size and the s coefficients a fraction of one; a table of the powers of
+    # the 144 squared sines at the 16521 terms of rho = 0.999 would take 57.
     g = SPACES[144]
     g.pencil_factor  # cached factorizations are built before tracing
-    B = _argument(g, rho, seed=5)
-    array = g.n * g.n * 16
-    extra = SERIES_BLOCK + 2
-    sqrt_peak, truncated_peak = PLAIN_LOOP_PEAKS
+    K = _factor(g.n, g.n, rho, seed=5)
     terms = [_series_terms(rho, max(1.0, g.pencil_factor))]
-    assert _traced_peak(lambda: binomial_sqrt_truncated(B, terms)) <= (sqrt_peak + extra) * array
-    assert _traced_peak(lambda: binomial_sqrt_truncated(B, BENCH_TERMS)) <= (truncated_peak + extra) * array
+    assert _traced_peak(lambda: binomial_sqrt_truncated(K, terms)) <= 8 * K.nbytes
+    assert _traced_peak(lambda: binomial_sqrt_truncated(K, BENCH_TERMS)) <= (8 + len(BENCH_TERMS)) * K.nbytes
 
 
 def _pair(n, N, kind, fraction, seed):
@@ -212,7 +206,49 @@ def test_bench_pairs_have_the_bench_radius_and_the_dense_root():
         assert abs(sines[0] ** 2 - BENCH_RHO) <= 1e-14 * BENCH_RHO
         exact = sqrt_eig(ip @ (eye - phi(W).P) @ ip, g)
         C = pair.Q[:, N:]
-        (series,) = binomial_sqrt_truncated(-K @ K.conj().T, [BENCH_TERMS[-1]])
-        for root in ((Z * np.sqrt(1.0 - sines**2)) @ Z.conj().T, series):
-            R = ip + (C @ (root - np.eye(len(root)))) @ g.l2(C).conj().T
+        (series,) = binomial_sqrt_truncated(K, [BENCH_TERMS[-1]])
+        for block in ((Z * (np.sqrt(1.0 - sines**2) - 1.0)) @ Z.conj().T, series):
+            R = ip + (C @ block) @ g.l2(C).conj().T
             assert h1_operator_norm(R - exact, g) <= 1e-12
+
+
+def _small_block_error(seed):
+    """Largest relative error of sqrt_F's block on span C at three validate-1d draws inside r.
+
+    The draws there have squared sines rho <= 1e-13, so the block of R - I on
+    span C, about -K K^H / 2, is tiny; it is compared with the exact
+    Z diag(sqrt(1 - s^2) - 1) Z^H, written without the cancellation.
+    """
+    cfg = RunConfig(space=SpaceSpec(domain_dim=1, grid_points=128, spacing=0.25), seed=seed)
+    g = SPACES[128]
+    V = _setup_point(cfg, g, 0.4)[2]
+    N = V.N
+    rng = rng_for_trial(seed, 0)
+    worst = 0.0
+    for fraction in (0.1, 0.4, 0.7):
+        W, _ = stiefel_near(V, fraction * radius_r(V), rng)
+        R = sqrt_F(V, W)
+        block = (R.R.conj().T @ R.L)[N:, N:]
+        Z, sines, _ = np.linalg.svd(_TwoFrames(V.Phi, W.Phi, g).beta[N:], full_matrices=False)
+        exact = (Z * (-(sines**2) / (1.0 + np.sqrt(1.0 - sines**2)))) @ Z.conj().T
+        worst = max(worst, np.linalg.norm(block - exact) / np.linalg.norm(exact))
+    return worst
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_sqrt_f_keeps_the_relative_accuracy_of_its_small_block(seed):
+    # Summed apart from the I, the block keeps its relative accuracy.
+    assert _small_block_error(seed) <= 1e-12
+
+
+def test_the_small_block_check_sees_a_dropped_first_term(monkeypatch):
+    # Without c_1 the block is about c_2 (K K^H)^2, far from -K K^H / 2.
+    coefficients = stiefel.binomial_coefficients
+
+    def dropped(count):
+        c = coefficients(count).copy()
+        c[0] = 0.0
+        return c
+
+    monkeypatch.setattr(stiefel, "binomial_coefficients", dropped)
+    assert _small_block_error(0) > 1e-12

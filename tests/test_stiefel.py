@@ -118,30 +118,33 @@ def test_binomial_coefficients_frozen():
     assert np.allclose(c, [0.5, -0.125, 0.0625, -0.0390625], atol=1e-15)
 
 
-def _rank_one_projection(g, i):
-    v = np.zeros(g.n, dtype=np.complex128)
-    v[i] = 1.0
-    v /= np.sqrt((v.conj() @ g.gl2 @ v).real)
-    return np.outer(v, v.conj()) @ g.gl2
+def _unit_column(g, i):
+    """The i-th unit n-vector as a column: a factor K with ||K||_2 = 1."""
+    e = np.zeros((g.n, 1), dtype=np.complex128)
+    e[i] = 1.0
+    return e
 
 
-def _series_at_radius(B, g, rho):
-    """The series of the weakly self-adjoint B at the term count that ``sqrt_F`` takes for weak spectral radius rho."""
-    (R,) = binomial_sqrt_truncated(g.to_l2_frame(B), [_series_terms(rho, max(1.0, g.pencil_factor))])
-    return g.from_l2_frame(R)
+def _series_at_radius(K, g, rho):
+    """The series of the factor K at the term count that ``sqrt_F`` takes for weak spectral radius rho."""
+    (S,) = binomial_sqrt_truncated(K, [_series_terms(rho, max(1.0, g.pencil_factor))])
+    return S
 
 
 def test_binomial_sqrt_closed_form(g):
-    P = _rank_one_projection(g, 0)
-    R = _series_at_radius(-0.75 * P, g, 0.75)
-    assert np.linalg.norm(R - (np.eye(g.n) - 0.5 * P)) <= 1e-9
+    # (I - 0.75 e e^H)^(1/2) - I = -0.5 e e^H.
+    e = _unit_column(g, 0)
+    S = _series_at_radius(np.sqrt(0.75) * e, g, 0.75)
+    assert np.linalg.norm(S + 0.5 * e @ e.conj().T) <= 1e-9
 
 
 def test_binomial_sqrt_rejects_bad_spectrum(g):
-    with pytest.raises(ValueError):
-        binomial_sqrt_truncated(0.5 * np.eye(g.n), [1])
-    with pytest.raises(ValueError):
-        binomial_sqrt_truncated(-1.5 * np.eye(g.n), [1])
+    # The argument -K K^H has spectrum in [-1, 0] when ||K||_2^2 <= 1; rounding
+    # may take the square past 1 by 1e-10 and no more.
+    binomial_sqrt_truncated(np.sqrt(1.0 + 1e-11) * np.eye(g.n), [1])
+    for square in (1.0 + 1e-9, 1.5):
+        with pytest.raises(ValueError, match="squared 2-norm .* above 1"):
+            binomial_sqrt_truncated(np.sqrt(square) * np.eye(g.n), [1])
 
 
 def test_binomial_sqrt_deflates_known_kernel(g, V):
@@ -153,47 +156,42 @@ def test_binomial_sqrt_deflates_known_kernel(g, V):
 
 
 def test_binomial_sqrt_at_spectral_radius_one_names_it(g):
-    # -P has weak spectral radius 1: the tail bound decays like 1/sqrt(s)
-    # and cannot reach the tolerance within kmax terms.
-    P = _rank_one_projection(g, 2)
-    rho = float(np.max(np.abs(np.linalg.eigvalsh(g.to_l2_frame(-P)))))
+    # A unit factor has weak spectral radius 1: the tail bound decays like
+    # 1/sqrt(s) and cannot reach the tolerance within kmax terms.
+    e = _unit_column(g, 2)
     with pytest.raises(ConvergenceFailure, match="spectral radius 1"):
-        _series_at_radius(-P, g, min(1.0, rho))
+        _series_at_radius(e, g, min(1.0, float(np.linalg.norm(e, 2)) ** 2))
 
 
 def test_truncated_series_first_order(g):
-    B = -0.3 * np.eye(g.n)
-    (out,) = binomial_sqrt_truncated(B, [1])
-    assert np.linalg.norm(out - (np.eye(g.n) + 0.5 * B)) <= 1e-14
+    (out,) = binomial_sqrt_truncated(np.sqrt(0.3) * np.eye(g.n), [1])
+    assert np.linalg.norm(out + 0.15 * np.eye(g.n)) <= 1e-14
 
 
 def test_truncated_series_one_pass_matches_single_counts(g, V, rng):
     C = g.to_l2_frame(random_complex(rng, g.n, g.n))
-    M = C @ C.conj().T
-    # The second counts end inside top blocks and share full blocks below them.
     for counts in ((1, 4, 8, 16), (3, 8, 20, 24, 40, 129)):
-        for M_ in (-0.8 * M / float(np.linalg.eigvalsh(M)[-1]), g.to_l2_frame(-0.5 * phi(V).P)):
-            sums = binomial_sqrt_truncated(M_, counts)
+        for K in (np.sqrt(0.8) * C / np.linalg.norm(C, 2), np.sqrt(0.5) * g.to_l2_frame(phi(V).P)):
+            sums = binomial_sqrt_truncated(K, counts)
             assert len(sums) == len(counts)
             for s, total in zip(counts, sums):
-                (single,) = binomial_sqrt_truncated(M_, [s])
+                (single,) = binomial_sqrt_truncated(K, [s])
                 assert np.array_equal(total, single)
 
 
 @pytest.mark.parametrize("counts", [(), (0, 4), (4, 4), (8, 4), (-1,)])
 def test_truncated_series_rejects_bad_counts(g, counts):
     with pytest.raises(ValueError):
-        binomial_sqrt_truncated(-0.3 * np.eye(g.n), counts)
+        binomial_sqrt_truncated(np.sqrt(0.3) * np.eye(g.n), counts)
 
 
 def test_series_tail_bound_dominates_error(g, rng):
     L = g.to_l2_frame(random_complex(rng, g.n, g.n))
-    M = L @ L.conj().T
-    lam_max = float(np.linalg.eigvalsh(M)[-1])
-    Mw = -0.8 * M / lam_max
-    exact = g.to_l2_frame(sqrt_eig(np.eye(g.n) + g.from_l2_frame(Mw), g))
+    K = np.sqrt(0.8) * L / np.linalg.norm(L, 2)
+    eye = np.eye(g.n)
+    exact = g.to_l2_frame(sqrt_eig(eye - g.from_l2_frame(K @ K.conj().T), g)) - eye
     for terms in (4, 8, 16, 32):
-        (approx,) = binomial_sqrt_truncated(Mw, [terms])
+        (approx,) = binomial_sqrt_truncated(K, [terms])
         err = np.linalg.norm(approx - exact, 2)
         assert err <= series_tail_bound(terms, 0.8) + 1e-13
 
@@ -382,8 +380,8 @@ def _with_nan(A):
         (lambda g, ref, V: StiefelOperator.from_matrix(_with_nan(V.V), ref), "not an isometric embedding"),
         (lambda g, ref, V: ProjectionOperator(_with_nan(V.Phi), g), "range frame is not orthonormal"),
         (lambda g, ref, V: ProjectionOperator.from_matrix(_with_nan(phi(V).P), V.N, g), "operator is not idempotent"),
-        (lambda g, ref, V: binomial_sqrt_truncated(_with_nan(-0.5 * np.eye(g.n)), [1]),
-         "not self-adjoint for the weak product"),
+        (lambda g, ref, V: binomial_sqrt_truncated(_with_nan(np.sqrt(0.5) * np.eye(g.n)), [1]),
+         "series factor has non-finite entries"),
     ],
     ids=["ReferenceFrame", "StiefelOperator", "StiefelOperator.from_matrix", "ProjectionOperator",
          "ProjectionOperator.from_matrix", "binomial_sqrt_truncated"],
